@@ -6,14 +6,12 @@ from .invariants import (
     CrossingReport,
     affine_index_polynomial,
     arc_labels,
-    crossing_reports,
     dwrithe,
     f_polynomial,
     f_sequence,
     index_support,
     index_value,
     n_writhe,
-    t_set,
 )
 from .laurent import LaurentPoly2, parse_poly
 
@@ -30,12 +28,10 @@ __all__ = [
     "CrossingReport",
     "affine_index_polynomial",
     "arc_labels",
-    "crossing_reports",
     "dwrithe",
     "f_polynomial",
     "f_sequence",
     "index_support",
     "index_value",
     "n_writhe",
-    "t_set",
 ]

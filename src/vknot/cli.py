@@ -24,13 +24,7 @@ import sys
 import time
 
 from .gauss import Diagram, GaussCodeError, parse_gauss
-from .invariants import (
-    FReport,
-    crossing_reports,
-    dwrithe,
-    f_sequence,
-    t_set,
-)
+from .invariants import f_sequence
 from .laurent import PolyParseError
 from .moves import Lcg, MoveError, random_walk
 from .table import (
@@ -90,7 +84,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     label = f"knot {name}: " if name else ""
     print(f"{label}gauss: {str(diagram) or '(unknot)'}")
     print(f"crossings: {diagram.n_crossings}")
-    for rep in crossing_reports(diagram, ns):
+    for rep in report.crossing_reports(ns):
         smoothed = " ".join(f"dJ_{n}(D_c)={rep.smoothed_dwrithe[n]}" for n in ns)
         print(
             f"crossing {rep.crossing}: sign={_sign_str(rep.sign)} "
@@ -99,9 +93,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     print(f"P(t) = {report.stable_tail}")
     print(f"n_max = {report.n_max}")
     for n in ns:
-        ts = ",".join(sorted(t_set(diagram, n))) if diagram.n_crossings else ""
+        ts = ",".join(sorted(report.t_set(n)))
         print(
-            f"n={n}: dJ_{n}(D)={dwrithe(diagram, n)} "
+            f"n={n}: dJ_{n}(D)={report.dwrithe(n)} "
             f"T_{n}={{{ts}}} F^{n} = {report.f_at(n)}"
         )
     if args.all:
@@ -115,37 +109,36 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_tabulate(args: argparse.Namespace) -> int:
     records = load_table()
     verdicts = [verify_record(r) for r in records]
-    rows = []
+    rows = []  # per record: (n, polynomial as shown) for each expected n
     for record, verdict in zip(records, verdicts):
+        shown = []
         for n, _ in record.expected:
             value = verdict.report.f_at(n)
             if verdict.status is Verdict.MATCH_UNDER_INVERSION:
                 value = value.invert_vars()
-            rows.append((record.name, n, str(value), verdict.status.value))
+            shown.append((n, str(value)))
+        rows.append(shown)
 
     if args.format == "csv":
         print("name,n,polynomial,status")
-        for name, n, poly, status in rows:
-            print(f"{name},{n},{poly},{status}")
+        for v, shown in zip(verdicts, rows):
+            for n, poly in shown:
+                print(f"{v.name},{n},{poly},{v.status.value}")
     elif args.format == "json":
-        out = []
-        for record, verdict in zip(records, verdicts):
-            out.append(
-                {
-                    "name": record.name,
-                    "status": verdict.status.value,
-                    "transform": verdict.transform_used,
-                    "rows": [
-                        {"n": n, "polynomial": poly}
-                        for name, n, poly, _ in rows
-                        if name == record.name
-                    ],
-                }
-            )
+        out = [
+            {
+                "name": v.name,
+                "status": v.status.value,
+                "transform": v.transform_used,
+                "rows": [{"n": n, "polynomial": poly} for n, poly in shown],
+            }
+            for v, shown in zip(verdicts, rows)
+        ]
         print(json.dumps(out))
     else:
-        for name, n, poly, status in rows:
-            print(f"{name}\t{n}\t{poly}\t{status}")
+        for v, shown in zip(verdicts, rows):
+            for n, poly in shown:
+                print(f"{v.name}\t{n}\t{poly}\t{v.status.value}")
         counts = {s: 0 for s in Verdict}
         for v in verdicts:
             counts[v.status] += 1
@@ -156,7 +149,7 @@ def _cmd_tabulate(args: argparse.Namespace) -> int:
             f"{counts[Verdict.MISMATCH]} Mismatch"
         )
         if args.groups:
-            for group in group_by_f_sequence(records):
+            for group in group_by_f_sequence(verdicts):
                 print("group: " + " ".join(group.names))
 
     failures = [v for v in verdicts if not v.ok]
@@ -204,6 +197,8 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_moves(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise _InputError("trials must be >= 0")
     if args.target is None:
         targets = [(r.name, r.diagram()) for r in load_table()]
     else:

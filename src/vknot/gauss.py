@@ -135,11 +135,8 @@ class Diagram:
 
     def crossings(self) -> tuple[str, ...]:
         """Crossing ids in order of first appearance along the orientation."""
-        seen: list[str] = []
-        for entry in self._entries:
-            if entry.crossing not in seen:
-                seen.append(entry.crossing)
-        return tuple(seen)
+        # _signs is filled in entry order, so its keys are in first-appearance order.
+        return tuple(self._signs)
 
     def sign(self, crossing: str) -> int:
         try:

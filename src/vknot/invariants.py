@@ -32,6 +32,11 @@ collapse.  The invariant content of the sequence is captured by
 ``FReport.fingerprint`` (entries up to the first stabilized one), which
 is what equality of F-sequences means everywhere in this package.
 
+``f_sequence`` is the one analysis of a diagram; the ``FReport`` it
+returns keeps Ind(c) and the writhe tables of D and of every D_c, and
+dJ_n(D), T_n and the per-crossing reports are its methods.  The free
+functions (``dwrithe``, ``f_polynomial``, ...) recompute from scratch.
+
 All functions are pure; diagrams are immutable; nothing here shares
 mutable state.
 """
@@ -122,27 +127,35 @@ def affine_index_polynomial(diagram: Diagram) -> LaurentPoly2:
     return LaurentPoly2.from_terms(triples)
 
 
-def _writhe_table(diagram: Diagram) -> dict[int, int]:
+def _writhe_table(diagram: Diagram, ind: dict[str, int]) -> dict[int, int]:
     """J_n for every n with a crossing of that index (other n give 0)."""
     table: dict[int, int] = {}
-    for c, k in _index_table(diagram).items():
+    for c, k in ind.items():
         table[k] = table.get(k, 0) + diagram.sign(c)
     return table
+
+
+def _dj(writhes: dict[int, int], n: int) -> int:
+    return writhes.get(n, 0) - writhes.get(-n, 0)
+
+
+def _in_t_n(smoothed_dj: int, d_n: int) -> bool:
+    """The T_n predicate |dJ_n(D_c)| == |dJ_n(D)|."""
+    return abs(smoothed_dj) == abs(d_n)
 
 
 def n_writhe(diagram: Diagram, n: int) -> int:
     """J_n(D): signed count of crossings with index value n (n != 0)."""
     if n == 0:
         raise ZeroIndexRequest("n-th writhe is defined for nonzero n only")
-    return _writhe_table(diagram).get(n, 0)
+    return _writhe_table(diagram, _index_table(diagram)).get(n, 0)
 
 
 def dwrithe(diagram: Diagram, n: int) -> int:
     """dJ_n(D) = J_n(D) - J_{-n}(D) for n >= 1."""
     if n < 1:
         raise NonpositiveN(f"dwrithe needs n >= 1, got {n}")
-    table = _writhe_table(diagram)
-    return table.get(n, 0) - table.get(-n, 0)
+    return _dj(_writhe_table(diagram, _index_table(diagram)), n)
 
 
 def index_support(diagram: Diagram) -> frozenset[int]:
@@ -162,25 +175,52 @@ class CrossingReport:
 
 @dataclass(frozen=True)
 class FReport:
-    """The full F-polynomial sequence of a diagram.
+    """The full F-polynomial sequence of a diagram, and the analysis behind it.
 
     ``per_n`` holds F^n for n = 1 .. n_max+1 where n_max bounds every
     index value of the diagram and of its smoothings; for all larger n
     the value is ``stable_tail`` (the affine index polynomial).  The
     final computed entry equals the tail by construction - this is
-    checked, not assumed.
+    checked, not assumed.  The other views read ``index`` (Ind(c) in
+    traversal order), ``writhes`` (J_k(D)) and ``smoothed`` (J_k(D_c)).
     """
 
     diagram: Diagram
     n_max: int
     per_n: dict[int, LaurentPoly2]
     stable_tail: LaurentPoly2
+    index: dict[str, int]
+    writhes: dict[int, int]
+    smoothed: _SmoothedData
 
     def f_at(self, n: int) -> LaurentPoly2:
         """F^n for any n >= 1, using the stable tail beyond n_max."""
         if n < 1:
             raise NonpositiveN(f"F^n needs n >= 1, got {n}")
         return self.per_n.get(n, self.stable_tail)
+
+    def dwrithe(self, n: int) -> int:
+        """dJ_n(D) for any n >= 1."""
+        if n < 1:
+            raise NonpositiveN(f"dwrithe needs n >= 1, got {n}")
+        return _dj(self.writhes, n)
+
+    def t_set(self, n: int) -> frozenset[str]:
+        """T_n(D): crossings whose smoothing preserves |dJ_n|, for any n >= 1."""
+        if n < 1:
+            raise NonpositiveN(f"T_n needs n >= 1, got {n}")
+        d_n = _dj(self.writhes, n)
+        return frozenset(c for c in self.index if _in_t_n(self.smoothed.dwrithe(c, n), d_n))
+
+    def crossing_reports(self, n_range: Iterable[int]) -> list[CrossingReport]:
+        """Sign, index and smoothed dwrithes per crossing, in traversal order."""
+        ns = sorted(set(n_range))
+        if any(n < 1 for n in ns):
+            raise NonpositiveN("crossing reports need n >= 1")
+        return [
+            CrossingReport(c, self.diagram.sign(c), k, {n: self.smoothed.dwrithe(c, n) for n in ns})
+            for c, k in self.index.items()
+        ]
 
     def fingerprint(self) -> tuple[tuple[int, LaurentPoly2], ...]:
         """Entries (n, F^n) up to and including the first entry from
@@ -221,8 +261,7 @@ class _SmoothedData:
     supports: frozenset[int]
 
     def dwrithe(self, crossing: str, n: int) -> int:
-        table = self.writhes[crossing]
-        return table.get(n, 0) - table.get(-n, 0)
+        return _dj(self.writhes[crossing], n)
 
 
 def _smoothed_data(diagram: Diagram) -> _SmoothedData:
@@ -230,45 +269,35 @@ def _smoothed_data(diagram: Diagram) -> _SmoothedData:
     support: set[int] = set()
     for c in diagram.crossings():
         smoothed = diagram.smooth(c)
-        writhes[c] = _writhe_table(smoothed)
-        support.update(abs(k) for k in _index_table(smoothed).values() if k != 0)
+        ind = _index_table(smoothed)
+        writhes[c] = _writhe_table(smoothed, ind)
+        support.update(abs(k) for k in ind.values() if k != 0)
     return _SmoothedData(writhes, frozenset(support))
 
 
-def t_set(diagram: Diagram, n: int) -> frozenset[str]:
-    """T_n(D): crossings whose smoothing preserves |dJ_n|."""
-    if n < 1:
-        raise NonpositiveN(f"T_n needs n >= 1, got {n}")
-    data = _smoothed_data(diagram)
-    target = abs(dwrithe(diagram, n))
-    return frozenset(
-        c for c in diagram.crossings() if abs(data.dwrithe(c, n)) == target
-    )
-
-
-def _f_poly(diagram: Diagram, n: int, ind: dict[str, int], data: _SmoothedData) -> LaurentPoly2:
-    d_n = dwrithe(diagram, n)
+def _f_poly(
+    diagram: Diagram, n: int, ind: dict[str, int], d_n: int, data: _SmoothedData
+) -> LaurentPoly2:
     triples: list[tuple[int, int, int]] = []
-    for c in diagram.crossings():
+    for c, k in ind.items():
         s = diagram.sign(c)
         dc = data.dwrithe(c, n)
-        triples.append((ind[c], dc, s))
-        if abs(dc) == abs(d_n):
-            triples.append((0, dc, -s))
-        else:
-            triples.append((0, d_n, -s))
+        triples.append((k, dc, s))
+        triples.append((0, dc if _in_t_n(dc, d_n) else d_n, -s))
     return LaurentPoly2.from_terms(triples)
 
 
 def f_polynomial(diagram: Diagram, n: int) -> LaurentPoly2:
-    """The n-th F-polynomial F^n_D(t, l) for n >= 1."""
+    """The n-th F-polynomial F^n_D(t, l) for n >= 1, computed from scratch."""
     if n < 1:
         raise NonpositiveN(f"F^n needs n >= 1, got {n}")
-    return _f_poly(diagram, n, _index_table(diagram), _smoothed_data(diagram))
+    ind = _index_table(diagram)
+    return _f_poly(diagram, n, ind, _dj(_writhe_table(diagram, ind), n), _smoothed_data(diagram))
 
 
 def f_sequence(diagram: Diagram) -> FReport:
-    """Compute F^n for n = 1 .. n_max+1 together with the stable tail.
+    """Analyse the diagram once: F^n for n = 1 .. n_max+1, the stable
+    tail, and the index and writhe tables they are built from.
 
     n_max is the largest index magnitude seen in the diagram or any of
     its smoothings (0 when there is none), so every n > n_max has all
@@ -277,30 +306,13 @@ def f_sequence(diagram: Diagram) -> FReport:
     match the tail the engine would be wrong, hence the hard error.
     """
     ind = _index_table(diagram)
+    writhes = _writhe_table(diagram, ind)
     data = _smoothed_data(diagram)
-    n_max = max(index_support(diagram) | data.supports, default=0)
+    n_max = max(data.supports.union(map(abs, ind.values())), default=0)
     tail = affine_index_polynomial(diagram)
-    per_n = {n: _f_poly(diagram, n, ind, data) for n in range(1, n_max + 2)}
+    per_n = {n: _f_poly(diagram, n, ind, _dj(writhes, n), data) for n in range(1, n_max + 2)}
     if per_n[n_max + 1] != tail:
         raise InternalInconsistency(
             f"F^{n_max + 1} of {str(diagram)!r} did not stabilize to the affine polynomial"
         )
-    return FReport(diagram, n_max, per_n, tail)
-
-
-def crossing_reports(diagram: Diagram, n_range: Iterable[int]) -> list[CrossingReport]:
-    """Sign, index and smoothed dwrithes per crossing, in traversal order."""
-    ns = sorted(set(n_range))
-    if any(n < 1 for n in ns):
-        raise NonpositiveN("crossing reports need n >= 1")
-    ind = _index_table(diagram)
-    data = _smoothed_data(diagram)
-    return [
-        CrossingReport(
-            crossing=c,
-            sign=diagram.sign(c),
-            index=ind[c],
-            smoothed_dwrithe={n: data.dwrithe(c, n) for n in ns},
-        )
-        for c in diagram.crossings()
-    ]
+    return FReport(diagram, n_max, per_n, tail, ind, writhes, data)

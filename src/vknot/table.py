@@ -204,8 +204,8 @@ class FGroup:
     names: tuple[str, ...]
 
 
-def group_by_f_sequence(records: list[KnotRecord]) -> list[FGroup]:
-    """Partition records by their computed F-sequence fingerprints.
+def group_by_f_sequence(verdicts: list[MatchVerdict]) -> list[FGroup]:
+    """Partition verdicts (from ``verify_all``) by their reports' fingerprints.
 
     Orientation is normalized per record before comparing: a record
     that verifies only under the inversion transform contributes its
@@ -218,15 +218,14 @@ def group_by_f_sequence(records: list[KnotRecord]) -> list[FGroup]:
     """
     buckets: dict[tuple[tuple[int, str], ...], list[str]] = {}
     keys: dict[tuple[tuple[int, str], ...], tuple[tuple[int, LaurentPoly2], ...]] = {}
-    for record in records:
-        verdict = verify_record(record)
+    for verdict in verdicts:
         rows = (
             verdict.report.inverted()
             if verdict.status is Verdict.MATCH_UNDER_INVERSION
             else verdict.report.fingerprint()
         )
         key = tuple((n, str(p)) for n, p in rows)
-        buckets.setdefault(key, []).append(record.name)
+        buckets.setdefault(key, []).append(verdict.name)
         keys.setdefault(key, rows)
     groups = [
         FGroup(keys[key], tuple(sorted(names, key=_name_key)))

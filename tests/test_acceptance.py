@@ -12,12 +12,10 @@ from vknot.cli import main
 from vknot.gauss import parse_gauss
 from vknot.invariants import (
     affine_index_polynomial,
-    crossing_reports,
     dwrithe,
     f_polynomial,
     f_sequence,
     index_value,
-    t_set,
 )
 from vknot.laurent import parse_poly
 from vknot.moves import Lcg, random_walk
@@ -42,7 +40,7 @@ def test_criterion_1_worked_example_end_to_end():
     signs = tuple(d.sign(c) for c in ("1", "2", "3"))
     indices = tuple(index_value(d, c) for c in ("1", "2", "3"))
     dj = (dwrithe(d, 1), dwrithe(d, 2))
-    t1, t2 = t_set(d, 1), t_set(d, 2)
+    t1, t2 = f_sequence(d).t_set(1), f_sequence(d).t_set(2)
     report = f_sequence(d)
     elapsed = time.perf_counter() - started
 
@@ -76,7 +74,7 @@ def test_criterion_2_smoothing_oracle():
         assert dwrithe(smoothed, 1) == 0
         assert dwrithe(smoothed, 2) == 0
         checked_values += 2 * len(values) + 2
-    reports = crossing_reports(d, (1, 2))
+    reports = f_sequence(d).crossing_reports((1, 2))
     assert all(rep.smoothed_dwrithe == {1: 0, 2: 0} for rep in reports)
     _report(2, f"all {checked_values} smoothing-table values exact; convention pinned")
 
@@ -104,7 +102,7 @@ def test_criterion_4_grouping_matches_published_rows(table_records):
         expected_groups.setdefault(key, []).append(record.name)
     expected_partition = {tuple(sorted(names)) for names in expected_groups.values()}
 
-    groups = group_by_f_sequence(table_records)
+    groups = group_by_f_sequence(verify_all(table_records))
     computed_partition = {tuple(sorted(g.names)) for g in groups}
     assert computed_partition == expected_partition
 
@@ -127,7 +125,7 @@ def test_criterion_5_shared_f_family():
     assert {c: d1.sign(c) for c in d1.crossings()} == {"g": -1, "b": -1, "a1": 1}
     assert {c: index_value(d1, c) for c in d1.crossings()} == {"g": -1, "b": 1, "a1": 0}
     assert dwrithe(d1, 1) == 0
-    assert t_set(d1, 1) == frozenset({"a1", "b", "g"})
+    assert f_sequence(d1).t_set(1) == frozenset({"a1", "b", "g"})
     smoothing_table = {
         "a1": ({"b": (1, 1), "g": (1, -1)}, 0),
         "b": ({"a1": (-1, -1), "g": (-1, 1)}, 0),
@@ -203,14 +201,14 @@ def test_criterion_9_rotation_invariance(table_records):
         ns = range(1, report.n_max + 2)
         per_crossing = {
             rep.crossing: (rep.sign, rep.index, tuple(sorted(rep.smoothed_dwrithe.items())))
-            for rep in crossing_reports(d, ns)
+            for rep in f_sequence(d).crossing_reports(ns)
         }
         return (
             report.fingerprint(),
             report.stable_tail,
             affine_index_polynomial(d),
             frozenset((n, dwrithe(d, n)) for n in ns),
-            frozenset((n, t_set(d, n)) for n in ns),
+            frozenset((n, f_sequence(d).t_set(n)) for n in ns),
             per_crossing,
         )
 

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import random
 
 import pytest
 
+import vknot.cli
+import vknot.table
 from vknot.cli import main
+from vknot.gauss import Diagram, parse_gauss
+from vknot.invariants import f_sequence
 from vknot.table import kauffman_family
 
 EXAMPLE_31_REVERSED = "O1- U2+ U3- O2+ U1- O3-"  # table orientation of knot 3.1
@@ -14,6 +19,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def random_code(m: int, seed: int) -> str:
+    """A random m-crossing Gauss code: random pairing, passes and signs."""
+    rng = random.Random(seed)
+    slots = list(range(2 * m))
+    rng.shuffle(slots)
+    tokens = [""] * (2 * m)
+    for c in range(m):
+        over, sign = rng.choice("OU"), rng.choice("+-")
+        tokens[slots[2 * c]] = f"{over}{c}{sign}"
+        tokens[slots[2 * c + 1]] = f"{'U' if over == 'O' else 'O'}{c}{sign}"
+    return " ".join(tokens)
 
 
 # -- compute ---------------------------------------------------------------------
@@ -74,6 +92,22 @@ def test_compute_json_schema(capsys):
         assert terms == sorted(terms, key=lambda t: (t["t"], t["l"]))
 
 
+def test_compute_all_smooths_each_crossing_once(capsys, monkeypatch):
+    text = random_code(32, seed=7)
+    smooth = Diagram.smooth
+    smoothed = []
+
+    def counting_smooth(self, crossing):
+        smoothed.append(crossing)
+        return smooth(self, crossing)
+
+    monkeypatch.setattr(Diagram, "smooth", counting_smooth)
+    code, out, _ = run(capsys, "compute", text, "--all")
+    assert code == 0
+    assert "crossings: 32" in out
+    assert sorted(smoothed) == sorted(parse_gauss(text).crossings())
+
+
 def test_compute_is_deterministic(capsys):
     first = run(capsys, "compute", "4.24", "--all")
     second = run(capsys, "compute", "4.24", "--all")
@@ -107,12 +141,38 @@ def test_tabulate_json(capsys):
     rec = next(r for r in data if r["name"] == "3.1")
     assert rec["status"] == "ExactMatch"
     assert [row["n"] for row in rec["rows"]] == [1, 2, 3]
+    # Every record's JSON rows are exactly its CSV rows.
+    _, csv_out, _ = run(capsys, "tabulate", "--format", "csv")
+    csv_rows = {}
+    for line in csv_out.splitlines()[1:]:
+        name, n, poly, status = line.split(",")
+        csv_rows.setdefault(name, []).append((int(n), poly, status))
+    assert len(csv_rows) == 116
+    json_rows = {
+        r["name"]: [(row["n"], row["polynomial"], r["status"]) for row in r["rows"]] for r in data
+    }
+    assert json_rows == csv_rows
 
 
 def test_tabulate_groups(capsys):
     code, out, _ = run(capsys, "tabulate", "--groups")
     assert code == 0
     assert "group: 2.1 3.2 4.4 4.5 4.30 4.40 4.54 4.61 4.69 4.74 4.94" in out
+
+
+def test_tabulate_groups_analyses_each_record_once(capsys, monkeypatch):
+    analysed = []
+
+    def counting_f_sequence(diagram):
+        analysed.append(diagram)
+        return f_sequence(diagram)
+
+    for module in (vknot.cli, vknot.table):
+        monkeypatch.setattr(module, "f_sequence", counting_f_sequence)
+    code, out, _ = run(capsys, "tabulate", "--groups")
+    assert code == 0
+    assert "group: " in out
+    assert len(analysed) == 116
 
 
 def test_tabulate_mismatch_exit_code(capsys, tmp_path, monkeypatch):
@@ -182,6 +242,13 @@ def test_verify_moves_zero_steps_trivially_pass(capsys):
     code, out, _ = run(capsys, "verify-moves", "2.1", "--steps", "0", "--trials", "3")
     assert code == 0
     assert "total failures: 0" in out
+
+
+def test_verify_moves_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "verify-moves", "3.1", "--trials", "-2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: trials must be >= 0\n"
 
 
 def test_verify_moves_deterministic_stdout(capsys):

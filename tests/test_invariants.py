@@ -13,14 +13,12 @@ from vknot.invariants import (
     ZeroIndexRequest,
     affine_index_polynomial,
     arc_labels,
-    crossing_reports,
     dwrithe,
     f_polynomial,
     f_sequence,
     index_support,
     index_value,
     n_writhe,
-    t_set,
 )
 from vknot.laurent import LaurentPoly2, parse_poly
 
@@ -181,9 +179,9 @@ def test_writhe_vanishes_outside_support(d):
 
 
 def test_t_set_example(example_31):
-    assert t_set(example_31, 1) == frozenset()
-    assert t_set(example_31, 2) == frozenset()
-    assert t_set(UNKNOT, 5) == frozenset()
+    assert f_sequence(example_31).t_set(1) == frozenset()
+    assert f_sequence(example_31).t_set(2) == frozenset()
+    assert f_sequence(UNKNOT).t_set(5) == frozenset()
 
 
 def test_f_polynomial_example(example_31):
@@ -258,7 +256,7 @@ def test_rotation_invariance(d, k):
     }
     for n in (1, 2, 3):
         assert dwrithe(r, n) == dwrithe(d, n)
-        assert t_set(r, n) == t_set(d, n)
+        assert f_sequence(r).t_set(n) == f_sequence(d).t_set(n)
     assert f_sequence(r).fingerprint() == f_sequence(d).fingerprint()
 
 
@@ -295,7 +293,7 @@ def test_reverse_inverts_f_when_smoothed_dwrithes_vanish(example_31):
     # smoothings all carry zero dwrithe (not in general: reversal leaves
     # the smoothed dwrithes unchanged while negating Ind and dJ_n).
     fwd = f_sequence(example_31)
-    for rep in crossing_reports(example_31, range(1, fwd.n_max + 2)):
+    for rep in f_sequence(example_31).crossing_reports(range(1, fwd.n_max + 2)):
         assert set(rep.smoothed_dwrithe.values()) == {0}
     rev = f_sequence(example_31.reverse())
     assert rev.fingerprint() == fwd.inverted()
@@ -305,7 +303,7 @@ def test_reverse_inverts_f_when_smoothed_dwrithes_vanish(example_31):
 
 
 def test_crossing_reports_example(example_31):
-    reports = {r.crossing: r for r in crossing_reports(example_31, (1, 2))}
+    reports = {r.crossing: r for r in f_sequence(example_31).crossing_reports((1, 2))}
     assert set(reports) == {"1", "2", "3"}
     assert reports["1"].sign == -1 and reports["1"].index == -1
     assert reports["2"].sign == 1 and reports["2"].index == 1
@@ -315,12 +313,12 @@ def test_crossing_reports_example(example_31):
 
 
 def test_crossing_reports_unknot_empty():
-    assert crossing_reports(UNKNOT, (1, 2)) == []
+    assert f_sequence(UNKNOT).crossing_reports((1, 2)) == []
 
 
 def test_crossing_reports_rejects_bad_n(example_31):
     with pytest.raises(NonpositiveN):
-        crossing_reports(example_31, (0, 1))
+        f_sequence(example_31).crossing_reports((0, 1))
 
 
 def test_internal_inconsistency_is_exported():

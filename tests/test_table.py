@@ -5,13 +5,11 @@ import pytest
 from vknot.gauss import parse_gauss
 from vknot.invariants import (
     affine_index_polynomial,
-    crossing_reports,
     dwrithe,
     f_polynomial,
     f_sequence,
     index_support,
     index_value,
-    t_set,
 )
 from vknot.laurent import parse_poly
 from vknot.table import (
@@ -131,7 +129,7 @@ def test_record_with_longest_sequence(table_records):
 
 
 def test_grouping_reproduces_published_rows(table_records):
-    groups = group_by_f_sequence(table_records)
+    groups = group_by_f_sequence(verify_all(table_records))
     by_name = {name: g for g in groups for name in g.names}
     assert by_name["2.1"].names == (
         "2.1", "3.2", "4.4", "4.5", "4.30", "4.40",
@@ -154,8 +152,13 @@ def test_grouping_is_orientation_normalized(table_records):
         else r
         for r in table_records
     ]
-    original = {g.names: [str(p) for _, p in g.rows] for g in group_by_f_sequence(table_records)}
-    again = {g.names: [str(p) for _, p in g.rows] for g in group_by_f_sequence(flipped)}
+    original = {
+        g.names: [str(p) for _, p in g.rows]
+        for g in group_by_f_sequence(verify_all(table_records))
+    }
+    again = {
+        g.names: [str(p) for _, p in g.rows] for g in group_by_f_sequence(verify_all(flipped))
+    }
     assert original == again
 
 
@@ -176,7 +179,7 @@ def test_family_k1_matches_published_values():
     assert index_value(d, "g") == -1
     assert dwrithe(d, 1) == 0
     assert index_support(d) == frozenset({1})
-    assert t_set(d, 1) == frozenset({"a1", "b", "g"})
+    assert f_sequence(d).t_set(1) == frozenset({"a1", "b", "g"})
     assert affine_index_polynomial(d) == parse_poly("-t^-1+2-t")
 
 
@@ -209,7 +212,7 @@ def test_family_shares_f_polynomial_for_odd_k():
 
 def test_family_crossing_reports_k1():
     d = kauffman_family(1)
-    reports = {r.crossing: r for r in crossing_reports(d, (1,))}
+    reports = {r.crossing: r for r in f_sequence(d).crossing_reports((1,))}
     assert reports["a1"].smoothed_dwrithe == {1: 0}
     assert reports["b"].smoothed_dwrithe == {1: 0}
     assert reports["g"].smoothed_dwrithe == {1: 0}
