@@ -109,15 +109,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_tabulate(args: argparse.Namespace) -> int:
     records = load_table()
     verdicts = [verify_record(r) for r in records]
-    rows = []  # per record: (n, polynomial as shown) for each expected n
-    for record, verdict in zip(records, verdicts):
-        shown = []
-        for n, _ in record.expected:
-            value = verdict.report.f_at(n)
-            if verdict.status is Verdict.MATCH_UNDER_INVERSION:
-                value = value.invert_vars()
-            shown.append((n, str(value)))
-        rows.append(shown)
+    # per record: (n, computed F^n) for each expected n
+    rows = [[(n, str(v.report.f_at(n))) for n, _ in r.expected] for r, v in zip(records, verdicts)]
 
     if args.format == "csv":
         print("name,n,polynomial,status")
@@ -129,7 +122,7 @@ def _cmd_tabulate(args: argparse.Namespace) -> int:
             {
                 "name": v.name,
                 "status": v.status.value,
-                "transform": v.transform_used,
+                "transform": "reverse" if v.status is Verdict.MATCH_UNDER_INVERSION else "identity",
                 "rows": [{"n": n, "polynomial": poly} for n, poly in shown],
             }
             for v, shown in zip(verdicts, rows)
@@ -171,25 +164,12 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
 
     if fa == fb:
         print(f"not distinguished by F up to n={horizon}")
-        return 0
-    if fa == tuple((n, p.invert_vars()) for n, p in fb):
-        print(
-            f"not distinguished by F up to n={horizon} "
-            "(equal after orientation reversal (t,l)->(t^-1,l^-1))"
-        )
-        return 0
-    for n in range(1, horizon + 1):
-        pa, pb = ra.f_at(n), rb.f_at(n)
-        if pa != pb and pa != pb.invert_vars():
-            print(f"distinguished at n={n}: F^{n} = {pa} vs {pb}")
-            return 0
-    # Sequences differ but every single n matches under one transform or
-    # the other; report the first plain difference.
-    for n in range(1, horizon + 1):
-        if ra.f_at(n) != rb.f_at(n):
-            print(f"distinguished at n={n}: F^{n} = {ra.f_at(n)} vs {rb.f_at(n)}")
-            return 0
-    print(f"not distinguished by F up to n={horizon}")
+    elif fa == f_sequence(db.reverse()).fingerprint():
+        print(f"not distinguished by F up to n={horizon} (equal after orientation reversal)")
+    else:
+        # Unequal fingerprints differ at some n <= horizon.
+        n = next(n for n in range(1, horizon + 1) if ra.f_at(n) != rb.f_at(n))
+        print(f"distinguished at n={n}: F^{n} = {ra.f_at(n)} vs {rb.f_at(n)}")
     return 0
 
 

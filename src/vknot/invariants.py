@@ -118,7 +118,10 @@ def index_value(diagram: Diagram, crossing: str) -> int:
 
 def affine_index_polynomial(diagram: Diagram) -> LaurentPoly2:
     """P_D(t) = sum_c sgn(c) (t^Ind(c) - 1); zero on the unknot."""
-    ind = _index_table(diagram)
+    return _affine(diagram, _index_table(diagram))
+
+
+def _affine(diagram: Diagram, ind: dict[str, int]) -> LaurentPoly2:
     triples: list[tuple[int, int, int]] = []
     for c, k in ind.items():
         s = diagram.sign(c)
@@ -237,10 +240,6 @@ class FReport:
                 last_live = n
         return tuple((n, self.per_n[n]) for n in range(1, min(last_live + 1, self.n_max + 1) + 1))
 
-    def inverted(self) -> tuple[tuple[int, LaurentPoly2], ...]:
-        """The fingerprint under (t, l) -> (t^-1, l^-1)."""
-        return tuple((n, p.invert_vars()) for n, p in self.fingerprint())
-
     def to_json(self, name: str | None = None) -> dict:
         data: dict = {
             "gauss": str(self.diagram),
@@ -309,7 +308,7 @@ def f_sequence(diagram: Diagram) -> FReport:
     writhes = _writhe_table(diagram, ind)
     data = _smoothed_data(diagram)
     n_max = max(data.supports.union(map(abs, ind.values())), default=0)
-    tail = affine_index_polynomial(diagram)
+    tail = _affine(diagram, ind)
     per_n = {n: _f_poly(diagram, n, ind, _dj(writhes, n), data) for n in range(1, n_max + 2)}
     if per_n[n_max + 1] != tail:
         raise InternalInconsistency(

@@ -100,8 +100,8 @@ class LaurentPoly2:
     def invert_vars(self) -> "LaurentPoly2":
         """Substitute t -> t^-1 and l -> l^-1 (negate all exponents).
 
-        This is the transform induced on the invariants by reversing
-        the orientation of a diagram; it is an involution.
+        An involution.  It is not what orientation reversal does to
+        F^n, which is computed from ``Diagram.reverse`` instead.
         """
         return LaurentPoly2({(-et, -el): c for (et, el), c in self._terms.items()})
 

@@ -15,11 +15,12 @@ tabulation):
 The polynomial file is the ground truth; a Gauss code is considered
 correct for a name exactly when its computed F-sequence reproduces the
 expected rows (``verify_record``).  Published tabulations fix each
-knot's orientation only implicitly, and reversing orientation turns
-every invariant P(t) / F(t, l) into P(t^-1) / F(t^-1, l^-1); a record
-whose computed sequence matches only after that substitution is
-reported as ``MATCH_UNDER_INVERSION`` rather than as a failure.  No
-other transform is accepted.
+knot's orientation only implicitly, so a record whose code matches only
+once its orientation is reversed (``Diagram.reverse``, the inverse knot)
+is reported as ``MATCH_UNDER_INVERSION`` rather than as a failure.
+Reversal is recomputed, not derived from the stored orientation's
+values: it negates Ind(c) and dJ_n(D) but leaves every dJ_n(D_c) alone,
+so F^n(t, l) does not in general become F^n(t^-1, l^-1).
 
 ``kauffman_family`` generates the classic infinite family D^k (odd k)
 of distinct virtual knots sharing one F-polynomial: a vertical twist
@@ -81,9 +82,8 @@ class MatchVerdict:
 
     name: str
     status: Verdict
-    transform_used: str  # "identity" or "invert_vars"
     details: tuple[str, ...]  # per-n diffs, empty unless MISMATCH
-    report: FReport
+    report: FReport  # of the orientation that matched (the stored one on MISMATCH)
 
     @property
     def ok(self) -> bool:
@@ -168,25 +168,22 @@ def load_table(directory: Path | None = None) -> list[KnotRecord]:
 def verify_record(record: KnotRecord) -> MatchVerdict:
     """Compare the record's computed F-sequence with its expected rows.
 
-    Tries the identity first, then the orientation-reversal transform
-    (t, l) -> (t^-1, l^-1) applied to the computed values.  A failure
-    of both is a verdict, not an exception.
+    Tries the stored orientation first, then the reversed diagram.  A
+    failure of both is a verdict, not an exception.
     """
-    report = f_sequence(record.diagram())
-    computed = {n: report.f_at(n) for n, _ in record.expected}
-    if all(computed[n] == poly for n, poly in record.expected):
-        return MatchVerdict(record.name, Verdict.EXACT_MATCH, "identity", (), report)
-    inverted = {n: p.invert_vars() for n, p in computed.items()}
-    if all(inverted[n] == poly for n, poly in record.expected):
-        return MatchVerdict(
-            record.name, Verdict.MATCH_UNDER_INVERSION, "invert_vars", (), report
-        )
+    diagram = record.diagram()
+    report = f_sequence(diagram)
+    if all(report.f_at(n) == poly for n, poly in record.expected):
+        return MatchVerdict(record.name, Verdict.EXACT_MATCH, (), report)
+    reversed_report = f_sequence(diagram.reverse())
+    if all(reversed_report.f_at(n) == poly for n, poly in record.expected):
+        return MatchVerdict(record.name, Verdict.MATCH_UNDER_INVERSION, (), reversed_report)
     details = tuple(
-        f"n={n}: expected {poly}, computed {computed[n]} (inverted {inverted[n]})"
+        f"n={n}: expected {poly}, computed {report.f_at(n)} (reversed {reversed_report.f_at(n)})"
         for n, poly in record.expected
-        if computed[n] != poly
+        if report.f_at(n) != poly
     )
-    return MatchVerdict(record.name, Verdict.MISMATCH, "identity", details, report)
+    return MatchVerdict(record.name, Verdict.MISMATCH, details, report)
 
 
 def verify_all(records: list[KnotRecord] | None = None) -> list[MatchVerdict]:
@@ -207,23 +204,17 @@ class FGroup:
 def group_by_f_sequence(verdicts: list[MatchVerdict]) -> list[FGroup]:
     """Partition verdicts (from ``verify_all``) by their reports' fingerprints.
 
-    Orientation is normalized per record before comparing: a record
-    that verifies only under the inversion transform contributes its
-    inverted fingerprint, so the grouping is independent of the
-    stored codes' orientations.  Groups are ordered by their least
-    member name.  With the shipped data this reproduces the row
-    structure of the published tables; note the inversion is used to
-    normalize single records, never to merge two distinct printed
-    fingerprints.
+    Each verdict's report is of the orientation that matched its
+    expected rows, so the grouping is independent of the stored codes'
+    orientations.  Groups are ordered by their least member name.  With
+    the shipped data this reproduces the row structure of the published
+    tables; a knot and its inverse are never merged unless their
+    fingerprints are equal.
     """
     buckets: dict[tuple[tuple[int, str], ...], list[str]] = {}
     keys: dict[tuple[tuple[int, str], ...], tuple[tuple[int, LaurentPoly2], ...]] = {}
     for verdict in verdicts:
-        rows = (
-            verdict.report.inverted()
-            if verdict.status is Verdict.MATCH_UNDER_INVERSION
-            else verdict.report.fingerprint()
-        )
+        rows = verdict.report.fingerprint()
         key = tuple((n, str(p)) for n, p in rows)
         buckets.setdefault(key, []).append(verdict.name)
         keys.setdefault(key, rows)

@@ -189,6 +189,29 @@ def test_tabulate_mismatch_exit_code(capsys, tmp_path, monkeypatch):
     assert "2.1" in err
 
 
+def test_tabulate_groups_on_reversed_table(capsys, tmp_path, monkeypatch):
+    import shutil
+
+    from vknot.table import data_dir
+
+    _, shipped, _ = run(capsys, "tabulate", "--groups")
+    lines = []
+    for line in (data_dir() / "knots.tsv").read_text().splitlines():
+        name, code = line.split("\t")
+        lines.append(f"{name}\t{parse_gauss(code).reverse()}")
+    (tmp_path / "knots.tsv").write_text("\n".join(lines) + "\n")
+    shutil.copy(data_dir() / "fpolys.tsv", tmp_path / "fpolys.tsv")
+    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "tabulate", "--groups")
+    assert code == 0
+    assert "116 records: 59 ExactMatch, 57 MatchUnderInversion, 0 Mismatch" in out.splitlines()
+
+    def groups(text):
+        return [line for line in text.splitlines() if line.startswith("group: ")]
+
+    assert groups(out) == groups(shipped)
+
+
 # -- distinguish -----------------------------------------------------------------
 
 
@@ -210,6 +233,14 @@ def test_distinguish_reversal_is_flagged(capsys):
     code, out, _ = run(capsys, "distinguish", "O3- U1- O2+ U3- U2+ O1-", EXAMPLE_31_REVERSED)
     assert code == 0
     assert "orientation reversal" in out
+
+
+def test_distinguish_reversed_4_9(capsys):
+    record = next(r for r in vknot.table.load_table() if r.name == "4.9")
+    reversed_code = str(record.diagram().reverse())
+    code, out, _ = run(capsys, "distinguish", "4.9", reversed_code)
+    assert code == 0
+    assert out == "not distinguished by F up to n=3 (equal after orientation reversal)\n"
 
 
 def test_distinguish_family_members(capsys):

@@ -214,6 +214,21 @@ def test_f_sequence_unknot():
     assert report.fingerprint() == ((1, LaurentPoly2.zero()),)
 
 
+def test_f_sequence_labels_each_diagram_once(example_31, monkeypatch):
+    # One arc labelling for D and one per smoothing: 3 + 1 on the example.
+    import vknot.invariants
+
+    calls = []
+
+    def counting_arc_labels(diagram):
+        calls.append(diagram)
+        return arc_labels(diagram)
+
+    monkeypatch.setattr(vknot.invariants, "arc_labels", counting_arc_labels)
+    f_sequence(example_31)
+    assert len(calls) == example_31.n_crossings + 1
+
+
 def test_f_report_json(example_31):
     data = f_sequence(example_31).to_json("3.1-example")
     assert data["knot"] == "3.1-example"
@@ -296,7 +311,26 @@ def test_reverse_inverts_f_when_smoothed_dwrithes_vanish(example_31):
     for rep in f_sequence(example_31).crossing_reports(range(1, fwd.n_max + 2)):
         assert set(rep.smoothed_dwrithe.values()) == {0}
     rev = f_sequence(example_31.reverse())
-    assert rev.fingerprint() == fwd.inverted()
+    assert rev.fingerprint() == tuple((n, p.invert_vars()) for n, p in fwd.fingerprint())
+
+
+def _assert_reverse_mirror_law(d):
+    # F^n(reverse(mirror D))(t, l) = -F^n(D)(t, l^-1) for every n.
+    fwd, rm = f_sequence(d), f_sequence(d.mirror().reverse())
+    for n in range(1, max(fwd.n_max, rm.n_max) + 2):
+        expected = LaurentPoly2.from_terms((et, -el, -c) for et, el, c in fwd.f_at(n).terms())
+        assert rm.f_at(n) == expected
+
+
+def test_reverse_mirror_law_on_table(table_records):
+    for record in table_records:
+        _assert_reverse_mirror_law(record.diagram())
+
+
+@given(diagrams())
+@settings(max_examples=60)
+def test_reverse_mirror_law(d):
+    _assert_reverse_mirror_law(d)
 
 
 # -- crossing reports ----------------------------------------------------------------

@@ -88,19 +88,31 @@ def test_verify_record_exact(table_records):
     record = next(r for r in table_records if r.name == "2.1")
     verdict = verify_record(record)
     assert verdict.status is Verdict.EXACT_MATCH
-    assert verdict.transform_used == "identity"
+    assert verdict.report.diagram == record.diagram()
     assert verdict.report.f_at(1) == parse_poly("-t^-1+2-t")
 
 
 def test_verify_record_under_inversion(table_records):
     # Store 3.1 with the opposite orientation: it must still verify,
-    # via the inversion transform.
+    # by reversing the stored diagram back.
     record = next(r for r in table_records if r.name == "3.1")
     reversed_code = str(record.diagram().reverse())
     flipped = KnotRecord("3.1", reversed_code, record.expected)
     verdict = verify_record(flipped)
     assert verdict.status is Verdict.MATCH_UNDER_INVERSION
-    assert verdict.transform_used == "invert_vars"
+    assert verdict.report.diagram == flipped.diagram().reverse()
+    assert verdict.ok
+
+
+def test_verify_record_reversed_where_substitution_fails(table_records):
+    # For 4.9, F of the reversed diagram is not F(t^-1, l^-1): only
+    # recomputing the reversed diagram recognises the reversed code.
+    record = next(r for r in table_records if r.name == "4.9")
+    flipped = KnotRecord("4.9", str(record.diagram().reverse()), record.expected)
+    computed = f_sequence(flipped.diagram())
+    assert any(computed.f_at(n).invert_vars() != p for n, p in record.expected)
+    verdict = verify_record(flipped)
+    assert verdict.status is Verdict.MATCH_UNDER_INVERSION
     assert verdict.ok
 
 
