@@ -30,6 +30,7 @@ from .moves import Lcg, MoveError, random_walk
 from .table import (
     CorruptData,
     EvenK,
+    KnotRecord,
     Verdict,
     group_by_f_sequence,
     kauffman_family,
@@ -44,17 +45,27 @@ class _InputError(ValueError):
     pass
 
 
-def _resolve(text: str) -> tuple[Diagram, str | None]:
-    """A raw Gauss code, or failing that a table name."""
-    try:
-        return parse_gauss(text), None
-    except GaussCodeError as exc:
-        if _NAME_RE.match(text.strip()):
-            for record in load_table():
-                if record.name == text.strip():
-                    return record.diagram(), record.name
-            raise _InputError(f"unknown table name {text.strip()!r}") from None
-        raise _InputError(str(exc)) from None
+def _resolve(*texts: str) -> list[tuple[Diagram, str | None]]:
+    """Each text as a raw Gauss code, or failing that a table name.
+
+    The table is loaded at most once, and only if a name is given.
+    """
+    table: dict[str, KnotRecord] | None = None
+    resolved = []
+    for text in texts:
+        try:
+            resolved.append((parse_gauss(text), None))
+            continue
+        except GaussCodeError as exc:
+            if not _NAME_RE.match(text.strip()):
+                raise _InputError(str(exc)) from None
+        if table is None:
+            table = {record.name: record for record in load_table()}
+        record = table.get(text.strip())
+        if record is None:
+            raise _InputError(f"unknown table name {text.strip()!r}")
+        resolved.append((record.diagram(), record.name))
+    return resolved
 
 
 def _sign_str(s: int) -> str:
@@ -65,7 +76,7 @@ def _sign_str(s: int) -> str:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    diagram, name = _resolve(args.target)
+    [(diagram, name)] = _resolve(args.target)
     report = f_sequence(diagram)
     if args.all:
         ns = list(range(1, report.n_max + 2))
@@ -156,8 +167,7 @@ def _cmd_tabulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_distinguish(args: argparse.Namespace) -> int:
-    da, _ = _resolve(args.first)
-    db, _ = _resolve(args.second)
+    (da, _), (db, _) = _resolve(args.first, args.second)
     ra, rb = f_sequence(da), f_sequence(db)
     fa, fb = ra.fingerprint(), rb.fingerprint()
     horizon = max(ra.n_max, rb.n_max) + 1
@@ -182,7 +192,7 @@ def _cmd_verify_moves(args: argparse.Namespace) -> int:
     if args.target is None:
         targets = [(r.name, r.diagram()) for r in load_table()]
     else:
-        diagram, name = _resolve(args.target)
+        [(diagram, name)] = _resolve(args.target)
         targets = [(name or str(diagram) or "(unknot)", diagram)]
 
     rng = Lcg(args.seed)

@@ -37,6 +37,19 @@ returns keeps Ind(c) and the writhe tables of D and of every D_c, and
 dJ_n(D), T_n and the per-crossing reports are its methods.  The free
 functions (``dwrithe``, ``f_polynomial``, ...) recompute from scratch.
 
+The analysis runs on an integer kernel.  The diagram is turned once
+into int lists: crossings relabelled 0..m-1 in first-appearance order,
+the crossing and pass flag at each position, and the sign, Over
+position and Under position of each crossing.  Each smoothing D_c is
+built on those lists as a new int word, by the convention of
+``Diagram.smooth``: the segment from the Over pass to the Under pass
+forward, then the other segment reversed, negating the sign of each
+crossing with exactly one endpoint in the reversed segment.  One
+labelling routine labels D and every D_c, and J_k(D_c) is read straight
+from the lists, so no ``Diagram`` is built or validated per smoothing.
+``Diagram.smooth`` stays the public transform and the kernel's test
+oracle.
+
 All functions are pure; diagrams are immutable; nothing here shares
 mutable state.
 """
@@ -44,6 +57,7 @@ mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 from .gauss import Diagram, UnknownCrossing
@@ -66,6 +80,56 @@ class InternalInconsistency(RuntimeError):
     """The stabilization self-check of f_sequence failed (engine bug)."""
 
 
+class _Word:
+    """A diagram as int lists, with its crossings relabelled 0..m-1 in
+    first-appearance order (``ids[k]`` is the id of crossing k)."""
+
+    __slots__ = ("ids", "cross", "over", "sign", "opos", "upos")
+
+    def __init__(self, diagram: Diagram):
+        self.ids = diagram.crossings()
+        number = {c: k for k, c in enumerate(self.ids)}
+        self.cross = [number[e.crossing] for e in diagram.entries]  # crossing at each position
+        self.over = [e.over for e in diagram.entries]  # pass flag at each position
+        self.sign = [diagram.sign(c) for c in self.ids]  # sign of each crossing
+        self.opos = [0] * len(self.ids)  # Over position of each crossing
+        self.upos = [0] * len(self.ids)  # Under position of each crossing
+        for pos, (k, o) in enumerate(zip(self.cross, self.over)):
+            (self.opos if o else self.upos)[k] = pos
+
+
+def _labels(cross: list[int], over: list[bool], sign: list[int]) -> list[int]:
+    """Arc labels of an int word; entry i labels the arc after pass i.
+
+    ``sign`` is indexed by crossing.  This is the one labelling routine,
+    for a diagram and for each of its smoothings alike.
+    """
+    n = len(cross)
+    if n == 0:
+        raise EmptyDiagram("the unknot diagram has no arcs")
+    # Direct evaluation for arc 0 (the arc between passes 0 and 1): a
+    # crossing counts when the first of its passes met after arc 0 is
+    # Over.  Fed those passes in reverse, the dict keeps each first one ...
+    first = dict(zip(cross[:1] + cross[:0:-1], over[:1] + over[:0:-1]))
+    lam = sum([sign[k] for k, o in first.items() if o])
+    # ... then propagate the local rule around the cycle.
+    steps = [-sign[k] if o else sign[k] for k, o in zip(cross[1:], over[1:])]
+    return list(accumulate(steps, initial=lam))
+
+
+def _indices(cross: list[int], over: list[bool], sign: list[int]) -> list[int]:
+    """Ind(k) for every crossing k of a nonempty int word, indexed by k.
+
+    Entries of crossings absent from the word are meaningless.
+    """
+    labels = _labels(cross, over, sign)
+    ind = [-s for s in sign]
+    # The arc into pass i is the one after pass i-1 (after the last, for i = 0).
+    for k, o, into in zip(cross, over, labels[-1:] + labels[:-1]):
+        ind[k] += into if o else -into
+    return ind
+
+
 def arc_labels(diagram: Diagram) -> list[int]:
     """The integer label of each arc; entry i labels the arc after pass i.
 
@@ -73,40 +137,20 @@ def arc_labels(diagram: Diagram) -> list[int]:
     module docstring; the local +-sgn rule around each crossing holds
     by construction and is property-tested.
     """
-    n = len(diagram)
-    if n == 0:
-        raise EmptyDiagram("the unknot diagram has no arcs")
-    entries = diagram.entries
-    # Direct evaluation for arc 0 (the arc between passes 0 and 1) ...
-    seen: set[str] = set()
-    lam0 = 0
-    for i in range(1, n + 1):
-        entry = entries[i % n]
-        if entry.crossing not in seen:
-            seen.add(entry.crossing)
-            if entry.over:
-                lam0 += entry.sign
-    # ... then propagate the local rule around the cycle.
-    labels = [0] * n
-    labels[0] = lam0
-    for i in range(1, n):
-        entry = entries[i]
-        labels[i] = labels[i - 1] + (-entry.sign if entry.over else entry.sign)
-    return labels
+    word = _Word(diagram)
+    return _labels(word.cross, word.over, word.sign)
+
+
+def _word_index(word: _Word) -> dict[str, int]:
+    """Ind(c) for every crossing, by id in first-appearance order."""
+    if not word.cross:
+        return {}
+    return dict(zip(word.ids, _indices(word.cross, word.over, word.sign)))
 
 
 def _index_table(diagram: Diagram) -> dict[str, int]:
     """Ind(c) for every crossing; {} for the unknot."""
-    if len(diagram) == 0:
-        return {}
-    n = len(diagram)
-    labels = arc_labels(diagram)
-    table: dict[str, int] = {}
-    for c in diagram.crossings():
-        over_in = labels[(diagram.over_position(c) - 1) % n]
-        under_in = labels[(diagram.under_position(c) - 1) % n]
-        table[c] = over_in - under_in - diagram.sign(c)
-    return table
+    return _word_index(_Word(diagram))
 
 
 def index_value(diagram: Diagram, crossing: str) -> int:
@@ -263,14 +307,44 @@ class _SmoothedData:
         return _dj(self.writhes[crossing], n)
 
 
-def _smoothed_data(diagram: Diagram) -> _SmoothedData:
+def _between(seq: list, a: int, b: int) -> list:
+    """The cyclic run of ``seq`` strictly after position a and before b."""
+    return seq[a + 1 : b] if a < b else seq[a + 1 :] + seq[:b]
+
+
+def _smoothed_writhes(word: _Word, c: int) -> dict[int, int]:
+    """J_k(D_c) for the smoothing at crossing c, built on the int lists.
+
+    The smoothed word is the segment from the Over pass to the Under
+    pass forward, then the segment S from the Under pass to the Over
+    pass reversed; a crossing with exactly one endpoint in S changes
+    sign (the ``gauss`` module docstring, ``Diagram.smooth``).
+    """
+    o, u = word.opos[c], word.upos[c]
+    seg = _between(word.cross, u, o)
+    cross = _between(word.cross, o, u) + seg[::-1]
+    if not cross:
+        return {}
+    over = _between(word.over, o, u) + _between(word.over, u, o)[::-1]
+    inside = bytearray(len(word.sign))
+    for k in seg:
+        inside[k] ^= 1
+    sign = [-s if flip else s for s, flip in zip(word.sign, inside)]
+    ind = _indices(cross, over, sign)
+    writhes: dict[int, int] = {}
+    for k in range(len(sign)):
+        if k != c:
+            writhes[ind[k]] = writhes.get(ind[k], 0) + sign[k]
+    return writhes
+
+
+def _smoothed_data(word: _Word) -> _SmoothedData:
     writhes: dict[str, dict[int, int]] = {}
     support: set[int] = set()
-    for c in diagram.crossings():
-        smoothed = diagram.smooth(c)
-        ind = _index_table(smoothed)
-        writhes[c] = _writhe_table(smoothed, ind)
-        support.update(abs(k) for k in ind.values() if k != 0)
+    for c, name in enumerate(word.ids):
+        table = _smoothed_writhes(word, c)
+        writhes[name] = table
+        support.update(abs(k) for k in table if k != 0)
     return _SmoothedData(writhes, frozenset(support))
 
 
@@ -290,8 +364,9 @@ def f_polynomial(diagram: Diagram, n: int) -> LaurentPoly2:
     """The n-th F-polynomial F^n_D(t, l) for n >= 1, computed from scratch."""
     if n < 1:
         raise NonpositiveN(f"F^n needs n >= 1, got {n}")
-    ind = _index_table(diagram)
-    return _f_poly(diagram, n, ind, _dj(_writhe_table(diagram, ind), n), _smoothed_data(diagram))
+    word = _Word(diagram)
+    ind = _word_index(word)
+    return _f_poly(diagram, n, ind, _dj(_writhe_table(diagram, ind), n), _smoothed_data(word))
 
 
 def f_sequence(diagram: Diagram) -> FReport:
@@ -304,9 +379,10 @@ def f_sequence(diagram: Diagram) -> FReport:
     extra n_max+1 entry exercises that collapse; if it ever failed to
     match the tail the engine would be wrong, hence the hard error.
     """
-    ind = _index_table(diagram)
+    word = _Word(diagram)
+    ind = _word_index(word)
     writhes = _writhe_table(diagram, ind)
-    data = _smoothed_data(diagram)
+    data = _smoothed_data(word)
     n_max = max(data.supports.union(map(abs, ind.values())), default=0)
     tail = _affine(diagram, ind)
     per_n = {n: _f_poly(diagram, n, ind, _dj(writhes, n), data) for n in range(1, n_max + 2)}

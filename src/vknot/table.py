@@ -60,14 +60,21 @@ def _name_key(name: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class KnotRecord:
-    """A named tabulated knot: Gauss code plus expected F-sequence rows."""
+    """A named tabulated knot: Gauss code plus expected F-sequence rows.
+
+    The code is parsed once, on construction (GaussCodeError if it is
+    bad), and ``diagram()`` returns that immutable Diagram.
+    """
 
     name: str
     gauss: str
     expected: tuple[tuple[int, LaurentPoly2], ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_diagram", parse_gauss(self.gauss))
+
     def diagram(self) -> Diagram:
-        return parse_gauss(self.gauss)
+        return self._diagram
 
 
 class Verdict(enum.Enum):
@@ -148,20 +155,21 @@ def load_table(directory: Path | None = None) -> list[KnotRecord]:
 
     records = []
     for name in sorted(codes, key=_name_key):
+        rows = sorted(expected[name])
         try:
-            diagram = parse_gauss(codes[name])
+            record = KnotRecord(name, codes[name], tuple(rows))
         except GaussCodeError as exc:
             raise CorruptData(f"record {name!r} has a bad code: {exc}") from exc
+        diagram = record.diagram()
         if diagram.n_crossings != _name_key(name)[0]:
             raise CorruptData(
                 f"record {name!r} has {diagram.n_crossings} crossings, "
                 f"name promises {_name_key(name)[0]}"
             )
-        rows = sorted(expected[name])
         ns = [n for n, _ in rows]
         if not rows or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
             raise CorruptData(f"record {name!r} expected rows not strictly increasing")
-        records.append(KnotRecord(name, codes[name], tuple(rows)))
+        records.append(record)
     return records
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import strategies as st
 
@@ -21,6 +23,19 @@ def example_31() -> Diagram:
 @pytest.fixture(scope="session")
 def table_records():
     return load_table()
+
+
+def random_code(m: int, seed: int) -> str:
+    """A random m-crossing Gauss code: random pairing, passes and signs."""
+    rng = random.Random(seed)
+    slots = list(range(2 * m))
+    rng.shuffle(slots)
+    tokens = [""] * (2 * m)
+    for c in range(m):
+        over, sign = rng.choice("OU"), rng.choice("+-")
+        tokens[slots[2 * c]] = f"{over}{c}{sign}"
+        tokens[slots[2 * c + 1]] = f"{'U' if over == 'O' else 'O'}{c}{sign}"
+    return " ".join(tokens)
 
 
 @st.composite

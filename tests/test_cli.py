@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
-import random
 
 import pytest
 
 import vknot.cli
+import vknot.invariants
 import vknot.table
+from conftest import random_code
 from vknot.cli import main
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import f_sequence
@@ -19,19 +20,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def random_code(m: int, seed: int) -> str:
-    """A random m-crossing Gauss code: random pairing, passes and signs."""
-    rng = random.Random(seed)
-    slots = list(range(2 * m))
-    rng.shuffle(slots)
-    tokens = [""] * (2 * m)
-    for c in range(m):
-        over, sign = rng.choice("OU"), rng.choice("+-")
-        tokens[slots[2 * c]] = f"{over}{c}{sign}"
-        tokens[slots[2 * c + 1]] = f"{'U' if over == 'O' else 'O'}{c}{sign}"
-    return " ".join(tokens)
 
 
 # -- compute ---------------------------------------------------------------------
@@ -93,15 +81,21 @@ def test_compute_json_schema(capsys):
 
 
 def test_compute_all_smooths_each_crossing_once(capsys, monkeypatch):
+    # Counts the integer kernel's per-smoothing step; no validated
+    # Diagram is smoothed on the way.
     text = random_code(32, seed=7)
-    smooth = Diagram.smooth
+    step = vknot.invariants._smoothed_writhes
     smoothed = []
 
-    def counting_smooth(self, crossing):
-        smoothed.append(crossing)
-        return smooth(self, crossing)
+    def counting_step(word, c):
+        smoothed.append(word.ids[c])
+        return step(word, c)
 
-    monkeypatch.setattr(Diagram, "smooth", counting_smooth)
+    def no_smooth(self, crossing):
+        raise AssertionError("Diagram.smooth called")
+
+    monkeypatch.setattr(vknot.invariants, "_smoothed_writhes", counting_step)
+    monkeypatch.setattr(Diagram, "smooth", no_smooth)
     code, out, _ = run(capsys, "compute", text, "--all")
     assert code == 0
     assert "crossings: 32" in out
@@ -173,6 +167,20 @@ def test_tabulate_groups_analyses_each_record_once(capsys, monkeypatch):
     assert code == 0
     assert "group: " in out
     assert len(analysed) == 116
+
+
+def test_tabulate_parses_each_code_once(capsys, monkeypatch):
+    parsed = []
+
+    def counting_parse_gauss(text):
+        parsed.append(text)
+        return parse_gauss(text)
+
+    for module in (vknot.cli, vknot.table):
+        monkeypatch.setattr(module, "parse_gauss", counting_parse_gauss)
+    code, _, _ = run(capsys, "tabulate")
+    assert code == 0
+    assert len(parsed) == 116
 
 
 def test_tabulate_mismatch_exit_code(capsys, tmp_path, monkeypatch):
@@ -249,6 +257,20 @@ def test_distinguish_family_members(capsys):
     code, out, _ = run(capsys, "distinguish", d1, d3)
     assert code == 0
     assert out.startswith("not distinguished by F")
+
+
+def test_distinguish_loads_the_table_once(capsys, monkeypatch):
+    loads = []
+
+    def counting_load_table(*args):
+        loads.append(args)
+        return vknot.table.load_table(*args)
+
+    monkeypatch.setattr(vknot.cli, "load_table", counting_load_table)
+    code, out, _ = run(capsys, "distinguish", "4.9", "4.10")
+    assert code == 0
+    assert out.startswith("distinguished at n=") or out.startswith("not distinguished")
+    assert len(loads) == 1
 
 
 def test_distinguish_parse_error(capsys):

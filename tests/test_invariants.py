@@ -215,18 +215,21 @@ def test_f_sequence_unknot():
 
 
 def test_f_sequence_labels_each_diagram_once(example_31, monkeypatch):
-    # One arc labelling for D and one per smoothing: 3 + 1 on the example.
+    # One run of the labelling routine for D and one per smoothing:
+    # 3 + 1 on the example, and only one of them on a word of D's length.
     import vknot.invariants
 
-    calls = []
+    labels = vknot.invariants._labels
+    lengths = []
 
-    def counting_arc_labels(diagram):
-        calls.append(diagram)
-        return arc_labels(diagram)
+    def counting_labels(cross, over, sign):
+        lengths.append(len(cross))
+        return labels(cross, over, sign)
 
-    monkeypatch.setattr(vknot.invariants, "arc_labels", counting_arc_labels)
+    monkeypatch.setattr(vknot.invariants, "_labels", counting_labels)
     f_sequence(example_31)
-    assert len(calls) == example_31.n_crossings + 1
+    assert len(lengths) == example_31.n_crossings + 1
+    assert lengths.count(len(example_31)) == 1
 
 
 def test_f_report_json(example_31):
