@@ -76,6 +76,8 @@ def _sign_str(s: int) -> str:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
+    if args.all and args.n is not None:
+        raise _InputError("-n and --all are mutually exclusive")
     [(diagram, name)] = _resolve(args.target)
     report = f_sequence(diagram)
     if args.all:

@@ -33,9 +33,15 @@ collapse.  The invariant content of the sequence is captured by
 is what equality of F-sequences means everywhere in this package.
 
 ``f_sequence`` is the one analysis of a diagram; the ``FReport`` it
-returns keeps Ind(c) and the writhe tables of D and of every D_c, and
-dJ_n(D), T_n and the per-crossing reports are its methods.  The free
-functions (``dwrithe``, ``f_polynomial``, ...) recompute from scratch.
+returns keeps Ind(c), the writhe table of D and the dJ table, and
+dJ_n(D), T_n and the per-crossing reports are its methods.  The dJ
+table holds dJ_n(D_c) for n = 1 .. n_max+1 (one row per n) and every
+crossing c (one column per crossing, in traversal order).  It is filled
+in one pass over the smoothed writhe tables, J_k(D_c) adding to row k
+and J_{-k}(D_c) subtracting from it, and F^n, T_n and the per-crossing
+reports all read their rows from it; any n beyond the table reads
+zeros.  ``f_polynomial`` reads ``f_sequence``; the other free functions
+(``dwrithe``, ``index_value``, ...) recompute from scratch.
 
 The analysis runs on an integer kernel.  The diagram is turned once
 into int lists: crossings relabelled 0..m-1 in first-appearance order,
@@ -47,6 +53,9 @@ forward, then the other segment reversed, negating the sign of each
 crossing with exactly one endpoint in the reversed segment.  One
 labelling routine labels D and every D_c, and J_k(D_c) is read straight
 from the lists, so no ``Diagram`` is built or validated per smoothing.
+That routine labels relative to arc 0 (label 0): Ind(c) is a difference
+of two labels, so the absolute base cancels, and only ``arc_labels``
+evaluates it.
 ``Diagram.smooth`` stays the public transform and the kernel's test
 oracle.
 
@@ -99,22 +108,19 @@ class _Word:
 
 
 def _labels(cross: list[int], over: list[bool], sign: list[int]) -> list[int]:
-    """Arc labels of an int word; entry i labels the arc after pass i.
+    """Arc labels of an int word relative to arc 0; entry i is the label
+    of the arc after pass i minus the label of arc 0 (so entry 0 is 0).
 
     ``sign`` is indexed by crossing.  This is the one labelling routine,
-    for a diagram and for each of its smoothings alike.
+    for a diagram and for each of its smoothings alike.  Ind(c) is a
+    difference of two labels, so it does not need the absolute base;
+    ``arc_labels`` adds it.
     """
-    n = len(cross)
-    if n == 0:
+    if not cross:
         raise EmptyDiagram("the unknot diagram has no arcs")
-    # Direct evaluation for arc 0 (the arc between passes 0 and 1): a
-    # crossing counts when the first of its passes met after arc 0 is
-    # Over.  Fed those passes in reverse, the dict keeps each first one ...
-    first = dict(zip(cross[:1] + cross[:0:-1], over[:1] + over[:0:-1]))
-    lam = sum([sign[k] for k, o in first.items() if o])
-    # ... then propagate the local rule around the cycle.
+    # Propagate the local rule around the cycle from arc 0.
     steps = [-sign[k] if o else sign[k] for k, o in zip(cross[1:], over[1:])]
-    return list(accumulate(steps, initial=lam))
+    return list(accumulate(steps, initial=0))
 
 
 def _indices(cross: list[int], over: list[bool], sign: list[int]) -> list[int]:
@@ -138,7 +144,14 @@ def arc_labels(diagram: Diagram) -> list[int]:
     by construction and is property-tested.
     """
     word = _Word(diagram)
-    return _labels(word.cross, word.over, word.sign)
+    cross, over = word.cross, word.over
+    labels = _labels(cross, over, word.sign)
+    # Direct evaluation for arc 0 (the arc between passes 0 and 1): a
+    # crossing counts when the first of its passes met after arc 0 is
+    # Over.  Fed those passes in reverse, the dict keeps each first one.
+    first = dict(zip(cross[:1] + cross[:0:-1], over[:1] + over[:0:-1]))
+    base = sum([word.sign[k] for k, o in first.items() if o])
+    return [base + label for label in labels]
 
 
 def _word_index(word: _Word) -> dict[str, int]:
@@ -229,7 +242,9 @@ class FReport:
     the value is ``stable_tail`` (the affine index polynomial).  The
     final computed entry equals the tail by construction - this is
     checked, not assumed.  The other views read ``index`` (Ind(c) in
-    traversal order), ``writhes`` (J_k(D)) and ``smoothed`` (J_k(D_c)).
+    traversal order), ``writhes`` (J_k(D)) and ``smoothed_dj``, where
+    ``smoothed_dj[n - 1][i]`` is dJ_n(D_c) for the i-th crossing c of
+    ``index``, for n = 1 .. n_max+1; every larger n reads zeros.
     """
 
     diagram: Diagram
@@ -238,7 +253,7 @@ class FReport:
     stable_tail: LaurentPoly2
     index: dict[str, int]
     writhes: dict[int, int]
-    smoothed: _SmoothedData
+    smoothed_dj: tuple[tuple[int, ...], ...]
 
     def f_at(self, n: int) -> LaurentPoly2:
         """F^n for any n >= 1, using the stable tail beyond n_max."""
@@ -252,21 +267,30 @@ class FReport:
             raise NonpositiveN(f"dwrithe needs n >= 1, got {n}")
         return _dj(self.writhes, n)
 
+    def _smoothed_row(self, n: int) -> tuple[int, ...]:
+        """dJ_n(D_c) for every crossing c, in ``index`` order (n >= 1)."""
+        if n > len(self.smoothed_dj):
+            return (0,) * len(self.index)
+        return self.smoothed_dj[n - 1]
+
     def t_set(self, n: int) -> frozenset[str]:
         """T_n(D): crossings whose smoothing preserves |dJ_n|, for any n >= 1."""
         if n < 1:
             raise NonpositiveN(f"T_n needs n >= 1, got {n}")
         d_n = _dj(self.writhes, n)
-        return frozenset(c for c in self.index if _in_t_n(self.smoothed.dwrithe(c, n), d_n))
+        return frozenset(
+            c for c, dc in zip(self.index, self._smoothed_row(n)) if _in_t_n(dc, d_n)
+        )
 
     def crossing_reports(self, n_range: Iterable[int]) -> list[CrossingReport]:
         """Sign, index and smoothed dwrithes per crossing, in traversal order."""
         ns = sorted(set(n_range))
         if any(n < 1 for n in ns):
             raise NonpositiveN("crossing reports need n >= 1")
+        rows = [self._smoothed_row(n) for n in ns]
         return [
-            CrossingReport(c, self.diagram.sign(c), k, {n: self.smoothed.dwrithe(c, n) for n in ns})
-            for c, k in self.index.items()
+            CrossingReport(c, self.diagram.sign(c), k, {n: row[i] for n, row in zip(ns, rows)})
+            for i, (c, k) in enumerate(self.index.items())
         ]
 
     def fingerprint(self) -> tuple[tuple[int, LaurentPoly2], ...]:
@@ -303,9 +327,6 @@ class _SmoothedData:
     writhes: dict[str, dict[int, int]]
     supports: frozenset[int]
 
-    def dwrithe(self, crossing: str, n: int) -> int:
-        return _dj(self.writhes[crossing], n)
-
 
 def _between(seq: list, a: int, b: int) -> list:
     """The cyclic run of ``seq`` strictly after position a and before b."""
@@ -326,10 +347,9 @@ def _smoothed_writhes(word: _Word, c: int) -> dict[int, int]:
     if not cross:
         return {}
     over = _between(word.over, o, u) + _between(word.over, u, o)[::-1]
-    inside = bytearray(len(word.sign))
-    for k in seg:
-        inside[k] ^= 1
-    sign = [-s if flip else s for s, flip in zip(word.sign, inside)]
+    sign = word.sign[:]
+    for k in seg:  # a crossing with both endpoints in S flips back
+        sign[k] = -sign[k]
     ind = _indices(cross, over, sign)
     writhes: dict[int, int] = {}
     for k in range(len(sign)):
@@ -348,30 +368,38 @@ def _smoothed_data(word: _Word) -> _SmoothedData:
     return _SmoothedData(writhes, frozenset(support))
 
 
-def _f_poly(
-    diagram: Diagram, n: int, ind: dict[str, int], d_n: int, data: _SmoothedData
-) -> LaurentPoly2:
-    triples: list[tuple[int, int, int]] = []
-    for c, k in ind.items():
-        s = diagram.sign(c)
-        dc = data.dwrithe(c, n)
-        triples.append((k, dc, s))
-        triples.append((0, dc if _in_t_n(dc, d_n) else d_n, -s))
-    return LaurentPoly2.from_terms(triples)
+def _dj_table(data: _SmoothedData, ids: list[str], n_max: int) -> tuple[tuple[int, ...], ...]:
+    """dJ_n(D_c) for n = 1 .. n_max+1 (rows) and every crossing c of
+    ``ids`` (columns), in one pass over the smoothed writhe tables:
+    J_k(D_c) adds to row k and J_{-k}(D_c) subtracts from it."""
+    rows = [[0] * len(ids) for _ in range(n_max + 2)]  # row 0 collects J_0, dropped
+    for col, name in enumerate(ids):
+        for k, j in data.writhes[name].items():
+            rows[abs(k)][col] += j if k > 0 else -j
+    return tuple(map(tuple, rows[1:]))
+
+
+def _f_poly(ind: Iterable[int], signs: list[int], row: tuple[int, ...], d_n: int) -> LaurentPoly2:
+    """F^n from Ind(c), sgn(c) and dJ_n(D_c) per crossing, and d_n = dJ_n(D)."""
+    terms: dict[tuple[int, int], int] = {}
+    for k, s, dc in zip(ind, signs, row):
+        key = (k, dc)
+        terms[key] = terms.get(key, 0) + s
+        key = (0, dc if _in_t_n(dc, d_n) else d_n)
+        terms[key] = terms.get(key, 0) - s
+    return LaurentPoly2(terms)
 
 
 def f_polynomial(diagram: Diagram, n: int) -> LaurentPoly2:
-    """The n-th F-polynomial F^n_D(t, l) for n >= 1, computed from scratch."""
+    """The n-th F-polynomial F^n_D(t, l) for n >= 1."""
     if n < 1:
         raise NonpositiveN(f"F^n needs n >= 1, got {n}")
-    word = _Word(diagram)
-    ind = _word_index(word)
-    return _f_poly(diagram, n, ind, _dj(_writhe_table(diagram, ind), n), _smoothed_data(word))
+    return f_sequence(diagram).f_at(n)
 
 
 def f_sequence(diagram: Diagram) -> FReport:
     """Analyse the diagram once: F^n for n = 1 .. n_max+1, the stable
-    tail, and the index and writhe tables they are built from.
+    tail, and the index, writhe and dJ tables they are built from.
 
     n_max is the largest index magnitude seen in the diagram or any of
     its smoothings (0 when there is none), so every n > n_max has all
@@ -384,10 +412,14 @@ def f_sequence(diagram: Diagram) -> FReport:
     writhes = _writhe_table(diagram, ind)
     data = _smoothed_data(word)
     n_max = max(data.supports.union(map(abs, ind.values())), default=0)
+    table = _dj_table(data, word.ids, n_max)
     tail = _affine(diagram, ind)
-    per_n = {n: _f_poly(diagram, n, ind, _dj(writhes, n), data) for n in range(1, n_max + 2)}
+    per_n = {
+        n: _f_poly(ind.values(), word.sign, row, _dj(writhes, n))
+        for n, row in enumerate(table, start=1)
+    }
     if per_n[n_max + 1] != tail:
         raise InternalInconsistency(
             f"F^{n_max + 1} of {str(diagram)!r} did not stabilize to the affine polynomial"
         )
-    return FReport(diagram, n_max, per_n, tail, ind, writhes, data)
+    return FReport(diagram, n_max, per_n, tail, ind, writhes, table)

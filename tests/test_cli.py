@@ -67,6 +67,13 @@ def test_compute_rejects_bad_n(capsys):
     assert code == 2
 
 
+def test_compute_rejects_n_with_all(capsys):
+    code, out, err = run(capsys, "compute", "3.1", "--all", "-n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: -n and --all are mutually exclusive\n"
+
+
 def test_compute_json_schema(capsys):
     code, out, _ = run(capsys, "compute", "3.1", "--all", "--format", "json")
     assert code == 0
@@ -100,6 +107,27 @@ def test_compute_all_smooths_each_crossing_once(capsys, monkeypatch):
     assert code == 0
     assert "crossings: 32" in out
     assert sorted(smoothed) == sorted(parse_gauss(text).crossings())
+
+
+def test_compute_all_computes_each_smoothed_dwrithe_once(capsys, monkeypatch):
+    # Every view reads one dJ_n(D_c) table, so _dj is left only for
+    # dJ_n(D): a small multiple of n_max+1 calls, not one per (crossing, n)
+    # per view (1,089 calls here before the table).
+    text = random_code(32, seed=7)
+    n_max = f_sequence(parse_gauss(text)).n_max
+    assert n_max == 10
+    dj = vknot.invariants._dj
+    calls = []
+
+    def counting_dj(writhes, n):
+        calls.append(n)
+        return dj(writhes, n)
+
+    monkeypatch.setattr(vknot.invariants, "_dj", counting_dj)
+    code, out, _ = run(capsys, "compute", text, "--all")
+    assert code == 0
+    assert f"n_max = {n_max}" in out
+    assert 0 < len(calls) <= 4 * (n_max + 1)
 
 
 def test_compute_is_deterministic(capsys):

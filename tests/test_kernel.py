@@ -1,8 +1,11 @@
-"""The integer smoothing kernel against the ``Diagram.smooth`` oracle.
+"""The integer analysis kernel against independent oracles.
 
 For every crossing c the kernel's writhe table J_k(D_c), and the support
 of all smoothings together, must equal what the validated smoothed
 diagram gives: ``_writhe_table(d.smooth(c), _index_table(d.smooth(c)))``.
+The ``FReport`` views T_n and the per-crossing reports, read from the
+one dJ_n(D_c) table, must equal ``dwrithe(d.smooth(c), n)`` for every n.
+Ind(c) must equal a count read off the raw Gauss code with no arc labels.
 """
 
 import pytest
@@ -10,7 +13,14 @@ from hypothesis import given, settings
 
 from conftest import diagrams, random_code
 from vknot.gauss import Diagram, parse_gauss
-from vknot.invariants import _index_table, _smoothed_data, _Word, _writhe_table
+from vknot.invariants import (
+    _index_table,
+    _smoothed_data,
+    _Word,
+    _writhe_table,
+    dwrithe,
+    f_sequence,
+)
 
 
 def oracle(d: Diagram) -> tuple[dict[str, dict[int, int]], frozenset[int]]:
@@ -69,3 +79,69 @@ def test_kernel_adjacent_under_over_passes(code):
 
 def test_kernel_unknot():
     assert kernel(parse_gauss("")) == oracle(parse_gauss("")) == ({}, frozenset())
+
+
+# -- views of the dJ_n(D_c) table ----------------------------------------------------
+
+
+def assert_views_match_smoothings(d: Diagram) -> None:
+    report = f_sequence(d)
+    smoothed = {c: d.smooth(c) for c in d.crossings()}
+    # Two past the table's last row (n_max+1), which every view reads as zeros.
+    for n in range(1, report.n_max + 4):
+        d_n = dwrithe(d, n)
+        dc = {c: dwrithe(s, n) for c, s in smoothed.items()}
+        assert report.t_set(n) == {c for c in dc if abs(dc[c]) == abs(d_n)}, (str(d), n)
+        got = {r.crossing: r.smoothed_dwrithe for r in report.crossing_reports([n])}
+        assert got == {c: {n: v} for c, v in dc.items()}, (str(d), n)
+
+
+def test_views_match_smoothings_on_table(table_records):
+    for record in table_records:
+        assert_views_match_smoothings(record.diagram())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_views_match_smoothings_on_random_diagrams(seed):
+    assert_views_match_smoothings(parse_gauss(random_code(4 + 3 * seed, 100 + seed)))
+
+
+# -- Ind(c) from the raw Gauss code ------------------------------------------------
+
+
+def interlacement_index(d: Diagram) -> dict[str, int]:
+    """Ind(c) as the sum over the passes strictly between the Over and the
+    Under pass of c, in cyclic order, of s_j for an Over pass and -s_j for
+    an Under pass.  Reads only the raw entries: no arc labels."""
+    entries = d.entries
+    size = len(entries)
+    over_at = {e.crossing: i for i, e in enumerate(entries) if e.over}
+    under_at = {e.crossing: i for i, e in enumerate(entries) if not e.over}
+    ind = {}
+    for c, start in over_at.items():
+        total = 0
+        i = (start + 1) % size
+        while i != under_at[c]:
+            total += entries[i].sign if entries[i].over else -entries[i].sign
+            i = (i + 1) % size
+        ind[c] = total
+    return ind
+
+
+def test_index_oracle_on_table(table_records):
+    for record in table_records:
+        d = record.diagram()
+        for variant in (d, d.reverse(), d.mirror()):
+            assert _index_table(variant) == interlacement_index(variant), record.name
+
+
+@pytest.mark.parametrize("m", [1, *range(4, 65, 4)])
+def test_index_oracle_on_random_diagrams(m):
+    d = parse_gauss(random_code(m, 200 + m))
+    assert _index_table(d) == interlacement_index(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagrams(max_crossings=10))
+def test_index_oracle_property(d):
+    assert _index_table(d) == interlacement_index(d)
