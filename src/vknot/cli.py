@@ -95,24 +95,24 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         return 0
 
     label = f"knot {name}: " if name else ""
-    print(f"{label}gauss: {str(diagram) or '(unknot)'}")
-    print(f"crossings: {diagram.n_crossings}")
-    for rep in report.crossing_reports(ns):
-        smoothed = " ".join(f"dJ_{n}(D_c)={rep.smoothed_dwrithe[n]}" for n in ns)
-        print(
-            f"crossing {rep.crossing}: sign={_sign_str(rep.sign)} "
-            f"index={rep.index} {smoothed}"
-        )
-    print(f"P(t) = {report.stable_tail}")
-    print(f"n_max = {report.n_max}")
+    tail = str(report.stable_tail)
+    lines = [f"{label}gauss: {str(diagram) or '(unknot)'}", f"crossings: {diagram.n_crossings}"]
+    # One column of the dJ table per crossing: dJ_n(D_c) for each n shown.
+    heads = [f"dJ_{n}(D_c)=" for n in ns]
+    columns = zip(*[report.smoothed_row(n) for n in ns])
+    for (c, k), column in zip(report.index.items(), columns):
+        smoothed = " ".join([head + str(dj) for head, dj in zip(heads, column)])
+        lines.append(f"crossing {c}: sign={_sign_str(diagram.sign(c))} index={k} {smoothed}")
+    lines.append(f"P(t) = {tail}")
+    lines.append(f"n_max = {report.n_max}")
     for n in ns:
         ts = ",".join(sorted(report.t_set(n)))
-        print(
-            f"n={n}: dJ_{n}(D)={report.dwrithe(n)} "
-            f"T_{n}={{{ts}}} F^{n} = {report.f_at(n)}"
-        )
+        # Beyond n_max, F^n is the stable tail (f_sequence checks n_max+1).
+        poly = tail if n > report.n_max else report.f_at(n)
+        lines.append(f"n={n}: dJ_{n}(D)={report.dwrithe(n)} T_{n}={{{ts}}} F^{n} = {poly}")
     if args.all:
-        print(f"stable tail (n > {report.n_max}): {report.stable_tail}")
+        lines.append(f"stable tail (n > {report.n_max}): {tail}")
+    print("\n".join(lines))
     return 0
 
 
@@ -237,47 +237,89 @@ def _cmd_family(args: argparse.Namespace) -> int:
 # -- plumbing --------------------------------------------------------------------
 
 
+def _compute_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("target", help="Gauss code or table name (empty string = unknot)")
+    p.add_argument("-n", type=int, default=None, help="single n (default 1)")
+    p.add_argument("--all", action="store_true", help="full F-sequence report")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _tabulate_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p.add_argument("--groups", action="store_true", help="also print F-sequence groups")
+
+
+def _distinguish_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("first")
+    p.add_argument("second")
+
+
+def _verify_moves_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("target", nargs="?", default=None, help="default: whole table")
+    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _family_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("k", type=int)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+# name -> (help, argument-adding function, handler)
+_COMMANDS = {
+    "compute": ("invariants of one diagram", _compute_args, _cmd_compute),
+    "tabulate": ("verify the embedded knot table", _tabulate_args, _cmd_tabulate),
+    "distinguish": (
+        "compare two diagrams by F-polynomials",
+        _distinguish_args,
+        _cmd_distinguish,
+    ),
+    "verify-moves": (
+        "fuzz invariance under Reidemeister moves",
+        _verify_moves_args,
+        _cmd_verify_moves,
+    ),
+    "family": ("k-twist member of the shared-F family", _family_args, _cmd_family),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with a subparser per command."""
     parser = argparse.ArgumentParser(
         prog="vknot",
         description="F-polynomial invariants of oriented virtual knots",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="invariants of one diagram")
-    p.add_argument("target", help="Gauss code or table name (empty string = unknot)")
-    p.add_argument("-n", type=int, default=None, help="single n (default 1)")
-    p.add_argument("--all", action="store_true", help="full F-sequence report")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_compute)
-
-    p = sub.add_parser("tabulate", help="verify the embedded knot table")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--groups", action="store_true", help="also print F-sequence groups")
-    p.set_defaults(func=_cmd_tabulate)
-
-    p = sub.add_parser("distinguish", help="compare two diagrams by F-polynomials")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=_cmd_distinguish)
-
-    p = sub.add_parser("verify-moves", help="fuzz invariance under Reidemeister moves")
-    p.add_argument("target", nargs="?", default=None, help="default: whole table")
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify_moves)
-
-    p = sub.add_parser("family", help="k-twist member of the shared-F family")
-    p.add_argument("k", type=int)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_family)
-
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with only the parser of the command it names.
+
+    That parser is the subparser ``build_parser()`` would use, so its
+    usage, help and errors are the same.  Only the full parser handles
+    anything else: no or an unknown command, top-level options, and
+    unrecognized arguments, which it reports with its own usage line.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        _, add_arguments, handler = command
+        parser = argparse.ArgumentParser(prog=f"vknot {argv[0]}")
+        add_arguments(parser)
+        parser.set_defaults(func=handler)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (_InputError, GaussCodeError, PolyParseError, MoveError, EvenK, CorruptData) as exc:

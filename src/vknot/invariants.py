@@ -34,14 +34,15 @@ is what equality of F-sequences means everywhere in this package.
 
 ``f_sequence`` is the one analysis of a diagram; the ``FReport`` it
 returns keeps Ind(c), the writhe table of D and the dJ table, and
-dJ_n(D), T_n and the per-crossing reports are its methods.  The dJ
-table holds dJ_n(D_c) for n = 1 .. n_max+1 (one row per n) and every
-crossing c (one column per crossing, in traversal order).  It is filled
-in one pass over the smoothed writhe tables, J_k(D_c) adding to row k
-and J_{-k}(D_c) subtracting from it, and F^n, T_n and the per-crossing
-reports all read their rows from it; any n beyond the table reads
-zeros.  ``f_polynomial`` reads ``f_sequence``; the other free functions
-(``dwrithe``, ``index_value``, ...) recompute from scratch.
+dJ_n(D), T_n, the rows of the dJ table and the per-crossing reports are
+its methods.  The dJ table holds dJ_n(D_c) for n = 1 .. n_max+1 (one
+row per n) and every crossing c (one column per crossing, in traversal
+order).  It is filled in one pass over the smoothed writhe tables,
+J_k(D_c) adding to row k and J_{-k}(D_c) subtracting from it, and F^n,
+T_n and the per-crossing reports all read their rows from it; any n
+beyond the table reads zeros.  ``f_polynomial`` reads ``f_sequence``;
+the other free functions (``dwrithe``, ``index_value``, ...) recompute
+from scratch.
 
 The analysis runs on an integer kernel.  The diagram is turned once
 into int lists: crossings relabelled 0..m-1 in first-appearance order,
@@ -267,8 +268,10 @@ class FReport:
             raise NonpositiveN(f"dwrithe needs n >= 1, got {n}")
         return _dj(self.writhes, n)
 
-    def _smoothed_row(self, n: int) -> tuple[int, ...]:
-        """dJ_n(D_c) for every crossing c, in ``index`` order (n >= 1)."""
+    def smoothed_row(self, n: int) -> tuple[int, ...]:
+        """dJ_n(D_c) for every crossing c, in ``index`` order, for any n >= 1."""
+        if n < 1:
+            raise NonpositiveN(f"dJ_n(D_c) needs n >= 1, got {n}")
         if n > len(self.smoothed_dj):
             return (0,) * len(self.index)
         return self.smoothed_dj[n - 1]
@@ -279,7 +282,7 @@ class FReport:
             raise NonpositiveN(f"T_n needs n >= 1, got {n}")
         d_n = _dj(self.writhes, n)
         return frozenset(
-            c for c, dc in zip(self.index, self._smoothed_row(n)) if _in_t_n(dc, d_n)
+            c for c, dc in zip(self.index, self.smoothed_row(n)) if _in_t_n(dc, d_n)
         )
 
     def crossing_reports(self, n_range: Iterable[int]) -> list[CrossingReport]:
@@ -287,7 +290,7 @@ class FReport:
         ns = sorted(set(n_range))
         if any(n < 1 for n in ns):
             raise NonpositiveN("crossing reports need n >= 1")
-        rows = [self._smoothed_row(n) for n in ns]
+        rows = [self.smoothed_row(n) for n in ns]
         return [
             CrossingReport(c, self.diagram.sign(c), k, {n: row[i] for n, row in zip(ns, rows)})
             for i, (c, k) in enumerate(self.index.items())

@@ -1,0 +1,130 @@
+"""The argument-parsing surface of the command line.
+
+``main`` parses with only the named subcommand's parser; the full
+``build_parser()`` is the reference it must reproduce byte for byte:
+usage, help and errors.  Help text differs between Python versions, so
+the reference is run rather than compared against literal text.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import vknot
+from vknot.cli import build_parser, main
+
+RAW_CODE = "O1+ U2+ U1+ O2+"
+
+SUBCOMMANDS = ("compute", "tabulate", "distinguish", "verify-moves", "family")
+
+# argv lists that end in help or in an argparse error.
+PINNED_CASES = [
+    [],
+    ["--help"],
+    ["-h", "compute"],
+    *([cmd, "--help"] for cmd in SUBCOMMANDS),
+    ["bogus"],
+    ["bogus", "--all"],
+    # compute
+    ["compute", "x", "--bogus"],
+    ["compute", "x", "y"],
+    ["compute"],
+    ["compute", "x", "-n", "q"],
+    ["compute", "x", "--format", "xml"],
+    ["compute", "x", "-n"],
+    # tabulate
+    ["tabulate", "--bogus"],
+    ["tabulate", "extra"],
+    ["tabulate", "--format", "xml"],
+    # distinguish
+    ["distinguish", "a", "b", "--bogus"],
+    ["distinguish", "a", "b", "c"],
+    ["distinguish", "a"],
+    # verify-moves
+    ["verify-moves", "--bogus"],
+    ["verify-moves", "a", "b"],
+    ["verify-moves", "--steps", "q"],
+    ["verify-moves", "--seed"],
+    # family
+    ["family", "3", "--bogus"],
+    ["family"],
+    ["family", "x"],
+    ["family", "3", "--format", "xml"],
+]
+
+
+def outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a call that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", PINNED_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_matches_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = outcome(build_parser().parse_args, argv, capsys)
+    assert outcome(main, argv, capsys) == expected
+    assert expected[0] in (0, 2)
+
+
+def count_parsers(monkeypatch) -> list:
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", RAW_CODE, "--all"],
+        ["tabulate"],
+        ["verify-moves", "3.1", "--steps", "1", "--trials", "1"],
+        ["family", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_well_formed_call_builds_one_parser(argv, capsys, monkeypatch):
+    built = count_parsers(monkeypatch)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert built == [f"vknot {argv[0]}"]
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(vknot.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "vknot.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"},
+        timeout=60,
+    )
+
+
+def test_module_entry_reads_sys_argv(capsys):
+    argv = ["compute", RAW_CODE, "--all"]
+    proc = run_module(*argv)
+    assert proc.returncode == 0
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_module_entry_reports_unrecognized_arguments():
+    proc = run_module("compute", "x", "--bogus")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    # Reported by the top-level parser, as the full parser does.
+    assert proc.stderr.startswith("usage: vknot [-h] {compute,")
+    assert proc.stderr.splitlines()[-1] == "vknot: error: unrecognized arguments: --bogus"

@@ -358,5 +358,10 @@ def test_crossing_reports_rejects_bad_n(example_31):
         f_sequence(example_31).crossing_reports((0, 1))
 
 
+def test_smoothed_row_rejects_bad_n(example_31):
+    with pytest.raises(NonpositiveN):
+        f_sequence(example_31).smoothed_row(0)
+
+
 def test_internal_inconsistency_is_exported():
     assert issubclass(InternalInconsistency, RuntimeError)

@@ -94,6 +94,7 @@ def assert_views_match_smoothings(d: Diagram) -> None:
         assert report.t_set(n) == {c for c in dc if abs(dc[c]) == abs(d_n)}, (str(d), n)
         got = {r.crossing: r.smoothed_dwrithe for r in report.crossing_reports([n])}
         assert got == {c: {n: v} for c, v in dc.items()}, (str(d), n)
+        assert report.smoothed_row(n) == tuple(dc[c] for c in report.index), (str(d), n)
 
 
 def test_views_match_smoothings_on_table(table_records):

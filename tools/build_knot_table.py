@@ -7,8 +7,9 @@ matches the name's expected rows (the regression suite re-checks all
 116 of them on every run).  This tool reconstructs such an assignment
 from scratch by exhaustively enumerating the small Gauss codes:
 
-* every cyclic signed Gauss code with 2, 3 or 4 classical crossings is
-  generated once up to rotation and relabeling,
+* every signed Gauss code with 2, 3 or 4 classical crossings is
+  generated once up to relabeling, so each class up to rotation and
+  relabeling appears once for each of its distinct rotations,
 * its F-sequence fingerprint is computed with the library engine,
 * codes are bucketed by (crossing count, fingerprint) and handed out,
   in deterministic order, to the names expecting that fingerprint.
@@ -95,7 +96,12 @@ def canonical_code(diagram: Diagram) -> str:
 
 
 def chord_words(m: int) -> list[tuple[int, ...]]:
-    """Double-occurrence words of length 2m up to rotation + relabeling."""
+    """Double-occurrence words of length 2m that start with 1, up to
+    relabeling only (crossings numbered in order of first appearance).
+
+    Rotations are not identified: for m = 2 this returns 3 words, of
+    which (1, 1, 2, 2) and (1, 2, 2, 1) are rotations of each other.
+    """
     rest = [1] + [i for i in range(2, m + 1) for _ in range(2)]
     seen: set[tuple[int, ...]] = set()
     for perm in set(permutations(rest)):
@@ -111,7 +117,13 @@ def chord_words(m: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_codes(m: int):
-    """Yield every m-crossing Diagram once per rotation class."""
+    """Yield every m-crossing Diagram whose word is in ``chord_words(m)``,
+    with every choice of passes and signs.
+
+    That is every code once up to relabeling, so each class up to
+    rotation and relabeling appears once for each of its distinct
+    rotations: for m = 1 this yields 4 codes for 2 classes.
+    """
     for word in chord_words(m):
         first_pos: dict[int, int] = {}
         for pos, x in enumerate(word):
