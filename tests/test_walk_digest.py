@@ -1,0 +1,88 @@
+"""Byte identity of seeded random walks, and a validated replay of each.
+
+One sha256 covers the start code, walk seed, final diagram text and
+move script of every walk below: 40 steps from each table code, the
+unknot and eight random codes, three seeds each.  The digest was
+recorded before ``random_walk`` moved to rewriting one entry list, so
+any change to the LCG draw order, a move's site order or its rewrite
+fails here.  When a change of walks is intended, re-record the digest
+and say why in the change log.
+
+The replay applies every step through the public Diagram-level move
+functions, so every intermediate diagram of every pinned walk is built
+and validated, and the replay must end where the walk did.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from conftest import random_code
+from vknot.gauss import parse_gauss
+from vknot.moves import (
+    Lcg,
+    r1_insert,
+    r1_remove,
+    r2_insert,
+    r2_remove,
+    r3_apply,
+    random_walk,
+)
+from vknot.table import load_table
+
+PINNED = "577ec7d1bdda3cfa3d6ddae44ef7457918442208b432efad2921ce167eb3c87a"
+STEPS = 40
+SEEDS_PER_CODE = 3
+
+# move kind -> replay of one recorded step through the public functions
+REPLAY = {
+    "R1+": lambda d, s: r1_insert(d, s["arc"], s["sign"], s["over_first"]),
+    "R1-": lambda d, s: r1_remove(d, s["site"]),
+    "R2+": lambda d, s: r2_insert(d, s["arc1"], s["arc2"], s["over_first"]),
+    "R2-": lambda d, s: r2_remove(d, tuple(s["site"])),
+    "R3": lambda d, s: r3_apply(d, s["p"], s["q"], s["r"]),
+}
+
+
+def start_codes() -> list[str]:
+    codes = [r.gauss for r in load_table()] + [""]
+    return codes + [random_code(3 + k, seed=100 + k) for k in range(8)]
+
+
+def pinned_walks():
+    """(code, seed, start, final, script) of every pinned walk, in order."""
+    rng = Lcg(2019)
+    for code in start_codes():
+        start = parse_gauss(code)
+        for _ in range(SEEDS_PER_CODE):
+            seed = rng.next_bits()
+            final, script = random_walk(start, STEPS, seed)
+            yield code, seed, start, final, script
+
+
+def walk_digest(walks) -> str:
+    digest = hashlib.sha256()
+    for code, seed, _, final, script in walks:
+        record = [code, seed, str(final), script.to_json()]
+        digest.update(json.dumps(record).encode() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def walks():
+    return list(pinned_walks())
+
+
+def test_walks_are_byte_identical(walks):
+    assert len(walks) == 125 * SEEDS_PER_CODE
+    assert walk_digest(walks) == PINNED
+
+
+def test_step_by_step_replay_ends_where_the_walk_did(walks):
+    for code, seed, start, final, script in walks:
+        assert len(script.steps) == STEPS
+        cur = start
+        for step in script.steps:
+            cur = REPLAY[step["move"]](cur, step)
+        assert cur == final, (code, seed)
