@@ -26,7 +26,7 @@ import time
 from .gauss import Diagram, GaussCodeError, parse_gauss
 from .invariants import f_sequence
 from .laurent import PolyParseError
-from .moves import Lcg, MoveError, random_walk
+from .moves import Lcg, MoveError, fuzz_invariance
 from .table import (
     CorruptData,
     EvenK,
@@ -79,13 +79,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if args.all and args.n is not None:
         raise _InputError("-n and --all are mutually exclusive")
     [(diagram, name)] = _resolve(args.target)
+    if args.n is not None and args.n < 1:
+        raise _InputError("n must be >= 1")
     report = f_sequence(diagram)
-    if args.all:
-        ns = list(range(1, report.n_max + 2))
-    else:
-        ns = [args.n if args.n is not None else 1]
-        if any(n < 1 for n in ns):
-            raise _InputError("n must be >= 1")
+    ns = list(range(1, report.n_max + 2)) if args.all else [args.n or 1]
 
     if args.format == "json":
         payload = report.to_json(name)
@@ -201,17 +198,12 @@ def _cmd_verify_moves(args: argparse.Namespace) -> int:
     failures = 0
     started = time.perf_counter()
     for name, diagram in targets:
-        base = f_sequence(diagram).fingerprint()
-        bad = 0
-        for trial in range(args.trials):
-            walk_seed = rng.next_bits()
-            moved, script = random_walk(diagram, args.steps, walk_seed)
-            if f_sequence(moved).fingerprint() != base:
-                bad += 1
-                print(f"{name}: trial {trial} FAILED, script: {script.to_json()}")
-        status = "ok" if bad == 0 else f"{bad}/{args.trials} FAILED"
+        bad = fuzz_invariance(diagram, args.trials, args.steps, rng)
+        for trial, script in bad:
+            print(f"{name}: trial {trial} FAILED, script: {script.to_json()}")
+        status = "ok" if not bad else f"{len(bad)}/{args.trials} FAILED"
         print(f"{name}: {args.trials} walks x {args.steps} moves: {status}")
-        failures += bad
+        failures += len(bad)
     elapsed = time.perf_counter() - started
     print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
     print(f"total failures: {failures}")

@@ -32,9 +32,18 @@ underpass before the ``r`` entry (-1 after), and ``chi`` is +1 when the
 them are rejected; the whole predicate is validated empirically by the
 invariance suite.
 
-``random_walk`` drives the fuzzing.  Reproducibility across platforms
-matters more than statistical quality, so choices come from a fixed
-64-bit linear congruential generator (Knuth's MMIX multiplier
+Each move is defined once, as an in-place rewrite of a word (a list
+of ``Entry`` values) that checks its parameters against one scan of
+the word's sites; ``_MOVES`` maps each kind to scan, draw and rewrite.
+Valid moves keep a word valid, so ``random_walk`` rewrites one list and
+validates it once, as the ``Diagram`` it returns, and applies each
+drawn site from the scan it was drawn from.  The public move functions
+and ``MoveScript.apply`` (scripts are external input) are validating
+wrappers: every move they make builds a ``Diagram``.
+
+``fuzz_invariance`` is the one fuzzing loop.  Reproducibility across
+platforms matters more than statistical quality, so walks draw from a
+fixed 64-bit linear congruential generator (Knuth's MMIX multiplier
 6364136223846793005 and increment 1442695040888963407, taking the top
 31 bits of the state), never from :mod:`random`.
 """
@@ -43,8 +52,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .gauss import Diagram, Entry
+from .invariants import f_sequence
 
 
 class MoveError(ValueError):
@@ -87,11 +98,11 @@ class Lcg:
         return seq[self.randrange(len(seq))]
 
 
-# -- fresh crossing ids --------------------------------------------------------
+# -- the moves, on words (lists of entries) ---------------------------------------
 
-def _fresh_ids(diagram: Diagram, count: int) -> list[str]:
+def _fresh_ids(ents: list[Entry], count: int) -> list[str]:
     """The ``count`` smallest unused numeric tokens, ascending."""
-    used = set(diagram.crossings())
+    used = {e.crossing for e in ents}
     out: list[str] = []
     k = 1
     while len(out) < count:
@@ -101,58 +112,161 @@ def _fresh_ids(diagram: Diagram, count: int) -> list[str]:
     return out
 
 
-def _check_arc(diagram: Diagram, arc: int) -> None:
-    if not 0 <= arc < len(diagram):
-        raise InvalidArc(f"arc {arc} out of range for {len(diagram)} entries")
+def _check_arc(ents: list[Entry], arc: int) -> None:
+    if not 0 <= arc < len(ents):
+        raise InvalidArc(f"arc {arc} out of range for {len(ents)} entries")
 
 
-# -- R1 -------------------------------------------------------------------------
+def _r1_insert(ents: list[Entry], arcs, arc: int | None, sign: int, over_first: bool) -> None:
+    if sign not in (1, -1):
+        raise MoveError(f"sign must be +1 or -1, got {sign!r}")
+    (cid,) = _fresh_ids(ents, 1)
+    arc = (0 if arc is None else arc) if ents else -1  # one place on the empty word
+    if ents:
+        _check_arc(ents, arc)
+    ents[arc + 1 : arc + 1] = [Entry(cid, over_first, sign), Entry(cid, not over_first, sign)]
+
+
+def _r1_sites(ents: list[Entry]) -> list[int]:
+    n = len(ents)
+    sites = [i for i in range(n) if ents[i].crossing == ents[(i + 1) % n].crossing]
+    return sites[:1] if n == 2 else sites  # "O1 U1" is one kink, seen from both ends
+
+
+def _r1_remove(ents: list[Entry], sites, site: int) -> None:
+    n = len(ents)
+    if n == 0 or ents[site % n].crossing != ents[(site + 1) % n].crossing:
+        raise PatternNotFound(f"no kink at position {site}")
+    for pos in sorted({site % n, (site + 1) % n}, reverse=True):
+        del ents[pos]
+
+
+def _r2_insert(ents: list[Entry], arcs, arc1: int, arc2: int, over_first: bool) -> None:
+    if arc1 == arc2:
+        raise InvalidArc("R2 insertion needs two distinct arcs")
+    _check_arc(ents, arc1)
+    _check_arc(ents, arc2)
+    a, b = _fresh_ids(ents, 2)
+    first = [Entry(a, over_first, 1), Entry(b, over_first, -1)]
+    second = [Entry(b, not over_first, -1), Entry(a, not over_first, 1)]
+    for arc, block in sorted([(arc1, first), (arc2, second)], reverse=True):
+        ents[arc + 1 : arc + 1] = block
+
+
+def _r2_sites(ents: list[Entry]) -> list[tuple[int, int]]:
+    n = len(ents)
+    pos = {(c, over): i for i, (c, over, _) in enumerate(ents)}  # (crossing, pass) -> position
+    sites = []
+    for i, (e1, e2) in enumerate(zip(ents, ents[1:] + ents[:1])):
+        if e1.over != e2.over or e1.crossing == e2.crossing or e1.sign == e2.sign:
+            continue
+        # Each configuration is seen from both pairs, (i, j) and (j, i): keep the first.
+        j = pos[e2.crossing, not e2.over]
+        if (j + 1) % n == pos[e1.crossing, not e1.over] and i < j:
+            sites.append((i, j))
+    return sites
+
+
+def _r2_remove(ents: list[Entry], sites: list[tuple[int, int]], site) -> None:
+    if tuple(site) not in sites:
+        raise PatternNotFound(f"no R2 configuration at {tuple(site)}")
+    (i, j), n = site, len(ents)
+    for pos in sorted({i, (i + 1) % n, j, (j + 1) % n}, reverse=True):
+        del ents[pos]
+
+
+def _r3_patterns(ents: list[Entry]) -> dict:
+    """Every valid R3 slide's triple, in word order -> its first position-swaps."""
+    n = len(ents)
+    pos = {(c, over): i for i, (c, over, _) in enumerate(ents)}  # (crossing, pass) -> position
+    out: dict = {}
+    for i, (ep, eq) in enumerate(zip(ents, ents[1:] + ents[:1])):
+        if not (ep.over and eq.over) or ep.crossing == eq.crossing:
+            continue
+        p, q = ep.crossing, eq.crossing
+        j, k = pos[p, False], pos[q, False]
+        for beta in (1, -1):
+            jr = (j + beta) % n
+            er = ents[jr]
+            other = pos[er.crossing, not er.over]
+            gamma = 1 if other == (k + 1) % n else -1 if other == (k - 1) % n else 0
+            if er.crossing in (p, q) or not gamma:
+                continue
+            chi = 1 if er.over else -1
+            if ep.sign * beta == eq.sign * gamma and er.sign == ep.sign * gamma * chi:
+                out.setdefault((p, q, er.crossing), ((i, (i + 1) % n), (j, jr), (k, other)))
+    return out
+
+
+def _r3_apply(ents: list[Entry], patterns: dict, p: str, q: str, r: str) -> None:
+    # The first pattern of (p, q, r) or (q, p, r): O_p O_q and O_q O_p are never both adjacent.
+    swaps = patterns.get((p, q, r)) or patterns.get((q, p, r))
+    if swaps is None:
+        raise PatternNotFound(f"no R3 triangle for ({p}, {q}, {r})")
+    for x, y in swaps:
+        ents[x], ents[y] = ents[y], ents[x]
+
+
+# -- one table of moves -----------------------------------------------------------
+
+def _draw_r1_insert(rng: Lcg, ents: list[Entry], arcs) -> tuple:
+    arc = rng.randrange(len(ents)) if ents else 0
+    return arc, rng.choice((1, -1)), rng.choice((True, False))
+
+
+def _draw_r2_insert(rng: Lcg, ents: list[Entry], arcs) -> tuple:
+    arc1 = rng.randrange(len(ents))
+    arc2 = rng.randrange(len(ents) - 1)
+    return arc1, arc2 + (arc2 >= arc1), rng.choice((True, False))
+
+
+class _Move(NamedTuple):
+    keys: tuple[str, ...]  # step-dict keys of the parameters, in order
+    sites: Callable  # word -> the sites of one scan; empty if the move cannot apply
+    draw: Callable  # (rng, word, sites) -> parameters
+    rewrite: Callable  # (word, sites, *parameters) -> None; rewrites in place or raises
+
+
+# Insertions apply on every word with enough arcs; their "sites" are those arcs.
+_MOVES = {
+    "R1+": _Move(("arc", "sign", "over_first"), lambda w: range(max(len(w), 1)),
+                 _draw_r1_insert, _r1_insert),
+    "R1-": _Move(("site",), _r1_sites, lambda rng, w, s: (rng.choice(s),), _r1_remove),
+    "R2+": _Move(("arc1", "arc2", "over_first"), lambda w: range(len(w) if len(w) > 1 else 0),
+                 _draw_r2_insert, _r2_insert),
+    "R2-": _Move(("site",), _r2_sites, lambda rng, w, s: (list(rng.choice(s)),), _r2_remove),
+    "R3": _Move(("p", "q", "r"), _r3_patterns, lambda rng, w, s: rng.choice(list(s)), _r3_apply),
+}
+_KINDS = tuple(_MOVES)
+
+
+def _on_diagram(kind: str, diagram: Diagram, *params) -> Diagram:
+    """Apply one move to a copy of the diagram's word; validate the result."""
+    move = _MOVES[kind]
+    ents = list(diagram.entries)
+    move.rewrite(ents, move.sites(ents), *params)
+    return Diagram(ents)
+
+
+# -- validating wrappers -----------------------------------------------------------
 
 def r1_insert(diagram: Diagram, arc: int | None, sign: int, over_first: bool = True) -> Diagram:
     """Insert a kink (fresh crossing, both passes adjacent) at ``arc``.
 
     On the empty diagram ``arc`` is ignored (there is only one place).
     """
-    if sign not in (1, -1):
-        raise MoveError(f"sign must be +1 or -1, got {sign!r}")
-    (cid,) = _fresh_ids(diagram, 1)
-    pair = [Entry(cid, over_first, sign), Entry(cid, not over_first, sign)]
-    if len(diagram) == 0:
-        return Diagram(pair)
-    if arc is None:
-        arc = 0
-    _check_arc(diagram, arc)
-    ents = list(diagram.entries)
-    return Diagram(ents[: arc + 1] + pair + ents[arc + 1 :])
+    return _on_diagram("R1+", diagram, arc, sign, over_first)
 
 
 def r1_sites(diagram: Diagram) -> list[int]:
     """Positions i where entries i and i+1 are the two passes of one crossing."""
-    n = len(diagram)
-    ents = diagram.entries
-    sites = []
-    covered: set[frozenset[int]] = set()
-    for i in range(n):
-        j = (i + 1) % n
-        if ents[i].crossing == ents[j].crossing:
-            key = frozenset((i, j))
-            if key not in covered:
-                covered.add(key)
-                sites.append(i)
-    return sites
+    return _r1_sites(diagram.entries)
 
 
 def r1_remove(diagram: Diagram, site: int) -> Diagram:
     """Delete the kink whose two entries sit at positions site, site+1."""
-    n = len(diagram)
-    ents = diagram.entries
-    if n == 0 or ents[site % n].crossing != ents[(site + 1) % n].crossing:
-        raise PatternNotFound(f"no kink at position {site}")
-    drop = {site % n, (site + 1) % n}
-    return Diagram(e for i, e in enumerate(ents) if i not in drop)
+    return _on_diagram("R1-", diagram, site)
 
-
-# -- R2 -------------------------------------------------------------------------
 
 def r2_insert(diagram: Diagram, arc1: int, arc2: int, over_first: bool = True) -> Diagram:
     """Push arc1 across arc2 (R2): fresh a,b at arc1 and b,a at arc2.
@@ -160,18 +274,7 @@ def r2_insert(diagram: Diagram, arc1: int, arc2: int, over_first: bool = True) -
     ``over_first`` chooses which of the two arcs carries the overpasses.
     The first crossing gets sign +1, the second -1.
     """
-    if arc1 == arc2:
-        raise InvalidArc("R2 insertion needs two distinct arcs")
-    _check_arc(diagram, arc1)
-    _check_arc(diagram, arc2)
-    a, b = _fresh_ids(diagram, 2)
-    first = [Entry(a, over_first, 1), Entry(b, over_first, -1)]
-    second = [Entry(b, not over_first, -1), Entry(a, not over_first, 1)]
-    ents = list(diagram.entries)
-    inserts = sorted([(arc1, first), (arc2, second)], reverse=True)
-    for arc, block in inserts:
-        ents[arc + 1 : arc + 1] = block
-    return Diagram(ents)
+    return _on_diagram("R2+", diagram, arc1, arc2, over_first)
 
 
 def r2_sites(diagram: Diagram) -> list[tuple[int, int]]:
@@ -180,77 +283,17 @@ def r2_sites(diagram: Diagram) -> list[tuple[int, int]]:
     Position i starts an adjacent same-pass pair a,b with opposite
     signs whose partner passes sit adjacently as b,a at position j.
     """
-    n = len(diagram)
-    ents = diagram.entries
-    sites = []
-    covered: set[frozenset[int]] = set()
-    for i in range(n):
-        e1, e2 = ents[i], ents[(i + 1) % n]
-        if e1.over != e2.over or e1.crossing == e2.crossing or e1.sign == e2.sign:
-            continue
-        j = diagram.under_position(e2.crossing) if e2.over else diagram.over_position(e2.crossing)
-        partner_a = diagram.under_position(e1.crossing) if e1.over else diagram.over_position(e1.crossing)
-        if (j + 1) % n != partner_a:
-            continue
-        key = frozenset((i, (i + 1) % n, j, partner_a))
-        if len(key) == 4 and key not in covered:
-            covered.add(key)
-            sites.append((i, j))
-    return sites
+    return _r2_sites(diagram.entries)
 
 
 def r2_remove(diagram: Diagram, site: tuple[int, int]) -> Diagram:
     """Delete the four entries of the R2 configuration starting at site."""
-    if site not in r2_sites(diagram):
-        raise PatternNotFound(f"no R2 configuration at {site}")
-    i, j = site
-    n = len(diagram)
-    drop = {i, (i + 1) % n, j, (j + 1) % n}
-    return Diagram(e for k, e in enumerate(diagram.entries) if k not in drop)
-
-
-# -- R3 -------------------------------------------------------------------------
-
-def _r3_patterns(diagram: Diagram):
-    """Yield (triple, position-swaps) for every valid R3 slide."""
-    n = len(diagram)
-    ents = diagram.entries
-    for i in range(n):
-        i2 = (i + 1) % n
-        ep, eq = ents[i], ents[i2]
-        if not (ep.over and eq.over) or ep.crossing == eq.crossing:
-            continue
-        p, q = ep.crossing, eq.crossing
-        j = diagram.under_position(p)
-        k = diagram.under_position(q)
-        for dj in (1, -1):
-            jr = (j + dj) % n
-            er = ents[jr]
-            r = er.crossing
-            if r == p or r == q:
-                continue
-            other = diagram.under_position(r) if er.over else diagram.over_position(r)
-            if other == (k + 1) % n:
-                dk = 1
-            elif other == (k - 1) % n:
-                dk = -1
-            else:
-                continue
-            beta, gamma = dj, dk
-            chi = 1 if er.over else -1
-            s_p, s_q, s_r = ep.sign, eq.sign, diagram.sign(r)
-            if s_p * beta != s_q * gamma or s_r != s_p * gamma * chi:
-                continue
-            yield (p, q, r), ((i, i2), (j, jr), (k, other))
+    return _on_diagram("R2-", diagram, site)
 
 
 def r3_triples(diagram: Diagram) -> list[tuple[str, str, str]]:
     """All (p, q, r) with a valid slide of the p,q-overstrand across r."""
-    out: list[tuple[str, str, str]] = []
-    for triple, _ in _r3_patterns(diagram):
-        if triple not in out:
-            out.append(triple)
-    return out
+    return list(_r3_patterns(diagram.entries))
 
 
 def r3_apply(diagram: Diagram, p: str, q: str, r: str) -> Diagram:
@@ -261,19 +304,10 @@ def r3_apply(diagram: Diagram, p: str, q: str, r: str) -> Diagram:
     the move.  Raises PatternNotFound when (p, q, r) is not an
     R3-applicable triangle (including sign-relation violations).
     """
-    for triple, swaps in _r3_patterns(diagram):
-        if triple in ((p, q, r), (q, p, r)):
-            ents = list(diagram.entries)
-            for x, y in swaps:
-                ents[x], ents[y] = ents[y], ents[x]
-            return Diagram(ents)
-    raise PatternNotFound(f"no R3 triangle for ({p}, {q}, {r})")
+    return _on_diagram("R3", diagram, p, q, r)
 
 
-# -- move scripts and random walks ----------------------------------------------
-
-_KINDS = ("R1+", "R1-", "R2+", "R2-", "R3")
-
+# -- move scripts, random walks and fuzzing ------------------------------------------
 
 @dataclass(frozen=True)
 class MoveScript:
@@ -291,18 +325,9 @@ class MoveScript:
         cur = diagram
         for step in self.steps:
             kind = step["move"]
-            if kind == "R1+":
-                cur = r1_insert(cur, step["arc"], step["sign"], step["over_first"])
-            elif kind == "R1-":
-                cur = r1_remove(cur, step["site"])
-            elif kind == "R2+":
-                cur = r2_insert(cur, step["arc1"], step["arc2"], step["over_first"])
-            elif kind == "R2-":
-                cur = r2_remove(cur, tuple(step["site"]))
-            elif kind == "R3":
-                cur = r3_apply(cur, step["p"], step["q"], step["r"])
-            else:
+            if kind not in _MOVES:
                 raise MoveError(f"unknown move kind {kind!r}")
+            cur = _on_diagram(kind, cur, *[step[key] for key in _MOVES[kind].keys])
         return cur
 
     def to_json(self) -> str:
@@ -324,47 +349,29 @@ def random_walk(diagram: Diagram, steps: int, seed: int) -> tuple[Diagram, MoveS
     if steps < 0:
         raise MoveError("steps must be >= 0")
     rng = Lcg(seed)
-    cur = diagram
+    ents = list(diagram.entries)
     recorded: list[dict] = []
     for _ in range(steps):
-        while True:
+        sites = None
+        while not sites:
             kind = _KINDS[rng.randrange(len(_KINDS))]
-            if kind == "R1+":
-                arc = rng.randrange(len(cur)) if len(cur) else 0
-                sign = rng.choice((1, -1))
-                over_first = rng.choice((True, False))
-                step = {"move": "R1+", "arc": arc, "sign": sign, "over_first": over_first}
-                cur = r1_insert(cur, arc, sign, over_first)
-            elif kind == "R1-":
-                sites = r1_sites(cur)
-                if not sites:
-                    continue
-                step = {"move": "R1-", "site": rng.choice(sites)}
-                cur = r1_remove(cur, step["site"])
-            elif kind == "R2+":
-                if len(cur) < 2:
-                    continue
-                arc1 = rng.randrange(len(cur))
-                arc2 = rng.randrange(len(cur) - 1)
-                if arc2 >= arc1:
-                    arc2 += 1
-                over_first = rng.choice((True, False))
-                step = {"move": "R2+", "arc1": arc1, "arc2": arc2, "over_first": over_first}
-                cur = r2_insert(cur, arc1, arc2, over_first)
-            elif kind == "R2-":
-                sites = r2_sites(cur)
-                if not sites:
-                    continue
-                site = rng.choice(sites)
-                step = {"move": "R2-", "site": list(site)}
-                cur = r2_remove(cur, site)
-            else:
-                triples = r3_triples(cur)
-                if not triples:
-                    continue
-                p, q, r = rng.choice(triples)
-                step = {"move": "R3", "p": p, "q": q, "r": r}
-                cur = r3_apply(cur, p, q, r)
-            recorded.append(step)
-            break
-    return cur, MoveScript(tuple(recorded))
+            move = _MOVES[kind]
+            sites = move.sites(ents)
+        params = move.draw(rng, ents, sites)
+        move.rewrite(ents, sites, *params)
+        recorded.append({"move": kind, **dict(zip(move.keys, params))})
+    return Diagram(ents), MoveScript(tuple(recorded))
+
+
+def fuzz_invariance(
+    diagram: Diagram, trials: int, steps: int, rng: Lcg
+) -> list[tuple[int, MoveScript]]:
+    """(trial, script) of each of ``trials`` walks of ``steps`` moves,
+    seeded in turn by ``rng``, that changed the F-fingerprint."""
+    base = f_sequence(diagram).fingerprint()
+    failures = []
+    for trial in range(trials):
+        moved, script = random_walk(diagram, steps, rng.next_bits())
+        if f_sequence(moved).fingerprint() != base:
+            failures.append((trial, script))
+    return failures

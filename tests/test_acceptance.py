@@ -18,7 +18,7 @@ from vknot.invariants import (
     index_value,
 )
 from vknot.laurent import parse_poly
-from vknot.moves import Lcg, random_walk
+from vknot.moves import Lcg, fuzz_invariance, random_walk
 from vknot.table import (
     group_by_f_sequence,
     kauffman_family,
@@ -164,13 +164,9 @@ def test_criterion_7_move_invariance_fuzz(table_records):
     rng = Lcg(777)
     violations = 0
     for record in table_records:
-        d = record.diagram()
-        base = f_sequence(d).fingerprint()
-        for _ in range(10):
-            walked, script = random_walk(d, 10, rng.next_bits())
-            if f_sequence(walked).fingerprint() != base:
-                violations += 1
-                print(f"{record.name}: {script.to_json()}")
+        for _, script in fuzz_invariance(record.diagram(), 10, 10, rng):
+            violations += 1
+            print(f"{record.name}: {script.to_json()}")
     elapsed = time.perf_counter() - started
     assert violations == 0
     assert elapsed < 30.0, f"took {elapsed:.1f} s"

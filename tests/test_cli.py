@@ -6,11 +6,13 @@ import pytest
 
 import vknot.cli
 import vknot.invariants
+import vknot.moves
 import vknot.table
 from conftest import random_code
 from vknot.cli import main
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import f_sequence
+from vknot.moves import MoveScript
 from vknot.table import kauffman_family
 
 EXAMPLE_31_REVERSED = "O1- U2+ U3- O2+ U1- O3-"  # table orientation of knot 3.1
@@ -65,6 +67,24 @@ def test_compute_unknown_name(capsys):
 def test_compute_rejects_bad_n(capsys):
     code, _, err = run(capsys, "compute", "3.1", "-n", "0")
     assert code == 2
+
+
+def test_compute_checks_n_before_the_analysis(capsys, monkeypatch):
+    # A bad -n needs only the argument; a bad code still gets its own error.
+    calls = []
+
+    def counting_f_sequence(diagram):
+        calls.append(diagram)
+        return f_sequence(diagram)
+
+    monkeypatch.setattr(vknot.cli, "f_sequence", counting_f_sequence)
+    code, out, err = run(capsys, "compute", random_code(32, seed=7), "-n", "0")
+    assert (code, out, err) == (2, "", "error: n must be >= 1\n")
+    assert calls == []
+    code, _, err = run(capsys, "compute", "O1+ U1-", "-n", "0")
+    assert code == 2
+    assert "'1'" in err
+    assert calls == []
 
 
 def test_compute_rejects_n_with_all(capsys):
@@ -330,6 +350,28 @@ def test_verify_moves_rejects_negative_trials(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: trials must be >= 0\n"
+
+
+def test_verify_moves_reports_replayable_failures(capsys, monkeypatch):
+    # A walk that lands on another knot must be reported with its script.
+    walk = vknot.moves.random_walk
+    other = parse_gauss(EXAMPLE_31_REVERSED)
+    walks = []
+
+    def bad_walk(diagram, steps, seed):
+        walks.append((diagram,) + walk(diagram, steps, seed))
+        return other, walks[-1][2]
+
+    monkeypatch.setattr(vknot.moves, "random_walk", bad_walk)
+    code, out, _ = run(
+        capsys, "verify-moves", "2.1", "--steps", "3", "--trials", "2", "--seed", "4"
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(" FAILED")[0] for line in lines[:2]] == ["2.1: trial 0", "2.1: trial 1"]
+    assert lines[2:] == ["2.1: 2 walks x 3 moves: 2/2 FAILED", "total failures: 2"]
+    start, moved, _ = walks[0]
+    assert MoveScript.from_json(lines[0].split("script: ")[1]).apply(start) == moved
 
 
 def test_verify_moves_deterministic_stdout(capsys):

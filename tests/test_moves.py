@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vknot.moves
 from conftest import diagrams
 from vknot.gauss import Diagram, format_gauss, parse_gauss
 from vknot.invariants import affine_index_polynomial, dwrithe, f_sequence
@@ -186,6 +187,40 @@ def test_script_json_round_trip(example_31):
 def test_script_rejects_unknown_move(example_31):
     with pytest.raises(MoveError):
         MoveScript(({"move": "R9"},)).apply(example_31)
+
+
+def test_walk_builds_one_diagram_and_scans_once_per_step(table_records, monkeypatch):
+    # The walk rewrites one entry list and validates it once, at the end;
+    # a drawn R2- or R3 is applied from the scan it was drawn from.
+    built = []
+    init = Diagram.__init__
+
+    def counting_init(self, entries):
+        built.append(1)
+        init(self, entries)
+
+    found = {"R2-": 0, "R3": 0}
+    for kind, name in (("R2-", "_r2_sites"), ("R3", "_r3_patterns")):
+        scan = getattr(vknot.moves, name)
+
+        def counting_scan(ents, kind=kind, scan=scan):
+            sites = scan(ents)
+            found[kind] += bool(sites)
+            return sites
+
+        monkeypatch.setattr(vknot.moves, name, counting_scan)
+        move = vknot.moves._MOVES[kind]._replace(sites=counting_scan)
+        monkeypatch.setitem(vknot.moves._MOVES, kind, move)
+    kinds = []
+    starts = [r.diagram() for r in table_records]
+    monkeypatch.setattr(Diagram, "__init__", counting_init)
+    for seed, start in enumerate(starts):
+        built.clear()
+        _, script = random_walk(start, 40, seed)
+        assert len(built) <= 1
+        kinds += [step["move"] for step in script.steps]
+    assert found == {"R2-": kinds.count("R2-"), "R3": kinds.count("R3")}
+    assert min(found.values()) > 100
 
 
 # -- invariance under all moves ----------------------------------------------------
