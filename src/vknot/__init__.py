@@ -6,12 +6,8 @@ from .invariants import (
     CrossingReport,
     affine_index_polynomial,
     arc_labels,
-    dwrithe,
     f_polynomial,
     f_sequence,
-    index_support,
-    index_value,
-    n_writhe,
 )
 from .laurent import LaurentPoly2, parse_poly
 
@@ -28,10 +24,6 @@ __all__ = [
     "CrossingReport",
     "affine_index_polynomial",
     "arc_labels",
-    "dwrithe",
     "f_polynomial",
     "f_sequence",
-    "index_support",
-    "index_value",
-    "n_writhe",
 ]

@@ -188,6 +188,8 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
 def _cmd_verify_moves(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise _InputError("trials must be >= 0")
+    if args.steps < 0:
+        raise _InputError("steps must be >= 0")
     if args.target is None:
         targets = [(r.name, r.diagram()) for r in load_table()]
     else:

@@ -101,6 +101,8 @@ class Diagram:
                 raise MalformedToken(f"bad crossing id {entry.crossing!r}")
             if entry.sign not in (1, -1):
                 raise MalformedToken(f"bad sign {entry.sign!r} at {entry.crossing!r}")
+            if type(entry.over) is not bool:
+                raise MalformedToken(f"bad pass flag {entry.over!r} at {entry.crossing!r}")
             table = over_pos if entry.over else under_pos
             if entry.crossing in table:
                 kind = "Over" if entry.over else "Under"

@@ -40,9 +40,9 @@ row per n) and every crossing c (one column per crossing, in traversal
 order).  It is filled in one pass over the smoothed writhe tables,
 J_k(D_c) adding to row k and J_{-k}(D_c) subtracting from it, and F^n,
 T_n and the per-crossing reports all read their rows from it; any n
-beyond the table reads zeros.  ``f_polynomial`` reads ``f_sequence``;
-the other free functions (``dwrithe``, ``index_value``, ...) recompute
-from scratch.
+beyond the table reads zeros.  Ind(c), J_n(D) and dJ_n(D) are read from
+the same analysis (``FReport.index``, ``.writhes``, ``.dwrithe(n)``),
+and ``f_polynomial`` is ``f_sequence(diagram).f_at(n)``.
 
 The analysis runs on an integer kernel.  The diagram is turned once
 into int lists: crossings relabelled 0..m-1 in first-appearance order,
@@ -52,11 +52,11 @@ built on those lists as a new int word, by the convention of
 ``Diagram.smooth``: the segment from the Over pass to the Under pass
 forward, then the other segment reversed, negating the sign of each
 crossing with exactly one endpoint in the reversed segment.  One
-labelling routine labels D and every D_c, and J_k(D_c) is read straight
-from the lists, so no ``Diagram`` is built or validated per smoothing.
-That routine labels relative to arc 0 (label 0): Ind(c) is a difference
-of two labels, so the absolute base cancels, and only ``arc_labels``
-evaluates it.
+labelling routine labels D and every D_c, relative to arc 0 (label 0):
+Ind(c) is a difference of two labels, so the absolute base cancels, and
+only ``arc_labels`` evaluates it.  One writhe routine builds the J_k
+table of D and of every D_c (c left out) from the int lists, so no
+``Diagram`` is built or validated per smoothing.
 ``Diagram.smooth`` stays the public transform and the kernel's test
 oracle.
 
@@ -67,19 +67,15 @@ mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable
 
-from .gauss import Diagram, UnknownCrossing
+from .gauss import Diagram
 from .laurent import LaurentPoly2
 
 
 class EmptyDiagram(ValueError):
     """An arc-level question was asked of the crossingless unknot diagram."""
-
-
-class ZeroIndexRequest(ValueError):
-    """J_n is only defined for n != 0."""
 
 
 class NonpositiveN(ValueError):
@@ -125,10 +121,13 @@ def _labels(cross: list[int], over: list[bool], sign: list[int]) -> list[int]:
 
 
 def _indices(cross: list[int], over: list[bool], sign: list[int]) -> list[int]:
-    """Ind(k) for every crossing k of a nonempty int word, indexed by k.
+    """Ind(k) for every crossing k of an int word, indexed by k ([] for
+    the empty word).
 
     Entries of crossings absent from the word are meaningless.
     """
+    if not cross:
+        return []
     labels = _labels(cross, over, sign)
     ind = [-s for s in sign]
     # The arc into pass i is the one after pass i-1 (after the last, for i = 0).
@@ -155,23 +154,10 @@ def arc_labels(diagram: Diagram) -> list[int]:
     return [base + label for label in labels]
 
 
-def _word_index(word: _Word) -> dict[str, int]:
-    """Ind(c) for every crossing, by id in first-appearance order."""
-    if not word.cross:
-        return {}
-    return dict(zip(word.ids, _indices(word.cross, word.over, word.sign)))
-
-
 def _index_table(diagram: Diagram) -> dict[str, int]:
     """Ind(c) for every crossing; {} for the unknot."""
-    return _word_index(_Word(diagram))
-
-
-def index_value(diagram: Diagram, crossing: str) -> int:
-    """The index value Ind(crossing)."""
-    if crossing not in diagram.crossings():
-        raise UnknownCrossing(f"no crossing {crossing!r}")
-    return _index_table(diagram)[crossing]
+    word = _Word(diagram)
+    return dict(zip(word.ids, _indices(word.cross, word.over, word.sign)))
 
 
 def affine_index_polynomial(diagram: Diagram) -> LaurentPoly2:
@@ -188,11 +174,17 @@ def _affine(diagram: Diagram, ind: dict[str, int]) -> LaurentPoly2:
     return LaurentPoly2.from_terms(triples)
 
 
-def _writhe_table(diagram: Diagram, ind: dict[str, int]) -> dict[int, int]:
-    """J_n for every n with a crossing of that index (other n give 0)."""
+def _writhes(ind: list[int], sign: list[int], left_out: int | None) -> dict[int, int]:
+    """J_k for every index value k of the crossings (other k give 0), from
+    Ind and sgn indexed by crossing, leaving out crossing ``left_out``.
+
+    This is the one writhe routine, for a diagram (nothing left out) and
+    for each smoothing D_c (c left out: it is not a crossing of D_c).
+    """
     table: dict[int, int] = {}
-    for c, k in ind.items():
-        table[k] = table.get(k, 0) + diagram.sign(c)
+    for k, (i, s) in enumerate(zip(ind, sign)):
+        if k != left_out:
+            table[i] = table.get(i, 0) + s
     return table
 
 
@@ -203,25 +195,6 @@ def _dj(writhes: dict[int, int], n: int) -> int:
 def _in_t_n(smoothed_dj: int, d_n: int) -> bool:
     """The T_n predicate |dJ_n(D_c)| == |dJ_n(D)|."""
     return abs(smoothed_dj) == abs(d_n)
-
-
-def n_writhe(diagram: Diagram, n: int) -> int:
-    """J_n(D): signed count of crossings with index value n (n != 0)."""
-    if n == 0:
-        raise ZeroIndexRequest("n-th writhe is defined for nonzero n only")
-    return _writhe_table(diagram, _index_table(diagram)).get(n, 0)
-
-
-def dwrithe(diagram: Diagram, n: int) -> int:
-    """dJ_n(D) = J_n(D) - J_{-n}(D) for n >= 1."""
-    if n < 1:
-        raise NonpositiveN(f"dwrithe needs n >= 1, got {n}")
-    return _dj(_writhe_table(diagram, _index_table(diagram)), n)
-
-
-def index_support(diagram: Diagram) -> frozenset[int]:
-    """S(D) = { |Ind(c)| } minus 0; dJ_n vanishes for n outside S(D)."""
-    return frozenset(abs(k) for k in _index_table(diagram).values() if k != 0)
 
 
 @dataclass(frozen=True)
@@ -323,14 +296,6 @@ class FReport:
         return data
 
 
-@dataclass(frozen=True)
-class _SmoothedData:
-    """Writhe tables of every one-crossing smoothing, computed once."""
-
-    writhes: dict[str, dict[int, int]]
-    supports: frozenset[int]
-
-
 def _between(seq: list, a: int, b: int) -> list:
     """The cyclic run of ``seq`` strictly after position a and before b."""
     return seq[a + 1 : b] if a < b else seq[a + 1 :] + seq[:b]
@@ -347,37 +312,21 @@ def _smoothed_writhes(word: _Word, c: int) -> dict[int, int]:
     o, u = word.opos[c], word.upos[c]
     seg = _between(word.cross, u, o)
     cross = _between(word.cross, o, u) + seg[::-1]
-    if not cross:
-        return {}
     over = _between(word.over, o, u) + _between(word.over, u, o)[::-1]
     sign = word.sign[:]
     for k in seg:  # a crossing with both endpoints in S flips back
         sign[k] = -sign[k]
-    ind = _indices(cross, over, sign)
-    writhes: dict[int, int] = {}
-    for k in range(len(sign)):
-        if k != c:
-            writhes[ind[k]] = writhes.get(ind[k], 0) + sign[k]
-    return writhes
+    return _writhes(_indices(cross, over, sign), sign, c)
 
 
-def _smoothed_data(word: _Word) -> _SmoothedData:
-    writhes: dict[str, dict[int, int]] = {}
-    support: set[int] = set()
-    for c, name in enumerate(word.ids):
-        table = _smoothed_writhes(word, c)
-        writhes[name] = table
-        support.update(abs(k) for k in table if k != 0)
-    return _SmoothedData(writhes, frozenset(support))
-
-
-def _dj_table(data: _SmoothedData, ids: list[str], n_max: int) -> tuple[tuple[int, ...], ...]:
-    """dJ_n(D_c) for n = 1 .. n_max+1 (rows) and every crossing c of
-    ``ids`` (columns), in one pass over the smoothed writhe tables:
-    J_k(D_c) adds to row k and J_{-k}(D_c) subtracts from it."""
-    rows = [[0] * len(ids) for _ in range(n_max + 2)]  # row 0 collects J_0, dropped
-    for col, name in enumerate(ids):
-        for k, j in data.writhes[name].items():
+def _dj_table(smoothed: list[dict[int, int]], n_max: int) -> tuple[tuple[int, ...], ...]:
+    """dJ_n(D_c) for n = 1 .. n_max+1 (rows) and every crossing c
+    (columns, in the order of ``smoothed``), in one pass over the
+    smoothed writhe tables: J_k(D_c) adds to row k and J_{-k}(D_c)
+    subtracts from it."""
+    rows = [[0] * len(smoothed) for _ in range(n_max + 2)]  # row 0 collects J_0, dropped
+    for col, table in enumerate(smoothed):
+        for k, j in table.items():
             rows[abs(k)][col] += j if k > 0 else -j
     return tuple(map(tuple, rows[1:]))
 
@@ -411,11 +360,12 @@ def f_sequence(diagram: Diagram) -> FReport:
     match the tail the engine would be wrong, hence the hard error.
     """
     word = _Word(diagram)
-    ind = _word_index(word)
-    writhes = _writhe_table(diagram, ind)
-    data = _smoothed_data(word)
-    n_max = max(data.supports.union(map(abs, ind.values())), default=0)
-    table = _dj_table(data, word.ids, n_max)
+    indices = _indices(word.cross, word.over, word.sign)
+    ind = dict(zip(word.ids, indices))
+    writhes = _writhes(indices, word.sign, None)
+    smoothed = [_smoothed_writhes(word, c) for c in range(len(word.ids))]
+    n_max = max(map(abs, chain(writhes, *smoothed)), default=0)
+    table = _dj_table(smoothed, n_max)
     tail = _affine(diagram, ind)
     per_n = {
         n: _f_poly(ind.values(), word.sign, row, _dj(writhes, n))

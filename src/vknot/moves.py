@@ -221,7 +221,7 @@ def _draw_r2_insert(rng: Lcg, ents: list[Entry], arcs) -> tuple:
 
 
 class _Move(NamedTuple):
-    keys: tuple[str, ...]  # step-dict keys of the parameters, in order
+    keys: dict[str, type]  # step-dict key of each parameter, in order -> its JSON type
     sites: Callable  # word -> the sites of one scan; empty if the move cannot apply
     draw: Callable  # (rng, word, sites) -> parameters
     rewrite: Callable  # (word, sites, *parameters) -> None; rewrites in place or raises
@@ -229,13 +229,14 @@ class _Move(NamedTuple):
 
 # Insertions apply on every word with enough arcs; their "sites" are those arcs.
 _MOVES = {
-    "R1+": _Move(("arc", "sign", "over_first"), lambda w: range(max(len(w), 1)),
+    "R1+": _Move({"arc": int, "sign": int, "over_first": bool}, lambda w: range(max(len(w), 1)),
                  _draw_r1_insert, _r1_insert),
-    "R1-": _Move(("site",), _r1_sites, lambda rng, w, s: (rng.choice(s),), _r1_remove),
-    "R2+": _Move(("arc1", "arc2", "over_first"), lambda w: range(len(w) if len(w) > 1 else 0),
-                 _draw_r2_insert, _r2_insert),
-    "R2-": _Move(("site",), _r2_sites, lambda rng, w, s: (list(rng.choice(s)),), _r2_remove),
-    "R3": _Move(("p", "q", "r"), _r3_patterns, lambda rng, w, s: rng.choice(list(s)), _r3_apply),
+    "R1-": _Move({"site": int}, _r1_sites, lambda rng, w, s: (rng.choice(s),), _r1_remove),
+    "R2+": _Move({"arc1": int, "arc2": int, "over_first": bool},
+                 lambda w: range(len(w) if len(w) > 1 else 0), _draw_r2_insert, _r2_insert),
+    "R2-": _Move({"site": list}, _r2_sites, lambda rng, w, s: (list(rng.choice(s)),), _r2_remove),
+    "R3": _Move(dict.fromkeys("pqr", str), _r3_patterns,
+                lambda rng, w, s: rng.choice(list(s)), _r3_apply),
 }
 _KINDS = tuple(_MOVES)
 
@@ -324,10 +325,12 @@ class MoveScript:
     def apply(self, diagram: Diagram) -> Diagram:
         cur = diagram
         for step in self.steps:
-            kind = step["move"]
-            if kind not in _MOVES:
-                raise MoveError(f"unknown move kind {kind!r}")
-            cur = _on_diagram(kind, cur, *[step[key] for key in _MOVES[kind].keys])
+            if type(step) is not dict or step.get("move") not in _KINDS:
+                raise MoveError(f"unknown move kind in step {step!r}")
+            keys = _MOVES[step["move"]].keys  # exact types: a JSON true is not an int
+            if any(type(step.get(key)) is not t for key, t in keys.items()):
+                raise MoveError(f"malformed step {step!r}: needs {', '.join(keys)}")
+            cur = _on_diagram(step["move"], cur, *[step[key] for key in keys])
         return cur
 
     def to_json(self) -> str:

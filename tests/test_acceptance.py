@@ -12,10 +12,8 @@ from vknot.cli import main
 from vknot.gauss import parse_gauss
 from vknot.invariants import (
     affine_index_polynomial,
-    dwrithe,
     f_polynomial,
     f_sequence,
-    index_value,
 )
 from vknot.laurent import parse_poly
 from vknot.moves import Lcg, fuzz_invariance, random_walk
@@ -37,11 +35,11 @@ def test_criterion_1_worked_example_end_to_end():
 
     started = time.perf_counter()
     d = parse_gauss(EXAMPLE_31)
-    signs = tuple(d.sign(c) for c in ("1", "2", "3"))
-    indices = tuple(index_value(d, c) for c in ("1", "2", "3"))
-    dj = (dwrithe(d, 1), dwrithe(d, 2))
-    t1, t2 = f_sequence(d).t_set(1), f_sequence(d).t_set(2)
     report = f_sequence(d)
+    signs = tuple(d.sign(c) for c in ("1", "2", "3"))
+    indices = tuple(report.index[c] for c in ("1", "2", "3"))
+    dj = (report.dwrithe(1), report.dwrithe(2))
+    t1, t2 = report.t_set(1), report.t_set(2)
     elapsed = time.perf_counter() - started
 
     assert signs == (-1, 1, -1)
@@ -69,10 +67,11 @@ def test_criterion_2_smoothing_oracle():
     checked_values = 0
     for c, values in expected.items():
         smoothed = d.smooth(c)
-        got = {x: (smoothed.sign(x), index_value(smoothed, x)) for x in smoothed.crossings()}
+        report = f_sequence(smoothed)
+        got = {x: (smoothed.sign(x), report.index[x]) for x in smoothed.crossings()}
         assert got == values, f"smoothing at {c}: {got}"
-        assert dwrithe(smoothed, 1) == 0
-        assert dwrithe(smoothed, 2) == 0
+        assert report.dwrithe(1) == 0
+        assert report.dwrithe(2) == 0
         checked_values += 2 * len(values) + 2
     reports = f_sequence(d).crossing_reports((1, 2))
     assert all(rep.smoothed_dwrithe == {1: 0, 2: 0} for rep in reports)
@@ -123,9 +122,10 @@ def test_criterion_5_shared_f_family():
 
     d1 = kauffman_family(1)
     assert {c: d1.sign(c) for c in d1.crossings()} == {"g": -1, "b": -1, "a1": 1}
-    assert {c: index_value(d1, c) for c in d1.crossings()} == {"g": -1, "b": 1, "a1": 0}
-    assert dwrithe(d1, 1) == 0
-    assert f_sequence(d1).t_set(1) == frozenset({"a1", "b", "g"})
+    report = f_sequence(d1)
+    assert {c: report.index[c] for c in d1.crossings()} == {"g": -1, "b": 1, "a1": 0}
+    assert report.dwrithe(1) == 0
+    assert report.t_set(1) == frozenset({"a1", "b", "g"})
     smoothing_table = {
         "a1": ({"b": (1, 1), "g": (1, -1)}, 0),
         "b": ({"a1": (-1, -1), "g": (-1, 1)}, 0),
@@ -133,8 +133,9 @@ def test_criterion_5_shared_f_family():
     }
     for c, (values, dj1) in smoothing_table.items():
         s = d1.smooth(c)
-        assert {x: (s.sign(x), index_value(s, x)) for x in s.crossings()} == values
-        assert dwrithe(s, 1) == dj1
+        smoothed = f_sequence(s)
+        assert {x: (s.sign(x), smoothed.index[x]) for x in s.crossings()} == values
+        assert smoothed.dwrithe(1) == dj1
     _report(5, "F^1 = -t+2-t^-1 for k in {1,3,5,7,9}; k=1 smoothing table exact")
 
 
@@ -148,12 +149,12 @@ def test_criterion_6_mirror_reverse_dwrithe_laws(table_records):
 
     violations = 0
     for d in diagrams:
-        n_max = f_sequence(d).n_max
-        mirrored, reversed_ = d.mirror(), d.reverse()
-        for n in range(1, n_max + 1):
-            if dwrithe(mirrored, n) != dwrithe(d, n):
+        report = f_sequence(d)
+        mirrored, reversed_ = f_sequence(d.mirror()), f_sequence(d.reverse())
+        for n in range(1, report.n_max + 1):
+            if mirrored.dwrithe(n) != report.dwrithe(n):
                 violations += 1
-            if dwrithe(reversed_, n) != -dwrithe(d, n):
+            if reversed_.dwrithe(n) != -report.dwrithe(n):
                 violations += 1
     assert violations == 0
     _report(6, f"dwrithe laws hold on {len(diagrams)} diagrams (116 table + 100 walked)")
@@ -203,7 +204,7 @@ def test_criterion_9_rotation_invariance(table_records):
             report.fingerprint(),
             report.stable_tail,
             affine_index_polynomial(d),
-            frozenset((n, dwrithe(d, n)) for n in ns),
+            frozenset((n, report.dwrithe(n)) for n in ns),
             frozenset((n, f_sequence(d).t_set(n)) for n in ns),
             per_crossing,
         )

@@ -352,6 +352,14 @@ def test_verify_moves_rejects_negative_trials(capsys):
     assert err == "error: trials must be >= 0\n"
 
 
+def test_verify_moves_rejects_negative_steps_without_trials(capsys):
+    # With no walks to run, nothing downstream would ever see the bad value.
+    code, out, err = run(capsys, "verify-moves", "3.1", "--trials", "0", "--steps", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: steps must be >= 0\n"
+
+
 def test_verify_moves_reports_replayable_failures(capsys, monkeypatch):
     # A walk that lands on another knot must be reported with its script.
     walk = vknot.moves.random_walk

@@ -122,6 +122,12 @@ def test_constructor_rejects_bad_entries():
         Diagram([Entry("1", True, 2), Entry("1", False, 2)])
 
 
+@pytest.mark.parametrize("flag", ["yes", "", 1, 0, None])
+def test_constructor_rejects_non_bool_pass_flags(flag):
+    with pytest.raises(MalformedToken):
+        Diagram([Entry("1", flag, 1), Entry("1", False, 1)])
+
+
 @given(diagrams())
 def test_parse_format_round_trip(d):
     assert parse_gauss(format_gauss(d)) == d

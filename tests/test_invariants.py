@@ -5,20 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import diagrams
-from vknot.gauss import Diagram, UnknownCrossing, parse_gauss
+from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import (
     EmptyDiagram,
     InternalInconsistency,
     NonpositiveN,
-    ZeroIndexRequest,
     affine_index_polynomial,
     arc_labels,
-    dwrithe,
     f_polynomial,
     f_sequence,
-    index_support,
-    index_value,
-    n_writhe,
 )
 from vknot.laurent import LaurentPoly2, parse_poly
 
@@ -91,25 +86,22 @@ def test_labels_rule_and_oracle_on_whole_table(table_records):
 
 
 def test_index_values_example(example_31):
-    assert index_value(example_31, "1") == -1
-    assert index_value(example_31, "2") == 1
-    assert index_value(example_31, "3") == 2
+    index = f_sequence(example_31).index
+    assert index["1"] == -1
+    assert index["2"] == 1
+    assert index["3"] == 2
 
 
 def test_index_value_kink_is_zero():
-    assert index_value(parse_gauss("O1+ U1+"), "1") == 0
-    assert index_value(parse_gauss("U1- O1-"), "1") == 0
-
-
-def test_index_value_unknown_crossing(example_31):
-    with pytest.raises(UnknownCrossing):
-        index_value(example_31, "zz")
+    assert f_sequence(parse_gauss("O1+ U1+")).index["1"] == 0
+    assert f_sequence(parse_gauss("U1- O1-")).index["1"] == 0
 
 
 @given(diagrams(min_crossings=1))
 def test_index_sign_weighted_sum_vanishes(d):
     # sum_c sgn(c) Ind(c) = 0 on every knot diagram.
-    assert sum(d.sign(c) * index_value(d, c) for c in d.crossings()) == 0
+    index = f_sequence(d).index
+    assert sum(d.sign(c) * index[c] for c in d.crossings()) == 0
 
 
 # -- affine index polynomial --------------------------------------------------------
@@ -132,47 +124,50 @@ def test_affine_polynomial_pure_t(d):
 def test_writhe_is_affine_coefficient(d):
     # J_n is the coefficient of t^n in P_D(t) for every n != 0.
     poly = affine_index_polynomial(d)
+    writhes = f_sequence(d).writhes
     for n in range(-6, 7):
         if n:
-            assert n_writhe(d, n) == poly.coefficient(n)
+            assert writhes.get(n, 0) == poly.coefficient(n)
 
 
 # -- writhes, dwrithes, support -----------------------------------------------------
 
 
+def support(report) -> set[int]:
+    """S(D) = { |Ind(c)| } minus 0; dJ_n vanishes for n outside S(D)."""
+    return {abs(k) for k in report.index.values() if k}
+
+
 def test_writhes_example(example_31):
-    assert n_writhe(example_31, 1) == 1
-    assert n_writhe(example_31, -1) == -1
-    assert n_writhe(example_31, 2) == -1
-    assert n_writhe(UNKNOT, 3) == 0
-
-
-def test_writhe_rejects_zero(example_31):
-    with pytest.raises(ZeroIndexRequest):
-        n_writhe(example_31, 0)
+    writhes = f_sequence(example_31).writhes
+    assert writhes.get(1, 0) == 1
+    assert writhes.get(-1, 0) == -1
+    assert writhes.get(2, 0) == -1
+    assert f_sequence(UNKNOT).writhes.get(3, 0) == 0
 
 
 def test_dwrithe_example(example_31):
-    assert dwrithe(example_31, 1) == 2
-    assert dwrithe(example_31, 2) == -1
-    assert dwrithe(example_31, 3) == 0
+    report = f_sequence(example_31)
+    assert report.dwrithe(1) == 2
+    assert report.dwrithe(2) == -1
+    assert report.dwrithe(3) == 0
     with pytest.raises(NonpositiveN):
-        dwrithe(example_31, 0)
+        report.dwrithe(0)
 
 
 def test_index_support_examples(example_31):
-    assert index_support(UNKNOT) == frozenset()
-    assert index_support(example_31) == frozenset({1, 2})
+    assert support(f_sequence(UNKNOT)) == set()
+    assert support(f_sequence(example_31)) == {1, 2}
 
 
 @given(diagrams())
 def test_writhe_vanishes_outside_support(d):
-    support = index_support(d)
+    report = f_sequence(d)
     for n in range(1, 8):
-        if n not in support:
-            assert n_writhe(d, n) == 0
-            assert n_writhe(d, -n) == 0
-            assert dwrithe(d, n) == 0
+        if n not in support(report):
+            assert report.writhes.get(n, 0) == 0
+            assert report.writhes.get(-n, 0) == 0
+            assert report.dwrithe(n) == 0
 
 
 # -- T_n and F-polynomials ----------------------------------------------------------
@@ -268,30 +263,29 @@ def test_f_stabilizes_beyond_n_max(d):
 @settings(max_examples=60)
 def test_rotation_invariance(d, k):
     r = d.rotate(k)
+    rotated, report = f_sequence(r), f_sequence(d)
     assert affine_index_polynomial(r) == affine_index_polynomial(d)
-    assert {c: index_value(r, c) for c in r.crossings()} == {
-        c: index_value(d, c) for c in d.crossings()
-    }
+    assert rotated.index == report.index
     for n in (1, 2, 3):
-        assert dwrithe(r, n) == dwrithe(d, n)
-        assert f_sequence(r).t_set(n) == f_sequence(d).t_set(n)
-    assert f_sequence(r).fingerprint() == f_sequence(d).fingerprint()
+        assert rotated.dwrithe(n) == report.dwrithe(n)
+        assert rotated.t_set(n) == report.t_set(n)
+    assert rotated.fingerprint() == report.fingerprint()
 
 
 @given(diagrams())
 @settings(max_examples=60)
 def test_mirror_preserves_dwrithe(d):
-    m = d.mirror()
+    mirrored, report = f_sequence(d.mirror()), f_sequence(d)
     for n in range(1, 6):
-        assert dwrithe(m, n) == dwrithe(d, n)
+        assert mirrored.dwrithe(n) == report.dwrithe(n)
 
 
 @given(diagrams())
 @settings(max_examples=60)
 def test_reverse_negates_dwrithe(d):
-    r = d.reverse()
+    reversed_, report = f_sequence(d.reverse()), f_sequence(d)
     for n in range(1, 6):
-        assert dwrithe(r, n) == -dwrithe(d, n)
+        assert reversed_.dwrithe(n) == -report.dwrithe(n)
 
 
 @given(diagrams(min_crossings=1))

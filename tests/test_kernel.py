@@ -1,11 +1,13 @@
 """The integer analysis kernel against independent oracles.
 
-For every crossing c the kernel's writhe table J_k(D_c), and the support
-of all smoothings together, must equal what the validated smoothed
-diagram gives: ``_writhe_table(d.smooth(c), _index_table(d.smooth(c)))``.
-The ``FReport`` views T_n and the per-crossing reports, read from the
-one dJ_n(D_c) table, must equal ``dwrithe(d.smooth(c), n)`` for every n.
-Ind(c) must equal a count read off the raw Gauss code with no arc labels.
+Ind(c) must equal ``interlacement_index``, a count read off the raw
+Gauss code with no arc labels.  The oracle writhe table of a diagram is
+built from that count and the signs alone, so it shares no code with the
+kernel.  For every crossing c the kernel's writhe table J_k(D_c), and
+the support of all smoothings together, must equal the oracle table of
+the validated smoothed diagram ``d.smooth(c)``.  The ``FReport`` views
+T_n and the per-crossing reports, read from the one dJ_n(D_c) table,
+must equal the dwrithes of those oracle tables for every n.
 """
 
 import pytest
@@ -13,30 +15,53 @@ from hypothesis import given, settings
 
 from conftest import diagrams, random_code
 from vknot.gauss import Diagram, parse_gauss
-from vknot.invariants import (
-    _index_table,
-    _smoothed_data,
-    _Word,
-    _writhe_table,
-    dwrithe,
-    f_sequence,
-)
+from vknot.invariants import _index_table, _smoothed_writhes, _Word, f_sequence
+
+
+def interlacement_index(d: Diagram) -> dict[str, int]:
+    """Ind(c) as the sum over the passes strictly between the Over and the
+    Under pass of c, in cyclic order, of s_j for an Over pass and -s_j for
+    an Under pass.  Reads only the raw entries: no arc labels."""
+    entries = d.entries
+    size = len(entries)
+    over_at = {e.crossing: i for i, e in enumerate(entries) if e.over}
+    under_at = {e.crossing: i for i, e in enumerate(entries) if not e.over}
+    ind = {}
+    for c, start in over_at.items():
+        total = 0
+        i = (start + 1) % size
+        while i != under_at[c]:
+            total += entries[i].sign if entries[i].over else -entries[i].sign
+            i = (i + 1) % size
+        ind[c] = total
+    return ind
+
+
+def writhe_table(d: Diagram) -> dict[int, int]:
+    """J_k(D) for every index value k, from ``interlacement_index`` and the signs."""
+    table: dict[int, int] = {}
+    for c, k in interlacement_index(d).items():
+        table[k] = table.get(k, 0) + d.sign(c)
+    return table
+
+
+def dj(table: dict[int, int], n: int) -> int:
+    return table.get(n, 0) - table.get(-n, 0)
+
+
+def support(writhes: dict[str, dict[int, int]]) -> frozenset[int]:
+    return frozenset(abs(k) for table in writhes.values() for k in table if k != 0)
 
 
 def oracle(d: Diagram) -> tuple[dict[str, dict[int, int]], frozenset[int]]:
-    writhes = {}
-    support: set[int] = set()
-    for c in d.crossings():
-        smoothed = d.smooth(c)
-        ind = _index_table(smoothed)
-        writhes[c] = _writhe_table(smoothed, ind)
-        support.update(abs(k) for k in ind.values() if k != 0)
-    return writhes, frozenset(support)
+    writhes = {c: writhe_table(d.smooth(c)) for c in d.crossings()}
+    return writhes, support(writhes)
 
 
 def kernel(d: Diagram) -> tuple[dict[str, dict[int, int]], frozenset[int]]:
-    data = _smoothed_data(_Word(d))
-    return data.writhes, data.supports
+    word = _Word(d)
+    writhes = {name: _smoothed_writhes(word, c) for c, name in enumerate(word.ids)}
+    return writhes, support(writhes)
 
 
 def test_kernel_matches_oracle_on_table(table_records):
@@ -86,11 +111,11 @@ def test_kernel_unknot():
 
 def assert_views_match_smoothings(d: Diagram) -> None:
     report = f_sequence(d)
-    smoothed = {c: d.smooth(c) for c in d.crossings()}
+    writhes, smoothed = writhe_table(d), oracle(d)[0]
     # Two past the table's last row (n_max+1), which every view reads as zeros.
     for n in range(1, report.n_max + 4):
-        d_n = dwrithe(d, n)
-        dc = {c: dwrithe(s, n) for c, s in smoothed.items()}
+        d_n = dj(writhes, n)
+        dc = {c: dj(table, n) for c, table in smoothed.items()}
         assert report.t_set(n) == {c for c in dc if abs(dc[c]) == abs(d_n)}, (str(d), n)
         got = {r.crossing: r.smoothed_dwrithe for r in report.crossing_reports([n])}
         assert got == {c: {n: v} for c, v in dc.items()}, (str(d), n)
@@ -108,25 +133,6 @@ def test_views_match_smoothings_on_random_diagrams(seed):
 
 
 # -- Ind(c) from the raw Gauss code ------------------------------------------------
-
-
-def interlacement_index(d: Diagram) -> dict[str, int]:
-    """Ind(c) as the sum over the passes strictly between the Over and the
-    Under pass of c, in cyclic order, of s_j for an Over pass and -s_j for
-    an Under pass.  Reads only the raw entries: no arc labels."""
-    entries = d.entries
-    size = len(entries)
-    over_at = {e.crossing: i for i, e in enumerate(entries) if e.over}
-    under_at = {e.crossing: i for i, e in enumerate(entries) if not e.over}
-    ind = {}
-    for c, start in over_at.items():
-        total = 0
-        i = (start + 1) % size
-        while i != under_at[c]:
-            total += entries[i].sign if entries[i].over else -entries[i].sign
-            i = (i + 1) % size
-        ind[c] = total
-    return ind
 
 
 def test_index_oracle_on_table(table_records):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import vknot.moves
 from conftest import diagrams
 from vknot.gauss import Diagram, format_gauss, parse_gauss
-from vknot.invariants import affine_index_polynomial, dwrithe, f_sequence
+from vknot.invariants import affine_index_polynomial, f_sequence
 from vknot.moves import (
     InvalidArc,
     Lcg,
@@ -189,6 +189,24 @@ def test_script_rejects_unknown_move(example_31):
         MoveScript(({"move": "R9"},)).apply(example_31)
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        {"move": "R1+"},  # parameters missing
+        {"move": "R1-", "site": "x"},
+        "R1+",  # not a dict
+        {"move": "R1+", "arc": 0, "sign": 1, "over_first": "no"},
+        {"move": "R1+", "arc": 0, "sign": True, "over_first": True},
+        {"move": "R2-", "site": 5},
+        {"move": "R3", "p": ["1"], "q": "2", "r": "3"},
+        {"move": ["R1+"]},
+    ],
+)
+def test_script_rejects_malformed_steps(example_31, step):
+    with pytest.raises(MoveError):
+        MoveScript((step,)).apply(example_31)
+
+
 def test_walk_builds_one_diagram_and_scans_once_per_step(table_records, monkeypatch):
     # The walk rewrites one entry list and validates it once, at the end;
     # a drawn R2- or R3 is applied from the scan it was drawn from.
@@ -231,8 +249,9 @@ def test_walk_builds_one_diagram_and_scans_once_per_step(table_records, monkeypa
 def test_walks_preserve_all_invariants(d, seed):
     walked, _ = random_walk(d, 6, seed)
     assert affine_index_polynomial(walked) == affine_index_polynomial(d)
+    after, before = f_sequence(walked), f_sequence(d)
     for n in (1, 2, 3):
-        assert dwrithe(walked, n) == dwrithe(d, n)
+        assert after.dwrithe(n) == before.dwrithe(n)
     assert fp(walked) == fp(d)
 
 

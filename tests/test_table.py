@@ -5,11 +5,8 @@ import pytest
 from vknot.gauss import parse_gauss
 from vknot.invariants import (
     affine_index_polynomial,
-    dwrithe,
     f_polynomial,
     f_sequence,
-    index_support,
-    index_value,
 )
 from vknot.laurent import parse_poly
 from vknot.table import (
@@ -49,9 +46,10 @@ def test_classical_records_have_zero_invariants(table_records):
     for name in ("3.6", "4.108"):
         record = next(r for r in table_records if r.name == name)
         d = record.diagram()
+        report = f_sequence(d)
         assert affine_index_polynomial(d).is_zero()
-        assert all(index_value(d, c) == 0 for c in d.crossings())
-        assert all(p.is_zero() for _, p in f_sequence(d).fingerprint())
+        assert all(report.index[c] == 0 for c in d.crossings())
+        assert all(p.is_zero() for _, p in report.fingerprint())
 
 
 def test_load_table_missing_dir(tmp_path):
@@ -186,12 +184,13 @@ def test_family_rejects_bad_k():
 def test_family_k1_matches_published_values():
     d = kauffman_family(1)
     assert {c: d.sign(c) for c in d.crossings()} == {"a1": 1, "b": -1, "g": -1}
-    assert index_value(d, "a1") == 0
-    assert index_value(d, "b") == 1
-    assert index_value(d, "g") == -1
-    assert dwrithe(d, 1) == 0
-    assert index_support(d) == frozenset({1})
-    assert f_sequence(d).t_set(1) == frozenset({"a1", "b", "g"})
+    report = f_sequence(d)
+    assert report.index["a1"] == 0
+    assert report.index["b"] == 1
+    assert report.index["g"] == -1
+    assert report.dwrithe(1) == 0
+    assert {abs(k) for k in report.index.values() if k} == {1}
+    assert report.t_set(1) == frozenset({"a1", "b", "g"})
     assert affine_index_polynomial(d) == parse_poly("-t^-1+2-t")
 
 
@@ -207,8 +206,9 @@ def test_family_k1_smoothing_table():
     }
     for c, values in expected.items():
         s = d.smooth(c)
-        assert {x: (s.sign(x), index_value(s, x)) for x in s.crossings()} == values
-        assert dwrithe(s, 1) == 0
+        report = f_sequence(s)
+        assert {x: (s.sign(x), report.index[x]) for x in s.crossings()} == values
+        assert report.dwrithe(1) == 0
 
 
 def test_family_shares_f_polynomial_for_odd_k():

@@ -39,6 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from vknot.gauss import Diagram, Entry, format_gauss, parse_gauss
 from vknot.invariants import f_sequence
 from vknot.laurent import parse_poly
+from vknot.table import _name_key as name_key
 
 PINNED = {
     # Worked three-crossing example, orientation matching the published table.
@@ -51,11 +52,6 @@ PINNED = {
 }
 
 MAX_PER_BUCKET = 64
-
-
-def name_key(name: str) -> tuple[int, int]:
-    a, b = name.split(".")
-    return int(a), int(b)
 
 
 def load_expected(path: Path) -> dict[str, tuple[tuple[int, str], ...]]:
