@@ -46,19 +46,21 @@ and ``f_polynomial`` is ``f_sequence(diagram).f_at(n)``.
 
 The analysis runs on an integer kernel.  The diagram is turned once
 into int lists: crossings relabelled 0..m-1 in first-appearance order,
-the crossing and pass flag at each position, and the sign, Over
-position and Under position of each crossing.  Each smoothing D_c is
-built on those lists as a new int word, by the convention of
-``Diagram.smooth``: the segment from the Over pass to the Under pass
-forward, then the other segment reversed, negating the sign of each
-crossing with exactly one endpoint in the reversed segment.  One
-labelling routine labels D and every D_c, relative to arc 0 (label 0):
-Ind(c) is a difference of two labels, so the absolute base cancels, and
-only ``arc_labels`` evaluates it.  One writhe routine builds the J_k
-table of D and of every D_c (c left out) from the int lists, so no
-``Diagram`` is built or validated per smoothing.
-``Diagram.smooth`` stays the public transform and the kernel's test
-oracle.
+the crossing and pass flag at each position (twice round the cycle, so
+that every cyclic run of positions is one slice), and the sign, Over
+position and Under position of each crossing.  One index routine walks
+a sequence of passes once with a running label, adding the label into
+Ind at an Over pass and subtracting it at an Under pass; the label
+starts at 0, since Ind(c) is a difference of two labels and the steps
+of a closed word sum to zero (only ``arc_labels`` evaluates the base).
+It walks D over its positions, and each smoothing D_c over D's own
+positions in the order of ``Diagram.smooth``: the run from the Over
+pass to the Under pass forward, then the other run backward, with the
+sign of each crossing with exactly one endpoint in that backward run
+negated.  So no smoothed word is assembled and no ``Diagram`` built
+per smoothing.  One writhe routine builds the J_k table of D and of every
+D_c (c left out) from the indices and signs.  ``Diagram.smooth`` stays
+the public transform and the kernel's test oracle.
 
 All functions are pure; diagrams are immutable; nothing here shares
 mutable state.
@@ -68,6 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from operator import neg
 from typing import Iterable
 
 from .gauss import Diagram
@@ -88,51 +91,46 @@ class InternalInconsistency(RuntimeError):
 
 class _Word:
     """A diagram as int lists, with its crossings relabelled 0..m-1 in
-    first-appearance order (``ids[k]`` is the id of crossing k)."""
+    first-appearance order (``ids[k]`` is the id of crossing k).
 
-    __slots__ = ("ids", "cross", "over", "sign", "opos", "upos")
+    ``cross2`` and ``passes2`` run twice round the cycle, so every
+    cyclic run of positions is one plain slice of them."""
+
+    __slots__ = ("ids", "passes", "cross2", "passes2", "sign", "opos", "upos")
 
     def __init__(self, diagram: Diagram):
         self.ids = diagram.crossings()
         number = {c: k for k, c in enumerate(self.ids)}
-        self.cross = [number[e.crossing] for e in diagram.entries]  # crossing at each position
-        self.over = [e.over for e in diagram.entries]  # pass flag at each position
+        cross = [number[e.crossing] for e in diagram.entries]
+        self.passes = list(zip(cross, [e.over for e in diagram.entries]))  # (crossing, pass flag)
+        self.cross2 = cross * 2
+        self.passes2 = self.passes * 2
         self.sign = [diagram.sign(c) for c in self.ids]  # sign of each crossing
         self.opos = [0] * len(self.ids)  # Over position of each crossing
         self.upos = [0] * len(self.ids)  # Under position of each crossing
-        for pos, (k, o) in enumerate(zip(self.cross, self.over)):
+        for pos, (k, o) in enumerate(self.passes):
             (self.opos if o else self.upos)[k] = pos
 
 
-def _labels(cross: list[int], over: list[bool], sign: list[int]) -> list[int]:
-    """Arc labels of an int word relative to arc 0; entry i is the label
-    of the arc after pass i minus the label of arc 0 (so entry 0 is 0).
+def _indices(passes: Iterable[tuple[int, bool]], sign: list[int]) -> list[int]:
+    """Ind(k) for every crossing k of the word whose passes, in order,
+    are ``passes``; ``sign`` is indexed by crossing.
 
-    ``sign`` is indexed by crossing.  This is the one labelling routine,
-    for a diagram and for each of its smoothings alike.  Ind(c) is a
-    difference of two labels, so it does not need the absolute base;
-    ``arc_labels`` adds it.
+    This is the one index routine, for a diagram and for each of its
+    smoothings alike.  It walks the cycle once with a running label
+    that starts at 0: Ind(k) is a difference of two labels and the
+    steps of a closed word sum to zero, so the base cancels.  Entries
+    of crossings absent from the word are meaningless.
     """
-    if not cross:
-        raise EmptyDiagram("the unknot diagram has no arcs")
-    # Propagate the local rule around the cycle from arc 0.
-    steps = [-sign[k] if o else sign[k] for k, o in zip(cross[1:], over[1:])]
-    return list(accumulate(steps, initial=0))
-
-
-def _indices(cross: list[int], over: list[bool], sign: list[int]) -> list[int]:
-    """Ind(k) for every crossing k of an int word, indexed by k ([] for
-    the empty word).
-
-    Entries of crossings absent from the word are meaningless.
-    """
-    if not cross:
-        return []
-    labels = _labels(cross, over, sign)
-    ind = [-s for s in sign]
-    # The arc into pass i is the one after pass i-1 (after the last, for i = 0).
-    for k, o, into in zip(cross, over, labels[-1:] + labels[:-1]):
-        ind[k] += into if o else -into
+    ind = list(map(neg, sign))
+    label = 0  # of the arc into the current pass
+    for k, over in passes:
+        if over:
+            ind[k] += label
+            label -= sign[k]
+        else:
+            ind[k] -= label
+            label += sign[k]
     return ind
 
 
@@ -143,21 +141,24 @@ def arc_labels(diagram: Diagram) -> list[int]:
     module docstring; the local +-sgn rule around each crossing holds
     by construction and is property-tested.
     """
+    if not diagram.entries:
+        raise EmptyDiagram("the unknot diagram has no arcs")
     word = _Word(diagram)
-    cross, over = word.cross, word.over
-    labels = _labels(cross, over, word.sign)
+    passes = word.passes
     # Direct evaluation for arc 0 (the arc between passes 0 and 1): a
     # crossing counts when the first of its passes met after arc 0 is
     # Over.  Fed those passes in reverse, the dict keeps each first one.
-    first = dict(zip(cross[:1] + cross[:0:-1], over[:1] + over[:0:-1]))
+    first = dict(passes[:1] + passes[:0:-1])
     base = sum([word.sign[k] for k, o in first.items() if o])
-    return [base + label for label in labels]
+    # Propagate the local rule around the cycle from arc 0.
+    steps = [-word.sign[k] if o else word.sign[k] for k, o in passes[1:]]
+    return list(accumulate(steps, initial=base))
 
 
 def _index_table(diagram: Diagram) -> dict[str, int]:
     """Ind(c) for every crossing; {} for the unknot."""
     word = _Word(diagram)
-    return dict(zip(word.ids, _indices(word.cross, word.over, word.sign)))
+    return dict(zip(word.ids, _indices(word.passes, word.sign)))
 
 
 def affine_index_polynomial(diagram: Diagram) -> LaurentPoly2:
@@ -166,35 +167,33 @@ def affine_index_polynomial(diagram: Diagram) -> LaurentPoly2:
 
 
 def _affine(diagram: Diagram, ind: dict[str, int]) -> LaurentPoly2:
-    triples: list[tuple[int, int, int]] = []
+    terms: dict[tuple[int, int], int] = {}
+    get = terms.get
     for c, k in ind.items():
         s = diagram.sign(c)
-        triples.append((k, 0, s))
-        triples.append((0, 0, -s))
-    return LaurentPoly2.from_terms(triples)
+        terms[k, 0] = get((k, 0), 0) + s
+        terms[0, 0] = get((0, 0), 0) - s
+    return LaurentPoly2(terms)
 
 
-def _writhes(ind: list[int], sign: list[int], left_out: int | None) -> dict[int, int]:
+def _writhes(ind: list[int], sign: list[int]) -> dict[int, int]:
     """J_k for every index value k of the crossings (other k give 0), from
-    Ind and sgn indexed by crossing, leaving out crossing ``left_out``.
+    Ind and sgn indexed by crossing.
 
-    This is the one writhe routine, for a diagram (nothing left out) and
-    for each smoothing D_c (c left out: it is not a crossing of D_c).
+    This is the one writhe routine, for a diagram and for each
+    smoothing D_c (whose lists have c deleted: it is not a crossing of
+    D_c).  A key stays even when its signs sum to 0, since n_max reads
+    the keys.
     """
     table: dict[int, int] = {}
-    for k, (i, s) in enumerate(zip(ind, sign)):
-        if k != left_out:
-            table[i] = table.get(i, 0) + s
+    get = table.get
+    for i, s in zip(ind, sign):
+        table[i] = get(i, 0) + s
     return table
 
 
 def _dj(writhes: dict[int, int], n: int) -> int:
     return writhes.get(n, 0) - writhes.get(-n, 0)
-
-
-def _in_t_n(smoothed_dj: int, d_n: int) -> bool:
-    """The T_n predicate |dJ_n(D_c)| == |dJ_n(D)|."""
-    return abs(smoothed_dj) == abs(d_n)
 
 
 @dataclass(frozen=True)
@@ -253,10 +252,8 @@ class FReport:
         """T_n(D): crossings whose smoothing preserves |dJ_n|, for any n >= 1."""
         if n < 1:
             raise NonpositiveN(f"T_n needs n >= 1, got {n}")
-        d_n = _dj(self.writhes, n)
-        return frozenset(
-            c for c, dc in zip(self.index, self.smoothed_row(n)) if _in_t_n(dc, d_n)
-        )
+        size = abs(_dj(self.writhes, n))
+        return frozenset(c for c, dc in zip(self.index, self.smoothed_row(n)) if abs(dc) == size)
 
     def crossing_reports(self, n_range: Iterable[int]) -> list[CrossingReport]:
         """Sign, index and smoothed dwrithes per crossing, in traversal order."""
@@ -296,27 +293,27 @@ class FReport:
         return data
 
 
-def _between(seq: list, a: int, b: int) -> list:
-    """The cyclic run of ``seq`` strictly after position a and before b."""
-    return seq[a + 1 : b] if a < b else seq[a + 1 :] + seq[:b]
-
-
 def _smoothed_writhes(word: _Word, c: int) -> dict[int, int]:
-    """J_k(D_c) for the smoothing at crossing c, built on the int lists.
+    """J_k(D_c) for the smoothing at crossing c, read off D's int lists.
 
-    The smoothed word is the segment from the Over pass to the Under
-    pass forward, then the segment S from the Under pass to the Over
-    pass reversed; a crossing with exactly one endpoint in S changes
-    sign (the ``gauss`` module docstring, ``Diagram.smooth``).
+    D_c is the segment from the Over pass to the Under pass forward,
+    then the segment S from the Under pass to the Over pass reversed; a
+    crossing with exactly one endpoint in S changes sign (the ``gauss``
+    module docstring, ``Diagram.smooth``).  The index walk reads those
+    two runs as slices of D's doubled pass list, so D_c is never
+    assembled.
     """
     o, u = word.opos[c], word.upos[c]
-    seg = _between(word.cross, u, o)
-    cross = _between(word.cross, o, u) + seg[::-1]
-    over = _between(word.over, o, u) + _between(word.over, u, o)[::-1]
+    n = len(word.passes)
+    uu = u if u > o else u + n  # the Under pass, after o
+    oo = o if o > u else o + n  # the Over pass, after u
     sign = word.sign[:]
-    for k in seg:  # a crossing with both endpoints in S flips back
+    for k in word.cross2[u + 1 : oo]:  # a crossing with both endpoints in S flips back
         sign[k] = -sign[k]
-    return _writhes(_indices(cross, over, sign), sign, c)
+    passes = word.passes2
+    ind = _indices(chain(passes[o + 1 : uu], passes[oo - 1 : u : -1]), sign)
+    del ind[c], sign[c]
+    return _writhes(ind, sign)
 
 
 def _dj_table(smoothed: list[dict[int, int]], n_max: int) -> tuple[tuple[int, ...], ...]:
@@ -334,11 +331,12 @@ def _dj_table(smoothed: list[dict[int, int]], n_max: int) -> tuple[tuple[int, ..
 def _f_poly(ind: Iterable[int], signs: list[int], row: tuple[int, ...], d_n: int) -> LaurentPoly2:
     """F^n from Ind(c), sgn(c) and dJ_n(D_c) per crossing, and d_n = dJ_n(D)."""
     terms: dict[tuple[int, int], int] = {}
+    get = terms.get
+    size = abs(d_n)
     for k, s, dc in zip(ind, signs, row):
-        key = (k, dc)
-        terms[key] = terms.get(key, 0) + s
-        key = (0, dc if _in_t_n(dc, d_n) else d_n)
-        terms[key] = terms.get(key, 0) - s
+        terms[k, dc] = get((k, dc), 0) + s
+        key = (0, dc if abs(dc) == size else d_n)  # c in T_n, or not
+        terms[key] = get(key, 0) - s
     return LaurentPoly2(terms)
 
 
@@ -360,9 +358,9 @@ def f_sequence(diagram: Diagram) -> FReport:
     match the tail the engine would be wrong, hence the hard error.
     """
     word = _Word(diagram)
-    indices = _indices(word.cross, word.over, word.sign)
+    indices = _indices(word.passes, word.sign)
     ind = dict(zip(word.ids, indices))
-    writhes = _writhes(indices, word.sign, None)
+    writhes = _writhes(indices, word.sign)
     smoothed = [_smoothed_writhes(word, c) for c in range(len(word.ids))]
     n_max = max(map(abs, chain(writhes, *smoothed)), default=0)
     table = _dj_table(smoothed, n_max)

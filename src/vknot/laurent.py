@@ -27,11 +27,11 @@ class PolyParseError(ValueError):
 
 
 _TERM_RE = re.compile(
-    r"""^([+-]?)              # sign
-         (\d+)?               # optional coefficient magnitude
-         (?:\*?t(?:\^([+-]?\d+))?)?   # optional t factor
-         (?:\*?l(?:\^([+-]?\d+))?)?   # optional l factor
-         $""",
+    r"""([+-]?)                            # sign
+        ([0-9]+)?                          # optional coefficient magnitude
+        (?:\*?(t)(?:\^([+-]?[0-9]+))?)?    # optional t factor
+        (?:\*?(l)(?:\^([+-]?[0-9]+))?)?    # optional l factor
+     """,
     re.VERBOSE,
 )
 
@@ -170,35 +170,22 @@ def parse_poly(text: str) -> LaurentPoly2:
     """Parse the canonical polynomial syntax produced by ``str()``.
 
     Whitespace is ignored.  ``"0"`` parses to the zero polynomial.
+    Every term after the first starts with a sign, and every term has a
+    coefficient or a variable; digits are ASCII only.
     Round-trips: ``parse_poly(str(p)) == p`` for every polynomial p.
     """
-    s = re.sub(r"\s+", "", text)
+    s = "".join(text.split())
     if not s:
         raise PolyParseError("empty polynomial string")
-    if s == "0":
-        return LaurentPoly2.zero()
-    pieces: list[str] = []
-    cur = ""
-    prev = ""
-    for ch in s:
-        if ch in "+-" and cur and prev not in "^*":
-            pieces.append(cur)
-            cur = ch
-        else:
-            cur += ch
-        prev = ch
-    pieces.append(cur)
-
-    triples: list[tuple[int, int, int]] = []
-    for piece in pieces:
-        m = _TERM_RE.match(piece)
-        if m is None or (m.group(2) is None and "t" not in piece and "l" not in piece):
-            raise PolyParseError(f"bad term {piece!r} in {text!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        mag = int(m.group(2)) if m.group(2) is not None else 1
-        has_t = "t" in piece
-        has_l = "l" in piece
-        e_t = int(m.group(3)) if m.group(3) is not None else (1 if has_t else 0)
-        e_l = int(m.group(4)) if m.group(4) is not None else (1 if has_l else 0)
-        triples.append((e_t, e_l, sign * mag))
-    return LaurentPoly2.from_terms(triples)
+    terms: dict[tuple[int, int], int] = {}
+    pos = 0
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        sign, mag, t, e_t, l, e_l = m.groups()
+        if (pos and not sign) or not (mag or t or l):
+            raise PolyParseError(f"bad polynomial {text!r} near {s[pos:]!r}")
+        key = (int(e_t) if e_t else 1 if t else 0, int(e_l) if e_l else 1 if l else 0)
+        coeff = int(mag) if mag else 1
+        terms[key] = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
+        pos = m.end()
+    return LaurentPoly2(terms)

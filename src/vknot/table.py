@@ -142,12 +142,13 @@ def load_table(directory: Path | None = None) -> list[KnotRecord]:
         if len(parts) != 3:
             raise CorruptData(f"bad fpolys.tsv line: {line!r}")
         name, n_text, poly_text = parts
+        if not (n_text.isascii() and n_text.isdigit()):
+            raise CorruptData(f"bad expected row for {name!r}: n is {n_text!r}")
         try:
-            n = int(n_text)
             poly = parse_poly(poly_text)
-        except (ValueError, PolyParseError) as exc:
+        except PolyParseError as exc:
             raise CorruptData(f"bad expected row for {name!r}: {exc}") from exc
-        expected.setdefault(name, []).append((n, poly))
+        expected.setdefault(name, []).append((int(n_text), poly))
 
     if set(codes) != _EXPECTED_NAMES or set(expected) != _EXPECTED_NAMES:
         odd = (set(codes) | set(expected)) ^ _EXPECTED_NAMES
@@ -219,17 +220,10 @@ def group_by_f_sequence(verdicts: list[MatchVerdict]) -> list[FGroup]:
     tables; a knot and its inverse are never merged unless their
     fingerprints are equal.
     """
-    buckets: dict[tuple[tuple[int, str], ...], list[str]] = {}
-    keys: dict[tuple[tuple[int, str], ...], tuple[tuple[int, LaurentPoly2], ...]] = {}
+    buckets: dict[tuple[tuple[int, LaurentPoly2], ...], list[str]] = {}
     for verdict in verdicts:
-        rows = verdict.report.fingerprint()
-        key = tuple((n, str(p)) for n, p in rows)
-        buckets.setdefault(key, []).append(verdict.name)
-        keys.setdefault(key, rows)
-    groups = [
-        FGroup(keys[key], tuple(sorted(names, key=_name_key)))
-        for key, names in buckets.items()
-    ]
+        buckets.setdefault(verdict.report.fingerprint(), []).append(verdict.name)
+    groups = [FGroup(rows, tuple(sorted(names, key=_name_key))) for rows, names in buckets.items()]
     groups.sort(key=lambda g: _name_key(g.names[0]))
     return groups
 

@@ -245,6 +245,21 @@ def test_tabulate_mismatch_exit_code(capsys, tmp_path, monkeypatch):
     assert "2.1" in err
 
 
+@pytest.mark.parametrize("row", ["2.1\t0_1\t-t^-1+2-t", "2.1\t1\t-t^-1+\uff12-t"])
+def test_tabulate_rejects_non_ascii_digits(capsys, tmp_path, monkeypatch, row):
+    from vknot.table import data_dir
+
+    (tmp_path / "knots.tsv").write_text((data_dir() / "knots.tsv").read_text())
+    rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
+    rows[0] = row
+    (tmp_path / "fpolys.tsv").write_text("\n".join(rows) + "\n")
+    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    code, out, err = run(capsys, "tabulate")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "2.1" in err
+
+
 def test_tabulate_groups_on_reversed_table(capsys, tmp_path, monkeypatch):
     import shutil
 

@@ -210,18 +210,19 @@ def test_f_sequence_unknot():
 
 
 def test_f_sequence_labels_each_diagram_once(example_31, monkeypatch):
-    # One run of the labelling routine for D and one per smoothing:
-    # 3 + 1 on the example, and only one of them on a word of D's length.
+    # One labelling walk for D and one per smoothing: 3 + 1 on the
+    # example, and only one of them over D's length.
     import vknot.invariants
 
-    labels = vknot.invariants._labels
+    walk = vknot.invariants._indices
     lengths = []
 
-    def counting_labels(cross, over, sign):
-        lengths.append(len(cross))
-        return labels(cross, over, sign)
+    def counting_walk(passes, sign):
+        passes = list(passes)
+        lengths.append(len(passes))
+        return walk(passes, sign)
 
-    monkeypatch.setattr(vknot.invariants, "_labels", counting_labels)
+    monkeypatch.setattr(vknot.invariants, "_indices", counting_walk)
     f_sequence(example_31)
     assert len(lengths) == example_31.n_crossings + 1
     assert lengths.count(len(example_31)) == 1

@@ -10,6 +10,9 @@ T_n and the per-crossing reports, read from the one dJ_n(D_c) table,
 must equal the dwrithes of those oracle tables for every n.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -100,6 +103,31 @@ def test_kernel_kink_smooths_to_empty_word(code):
 def test_kernel_adjacent_under_over_passes(code):
     d = parse_gauss(code)
     assert kernel(d) == oracle(d)
+
+
+def enumerate_codes(m: int):
+    """Every m-crossing code, from the table builder's own generator."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "build_knot_table.py"
+    spec = importlib.util.spec_from_file_location("build_knot_table", path)
+    builder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(builder)
+    return builder.enumerate_codes(m)
+
+
+def assert_kernel_matches_every_code(m: int) -> None:
+    """The kernel against the oracle at every crossing of every m-crossing
+    code: 4, 48, 960 and 26,880 codes for m = 1..4.  m = 4 takes about 4 s,
+    which would push the suite past 15 s, so CI runs it as its own step
+    (``.github/workflows/tests.yml``) and the suite runs m <= 3."""
+    for d in enumerate_codes(m):
+        word = _Word(d)
+        for c, name in enumerate(word.ids):
+            assert _smoothed_writhes(word, c) == writhe_table(d.smooth(name)), (str(d), name)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_matches_oracle_on_every_small_code(m):
+    assert_kernel_matches_every_code(m)
 
 
 def test_kernel_unknot():

@@ -1,5 +1,8 @@
 """Laurent polynomial arithmetic, canonical form, formatting, parsing."""
 
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given
 
@@ -78,6 +81,28 @@ def test_parse_rejects_garbage():
     for bad in ["", "t^", "x+1", "2**t", "+", "1..2"]:
         with pytest.raises(PolyParseError):
             parse_poly(bad)
+
+
+@pytest.mark.parametrize("bad", ["t^\u0663", "1\uff12"])  # Arabic-Indic 3, fullwidth 2
+def test_parse_rejects_non_ascii_digits(bad):
+    with pytest.raises(PolyParseError) as info:
+        parse_poly(bad)
+    assert repr(bad) in str(info.value) and "\n" not in str(info.value)
+
+
+def test_parse_pinned_on_every_short_string():
+    # sha256 over the result (repr, or "error") of every string of length
+    # <= 5 over this alphabet, in itertools.product order; recorded with
+    # the character-by-character splitter this parser replaced.
+    digest = hashlib.sha256()
+    for length in range(6):
+        for chars in itertools.product("+-01t^l* ", repeat=length):
+            try:
+                out = repr(parse_poly("".join(chars)))
+            except PolyParseError:
+                out = "error"
+            digest.update(out.encode() + b"\n")
+    assert digest.hexdigest() == "bf32c5b5e8903a6141c3d8254c399718598db5f8a249094324f2c93b9efac10b"
 
 
 def test_json_terms_sorted():

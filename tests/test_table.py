@@ -82,6 +82,21 @@ def test_load_table_rejects_wrong_crossing_count(tmp_path):
         load_table(tmp_path)
 
 
+@pytest.mark.parametrize("n_text", ["0_1", "+1", " 1", "\u0661"])
+def test_load_table_rejects_non_digit_n(tmp_path, n_text):
+    # int() reads each of these as 1; only ASCII digits are an n.
+    import shutil
+
+    from vknot.table import data_dir
+
+    shutil.copy(data_dir() / "knots.tsv", tmp_path / "knots.tsv")
+    rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
+    rows[0] = f"2.1\t{n_text}\t-t^-1+2-t"
+    (tmp_path / "fpolys.tsv").write_text("\n".join(rows) + "\n")
+    with pytest.raises(CorruptData, match="2.1"):
+        load_table(tmp_path)
+
+
 def test_verify_record_exact(table_records):
     record = next(r for r in table_records if r.name == "2.1")
     verdict = verify_record(record)
