@@ -18,7 +18,6 @@ timing goes to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 import time
@@ -38,7 +37,7 @@ from .table import (
     verify_record,
 )
 
-_NAME_RE = re.compile(r"^[2-4]\.\d+$")
+_NAME_RE = re.compile(r"^[2-4]\.[0-9]+$")
 
 
 class _InputError(ValueError):
@@ -85,6 +84,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     ns = list(range(1, report.n_max + 2)) if args.all else [args.n or 1]
 
     if args.format == "json":
+        import json
+
         payload = report.to_json(name)
         if not args.all:
             payload["F"] = {str(n): report.f_at(n).json_terms() for n in ns}
@@ -128,6 +129,8 @@ def _cmd_tabulate(args: argparse.Namespace) -> int:
             for n, poly in shown:
                 print(f"{v.name},{n},{poly},{v.status.value}")
     elif args.format == "json":
+        import json
+
         out = [
             {
                 "name": v.name,
@@ -219,6 +222,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
     diagram = kauffman_family(args.k)
     report = f_sequence(diagram)
     if args.format == "json":
+        import json
+
         print(json.dumps(report.to_json(f"D^{args.k}")))
         return 0
     print(f"D^{args.k}: {diagram}")

@@ -68,10 +68,9 @@ mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import neg
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .gauss import Diagram
 from .laurent import LaurentPoly2
@@ -196,8 +195,7 @@ def _dj(writhes: dict[int, int], n: int) -> int:
     return writhes.get(n, 0) - writhes.get(-n, 0)
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(NamedTuple):
     """Per-crossing data: sign, index value, and smoothed-diagram dwrithes."""
 
     crossing: str
@@ -206,8 +204,7 @@ class CrossingReport:
     smoothed_dwrithe: dict[int, int]
 
 
-@dataclass(frozen=True)
-class FReport:
+class FReport(NamedTuple):
     """The full F-polynomial sequence of a diagram, and the analysis behind it.
 
     ``per_n`` holds F^n for n = 1 .. n_max+1 where n_max bounds every

@@ -50,8 +50,6 @@ fixed 64-bit linear congruential generator (Knuth's MMIX multiplier
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .gauss import Diagram, Entry
@@ -310,8 +308,7 @@ def r3_apply(diagram: Diagram, p: str, q: str, r: str) -> Diagram:
 
 # -- move scripts, random walks and fuzzing ------------------------------------------
 
-@dataclass(frozen=True)
-class MoveScript:
+class MoveScript(NamedTuple):
     """A replayable sequence of move applications.
 
     Each step is a JSON-able dict naming the move kind and its
@@ -334,10 +331,14 @@ class MoveScript:
         return cur
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(list(self.steps))
 
     @classmethod
     def from_json(cls, text: str) -> "MoveScript":
+        import json
+
         return cls(tuple(json.loads(text)))
 
 

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .gauss import Diagram, Entry, GaussCodeError, parse_gauss
 from .invariants import FReport, f_sequence
@@ -58,20 +58,41 @@ def _name_key(name: str) -> tuple[int, int]:
     return int(a), int(b)
 
 
-@dataclass(frozen=True)
 class KnotRecord:
     """A named tabulated knot: Gauss code plus expected F-sequence rows.
 
     The code is parsed once, on construction (GaussCodeError if it is
-    bad), and ``diagram()`` returns that immutable Diagram.
+    bad), and ``diagram()`` returns that immutable Diagram.  Records
+    are immutable and compare by (name, gauss, expected).
     """
 
-    name: str
-    gauss: str
-    expected: tuple[tuple[int, LaurentPoly2], ...]
+    __slots__ = ("name", "gauss", "expected", "_diagram")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_diagram", parse_gauss(self.gauss))
+    def __init__(self, name: str, gauss: str, expected: tuple[tuple[int, LaurentPoly2], ...]):
+        object.__setattr__(self, "_diagram", parse_gauss(gauss))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "gauss", gauss)
+        object.__setattr__(self, "expected", expected)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("KnotRecord is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("KnotRecord is immutable")
+
+    def _key(self) -> tuple:
+        return self.name, self.gauss, self.expected
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KnotRecord):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"KnotRecord(name={self.name!r}, gauss={self.gauss!r}, expected={self.expected!r})"
 
     def diagram(self) -> Diagram:
         return self._diagram
@@ -83,8 +104,7 @@ class Verdict(enum.Enum):
     MISMATCH = "Mismatch"
 
 
-@dataclass(frozen=True)
-class MatchVerdict:
+class MatchVerdict(NamedTuple):
     """Outcome of checking one record against its expected rows."""
 
     name: str
@@ -118,9 +138,9 @@ def load_table(directory: Path | None = None) -> list[KnotRecord]:
 
     codes: dict[str, str] = {}
     try:
-        knot_lines = knots_path.read_text().splitlines()
-        fpoly_lines = fpolys_path.read_text().splitlines()
-    except OSError as exc:
+        knot_lines = knots_path.read_text(encoding="utf-8").splitlines()
+        fpoly_lines = fpolys_path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorruptData(f"cannot read table data: {exc}") from exc
 
     for line in knot_lines:
@@ -202,8 +222,7 @@ def verify_all(records: list[KnotRecord] | None = None) -> list[MatchVerdict]:
     return [verify_record(r) for r in records]
 
 
-@dataclass(frozen=True)
-class FGroup:
+class FGroup(NamedTuple):
     """Knot names sharing one F-sequence (in table orientation)."""
 
     rows: tuple[tuple[int, LaurentPoly2], ...]

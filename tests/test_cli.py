@@ -64,6 +64,23 @@ def test_compute_unknown_name(capsys):
     assert "4.999" in err
 
 
+def test_compute_reads_only_ascii_digits_as_a_table_name(capsys, monkeypatch):
+    loads = []
+
+    def counting_load_table(*args):
+        loads.append(args)
+        return vknot.table.load_table(*args)
+
+    monkeypatch.setattr(vknot.cli, "load_table", counting_load_table)
+    # An Arabic-Indic digit one: no table name, so it fails as a Gauss code
+    # before the table is loaded.
+    assert run(capsys, "compute", "3.\u0661") == (2, "", "error: malformed token '3.\u0661'\n")
+    assert loads == []
+    code, out, _ = run(capsys, "compute", "3.1")
+    assert code == 0 and out.startswith("knot 3.1: ")
+    assert len(loads) == 1
+
+
 def test_compute_rejects_bad_n(capsys):
     code, _, err = run(capsys, "compute", "3.1", "-n", "0")
     assert code == 2
@@ -258,6 +275,24 @@ def test_tabulate_rejects_non_ascii_digits(capsys, tmp_path, monkeypatch, row):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "2.1" in err
+
+
+@pytest.mark.parametrize("damaged", ["knots.tsv", "fpolys.tsv"])
+@pytest.mark.parametrize("argv", [["tabulate"], ["compute", "4.1"]])
+def test_undecodable_table_file_is_corrupt_data(capsys, tmp_path, monkeypatch, damaged, argv):
+    import shutil
+
+    from vknot.table import data_dir
+
+    for name in ("knots.tsv", "fpolys.tsv"):
+        shutil.copy(data_dir() / name, tmp_path / name)
+    with open(tmp_path / damaged, "ab") as f:
+        f.write(b"\xff")
+    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot read table data: ")
 
 
 def test_tabulate_groups_on_reversed_table(capsys, tmp_path, monkeypatch):

@@ -1,0 +1,90 @@
+"""What importing the CLI costs, and the value classes that keep it small.
+
+Every ``vknot`` command starts a fresh interpreter, so the modules that
+``import vknot.cli`` pulls in are paid on every call.  The value classes
+are ``NamedTuple``s and one ``__slots__`` class rather than dataclasses,
+and ``json`` is imported only where JSON is written or read; the cases
+below pin both the import graph and the value semantics callers rely on.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import vknot
+from vknot.gauss import GaussCodeError, parse_gauss
+from vknot.invariants import CrossingReport, f_sequence
+from vknot.laurent import parse_poly
+from vknot.moves import MoveScript
+from vknot.table import FGroup, KnotRecord, verify_record
+
+_ADDED_MODULES = """\
+import sys
+started = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import vknot.cli, vknot.table
+print(" ".join(sorted(set(sys.modules) - started)))
+"""
+
+
+def test_cli_import_leaves_out_heavy_stdlib_modules():
+    # Compared with the interpreter's own start-up modules, so that a
+    # module which ``site`` preloads cannot fail the test.
+    src = str(Path(vknot.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _ADDED_MODULES, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    added = set(proc.stdout.split())
+    assert "vknot.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "json"}, sorted(added)
+
+
+RECORD_CODE = "O1- U2+ U3- O2+ U1- O3-"
+
+
+def _record():
+    return KnotRecord("3.1", RECORD_CODE, ((1, parse_poly("t-1")),))
+
+
+# kind -> (a field, a factory); two calls of a factory give equal, distinct values.
+VALUES = {
+    "CrossingReport": ("sign", lambda: CrossingReport("1", 1, 0, {1: 0})),
+    "FReport": ("n_max", lambda: f_sequence(parse_gauss(RECORD_CODE))),
+    "KnotRecord": ("gauss", _record),
+    "MatchVerdict": ("status", lambda: verify_record(_record())),
+    "FGroup": ("names", lambda: FGroup(((1, parse_poly("t-1")),), ("3.1", "3.2"))),
+    "MoveScript": ("steps", lambda: MoveScript(({"move": "R1-", "site": 0},))),
+}
+
+
+@pytest.mark.parametrize("kind", VALUES)
+def test_values_compare_by_value(kind):
+    _, make = VALUES[kind]
+    a, b = make(), make()
+    assert a is not b
+    assert a == b
+    assert repr(a) == repr(b) and repr(a).startswith(f"{kind}(")
+
+
+@pytest.mark.parametrize("kind", VALUES)
+def test_values_reject_attribute_assignment(kind):
+    field, make = VALUES[kind]
+    value = make()
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_knot_records_differ_by_expected_rows():
+    other = KnotRecord("3.1", RECORD_CODE, ())
+    assert other != _record()
+    assert hash(other) == hash(KnotRecord("3.1", RECORD_CODE, ()))
+
+
+def test_knot_record_parses_its_code_on_construction():
+    with pytest.raises(GaussCodeError):
+        KnotRecord("3.1", "O1+ X", ())
+    assert _record().diagram() == parse_gauss(RECORD_CODE)

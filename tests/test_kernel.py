@@ -7,7 +7,9 @@ kernel.  For every crossing c the kernel's writhe table J_k(D_c), and
 the support of all smoothings together, must equal the oracle table of
 the validated smoothed diagram ``d.smooth(c)``.  The ``FReport`` views
 T_n and the per-crossing reports, read from the one dJ_n(D_c) table,
-must equal the dwrithes of those oracle tables for every n.
+must equal the dwrithes of those oracle tables for every n.  Over every
+code with at most three crossings, every R1-, R2- and R3 neighbour must
+keep the F-fingerprint.
 """
 
 import importlib.util
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from conftest import diagrams, random_code
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import _index_table, _smoothed_writhes, _Word, f_sequence
+from vknot.moves import r1_remove, r1_sites, r2_remove, r2_sites, r3_apply, r3_triples
 
 
 def interlacement_index(d: Diagram) -> dict[str, int]:
@@ -128,6 +131,29 @@ def assert_kernel_matches_every_code(m: int) -> None:
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_kernel_matches_oracle_on_every_small_code(m):
     assert_kernel_matches_every_code(m)
+
+
+def neighbours(d: Diagram):
+    """Every diagram one R1-, R2- or R3 move away from d."""
+    yield from (r1_remove(d, site) for site in r1_sites(d))
+    yield from (r2_remove(d, site) for site in r2_sites(d))
+    yield from (r3_apply(d, *triple) for triple in r3_triples(d))
+
+
+def assert_moves_keep_fingerprint(m: int) -> None:
+    """Every R1-, R2- and R3 neighbour of every m-crossing code has the
+    code's F-fingerprint: 4, 48, 960 and 26,880 codes for m = 1..4.
+    m = 4 (42,268 edges in all) takes about 7 s, so CI runs it as its
+    own step (``.github/workflows/tests.yml``) and the suite runs m <= 3."""
+    for d in enumerate_codes(m):
+        base = f_sequence(d).fingerprint()
+        for moved in neighbours(d):
+            assert f_sequence(moved).fingerprint() == base, (str(d), str(moved))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_moves_keep_fingerprint_on_every_small_code(m):
+    assert_moves_keep_fingerprint(m)
 
 
 def test_kernel_unknot():
