@@ -18,7 +18,6 @@ timing goes to stderr.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 import time
 
@@ -34,10 +33,9 @@ from .table import (
     group_by_f_sequence,
     kauffman_family,
     load_table,
+    name_key,
     verify_record,
 )
-
-_NAME_RE = re.compile(r"^[2-4]\.[0-9]+$")
 
 
 class _InputError(ValueError):
@@ -56,7 +54,9 @@ def _resolve(*texts: str) -> list[tuple[Diagram, str | None]]:
             resolved.append((parse_gauss(text), None))
             continue
         except GaussCodeError as exc:
-            if not _NAME_RE.match(text.strip()):
+            try:
+                name_key(text.strip())
+            except ValueError:
                 raise _InputError(str(exc)) from None
         if table is None:
             table = {record.name: record for record in load_table()}

@@ -122,6 +122,9 @@ class Diagram:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Diagram is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Diagram is immutable")
+
     # -- basic inspection ----------------------------------------------------
 
     @property

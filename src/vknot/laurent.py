@@ -53,6 +53,9 @@ class LaurentPoly2:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPoly2 is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("LaurentPoly2 is immutable")
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -53,9 +53,15 @@ _EXPECTED_NAMES = frozenset(
 )
 
 
-def _name_key(name: str) -> tuple[int, int]:
-    a, b = name.split(".")
-    return int(a), int(b)
+def name_key(name: str) -> tuple[int, int]:
+    """(crossing count, index) of a table name: 2, 3 or 4, a dot, ASCII digits.
+
+    Anything else (``3.x``, ``5.1``, non-ASCII digits) raises ValueError.
+    """
+    crossings, dot, index = name.partition(".")
+    if crossings not in ("2", "3", "4") or not dot or not (index.isascii() and index.isdigit()):
+        raise ValueError(f"not a table name: {name!r}")
+    return int(crossings), int(index)
 
 
 class KnotRecord:
@@ -124,72 +130,76 @@ def data_dir() -> Path:
     return Path(__file__).resolve().parent / "data"
 
 
-def load_table(directory: Path | None = None) -> list[KnotRecord]:
-    """Load and validate all 116 records, sorted by name.
-
-    Raises CorruptData on structural problems: missing/duplicated
-    names, unparsable codes or polynomials, a crossing count that does
-    not match the name prefix, or expected rows that are not listed
-    for strictly increasing n starting somewhere at n >= 1.
-    """
-    root = directory if directory is not None else data_dir()
-    knots_path = root / "knots.tsv"
-    fpolys_path = root / "fpolys.tsv"
-
-    codes: dict[str, str] = {}
+def _read_rows(path: Path, width: int) -> list[list[str]]:
+    """The *width* tab-separated fields of each non-blank line of *path*."""
     try:
-        knot_lines = knots_path.read_text(encoding="utf-8").splitlines()
-        fpoly_lines = fpolys_path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise CorruptData(f"cannot read table data: {exc}") from exc
+    rows = []
+    for line in lines:
+        if line.strip():
+            rows.append(line.split("\t"))
+            if len(rows[-1]) != width:
+                raise CorruptData(f"bad {path.name} line: {line!r}")
+    return rows
 
-    for line in knot_lines:
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise CorruptData(f"bad knots.tsv line: {line!r}")
-        name, code = parts
-        if name in codes:
-            raise CorruptData(f"duplicate record {name!r}")
-        codes[name] = code
 
-    expected: dict[str, list[tuple[int, LaurentPoly2]]] = {}
-    for line in fpoly_lines:
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise CorruptData(f"bad fpolys.tsv line: {line!r}")
-        name, n_text, poly_text = parts
+def read_expected(path: Path) -> dict[str, tuple[tuple[int, LaurentPoly2], ...]]:
+    """The expected rows of ``fpolys.tsv`` at *path*, by name, sorted by n.
+
+    Raises CorruptData if the file cannot be read as UTF-8, on a line
+    that is not ``<name><TAB><n><TAB><poly>`` with n in ASCII digits and
+    a parsable polynomial, if the names are not exactly 2.1..4.108, or
+    if a name's rows are not listed for distinct n >= 1.
+    """
+    rows: dict[str, list[tuple[int, LaurentPoly2]]] = {}
+    for name, n_text, poly_text in _read_rows(path, 3):
         if not (n_text.isascii() and n_text.isdigit()):
             raise CorruptData(f"bad expected row for {name!r}: n is {n_text!r}")
         try:
             poly = parse_poly(poly_text)
         except PolyParseError as exc:
             raise CorruptData(f"bad expected row for {name!r}: {exc}") from exc
-        expected.setdefault(name, []).append((int(n_text), poly))
+        rows.setdefault(name, []).append((int(n_text), poly))
+    if set(rows) != _EXPECTED_NAMES:
+        odd = sorted(set(rows) ^ _EXPECTED_NAMES)
+        raise CorruptData(f"table names do not cover 2.1..4.108: {odd}")
+    for name, listed in rows.items():
+        listed.sort(key=lambda row: row[0])
+        ns = [n for n, _ in listed]
+        if ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+            raise CorruptData(f"record {name!r} expected rows not strictly increasing")
+    return {name: tuple(listed) for name, listed in rows.items()}
 
-    if set(codes) != _EXPECTED_NAMES or set(expected) != _EXPECTED_NAMES:
-        odd = (set(codes) | set(expected)) ^ _EXPECTED_NAMES
-        raise CorruptData(f"table names do not cover 2.1..4.108: {sorted(odd)}")
+
+def load_table(directory: Path | None = None) -> list[KnotRecord]:
+    """Load and validate all 116 records, sorted by name.
+
+    Raises CorruptData on structural problems: missing/duplicated
+    names, unparsable codes, a crossing count that does not match the
+    name prefix, or expected rows that ``read_expected`` rejects.
+    """
+    root = directory if directory is not None else data_dir()
+    expected = read_expected(root / "fpolys.tsv")
+    codes: dict[str, str] = {}
+    for name, code in _read_rows(root / "knots.tsv", 2):
+        if name in codes:
+            raise CorruptData(f"duplicate record {name!r}")
+        codes[name] = code
+    if set(codes) != set(expected):
+        odd = sorted(set(codes) ^ set(expected))
+        raise CorruptData(f"table names do not cover 2.1..4.108: {odd}")
 
     records = []
-    for name in sorted(codes, key=_name_key):
-        rows = sorted(expected[name])
+    for name in sorted(codes, key=name_key):
         try:
-            record = KnotRecord(name, codes[name], tuple(rows))
+            record = KnotRecord(name, codes[name], expected[name])
         except GaussCodeError as exc:
             raise CorruptData(f"record {name!r} has a bad code: {exc}") from exc
-        diagram = record.diagram()
-        if diagram.n_crossings != _name_key(name)[0]:
-            raise CorruptData(
-                f"record {name!r} has {diagram.n_crossings} crossings, "
-                f"name promises {_name_key(name)[0]}"
-            )
-        ns = [n for n, _ in rows]
-        if not rows or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise CorruptData(f"record {name!r} expected rows not strictly increasing")
+        found, promised = record.diagram().n_crossings, name_key(name)[0]
+        if found != promised:
+            raise CorruptData(f"record {name!r} has {found} crossings, name promises {promised}")
         records.append(record)
     return records
 
@@ -242,8 +252,8 @@ def group_by_f_sequence(verdicts: list[MatchVerdict]) -> list[FGroup]:
     buckets: dict[tuple[tuple[int, LaurentPoly2], ...], list[str]] = {}
     for verdict in verdicts:
         buckets.setdefault(verdict.report.fingerprint(), []).append(verdict.name)
-    groups = [FGroup(rows, tuple(sorted(names, key=_name_key))) for rows, names in buckets.items()]
-    groups.sort(key=lambda g: _name_key(g.names[0]))
+    groups = [FGroup(rows, tuple(sorted(names, key=name_key))) for rows, names in buckets.items()]
+    groups.sort(key=lambda g: name_key(g.names[0]))
     return groups
 
 

@@ -2,9 +2,10 @@
 
 Every ``vknot`` command starts a fresh interpreter, so the modules that
 ``import vknot.cli`` pulls in are paid on every call.  The value classes
-are ``NamedTuple``s and one ``__slots__`` class rather than dataclasses,
+are ``NamedTuple``s and ``__slots__`` classes rather than dataclasses,
 and ``json`` is imported only where JSON is written or read; the cases
-below pin both the import graph and the value semantics callers rely on.
+below pin both the import graph and the value semantics callers rely on:
+equality by value, and no attribute set or deleted after construction.
 """
 
 import subprocess
@@ -57,6 +58,8 @@ VALUES = {
     "MatchVerdict": ("status", lambda: verify_record(_record())),
     "FGroup": ("names", lambda: FGroup(((1, parse_poly("t-1")),), ("3.1", "3.2"))),
     "MoveScript": ("steps", lambda: MoveScript(({"move": "R1-", "site": 0},))),
+    "Diagram": ("_signs", lambda: parse_gauss(RECORD_CODE)),
+    "LaurentPoly2": ("_terms", lambda: parse_poly("t-1")),
 }
 
 
@@ -76,6 +79,9 @@ def test_values_reject_attribute_assignment(kind):
     for name in (field, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert value == make()
 
 
 def test_knot_records_differ_by_expected_rows():

@@ -12,13 +12,11 @@ code with at most three crossings, every R1-, R2- and R3 neighbour must
 keep the F-fingerprint.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 
 from conftest import diagrams, random_code
+from vknot.enumerate import enumerate_codes
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import _index_table, _smoothed_writhes, _Word, f_sequence
 from vknot.moves import r1_remove, r1_sites, r2_remove, r2_sites, r3_apply, r3_triples
@@ -106,15 +104,6 @@ def test_kernel_kink_smooths_to_empty_word(code):
 def test_kernel_adjacent_under_over_passes(code):
     d = parse_gauss(code)
     assert kernel(d) == oracle(d)
-
-
-def enumerate_codes(m: int):
-    """Every m-crossing code, from the table builder's own generator."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "build_knot_table.py"
-    spec = importlib.util.spec_from_file_location("build_knot_table", path)
-    builder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(builder)
-    return builder.enumerate_codes(m)
 
 
 def assert_kernel_matches_every_code(m: int) -> None:

@@ -1,5 +1,9 @@
 """Embedded knot table: loading, verification, grouping, the twist family."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from vknot.gauss import parse_gauss
@@ -16,6 +20,7 @@ from vknot.table import (
     Verdict,
     group_by_f_sequence,
     kauffman_family,
+    data_dir,
     load_table,
     verify_all,
     verify_record,
@@ -95,6 +100,35 @@ def test_load_table_rejects_non_digit_n(tmp_path, n_text):
     (tmp_path / "fpolys.tsv").write_text("\n".join(rows) + "\n")
     with pytest.raises(CorruptData, match="2.1"):
         load_table(tmp_path)
+
+
+def test_load_table_rejects_a_repeated_n(tmp_path):
+    import shutil
+
+    shutil.copy(data_dir() / "knots.tsv", tmp_path / "knots.tsv")
+    rows = (data_dir() / "fpolys.tsv").read_text() + "2.1\t1\tt\n"
+    (tmp_path / "fpolys.tsv").write_text(rows)
+    with pytest.raises(CorruptData, match="2.1"):
+        load_table(tmp_path)
+
+
+BUILDER = Path(__file__).resolve().parent.parent / "tools" / "build_knot_table.py"
+
+
+@pytest.mark.parametrize("damage", [b"2.1\t1\n", b"\xff"], ids=["short line", "undecodable"])
+def test_table_builder_rejects_corrupt_expected_rows(tmp_path, damage):
+    # The builder reads fpolys.tsv with the loader's reader, so it stops before its scan.
+    expected = tmp_path / "fpolys.tsv"
+    expected.write_bytes((data_dir() / "fpolys.tsv").read_bytes() + damage)
+    out = tmp_path / "knots.tsv"
+    proc = subprocess.run(
+        [sys.executable, str(BUILDER), "--expected", str(expected), "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+    assert not out.exists()
 
 
 def test_verify_record_exact(table_records):

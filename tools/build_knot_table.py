@@ -1,45 +1,35 @@
 """Rebuild the embedded diagram table from the expected-polynomial data.
 
-The shipped ``knots.tsv`` assigns one Gauss code to every tabulated
-knot name.  The polynomial data in ``fpolys.tsv`` is the ground truth;
-a code is correct for a name exactly when its computed F-sequence
-matches the name's expected rows (the regression suite re-checks all
-116 of them on every run).  This tool reconstructs such an assignment
-from scratch by exhaustively enumerating the small Gauss codes:
-
-* every signed Gauss code with 2, 3 or 4 classical crossings is
-  generated once up to relabeling, so each class up to rotation and
-  relabeling appears once for each of its distinct rotations,
-* its F-sequence fingerprint is computed with the library engine,
-* codes are bucketed by (crossing count, fingerprint) and handed out,
-  in deterministic order, to the names expecting that fingerprint.
+A code is correct for a name exactly when its computed F-sequence
+matches the name's expected rows in ``fpolys.tsv``.  This tool assigns
+one code to every name from scratch: it scans every code with 2, 3 or
+4 classical crossings (``vknot.enumerate``), buckets the canonical codes
+by (crossing count, F-sequence fingerprint), keeping at most
+MAX_PER_BUCKET per bucket, and hands them out in sorted order to the
+names expecting that fingerprint, in name order.
 
 A handful of codes with independent provenance are pinned instead of
 searched (the worked three-crossing example in its published
-orientation-reversed form, the classical trefoil and figure-eight);
-the tool verifies the pins against the expected data like everything
-else.
+orientation-reversed form, the classical trefoil and figure-eight) and
+are checked against the expected rows like everything else.  Within a
+group of names sharing a fingerprint the assignment is conventional.
 
-Names sharing a fingerprint receive distinct codes, but the F-sequence
-is the only oracle available here: within such a group the assignment
-of codes to individual names is conventional.
-
-Usage:  python tools/build_knot_table.py [--out src/vknot/data/knots.tsv]
+Usage:  python tools/build_knot_table.py [--expected fpolys.tsv] [--out knots.tsv]
+Exit status: 0 written, 1 a pin or bucket fails, 2 unreadable expected rows.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from itertools import permutations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from vknot.gauss import Diagram, Entry, format_gauss, parse_gauss
+from vknot.enumerate import canonical_code, enumerate_codes
+from vknot.gauss import parse_gauss
 from vknot.invariants import f_sequence
-from vknot.laurent import parse_poly
-from vknot.table import _name_key as name_key
+from vknot.table import CorruptData, name_key, read_expected
 
 PINNED = {
     # Worked three-crossing example, orientation matching the published table.
@@ -54,92 +44,6 @@ PINNED = {
 MAX_PER_BUCKET = 64
 
 
-def load_expected(path: Path) -> dict[str, tuple[tuple[int, str], ...]]:
-    rows: dict[str, dict[int, str]] = {}
-    for line in path.read_text().splitlines():
-        name, n, poly = line.split("\t")
-        rows.setdefault(name, {})[int(n)] = str(parse_poly(poly))
-    return {name: tuple(sorted(polys.items())) for name, polys in rows.items()}
-
-
-def fingerprint_key(diagram: Diagram) -> tuple[tuple[int, str], ...]:
-    return tuple((n, str(p)) for n, p in f_sequence(diagram).fingerprint())
-
-
-def standard_relabel(entries: list[Entry]) -> tuple[Entry, ...]:
-    """Rename crossings to 1..m in order of first appearance."""
-    names: dict[str, str] = {}
-    out = []
-    for e in entries:
-        if e.crossing not in names:
-            names[e.crossing] = str(len(names) + 1)
-        out.append(Entry(names[e.crossing], e.over, e.sign))
-    return tuple(out)
-
-
-def canonical_code(diagram: Diagram) -> str:
-    """Lexicographically least rotation, in standard relabeling."""
-    ents = list(diagram.entries)
-    n = len(ents)
-    best = None
-    for r in range(n):
-        rot = standard_relabel(ents[r:] + ents[:r])
-        text = format_gauss(Diagram(rot))
-        if best is None or text < best:
-            best = text
-    assert best is not None
-    return best
-
-
-def chord_words(m: int) -> list[tuple[int, ...]]:
-    """Double-occurrence words of length 2m that start with 1, up to
-    relabeling only (crossings numbered in order of first appearance).
-
-    Rotations are not identified: for m = 2 this returns 3 words, of
-    which (1, 1, 2, 2) and (1, 2, 2, 1) are rotations of each other.
-    """
-    rest = [1] + [i for i in range(2, m + 1) for _ in range(2)]
-    seen: set[tuple[int, ...]] = set()
-    for perm in set(permutations(rest)):
-        word = (1,) + perm
-        relabel: dict[int, int] = {}
-        out = []
-        for x in word:
-            if x not in relabel:
-                relabel[x] = len(relabel) + 1
-            out.append(relabel[x])
-        seen.add(tuple(out))
-    return sorted(seen)
-
-
-def enumerate_codes(m: int):
-    """Yield every m-crossing Diagram whose word is in ``chord_words(m)``,
-    with every choice of passes and signs.
-
-    That is every code once up to relabeling, so each class up to
-    rotation and relabeling appears once for each of its distinct
-    rotations: for m = 1 this yields 4 codes for 2 classes.
-    """
-    for word in chord_words(m):
-        first_pos: dict[int, int] = {}
-        for pos, x in enumerate(word):
-            first_pos.setdefault(x, pos)
-        for over_mask in range(1 << m):
-            overs = []
-            seen: set[int] = set()
-            for x in word:
-                first = x not in seen
-                seen.add(x)
-                first_is_over = bool(over_mask >> (x - 1) & 1)
-                overs.append(first_is_over if first else not first_is_over)
-            for sign_mask in range(1 << m):
-                entries = [
-                    Entry(str(x), over, 1 if sign_mask >> (x - 1) & 1 else -1)
-                    for x, over in zip(word, overs)
-                ]
-                yield Diagram(entries)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     data_dir = Path(__file__).resolve().parent.parent / "src" / "vknot" / "data"
@@ -147,7 +51,12 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=data_dir / "knots.tsv")
     args = parser.parse_args()
 
-    expected = load_expected(args.expected)
+    try:
+        expected = read_expected(args.expected)
+    except CorruptData as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     needed: dict[tuple[int, tuple], list[str]] = {}
     for name, rows in expected.items():
         needed.setdefault((name_key(name)[0], rows), []).append(name)
@@ -158,7 +67,7 @@ def main() -> int:
     taken: set[str] = set()
     for name, code in PINNED.items():
         diagram = parse_gauss(code)
-        got = fingerprint_key(diagram)
+        got = f_sequence(diagram).fingerprint()
         if got != expected[name]:
             print(f"pinned code for {name} does not match expected rows: {got}")
             return 1
@@ -170,7 +79,7 @@ def main() -> int:
         count = 0
         for diagram in enumerate_codes(m):
             count += 1
-            key = (m, fingerprint_key(diagram))
+            key = (m, f_sequence(diagram).fingerprint())
             bucket = buckets.get(key)
             if bucket is None or len(bucket) >= MAX_PER_BUCKET:
                 continue
