@@ -7,14 +7,19 @@ sign.  Virtual crossings carry no data and are not recorded; virtual
 Reidemeister moves and the detour move act as the identity on this
 model, which is exactly why it is the right one for virtual knots.
 
-Text format (also the CLI and on-disk wire format): whitespace- or
-comma-separated tokens ``O<id><sign>`` / ``U<id><sign>``, e.g.::
+Text format (also the CLI and on-disk wire format): tokens
+``O<id><sign>`` / ``U<id><sign>`` separated by runs of commas and
+Unicode whitespace (the characters for which ``str.isspace`` holds),
+e.g.::
 
     O1+ U2+ U1+ O2+
 
-``O``/``U`` are case-insensitive, ``<id>`` is any alphanumeric label,
-``<sign>`` is ``+`` or ``-``.  The empty string encodes the unknot
-diagram (no classical crossings).
+``O``/``U`` are case-insensitive, ``<id>`` is one or more ASCII letters
+and digits (``[0-9A-Za-z]+``), ``<sign>`` is ``+`` or ``-``.  The empty
+(or all-separator) string encodes the unknot diagram (no classical
+crossings).  A ``Diagram`` built from entries enforces the same
+grammar: each id is a ``str`` of ASCII letters and digits, each pass
+flag a ``bool`` and each sign the ``int`` 1 or -1.
 
 Transforms:
 
@@ -41,7 +46,6 @@ four-crossing tables, and it is pinned by the regression tests.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, NamedTuple
 
 
@@ -50,7 +54,8 @@ class GaussCodeError(ValueError):
 
 
 class MalformedToken(GaussCodeError):
-    """A token does not match ``(O|U)<id>(+|-)``."""
+    """A token does not match ``(O|U)<id>(+|-)``, or an entry's id, pass
+    flag or sign is outside the grammar of the module docstring."""
 
 
 class BadPairing(GaussCodeError):
@@ -76,8 +81,8 @@ class Entry(NamedTuple):
         return f"{'O' if self.over else 'U'}{self.crossing}{'+' if self.sign > 0 else '-'}"
 
 
-_TOKEN_RE = re.compile(r"^([OUou])([0-9A-Za-z]+)([+-])$")
-_ID_RE = re.compile(r"^[0-9A-Za-z]+$")
+_PASSES = {"O": True, "o": True, "U": False, "u": False}
+_SIGNS = {"+": 1, "-": -1}
 
 
 class Diagram:
@@ -96,22 +101,30 @@ class Diagram:
         over_pos: dict[str, int] = {}
         under_pos: dict[str, int] = {}
         signs: dict[str, int] = {}
-        for pos, entry in enumerate(ents):
-            if not _ID_RE.match(entry.crossing):
-                raise MalformedToken(f"bad crossing id {entry.crossing!r}")
-            if entry.sign not in (1, -1):
-                raise MalformedToken(f"bad sign {entry.sign!r} at {entry.crossing!r}")
-            if type(entry.over) is not bool:
-                raise MalformedToken(f"bad pass flag {entry.over!r} at {entry.crossing!r}")
-            table = over_pos if entry.over else under_pos
-            if entry.crossing in table:
-                kind = "Over" if entry.over else "Under"
-                raise BadPairing(f"crossing {entry.crossing!r} has two {kind} passes")
-            table[entry.crossing] = pos
-            if entry.crossing in signs and signs[entry.crossing] != entry.sign:
-                raise SignMismatch(f"crossing {entry.crossing!r} has inconsistent signs")
-            signs[entry.crossing] = entry.sign
-        if set(over_pos) != set(under_pos):
+        for pos, (crossing, over, sign) in enumerate(ents):
+            try:
+                first_sign = signs.get(crossing)
+            except TypeError:  # unhashable, so not an id either
+                first_sign = None
+            # A crossing's id is checked once, at its first entry.
+            if first_sign is None and not (
+                isinstance(crossing, str) and crossing.isascii() and crossing.isalnum()
+            ):
+                raise MalformedToken(f"bad crossing id {crossing!r}")
+            if type(sign) is not int or (sign != 1 and sign != -1):
+                raise MalformedToken(f"bad sign {sign!r} at {crossing!r}")
+            if type(over) is not bool:
+                raise MalformedToken(f"bad pass flag {over!r} at {crossing!r}")
+            table = over_pos if over else under_pos
+            if crossing in table:
+                kind = "Over" if over else "Under"
+                raise BadPairing(f"crossing {crossing!r} has two {kind} passes")
+            table[crossing] = pos
+            if first_sign is None:
+                signs[crossing] = sign
+            elif first_sign != sign:
+                raise SignMismatch(f"crossing {crossing!r} has inconsistent signs")
+        if len(over_pos) != len(signs) or len(under_pos) != len(signs):
             odd = set(over_pos).symmetric_difference(under_pos)
             raise BadPairing(f"crossings without both passes: {sorted(odd)}")
         object.__setattr__(self, "_entries", ents)
@@ -224,16 +237,16 @@ def parse_gauss(text: str) -> Diagram:
     """Parse the Gauss-code text format into a validated Diagram.
 
     Token order defines the cyclic traversal order along the knot
-    orientation.  The empty (or all-whitespace) string is the unknot.
+    orientation.  The empty (or all-separator) string is the unknot.
     """
-    tokens = [tok for tok in re.split(r"[\s,]+", text) if tok]
     entries = []
-    for token in tokens:
-        m = _TOKEN_RE.match(token)
-        if m is None:
+    for token in text.replace(",", " ").split():
+        over = _PASSES.get(token[0])
+        sign = _SIGNS.get(token[-1])
+        ident = token[1:-1]
+        if over is None or sign is None or not (ident.isascii() and ident.isalnum()):
             raise MalformedToken(f"malformed token {token!r}")
-        pass_char, ident, sign_char = m.groups()
-        entries.append(Entry(ident, pass_char in "Oo", 1 if sign_char == "+" else -1))
+        entries.append(Entry(ident, over, sign))
     return Diagram(entries)
 
 

@@ -154,13 +154,16 @@ def read_expected(path: Path) -> dict[str, tuple[tuple[int, LaurentPoly2], ...]]
     if a name's rows are not listed for distinct n >= 1.
     """
     rows: dict[str, list[tuple[int, LaurentPoly2]]] = {}
+    polys: dict[str, LaurentPoly2] = {}  # each distinct text parsed once
     for name, n_text, poly_text in _read_rows(path, 3):
         if not (n_text.isascii() and n_text.isdigit()):
             raise CorruptData(f"bad expected row for {name!r}: n is {n_text!r}")
-        try:
-            poly = parse_poly(poly_text)
-        except PolyParseError as exc:
-            raise CorruptData(f"bad expected row for {name!r}: {exc}") from exc
+        poly = polys.get(poly_text)
+        if poly is None:
+            try:
+                poly = polys[poly_text] = parse_poly(poly_text)
+            except PolyParseError as exc:
+                raise CorruptData(f"bad expected row for {name!r}: {exc}") from exc
         rows.setdefault(name, []).append((int(n_text), poly))
     if set(rows) != _EXPECTED_NAMES:
         odd = sorted(set(rows) ^ _EXPECTED_NAMES)
@@ -192,12 +195,12 @@ def load_table(directory: Path | None = None) -> list[KnotRecord]:
         raise CorruptData(f"table names do not cover 2.1..4.108: {odd}")
 
     records = []
-    for name in sorted(codes, key=name_key):
+    for (promised, _), name in sorted((name_key(name), name) for name in codes):
         try:
             record = KnotRecord(name, codes[name], expected[name])
         except GaussCodeError as exc:
             raise CorruptData(f"record {name!r} has a bad code: {exc}") from exc
-        found, promised = record.diagram().n_crossings, name_key(name)[0]
+        found = record.diagram().n_crossings
         if found != promised:
             raise CorruptData(f"record {name!r} has {found} crossings, name promises {promised}")
         records.append(record)

@@ -1,13 +1,18 @@
 """Gauss code parsing, validation and diagram transforms."""
 
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given
 
 from conftest import diagrams
+from vknot.enumerate import enumerate_codes
 from vknot.gauss import (
     BadPairing,
     Diagram,
     Entry,
+    GaussCodeError,
     MalformedToken,
     SignMismatch,
     UnknownCrossing,
@@ -115,11 +120,64 @@ def test_entry_str():
     assert str(Entry("7", True, -1)) == "O7-"
 
 
-def test_constructor_rejects_bad_entries():
+@pytest.mark.parametrize(
+    "crossing, sign",
+    [
+        pytest.param("a b", 1, id="space in id"),
+        pytest.param("1", 2, id="sign 2"),
+        pytest.param("1\n", 1, id="newline after id"),
+        pytest.param("", 1, id="empty id"),
+        pytest.param("\u0661", 1, id="non-ASCII digit id"),
+        pytest.param(1, 1, id="int id"),
+        pytest.param(None, 1, id="None id"),
+        pytest.param(["1"], 1, id="unhashable id"),
+        pytest.param("1", 1.0, id="float sign 1.0"),
+        pytest.param("1", -1.0, id="float sign -1.0"),
+        pytest.param("1", True, id="bool sign"),
+    ],
+)
+def test_constructor_rejects_bad_entries(crossing, sign):
     with pytest.raises(MalformedToken):
-        Diagram([Entry("a b", True, 1), Entry("a b", False, 1)])
-    with pytest.raises(MalformedToken):
-        Diagram([Entry("1", True, 2), Entry("1", False, 2)])
+        Diagram([Entry(crossing, True, sign), Entry(crossing, False, sign)])
+
+
+# Pieces of the parse_gauss pin: tokens good and bad, and separators
+# (commas and Unicode whitespace, and two characters that are neither).
+_PIN_TOKENS = (
+    "O1+", "U1+", "u1-", "o2-", "U2-", "Oa+", "uZ9+", "O01+", "O1+U1+", "O1-+",
+    "O\u0661+", "O\u00b2+", "\uff2f1+", "O+", "U1", "1+", "X1+", "O1*", "O1\n+",
+)
+_PIN_SEPARATORS = (" ", ",", "\t", "\n", "\x1c", ", \t", "\u00a0", "\u2028", "\u200b")
+
+
+def test_parse_pinned_on_every_short_sequence():
+    # sha256 over the outcome (the entries, or the error class and message)
+    # of every string of at most three pieces, in itertools.product order;
+    # recorded with the regular-expression tokenizer this parser replaced.
+    digest = hashlib.sha256()
+    pieces = _PIN_TOKENS + _PIN_SEPARATORS
+    for length in range(4):
+        for parts in itertools.product(pieces, repeat=length):
+            try:
+                out = repr(parse_gauss("".join(parts)).entries)
+            except GaussCodeError as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            digest.update(out.encode() + b"\n")
+    assert digest.hexdigest() == "2566c101d13bfb3d5f44eb630b60cecbd79ac36ed4878ea2d44f733a4d53116d"
+
+
+def assert_every_code_round_trips(m):
+    """parse_gauss(format_gauss(d)) == d for every m-crossing code, also
+    with each space written as a comma and a tab and the text in lower case."""
+    for d in enumerate_codes(m):
+        text = format_gauss(d)
+        assert parse_gauss(text) == d
+        assert parse_gauss(text.replace(" ", ",\t").lower()) == d
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_every_small_code_round_trips(m):
+    assert_every_code_round_trips(m)
 
 
 @pytest.mark.parametrize("flag", ["yes", "", 1, 0, None])

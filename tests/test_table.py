@@ -22,6 +22,7 @@ from vknot.table import (
     kauffman_family,
     data_dir,
     load_table,
+    read_expected,
     verify_all,
     verify_record,
 )
@@ -110,6 +111,26 @@ def test_load_table_rejects_a_repeated_n(tmp_path):
     (tmp_path / "fpolys.tsv").write_text(rows)
     with pytest.raises(CorruptData, match="2.1"):
         load_table(tmp_path)
+
+
+def test_read_expected_names_the_first_row_of_a_repeated_bad_polynomial(tmp_path):
+    # The same malformed text in the rows of 3.2 and 4.108: the error is the first row's.
+    rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
+    first = rows.index("3.2\t1\t-t^-1+2-t")
+    rows[first] = "3.2\t1\t-t^-1+2-t^"
+    rows[-1] = "4.108\t1\t-t^-1+2-t^"
+    (tmp_path / "fpolys.tsv").write_text("\n".join(rows) + "\n")
+    with pytest.raises(CorruptData, match="'3.2'") as info:
+        read_expected(tmp_path / "fpolys.tsv")
+    assert "4.108" not in str(info.value)
+
+
+def test_read_expected_values_equal_their_texts():
+    rows = [line.split("\t") for line in (data_dir() / "fpolys.tsv").read_text().splitlines()]
+    assert len({text for _, _, text in rows}) < len(rows)  # some texts repeat
+    expected = read_expected(data_dir() / "fpolys.tsv")
+    for name, n_text, text in rows:
+        assert dict(expected[name])[int(n_text)] == parse_poly(text)
 
 
 BUILDER = Path(__file__).resolve().parent.parent / "tools" / "build_knot_table.py"
