@@ -105,9 +105,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     lines.append(f"n_max = {report.n_max}")
     for n in ns:
         ts = ",".join(sorted(report.t_set(n)))
-        # Beyond n_max, F^n is the stable tail (f_sequence checks n_max+1).
-        poly = tail if n > report.n_max else report.f_at(n)
-        lines.append(f"n={n}: dJ_{n}(D)={report.dwrithe(n)} T_{n}={{{ts}}} F^{n} = {poly}")
+        f_n = report.f_at(n)
+        lines.append(f"n={n}: dJ_{n}(D)={report.dwrithe(n)} T_{n}={{{ts}}} F^{n} = {f_n}")
     if args.all:
         lines.append(f"stable tail (n > {report.n_max}): {tail}")
     print("\n".join(lines))

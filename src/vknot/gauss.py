@@ -19,7 +19,8 @@ and digits (``[0-9A-Za-z]+``), ``<sign>`` is ``+`` or ``-``.  The empty
 (or all-separator) string encodes the unknot diagram (no classical
 crossings).  A ``Diagram`` built from entries enforces the same
 grammar: each id is a ``str`` of ASCII letters and digits, each pass
-flag a ``bool`` and each sign the ``int`` 1 or -1.
+flag a ``bool`` and each sign the ``int`` 1 or -1.  Its one checking
+loop also builds the integer form that ``invariants`` reads.
 
 Transforms:
 
@@ -92,22 +93,29 @@ class Diagram:
     construction time, so every reachable ``Diagram`` value is valid.
     Equality is entry-for-entry (a rotation is a different value that
     represents the same knot; all invariants agree on rotations).
+
+    The validating loop also builds the integer form that ``invariants``
+    reads: ``_number`` maps each id to k, its first-appearance number,
+    the tuple ``_passes`` holds (k, pass flag) for each position, and
+    the tuples ``_sign``, ``_opos`` and ``_upos`` are indexed by k.
     """
 
-    __slots__ = ("_entries", "_over_pos", "_under_pos", "_signs")
+    __slots__ = ("_entries", "_number", "_passes", "_sign", "_opos", "_upos")
 
     def __init__(self, entries: Iterable[Entry]):
         ents = tuple(entries)
-        over_pos: dict[str, int] = {}
-        under_pos: dict[str, int] = {}
-        signs: dict[str, int] = {}
+        number: dict[str, int] = {}
+        passes: list[tuple[int, bool]] = []
+        signs: list[int] = []
+        opos: list[int] = []
+        upos: list[int] = []
         for pos, (crossing, over, sign) in enumerate(ents):
             try:
-                first_sign = signs.get(crossing)
+                k = number.get(crossing)
             except TypeError:  # unhashable, so not an id either
-                first_sign = None
+                k = None
             # A crossing's id is checked once, at its first entry.
-            if first_sign is None and not (
+            if k is None and not (
                 isinstance(crossing, str) and crossing.isascii() and crossing.isalnum()
             ):
                 raise MalformedToken(f"bad crossing id {crossing!r}")
@@ -115,22 +123,29 @@ class Diagram:
                 raise MalformedToken(f"bad sign {sign!r} at {crossing!r}")
             if type(over) is not bool:
                 raise MalformedToken(f"bad pass flag {over!r} at {crossing!r}")
-            table = over_pos if over else under_pos
-            if crossing in table:
+            table = opos if over else upos
+            if k is None:
+                k = number[crossing] = len(signs)
+                signs.append(sign)
+                opos.append(-1)
+                upos.append(-1)
+            elif table[k] >= 0:
                 kind = "Over" if over else "Under"
                 raise BadPairing(f"crossing {crossing!r} has two {kind} passes")
-            table[crossing] = pos
-            if first_sign is None:
-                signs[crossing] = sign
-            elif first_sign != sign:
+            elif signs[k] != sign:
                 raise SignMismatch(f"crossing {crossing!r} has inconsistent signs")
-        if len(over_pos) != len(signs) or len(under_pos) != len(signs):
-            odd = set(over_pos).symmetric_difference(under_pos)
+            table[k] = pos
+            passes.append((k, over))
+        # No crossing has two passes of one kind, so 2m entries means both.
+        if len(ents) != 2 * len(signs):
+            odd = [c for c, k in number.items() if opos[k] < 0 or upos[k] < 0]
             raise BadPairing(f"crossings without both passes: {sorted(odd)}")
         object.__setattr__(self, "_entries", ents)
-        object.__setattr__(self, "_over_pos", over_pos)
-        object.__setattr__(self, "_under_pos", under_pos)
-        object.__setattr__(self, "_signs", signs)
+        object.__setattr__(self, "_number", number)
+        object.__setattr__(self, "_passes", tuple(passes))
+        object.__setattr__(self, "_sign", tuple(signs))
+        object.__setattr__(self, "_opos", tuple(opos))
+        object.__setattr__(self, "_upos", tuple(upos))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Diagram is immutable")
@@ -149,30 +164,26 @@ class Diagram:
 
     @property
     def n_crossings(self) -> int:
-        return len(self._signs)
+        return len(self._sign)
 
     def crossings(self) -> tuple[str, ...]:
         """Crossing ids in order of first appearance along the orientation."""
-        # _signs is filled in entry order, so its keys are in first-appearance order.
-        return tuple(self._signs)
+        return tuple(self._number)
+
+    def _k(self, crossing: str) -> int:
+        try:
+            return self._number[crossing]
+        except KeyError:
+            raise UnknownCrossing(f"no crossing {crossing!r}") from None
 
     def sign(self, crossing: str) -> int:
-        try:
-            return self._signs[crossing]
-        except KeyError:
-            raise UnknownCrossing(f"no crossing {crossing!r}") from None
+        return self._sign[self._k(crossing)]
 
     def over_position(self, crossing: str) -> int:
-        try:
-            return self._over_pos[crossing]
-        except KeyError:
-            raise UnknownCrossing(f"no crossing {crossing!r}") from None
+        return self._opos[self._k(crossing)]
 
     def under_position(self, crossing: str) -> int:
-        try:
-            return self._under_pos[crossing]
-        except KeyError:
-            raise UnknownCrossing(f"no crossing {crossing!r}") from None
+        return self._upos[self._k(crossing)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Diagram):
@@ -213,8 +224,8 @@ class Diagram:
         result has one crossing fewer; surviving crossings keep their
         original ids.
         """
-        o = self.over_position(crossing)
-        u = self.under_position(crossing)
+        k = self._k(crossing)
+        o, u = self._opos[k], self._upos[k]
         n = len(self._entries)
         # Segment strictly between the Under pass and the Over pass,
         # walking forward; this is the strand whose orientation flips.

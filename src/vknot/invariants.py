@@ -44,11 +44,11 @@ beyond the table reads zeros.  Ind(c), J_n(D) and dJ_n(D) are read from
 the same analysis (``FReport.index``, ``.writhes``, ``.dwrithe(n)``),
 and ``f_polynomial`` is ``f_sequence(diagram).f_at(n)``.
 
-The analysis runs on an integer kernel.  The diagram is turned once
-into int lists: crossings relabelled 0..m-1 in first-appearance order,
-the crossing and pass flag at each position (twice round the cycle, so
-that every cyclic run of positions is one slice), and the sign, Over
-position and Under position of each crossing.  One index routine walks
+The analysis runs on an integer kernel over the integer form that
+``Diagram`` builds while it validates (see its docstring): crossings
+numbered 0..m-1 in first-appearance order, the crossing number and pass
+flag at each position, and the sign, Over position and Under position
+of each crossing.  One index routine walks
 a sequence of passes once with a running label, adding the label into
 Ind at an Over pass and subtracting it at an Under pass; the label
 starts at 0, since Ind(c) is a difference of two labels and the steps
@@ -57,8 +57,10 @@ It walks D over its positions, and each smoothing D_c over D's own
 positions in the order of ``Diagram.smooth``: the run from the Over
 pass to the Under pass forward, then the other run backward, with the
 sign of each crossing with exactly one endpoint in that backward run
-negated.  So no smoothed word is assembled and no ``Diagram`` built
-per smoothing.  One writhe routine builds the J_k table of D and of every
+negated in a copy of the signs.  ``f_sequence`` doubles the pass tuple
+once, so that each run is one slice of it, and hands it to every
+smoothing: no smoothed word is assembled and no ``Diagram`` built per
+smoothing.  One writhe routine builds the J_k table of D and of every
 D_c (c left out) from the indices and signs.  ``Diagram.smooth`` stays
 the public transform and the kernel's test oracle.
 
@@ -70,7 +72,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain
 from operator import neg
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .gauss import Diagram
 from .laurent import LaurentPoly2
@@ -88,30 +90,7 @@ class InternalInconsistency(RuntimeError):
     """The stabilization self-check of f_sequence failed (engine bug)."""
 
 
-class _Word:
-    """A diagram as int lists, with its crossings relabelled 0..m-1 in
-    first-appearance order (``ids[k]`` is the id of crossing k).
-
-    ``cross2`` and ``passes2`` run twice round the cycle, so every
-    cyclic run of positions is one plain slice of them."""
-
-    __slots__ = ("ids", "passes", "cross2", "passes2", "sign", "opos", "upos")
-
-    def __init__(self, diagram: Diagram):
-        self.ids = diagram.crossings()
-        number = {c: k for k, c in enumerate(self.ids)}
-        cross = [number[e.crossing] for e in diagram.entries]
-        self.passes = list(zip(cross, [e.over for e in diagram.entries]))  # (crossing, pass flag)
-        self.cross2 = cross * 2
-        self.passes2 = self.passes * 2
-        self.sign = [diagram.sign(c) for c in self.ids]  # sign of each crossing
-        self.opos = [0] * len(self.ids)  # Over position of each crossing
-        self.upos = [0] * len(self.ids)  # Under position of each crossing
-        for pos, (k, o) in enumerate(self.passes):
-            (self.opos if o else self.upos)[k] = pos
-
-
-def _indices(passes: Iterable[tuple[int, bool]], sign: list[int]) -> list[int]:
+def _indices(passes: Iterable[tuple[int, bool]], sign: Sequence[int]) -> list[int]:
     """Ind(k) for every crossing k of the word whose passes, in order,
     are ``passes``; ``sign`` is indexed by crossing.
 
@@ -142,40 +121,37 @@ def arc_labels(diagram: Diagram) -> list[int]:
     """
     if not diagram.entries:
         raise EmptyDiagram("the unknot diagram has no arcs")
-    word = _Word(diagram)
-    passes = word.passes
+    passes, sign = diagram._passes, diagram._sign
     # Direct evaluation for arc 0 (the arc between passes 0 and 1): a
     # crossing counts when the first of its passes met after arc 0 is
     # Over.  Fed those passes in reverse, the dict keeps each first one.
     first = dict(passes[:1] + passes[:0:-1])
-    base = sum([word.sign[k] for k, o in first.items() if o])
+    base = sum([sign[k] for k, o in first.items() if o])
     # Propagate the local rule around the cycle from arc 0.
-    steps = [-word.sign[k] if o else word.sign[k] for k, o in passes[1:]]
+    steps = [-sign[k] if o else sign[k] for k, o in passes[1:]]
     return list(accumulate(steps, initial=base))
 
 
 def _index_table(diagram: Diagram) -> dict[str, int]:
     """Ind(c) for every crossing; {} for the unknot."""
-    word = _Word(diagram)
-    return dict(zip(word.ids, _indices(word.passes, word.sign)))
+    return dict(zip(diagram._number, _indices(diagram._passes, diagram._sign)))
 
 
 def affine_index_polynomial(diagram: Diagram) -> LaurentPoly2:
     """P_D(t) = sum_c sgn(c) (t^Ind(c) - 1); zero on the unknot."""
-    return _affine(diagram, _index_table(diagram))
+    return _affine(_index_table(diagram).values(), diagram._sign)
 
 
-def _affine(diagram: Diagram, ind: dict[str, int]) -> LaurentPoly2:
+def _affine(ind: Iterable[int], sign: Iterable[int]) -> LaurentPoly2:
     terms: dict[tuple[int, int], int] = {}
     get = terms.get
-    for c, k in ind.items():
-        s = diagram.sign(c)
+    for k, s in zip(ind, sign):
         terms[k, 0] = get((k, 0), 0) + s
         terms[0, 0] = get((0, 0), 0) - s
     return LaurentPoly2(terms)
 
 
-def _writhes(ind: list[int], sign: list[int]) -> dict[int, int]:
+def _writhes(ind: list[int], sign: Sequence[int]) -> dict[int, int]:
     """J_k for every index value k of the crossings (other k give 0), from
     Ind and sgn indexed by crossing.
 
@@ -290,25 +266,26 @@ class FReport(NamedTuple):
         return data
 
 
-def _smoothed_writhes(word: _Word, c: int) -> dict[int, int]:
-    """J_k(D_c) for the smoothing at crossing c, read off D's int lists.
+def _smoothed_writhes(
+    diagram: Diagram, passes2: tuple[tuple[int, bool], ...], c: int
+) -> dict[int, int]:
+    """J_k(D_c) for the smoothing at crossing number c, read off D's
+    integer form and ``passes2``, its passes twice round the cycle.
 
     D_c is the segment from the Over pass to the Under pass forward,
     then the segment S from the Under pass to the Over pass reversed; a
     crossing with exactly one endpoint in S changes sign (the ``gauss``
     module docstring, ``Diagram.smooth``).  The index walk reads those
-    two runs as slices of D's doubled pass list, so D_c is never
-    assembled.
+    two runs as slices of ``passes2``, so D_c is never assembled.
     """
-    o, u = word.opos[c], word.upos[c]
-    n = len(word.passes)
+    o, u = diagram._opos[c], diagram._upos[c]
+    n = len(diagram._passes)
     uu = u if u > o else u + n  # the Under pass, after o
     oo = o if o > u else o + n  # the Over pass, after u
-    sign = word.sign[:]
-    for k in word.cross2[u + 1 : oo]:  # a crossing with both endpoints in S flips back
+    sign = list(diagram._sign)
+    for k, _ in passes2[u + 1 : oo]:  # a crossing with both endpoints in S flips back
         sign[k] = -sign[k]
-    passes = word.passes2
-    ind = _indices(chain(passes[o + 1 : uu], passes[oo - 1 : u : -1]), sign)
+    ind = _indices(chain(passes2[o + 1 : uu], passes2[oo - 1 : u : -1]), sign)
     del ind[c], sign[c]
     return _writhes(ind, sign)
 
@@ -325,7 +302,7 @@ def _dj_table(smoothed: list[dict[int, int]], n_max: int) -> tuple[tuple[int, ..
     return tuple(map(tuple, rows[1:]))
 
 
-def _f_poly(ind: Iterable[int], signs: list[int], row: tuple[int, ...], d_n: int) -> LaurentPoly2:
+def _f_poly(ind: Iterable[int], signs: Sequence[int], row: Sequence[int], d_n: int) -> LaurentPoly2:
     """F^n from Ind(c), sgn(c) and dJ_n(D_c) per crossing, and d_n = dJ_n(D)."""
     terms: dict[tuple[int, int], int] = {}
     get = terms.get
@@ -354,20 +331,21 @@ def f_sequence(diagram: Diagram) -> FReport:
     extra n_max+1 entry exercises that collapse; if it ever failed to
     match the tail the engine would be wrong, hence the hard error.
     """
-    word = _Word(diagram)
-    indices = _indices(word.passes, word.sign)
-    ind = dict(zip(word.ids, indices))
-    writhes = _writhes(indices, word.sign)
-    smoothed = [_smoothed_writhes(word, c) for c in range(len(word.ids))]
+    sign = diagram._sign
+    indices = _indices(diagram._passes, sign)
+    writhes = _writhes(indices, sign)
+    passes2 = diagram._passes * 2
+    smoothed = [_smoothed_writhes(diagram, passes2, c) for c in range(len(sign))]
     n_max = max(map(abs, chain(writhes, *smoothed)), default=0)
     table = _dj_table(smoothed, n_max)
-    tail = _affine(diagram, ind)
+    tail = _affine(indices, sign)
     per_n = {
-        n: _f_poly(ind.values(), word.sign, row, _dj(writhes, n))
+        n: _f_poly(indices, sign, row, _dj(writhes, n))
         for n, row in enumerate(table, start=1)
     }
     if per_n[n_max + 1] != tail:
         raise InternalInconsistency(
             f"F^{n_max + 1} of {str(diagram)!r} did not stabilize to the affine polynomial"
         )
+    ind = dict(zip(diagram._number, indices))
     return FReport(diagram, n_max, per_n, tail, ind, writhes, table)

@@ -337,9 +337,17 @@ class MoveScript(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "MoveScript":
+        """The script whose ``to_json`` is ``text``: a JSON array of steps.
+        Any other text raises ``MoveError``; ``apply`` checks the steps."""
         import json
 
-        return cls(tuple(json.loads(text)))
+        try:
+            steps = json.loads(text)
+        except ValueError as exc:
+            raise MoveError(f"script is not JSON: {exc}") from None
+        if type(steps) is not list:
+            raise MoveError(f"script is not a JSON array: {text!r}")
+        return cls(tuple(steps))
 
 
 def random_walk(diagram: Diagram, steps: int, seed: int) -> tuple[Diagram, MoveScript]:

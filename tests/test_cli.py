@@ -131,9 +131,9 @@ def test_compute_all_smooths_each_crossing_once(capsys, monkeypatch):
     step = vknot.invariants._smoothed_writhes
     smoothed = []
 
-    def counting_step(word, c):
-        smoothed.append(word.ids[c])
-        return step(word, c)
+    def counting_step(diagram, passes2, c):
+        smoothed.append(diagram.crossings()[c])
+        return step(diagram, passes2, c)
 
     def no_smooth(self, crossing):
         raise AssertionError("Diagram.smooth called")

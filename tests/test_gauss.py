@@ -166,6 +166,35 @@ def test_parse_pinned_on_every_short_sequence():
     assert digest.hexdigest() == "2566c101d13bfb3d5f44eb630b60cecbd79ac36ed4878ea2d44f733a4d53116d"
 
 
+# Entries of the Diagram pin: valid ones for ids "1" and "2", then one
+# entry per bad id, pass flag or sign.
+_PIN_ENTRIES = (
+    Entry("1", True, 1), Entry("1", False, 1), Entry("1", True, -1), Entry("1", False, -1),
+    Entry("2", True, -1), Entry("2", False, -1),
+    Entry("1\n", True, 1), Entry(1, False, 1), Entry(None, True, -1), Entry(["x"], False, -1),
+    Entry("1", 1, 1), Entry("1", True, 1.0), Entry("2", False, True), Entry("2", True, 0),
+)
+
+
+def test_diagram_pinned_on_every_short_sequence():
+    # sha256 over the outcome of Diagram(...) on every sequence of at most
+    # four pin entries (41,371 in all), in itertools.product order: each
+    # crossing with its sign, Over and Under position, or the error class
+    # and message; recorded with the dict-keyed validation this one replaced.
+    digest = hashlib.sha256()
+    for length in range(5):
+        for entries in itertools.product(_PIN_ENTRIES, repeat=length):
+            try:
+                d = Diagram(entries)
+                out = repr(
+                    [(c, d.sign(c), d.over_position(c), d.under_position(c)) for c in d.crossings()]
+                )
+            except GaussCodeError as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            digest.update(out.encode() + b"\n")
+    assert digest.hexdigest() == "bf9075ae9a6b9bbf39a6bcb40bad28c1b7ed704e89eb40f4b71c6d7f39caf997"
+
+
 def assert_every_code_round_trips(m):
     """parse_gauss(format_gauss(d)) == d for every m-crossing code, also
     with each space written as a comma and a tab and the text in lower case."""
@@ -178,6 +207,23 @@ def assert_every_code_round_trips(m):
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_every_small_code_round_trips(m):
     assert_every_code_round_trips(m)
+
+
+def assert_positions_match_entries(m):
+    """For every m-crossing code, each crossing's Over and Under positions
+    hold its two entries with its sign, and ``crossings()`` lists the ids
+    in order of first appearance."""
+    for d in enumerate_codes(m):
+        entries = d.entries
+        for c in d.crossings():
+            assert entries[d.over_position(c)] == Entry(c, True, d.sign(c)), (str(d), c)
+            assert entries[d.under_position(c)] == Entry(c, False, d.sign(c)), (str(d), c)
+        assert d.crossings() == tuple(dict.fromkeys(e.crossing for e in entries)), str(d)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_positions_match_entries_on_every_small_code(m):
+    assert_positions_match_entries(m)
 
 
 @pytest.mark.parametrize("flag", ["yes", "", 1, 0, None])

@@ -58,7 +58,7 @@ VALUES = {
     "MatchVerdict": ("status", lambda: verify_record(_record())),
     "FGroup": ("names", lambda: FGroup(((1, parse_poly("t-1")),), ("3.1", "3.2"))),
     "MoveScript": ("steps", lambda: MoveScript(({"move": "R1-", "site": 0},))),
-    "Diagram": ("_signs", lambda: parse_gauss(RECORD_CODE)),
+    "Diagram": ("_sign", lambda: parse_gauss(RECORD_CODE)),
     "LaurentPoly2": ("_terms", lambda: parse_poly("t-1")),
 }
 

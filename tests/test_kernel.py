@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from conftest import diagrams, random_code
 from vknot.enumerate import enumerate_codes
 from vknot.gauss import Diagram, parse_gauss
-from vknot.invariants import _index_table, _smoothed_writhes, _Word, f_sequence
+from vknot.invariants import _index_table, _smoothed_writhes, f_sequence
 from vknot.moves import r1_remove, r1_sites, r2_remove, r2_sites, r3_apply, r3_triples
 
 
@@ -63,8 +63,8 @@ def oracle(d: Diagram) -> tuple[dict[str, dict[int, int]], frozenset[int]]:
 
 
 def kernel(d: Diagram) -> tuple[dict[str, dict[int, int]], frozenset[int]]:
-    word = _Word(d)
-    writhes = {name: _smoothed_writhes(word, c) for c, name in enumerate(word.ids)}
+    passes2 = d._passes * 2
+    writhes = {name: _smoothed_writhes(d, passes2, c) for c, name in enumerate(d.crossings())}
     return writhes, support(writhes)
 
 
@@ -112,9 +112,9 @@ def assert_kernel_matches_every_code(m: int) -> None:
     which would push the suite past 15 s, so CI runs it as its own step
     (``.github/workflows/tests.yml``) and the suite runs m <= 3."""
     for d in enumerate_codes(m):
-        word = _Word(d)
-        for c, name in enumerate(word.ids):
-            assert _smoothed_writhes(word, c) == writhe_table(d.smooth(name)), (str(d), name)
+        passes2 = d._passes * 2
+        for c, name in enumerate(d.crossings()):
+            assert _smoothed_writhes(d, passes2, c) == writhe_table(d.smooth(name)), (str(d), name)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

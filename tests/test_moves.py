@@ -184,6 +184,21 @@ def test_script_json_round_trip(example_31):
     assert again.apply(example_31) == script.apply(example_31)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"move": "R1-", "site": 0}',  # an object, not an array of steps
+        '"R1-"',
+        "5",
+        "null",
+        "{",  # not JSON at all
+    ],
+)
+def test_script_from_json_needs_an_array(text):
+    with pytest.raises(MoveError):
+        MoveScript.from_json(text)
+
+
 def test_script_rejects_unknown_move(example_31):
     with pytest.raises(MoveError):
         MoveScript(({"move": "R9"},)).apply(example_31)
