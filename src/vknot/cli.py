@@ -22,8 +22,7 @@ import sys
 import time
 
 from .gauss import Diagram, GaussCodeError, parse_gauss
-from .invariants import f_sequence
-from .laurent import PolyParseError
+from .invariants import FReport, f_sequence
 from .moves import Lcg, MoveError, fuzz_invariance
 from .table import (
     CorruptData,
@@ -34,7 +33,7 @@ from .table import (
     kauffman_family,
     load_table,
     name_key,
-    verify_record,
+    verify_all,
 )
 
 
@@ -67,8 +66,22 @@ def _resolve(*texts: str) -> list[tuple[Diagram, str | None]]:
     return resolved
 
 
-def _sign_str(s: int) -> str:
-    return "+1" if s > 0 else "-1"
+def _print_json(report: FReport, name: str | None, ns: list[int]) -> None:
+    """The JSON report of ``compute`` and ``family``: ``knot`` (if named),
+    ``gauss``, ``n_max``, ``F`` (F^n keyed by each n of ``ns``) and
+    ``stable``, each polynomial a list of {"t", "l", "c"} terms in
+    canonical order."""
+    import json
+
+    def terms(poly):
+        return [{"t": t, "l": l, "c": c} for t, l, c in poly.terms()]
+
+    data = {} if name is None else {"knot": name}
+    data["gauss"] = str(report.diagram)
+    data["n_max"] = report.n_max
+    data["F"] = {str(n): terms(report.f_at(n)) for n in ns}
+    data["stable"] = terms(report.stable_tail)
+    print(json.dumps(data))
 
 
 # -- compute ---------------------------------------------------------------------
@@ -84,12 +97,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     ns = list(range(1, report.n_max + 2)) if args.all else [args.n or 1]
 
     if args.format == "json":
-        import json
-
-        payload = report.to_json(name)
-        if not args.all:
-            payload["F"] = {str(n): report.f_at(n).json_terms() for n in ns}
-        print(json.dumps(payload))
+        _print_json(report, name, ns)
         return 0
 
     label = f"knot {name}: " if name else ""
@@ -100,7 +108,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     columns = zip(*[report.smoothed_row(n) for n in ns])
     for (c, k), column in zip(report.index.items(), columns):
         smoothed = " ".join([head + str(dj) for head, dj in zip(heads, column)])
-        lines.append(f"crossing {c}: sign={_sign_str(diagram.sign(c))} index={k} {smoothed}")
+        lines.append(f"crossing {c}: sign={diagram.sign(c):+d} index={k} {smoothed}")
     lines.append(f"P(t) = {tail}")
     lines.append(f"n_max = {report.n_max}")
     for n in ns:
@@ -118,7 +126,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_tabulate(args: argparse.Namespace) -> int:
     records = load_table()
-    verdicts = [verify_record(r) for r in records]
+    verdicts = verify_all(records)
     # per record: (n, computed F^n) for each expected n
     rows = [[(n, str(v.report.f_at(n))) for n, _ in r.expected] for r, v in zip(records, verdicts)]
 
@@ -221,9 +229,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     diagram = kauffman_family(args.k)
     report = f_sequence(diagram)
     if args.format == "json":
-        import json
-
-        print(json.dumps(report.to_json(f"D^{args.k}")))
+        _print_json(report, f"D^{args.k}", sorted(report.per_n))
         return 0
     print(f"D^{args.k}: {diagram}")
     for n, poly in report.fingerprint():
@@ -320,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (_InputError, GaussCodeError, PolyParseError, MoveError, EvenK, CorruptData) as exc:
+    except (_InputError, GaussCodeError, MoveError, EvenK, CorruptData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

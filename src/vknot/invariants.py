@@ -254,17 +254,6 @@ class FReport(NamedTuple):
                 last_live = n
         return tuple((n, self.per_n[n]) for n in range(1, min(last_live + 1, self.n_max + 1) + 1))
 
-    def to_json(self, name: str | None = None) -> dict:
-        data: dict = {
-            "gauss": str(self.diagram),
-            "n_max": self.n_max,
-            "F": {str(n): self.per_n[n].json_terms() for n in sorted(self.per_n)},
-            "stable": self.stable_tail.json_terms(),
-        }
-        if name is not None:
-            data = {"knot": name, **data}
-        return data
-
 
 def _smoothed_writhes(
     diagram: Diagram, passes2: tuple[tuple[int, bool], ...], c: int

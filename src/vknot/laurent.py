@@ -164,17 +164,14 @@ class LaurentPoly2:
     def __repr__(self) -> str:
         return f"LaurentPoly2({str(self)!r})"
 
-    def json_terms(self) -> list[dict[str, int]]:
-        """JSON-friendly term list, sorted in the canonical order."""
-        return [{"t": et, "l": el, "c": c} for et, el, c in self.terms()]
-
 
 def parse_poly(text: str) -> LaurentPoly2:
     """Parse the canonical polynomial syntax produced by ``str()``.
 
     Whitespace is ignored.  ``"0"`` parses to the zero polynomial.
     Every term after the first starts with a sign, and every term has a
-    coefficient or a variable; digits are ASCII only.
+    coefficient or a variable; digits are ASCII only, and no more of
+    them per integer than ``sys.get_int_max_str_digits()``.
     Round-trips: ``parse_poly(str(p)) == p`` for every polynomial p.
     """
     s = "".join(text.split())
@@ -187,8 +184,11 @@ def parse_poly(text: str) -> LaurentPoly2:
         sign, mag, t, e_t, l, e_l = m.groups()
         if (pos and not sign) or not (mag or t or l):
             raise PolyParseError(f"bad polynomial {text!r} near {s[pos:]!r}")
-        key = (int(e_t) if e_t else 1 if t else 0, int(e_l) if e_l else 1 if l else 0)
-        coeff = int(mag) if mag else 1
+        try:
+            key = (int(e_t) if e_t else 1 if t else 0, int(e_l) if e_l else 1 if l else 0)
+            coeff = int(mag) if mag else 1
+        except ValueError:  # more digits than int() converts
+            raise PolyParseError(f"too many digits near {s[pos:pos + 20]!r}") from None
         terms[key] = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
         pos = m.end()
     return LaurentPoly2(terms)

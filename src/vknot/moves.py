@@ -39,7 +39,8 @@ Valid moves keep a word valid, so ``random_walk`` rewrites one list and
 validates it once, as the ``Diagram`` it returns, and applies each
 drawn site from the scan it was drawn from.  The public move functions
 and ``MoveScript.apply`` (scripts are external input) are validating
-wrappers: every move they make builds a ``Diagram``.
+wrappers: ``_on_diagram`` checks the exact type of each parameter they
+pass, and every move they make builds a ``Diagram``.
 
 ``fuzz_invariance`` is the one fuzzing loop.  Reproducibility across
 platforms matters more than statistical quality, so walks draw from a
@@ -115,11 +116,11 @@ def _check_arc(ents: list[Entry], arc: int) -> None:
         raise InvalidArc(f"arc {arc} out of range for {len(ents)} entries")
 
 
-def _r1_insert(ents: list[Entry], arcs, arc: int | None, sign: int, over_first: bool) -> None:
+def _r1_insert(ents: list[Entry], arcs, arc: int, sign: int, over_first: bool) -> None:
     if sign not in (1, -1):
         raise MoveError(f"sign must be +1 or -1, got {sign!r}")
     (cid,) = _fresh_ids(ents, 1)
-    arc = (0 if arc is None else arc) if ents else -1  # one place on the empty word
+    arc = arc if ents else -1  # one place on the empty word
     if ents:
         _check_arc(ents, arc)
     ents[arc + 1 : arc + 1] = [Entry(cid, over_first, sign), Entry(cid, not over_first, sign)]
@@ -166,7 +167,7 @@ def _r2_sites(ents: list[Entry]) -> list[tuple[int, int]]:
 
 
 def _r2_remove(ents: list[Entry], sites: list[tuple[int, int]], site) -> None:
-    if tuple(site) not in sites:
+    if tuple(map(type, site)) != (int, int) or tuple(site) not in sites:
         raise PatternNotFound(f"no R2 configuration at {tuple(site)}")
     (i, j), n = site, len(ents)
     for pos in sorted({i, (i + 1) % n, j, (j + 1) % n}, reverse=True):
@@ -240,8 +241,11 @@ _KINDS = tuple(_MOVES)
 
 
 def _on_diagram(kind: str, diagram: Diagram, *params) -> Diagram:
-    """Apply one move to a copy of the diagram's word; validate the result."""
+    """Apply one move, each parameter of exactly its key's type (a bool is
+    not an int), to a copy of the diagram's word; validate the result."""
     move = _MOVES[kind]
+    if any(type(p) is not t for p, t in zip(params, move.keys.values())):
+        raise MoveError(f"malformed {kind} parameters {params!r}: needs {', '.join(move.keys)}")
     ents = list(diagram.entries)
     move.rewrite(ents, move.sites(ents), *params)
     return Diagram(ents)
@@ -254,7 +258,7 @@ def r1_insert(diagram: Diagram, arc: int | None, sign: int, over_first: bool = T
 
     On the empty diagram ``arc`` is ignored (there is only one place).
     """
-    return _on_diagram("R1+", diagram, arc, sign, over_first)
+    return _on_diagram("R1+", diagram, 0 if arc is None else arc, sign, over_first)
 
 
 def r1_sites(diagram: Diagram) -> list[int]:
@@ -287,7 +291,7 @@ def r2_sites(diagram: Diagram) -> list[tuple[int, int]]:
 
 def r2_remove(diagram: Diagram, site: tuple[int, int]) -> Diagram:
     """Delete the four entries of the R2 configuration starting at site."""
-    return _on_diagram("R2-", diagram, site)
+    return _on_diagram("R2-", diagram, list(site) if type(site) is tuple else site)
 
 
 def r3_triples(diagram: Diagram) -> list[tuple[str, str, str]]:
@@ -324,10 +328,7 @@ class MoveScript(NamedTuple):
         for step in self.steps:
             if type(step) is not dict or step.get("move") not in _KINDS:
                 raise MoveError(f"unknown move kind in step {step!r}")
-            keys = _MOVES[step["move"]].keys  # exact types: a JSON true is not an int
-            if any(type(step.get(key)) is not t for key, t in keys.items()):
-                raise MoveError(f"malformed step {step!r}: needs {', '.join(keys)}")
-            cur = _on_diagram(step["move"], cur, *[step[key] for key in keys])
+            cur = _on_diagram(step["move"], cur, *map(step.get, _MOVES[step["move"]].keys))
         return cur
 
     def to_json(self) -> str:

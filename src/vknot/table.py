@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .gauss import Diagram, Entry, GaussCodeError, parse_gauss
 from .invariants import FReport, f_sequence
-from .laurent import LaurentPoly2, PolyParseError, parse_poly
+from .laurent import LaurentPoly2, parse_poly
 
 
 class CorruptData(RuntimeError):
@@ -159,12 +159,13 @@ def read_expected(path: Path) -> dict[str, tuple[tuple[int, LaurentPoly2], ...]]
         if not (n_text.isascii() and n_text.isdigit()):
             raise CorruptData(f"bad expected row for {name!r}: n is {n_text!r}")
         poly = polys.get(poly_text)
-        if poly is None:
-            try:
+        try:
+            n = int(n_text)
+            if poly is None:
                 poly = polys[poly_text] = parse_poly(poly_text)
-            except PolyParseError as exc:
-                raise CorruptData(f"bad expected row for {name!r}: {exc}") from exc
-        rows.setdefault(name, []).append((int(n_text), poly))
+        except ValueError as exc:  # PolyParseError, or more digits than int() converts
+            raise CorruptData(f"bad expected row for {name!r}: {exc}") from exc
+        rows.setdefault(name, []).append((n, poly))
     if set(rows) != _EXPECTED_NAMES:
         odd = sorted(set(rows) ^ _EXPECTED_NAMES)
         raise CorruptData(f"table names do not cover 2.1..4.108: {odd}")
@@ -228,10 +229,8 @@ def verify_record(record: KnotRecord) -> MatchVerdict:
     return MatchVerdict(record.name, Verdict.MISMATCH, details, report)
 
 
-def verify_all(records: list[KnotRecord] | None = None) -> list[MatchVerdict]:
-    """Verdicts for every record, in name order."""
-    if records is None:
-        records = load_table()
+def verify_all(records: list[KnotRecord]) -> list[MatchVerdict]:
+    """The verdict of each record, in the order given."""
     return [verify_record(r) for r in records]
 
 

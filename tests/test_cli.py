@@ -295,6 +295,51 @@ def test_undecodable_table_file_is_corrupt_data(capsys, tmp_path, monkeypatch, d
     assert len(err.splitlines()) == 1 and err.startswith("error: cannot read table data: ")
 
 
+FOUR_ONE = "4.1\tO1- O2- O3- O4- U3- U4- U1- U2-"  # lines of the shipped knots.tsv
+LAST = "4.108\tO1+ U2- O4- U1+ O3+ U4- O2- U3+"
+
+
+@pytest.mark.parametrize(
+    "old, new, error",
+    [
+        (FOUR_ONE, "4.1", "bad knots.tsv line: '4.1'"),
+        (FOUR_ONE, f"{FOUR_ONE}\n{FOUR_ONE}", "duplicate record '4.1'"),
+        (LAST, "", "table names do not cover 2.1..4.108: ['4.108']"),
+        (LAST, f"{LAST}\n4.109\tO1+ U1+", "table names do not cover 2.1..4.108: ['4.109']"),
+        (FOUR_ONE, "4.1\tX", "record '4.1' has a bad code: malformed token 'X'"),
+    ],
+    ids=["short line", "duplicate", "missing name", "extra name", "bad code"],
+)
+def test_tabulate_rejects_a_corrupt_knots_file(capsys, tmp_path, monkeypatch, old, new, error):
+    import shutil
+
+    from vknot.table import data_dir
+
+    knots = (data_dir() / "knots.tsv").read_text()
+    assert old in knots
+    (tmp_path / "knots.tsv").write_text(knots.replace(old, new))
+    shutil.copy(data_dir() / "fpolys.tsv", tmp_path / "fpolys.tsv")
+    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    assert run(capsys, "tabulate") == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("row", ["2.1\t{}\t-t^-1+2-t", "2.1\t1\t-t^-{}+2-t", "2.1\t1\t-{}t^-1+2-t"])
+def test_tabulate_rejects_integers_too_long_to_convert(capsys, tmp_path, monkeypatch, row):
+    import sys
+
+    from vknot.table import data_dir
+
+    (tmp_path / "knots.tsv").write_text((data_dir() / "knots.tsv").read_text())
+    rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
+    rows[0] = row.format("9" * (sys.get_int_max_str_digits() + 1))
+    (tmp_path / "fpolys.tsv").write_text("\n".join(rows) + "\n")
+    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    code, out, err = run(capsys, "tabulate")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: bad expected row for '2.1': ")
+
+
 def test_tabulate_groups_on_reversed_table(capsys, tmp_path, monkeypatch):
     import shutil
 

@@ -1,9 +1,13 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's examples run: the library block prints what its comments
+say, and every command of the command-line block exits 0."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from vknot.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +33,17 @@ def test_readme_library_example_prints_its_comments():
     printed = out.getvalue().splitlines()
     assert printed[: len(documented)] == [value for _, value in documented]
     assert len(printed) == len(documented) + 3
+
+
+def test_readme_command_lines_exit_0(monkeypatch):
+    monkeypatch.delenv("VKNOT_TABLE_DIR", raising=False)
+    section = README.read_text().split("## Command line", 1)[1]
+    lines = re.search(r"```sh\n(.*?)```", section, re.S).group(1).splitlines()
+    assert any("compute 3.1 -n 2 --format json" in line for line in lines)
+    for line in lines:
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "vknot"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0, line
+        assert out.getvalue(), line

@@ -177,6 +177,8 @@ def test_t_set_example(example_31):
     assert f_sequence(example_31).t_set(1) == frozenset()
     assert f_sequence(example_31).t_set(2) == frozenset()
     assert f_sequence(UNKNOT).t_set(5) == frozenset()
+    with pytest.raises(NonpositiveN):
+        f_sequence(example_31).t_set(0)
 
 
 def test_f_polynomial_example(example_31):
@@ -191,6 +193,8 @@ def test_f_polynomial_unknot_zero():
         assert f_polynomial(UNKNOT, n) == LaurentPoly2.zero()
     with pytest.raises(NonpositiveN):
         f_polynomial(UNKNOT, 0)
+    with pytest.raises(NonpositiveN):
+        f_sequence(UNKNOT).f_at(0)
 
 
 def test_f_sequence_example(example_31):
@@ -228,13 +232,35 @@ def test_f_sequence_labels_each_diagram_once(example_31, monkeypatch):
     assert lengths.count(len(example_31)) == 1
 
 
-def test_f_report_json(example_31):
-    data = f_sequence(example_31).to_json("3.1-example")
-    assert data["knot"] == "3.1-example"
-    assert data["gauss"] == str(example_31)
+def test_f_report_json(table_records, capsys):
+    # The CLI writes the JSON report of an F-sequence.
+    import json
+
+    from vknot.cli import main
+
+    [record] = [r for r in table_records if r.name == "3.1"]
+    assert main(["compute", "3.1", "--all", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["knot"] == "3.1"
+    assert data["gauss"] == str(record.diagram())
     assert data["n_max"] == 2
     assert set(data["F"]) == {"1", "2", "3"}
-    assert data["stable"] == affine_index_polynomial(example_31).json_terms()
+    stable = affine_index_polynomial(record.diagram()).terms()
+    assert data["stable"] == [{"t": t, "l": l, "c": c} for t, l, c in stable]
+
+
+def test_f_sequence_checks_that_it_stabilizes(example_31, monkeypatch):
+    import vknot.invariants
+
+    affine = vknot.invariants._affine
+
+    def one_term_off(ind, sign):
+        return affine(ind, sign) + LaurentPoly2.monomial(1, 9)
+
+    monkeypatch.setattr(vknot.invariants, "_affine", one_term_off)
+    with pytest.raises(InternalInconsistency) as info:
+        f_sequence(example_31)
+    assert repr(str(example_31)) in str(info.value)
 
 
 @given(diagrams())

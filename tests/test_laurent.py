@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -105,13 +106,28 @@ def test_parse_pinned_on_every_short_string():
     assert digest.hexdigest() == "bf32c5b5e8903a6141c3d8254c399718598db5f8a249094324f2c93b9efac10b"
 
 
-def test_json_terms_sorted():
-    p = parse_poly("-l^-2+2-l^2")
-    assert p.json_terms() == [
+def test_json_terms_sorted(capsys):
+    # The CLI writes each polynomial as its terms in canonical order;
+    # F^1 of table knot 4.16 is -l^-2+2-l^2.
+    import json
+
+    from vknot.cli import main
+
+    assert main(["compute", "4.16", "-n", "1", "--format", "json"]) == 0
+    terms = json.loads(capsys.readouterr().out)["F"]["1"]
+    assert terms == [
         {"t": 0, "l": -2, "c": -1},
         {"t": 0, "l": 0, "c": 2},
         {"t": 0, "l": 2, "c": -1},
     ]
+    assert [(d["t"], d["l"], d["c"]) for d in terms] == parse_poly("-l^-2+2-l^2").terms()
+
+
+@pytest.mark.parametrize("text", ["t^{}", "-{}*l", "1+l^-{}"])
+def test_parse_rejects_integers_too_long_to_convert(text):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(PolyParseError, match="too many digits"):
+        parse_poly(text.format(digits))
 
 
 def test_coefficient_lookup():

@@ -96,11 +96,40 @@ def test_r2_insert_remove_round_trip(example_31):
     assert sites, "inserted configuration must be removable"
     candidates = [r2_remove(grown, s) for s in sites]
     assert example_31 in candidates
+    assert [r2_remove(grown, list(s)) for s in sites] == candidates  # a list site too
 
 
 def test_r2_remove_rejects_bad_site(example_31):
     with pytest.raises(PatternNotFound):
         r2_remove(example_31, (0, 2))
+
+
+@pytest.mark.parametrize(
+    "move, args",
+    [
+        (r1_insert, (1.5, 1)),
+        (r1_insert, ("0", 1)),
+        (r1_insert, (True, 1)),
+        (r1_insert, (0, True)),
+        (r1_insert, (0, 1, 1)),
+        (r1_remove, (1.0,)),
+        (r1_remove, ("1",)),
+        (r2_insert, (0, 1, 1)),
+        (r2_insert, (0.0, 1)),
+        (r2_remove, ((4.0, 9),)),
+        (r2_remove, ([4, 9, 0],)),
+        (r2_remove, (4,)),
+        (r3_apply, (1, 2, 3)),
+    ],
+    ids=lambda case: case.__name__ if callable(case) else repr(case),
+)
+def test_move_functions_take_parameters_of_exact_types(example_31, move, args):
+    # A kink at position 1 and an R2 configuration at (4, 9): only the
+    # parameter types are wrong.
+    d = r1_insert(r2_insert(example_31, 1, 4), 0, 1)
+    assert r1_sites(d) == [1] and (4, 9) in r2_sites(d)
+    with pytest.raises(MoveError):
+        move(d, *args)
 
 
 # -- R3 ------------------------------------------------------------------------

@@ -103,6 +103,14 @@ def test_load_table_rejects_non_digit_n(tmp_path, n_text):
         load_table(tmp_path)
 
 
+def test_read_expected_rejects_an_n_too_long_to_convert(tmp_path):
+    rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
+    rows[0] = f"2.1\t{'9' * (sys.get_int_max_str_digits() + 1)}\t-t^-1+2-t"
+    (tmp_path / "fpolys.tsv").write_text("\n".join(rows) + "\n")
+    with pytest.raises(CorruptData, match=r"'2\.1': .*digits"):
+        read_expected(tmp_path / "fpolys.tsv")
+
+
 def test_load_table_rejects_a_repeated_n(tmp_path):
     import shutil
 
