@@ -171,7 +171,8 @@ def parse_poly(text: str) -> LaurentPoly2:
     Whitespace is ignored.  ``"0"`` parses to the zero polynomial.
     Every term after the first starts with a sign, and every term has a
     coefficient or a variable; digits are ASCII only, and no more of
-    them per integer than ``sys.get_int_max_str_digits()``.
+    them per integer, nor in the sum of repeated terms, than
+    ``sys.get_int_max_str_digits()``.
     Round-trips: ``parse_poly(str(p)) == p`` for every polynomial p.
     """
     s = "".join(text.split())
@@ -187,8 +188,11 @@ def parse_poly(text: str) -> LaurentPoly2:
         try:
             key = (int(e_t) if e_t else 1 if t else 0, int(e_l) if e_l else 1 if l else 0)
             coeff = int(mag) if mag else 1
-        except ValueError:  # more digits than int() converts
+            coeff = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
+            if key in terms:
+                str(coeff)  # a sum of repeated terms must print, too
+        except ValueError:  # more digits than int() or str() converts
             raise PolyParseError(f"too many digits near {s[pos:pos + 20]!r}") from None
-        terms[key] = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
+        terms[key] = coeff
         pos = m.end()
     return LaurentPoly2(terms)

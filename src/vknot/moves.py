@@ -37,10 +37,12 @@ of ``Entry`` values) that checks its parameters against one scan of
 the word's sites; ``_MOVES`` maps each kind to scan, draw and rewrite.
 Valid moves keep a word valid, so ``random_walk`` rewrites one list and
 validates it once, as the ``Diagram`` it returns, and applies each
-drawn site from the scan it was drawn from.  The public move functions
-and ``MoveScript.apply`` (scripts are external input) are validating
-wrappers: ``_on_diagram`` checks the exact type of each parameter they
-pass, and every move they make builds a ``Diagram``.
+drawn site from the scan it was drawn from.  The public interface reads
+the same table: ``move_sites(diagram, kind)`` lists one scan's sites,
+each in parameter form, and ``apply_move(diagram, kind, *params)``
+checks the exact type of each parameter, rewrites a copy of the word
+and builds a ``Diagram``.  ``MoveScript.apply`` (scripts are external
+input) calls ``apply_move`` for each step.
 
 ``fuzz_invariance`` is the one fuzzing loop.  Reproducibility across
 platforms matters more than statistical quality, so walks draw from a
@@ -111,18 +113,12 @@ def _fresh_ids(ents: list[Entry], count: int) -> list[str]:
     return out
 
 
-def _check_arc(ents: list[Entry], arc: int) -> None:
-    if not 0 <= arc < len(ents):
+def _r1_insert(ents: list[Entry], arcs: range, arc: int, sign: int, over_first: bool) -> None:
+    if arc not in arcs:
         raise InvalidArc(f"arc {arc} out of range for {len(ents)} entries")
-
-
-def _r1_insert(ents: list[Entry], arcs, arc: int, sign: int, over_first: bool) -> None:
     if sign not in (1, -1):
         raise MoveError(f"sign must be +1 or -1, got {sign!r}")
     (cid,) = _fresh_ids(ents, 1)
-    arc = arc if ents else -1  # one place on the empty word
-    if ents:
-        _check_arc(ents, arc)
     ents[arc + 1 : arc + 1] = [Entry(cid, over_first, sign), Entry(cid, not over_first, sign)]
 
 
@@ -132,19 +128,16 @@ def _r1_sites(ents: list[Entry]) -> list[int]:
     return sites[:1] if n == 2 else sites  # "O1 U1" is one kink, seen from both ends
 
 
-def _r1_remove(ents: list[Entry], sites, site: int) -> None:
-    n = len(ents)
-    if n == 0 or ents[site % n].crossing != ents[(site + 1) % n].crossing:
+def _r1_remove(ents: list[Entry], sites: list[int], site: int) -> None:
+    if site not in sites:
         raise PatternNotFound(f"no kink at position {site}")
-    for pos in sorted({site % n, (site + 1) % n}, reverse=True):
+    for pos in sorted({site, (site + 1) % len(ents)}, reverse=True):
         del ents[pos]
 
 
-def _r2_insert(ents: list[Entry], arcs, arc1: int, arc2: int, over_first: bool) -> None:
-    if arc1 == arc2:
-        raise InvalidArc("R2 insertion needs two distinct arcs")
-    _check_arc(ents, arc1)
-    _check_arc(ents, arc2)
+def _r2_insert(ents: list[Entry], arcs: range, arc1: int, arc2: int, over_first: bool) -> None:
+    if arc1 == arc2 or arc1 not in arcs or arc2 not in arcs:
+        raise InvalidArc(f"R2 insertion needs two distinct arcs in {arcs}, got {arc1}, {arc2}")
     a, b = _fresh_ids(ents, 2)
     first = [Entry(a, over_first, 1), Entry(b, over_first, -1)]
     second = [Entry(b, not over_first, -1), Entry(a, not over_first, 1)]
@@ -152,7 +145,7 @@ def _r2_insert(ents: list[Entry], arcs, arc1: int, arc2: int, over_first: bool) 
         ents[arc + 1 : arc + 1] = block
 
 
-def _r2_sites(ents: list[Entry]) -> list[tuple[int, int]]:
+def _r2_sites(ents: list[Entry]) -> list[list[int]]:
     n = len(ents)
     pos = {(c, over): i for i, (c, over, _) in enumerate(ents)}  # (crossing, pass) -> position
     sites = []
@@ -162,13 +155,13 @@ def _r2_sites(ents: list[Entry]) -> list[tuple[int, int]]:
         # Each configuration is seen from both pairs, (i, j) and (j, i): keep the first.
         j = pos[e2.crossing, not e2.over]
         if (j + 1) % n == pos[e1.crossing, not e1.over] and i < j:
-            sites.append((i, j))
+            sites.append([i, j])
     return sites
 
 
-def _r2_remove(ents: list[Entry], sites: list[tuple[int, int]], site) -> None:
-    if tuple(map(type, site)) != (int, int) or tuple(site) not in sites:
-        raise PatternNotFound(f"no R2 configuration at {tuple(site)}")
+def _r2_remove(ents: list[Entry], sites: list[list[int]], site: list[int]) -> None:
+    if list(map(type, site)) != [int, int] or site not in sites:  # [True, 2] == [1, 2]
+        raise PatternNotFound(f"no R2 configuration at {site}")
     (i, j), n = site, len(ents)
     for pos in sorted({i, (i + 1) % n, j, (j + 1) % n}, reverse=True):
         del ents[pos]
@@ -233,81 +226,35 @@ _MOVES = {
     "R1-": _Move({"site": int}, _r1_sites, lambda rng, w, s: (rng.choice(s),), _r1_remove),
     "R2+": _Move({"arc1": int, "arc2": int, "over_first": bool},
                  lambda w: range(len(w) if len(w) > 1 else 0), _draw_r2_insert, _r2_insert),
-    "R2-": _Move({"site": list}, _r2_sites, lambda rng, w, s: (list(rng.choice(s)),), _r2_remove),
+    "R2-": _Move({"site": list}, _r2_sites, lambda rng, w, s: (rng.choice(s),), _r2_remove),
     "R3": _Move(dict.fromkeys("pqr", str), _r3_patterns,
                 lambda rng, w, s: rng.choice(list(s)), _r3_apply),
 }
 _KINDS = tuple(_MOVES)
 
 
-def _on_diagram(kind: str, diagram: Diagram, *params) -> Diagram:
-    """Apply one move, each parameter of exactly its key's type (a bool is
-    not an int), to a copy of the diagram's word; validate the result."""
+def move_sites(diagram: Diagram, kind: str) -> list:
+    """Where a ``kind`` move applies on the diagram, in parameter form:
+    the arcs of R1+ and the first arcs of R2+, the kink positions of
+    R1-, the ``[i, j]`` sites of R2- and the ``(p, q, r)`` triples of R3."""
+    return list(_MOVES[kind].sites(diagram.entries))
+
+
+def apply_move(diagram: Diagram, kind: str, *params) -> Diagram:
+    """Apply one ``kind`` move to a copy of the diagram's word; validate
+    the result.  ``params`` are the step-dict values in key order (R1+
+    ``arc, sign, over_first``, R1- ``site``, R2+ ``arc1, arc2,
+    over_first``, R2- ``site``, R3 ``p, q, r``), each of exactly its
+    key's type (a bool is not an int).  Raises ``InvalidArc`` or
+    ``PatternNotFound`` if they name no site of the move's scan."""
+    if kind not in _KINDS:
+        raise MoveError(f"unknown move kind {kind!r}")
     move = _MOVES[kind]
-    if any(type(p) is not t for p, t in zip(params, move.keys.values())):
+    if tuple(map(type, params)) != tuple(move.keys.values()):
         raise MoveError(f"malformed {kind} parameters {params!r}: needs {', '.join(move.keys)}")
     ents = list(diagram.entries)
     move.rewrite(ents, move.sites(ents), *params)
     return Diagram(ents)
-
-
-# -- validating wrappers -----------------------------------------------------------
-
-def r1_insert(diagram: Diagram, arc: int | None, sign: int, over_first: bool = True) -> Diagram:
-    """Insert a kink (fresh crossing, both passes adjacent) at ``arc``.
-
-    On the empty diagram ``arc`` is ignored (there is only one place).
-    """
-    return _on_diagram("R1+", diagram, 0 if arc is None else arc, sign, over_first)
-
-
-def r1_sites(diagram: Diagram) -> list[int]:
-    """Positions i where entries i and i+1 are the two passes of one crossing."""
-    return _r1_sites(diagram.entries)
-
-
-def r1_remove(diagram: Diagram, site: int) -> Diagram:
-    """Delete the kink whose two entries sit at positions site, site+1."""
-    return _on_diagram("R1-", diagram, site)
-
-
-def r2_insert(diagram: Diagram, arc1: int, arc2: int, over_first: bool = True) -> Diagram:
-    """Push arc1 across arc2 (R2): fresh a,b at arc1 and b,a at arc2.
-
-    ``over_first`` chooses which of the two arcs carries the overpasses.
-    The first crossing gets sign +1, the second -1.
-    """
-    return _on_diagram("R2+", diagram, arc1, arc2, over_first)
-
-
-def r2_sites(diagram: Diagram) -> list[tuple[int, int]]:
-    """Start positions (i, j) of removable R2 configurations.
-
-    Position i starts an adjacent same-pass pair a,b with opposite
-    signs whose partner passes sit adjacently as b,a at position j.
-    """
-    return _r2_sites(diagram.entries)
-
-
-def r2_remove(diagram: Diagram, site: tuple[int, int]) -> Diagram:
-    """Delete the four entries of the R2 configuration starting at site."""
-    return _on_diagram("R2-", diagram, list(site) if type(site) is tuple else site)
-
-
-def r3_triples(diagram: Diagram) -> list[tuple[str, str, str]]:
-    """All (p, q, r) with a valid slide of the p,q-overstrand across r."""
-    return list(_r3_patterns(diagram.entries))
-
-
-def r3_apply(diagram: Diagram, p: str, q: str, r: str) -> Diagram:
-    """Slide the strand passing over p and q across the crossing r.
-
-    Swaps the entries inside each of the three adjacent pairs; signs
-    and passes are untouched.  Applying the same triple again undoes
-    the move.  Raises PatternNotFound when (p, q, r) is not an
-    R3-applicable triangle (including sign-relation violations).
-    """
-    return _on_diagram("R3", diagram, p, q, r)
 
 
 # -- move scripts, random walks and fuzzing ------------------------------------------
@@ -328,7 +275,7 @@ class MoveScript(NamedTuple):
         for step in self.steps:
             if type(step) is not dict or step.get("move") not in _KINDS:
                 raise MoveError(f"unknown move kind in step {step!r}")
-            cur = _on_diagram(step["move"], cur, *map(step.get, _MOVES[step["move"]].keys))
+            cur = apply_move(cur, step["move"], *map(step.get, _MOVES[step["move"]].keys))
         return cur
 
     def to_json(self) -> str:

@@ -323,7 +323,10 @@ def test_tabulate_rejects_a_corrupt_knots_file(capsys, tmp_path, monkeypatch, ol
     assert run(capsys, "tabulate") == (2, "", f"error: {error}\n")
 
 
-@pytest.mark.parametrize("row", ["2.1\t{}\t-t^-1+2-t", "2.1\t1\t-t^-{}+2-t", "2.1\t1\t-{}t^-1+2-t"])
+@pytest.mark.parametrize(
+    "row",
+    ["2.1\t{}\t-t^-1+2-t", "2.1\t1\t-t^-{}+2-t", "2.1\t1\t-{}t^-1+2-t", "2.1\t1\t{0}+{0}"],
+)
 def test_tabulate_rejects_integers_too_long_to_convert(capsys, tmp_path, monkeypatch, row):
     import sys
 
@@ -331,7 +334,9 @@ def test_tabulate_rejects_integers_too_long_to_convert(capsys, tmp_path, monkeyp
 
     (tmp_path / "knots.tsv").write_text((data_dir() / "knots.tsv").read_text())
     rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
-    rows[0] = row.format("9" * (sys.get_int_max_str_digits() + 1))
+    # One digit too many; the last row sums two terms, each short enough.
+    digits = "9" * sys.get_int_max_str_digits()
+    rows[0] = row.format(digits if "{0}" in row else digits + "9")
     (tmp_path / "fpolys.tsv").write_text("\n".join(rows) + "\n")
     monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
     code, out, err = run(capsys, "tabulate")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import diagrams
+from vknot.enumerate import enumerate_codes
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import (
     EmptyDiagram,
@@ -355,6 +356,25 @@ def test_reverse_mirror_law_on_table(table_records):
 @settings(max_examples=60)
 def test_reverse_mirror_law(d):
     _assert_reverse_mirror_law(d)
+
+
+def assert_reflection_law(m: int) -> None:
+    """F^n(reflect D)(t, l) = -F^n(D)(t^-1, l) for every n up to the larger
+    n_max + 1, on every m-crossing code: 4, 48, 960 and 26,880 codes for
+    m = 1..4.  Reflecting the plane negates every sign and keeps the
+    passes.  m = 4 takes about 4 s, so CI runs it as its own step
+    (``.github/workflows/tests.yml``) and the suite runs m <= 3."""
+    for d in enumerate_codes(m):
+        fwd = f_sequence(d)
+        reflected = f_sequence(Diagram(e._replace(sign=-e.sign) for e in d.entries))
+        for n in range(1, max(fwd.n_max, reflected.n_max) + 2):
+            expected = LaurentPoly2.from_terms((-et, el, -c) for et, el, c in fwd.f_at(n).terms())
+            assert reflected.f_at(n) == expected, (str(d), n)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_reflection_law_on_every_small_code(m):
+    assert_reflection_law(m)
 
 
 # -- crossing reports ----------------------------------------------------------------

@@ -19,7 +19,7 @@ from conftest import diagrams, random_code
 from vknot.enumerate import enumerate_codes
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import _index_table, _smoothed_writhes, f_sequence
-from vknot.moves import r1_remove, r1_sites, r2_remove, r2_sites, r3_apply, r3_triples
+from vknot.moves import apply_move, move_sites
 
 
 def interlacement_index(d: Diagram) -> dict[str, int]:
@@ -124,9 +124,9 @@ def test_kernel_matches_oracle_on_every_small_code(m):
 
 def neighbours(d: Diagram):
     """Every diagram one R1-, R2- or R3 move away from d."""
-    yield from (r1_remove(d, site) for site in r1_sites(d))
-    yield from (r2_remove(d, site) for site in r2_sites(d))
-    yield from (r3_apply(d, *triple) for triple in r3_triples(d))
+    yield from (apply_move(d, "R1-", site) for site in move_sites(d, "R1-"))
+    yield from (apply_move(d, "R2-", site) for site in move_sites(d, "R2-"))
+    yield from (apply_move(d, "R3", *triple) for triple in move_sites(d, "R3"))
 
 
 def assert_moves_keep_fingerprint(m: int) -> None:

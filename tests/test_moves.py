@@ -1,5 +1,7 @@
 """Reidemeister rewriting: structure, inverses, invariance, determinism."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,14 +16,8 @@ from vknot.moves import (
     MoveError,
     MoveScript,
     PatternNotFound,
-    r1_insert,
-    r1_remove,
-    r1_sites,
-    r2_insert,
-    r2_remove,
-    r2_sites,
-    r3_apply,
-    r3_triples,
+    apply_move,
+    move_sites,
     random_walk,
 )
 
@@ -36,37 +32,38 @@ def fp(d: Diagram):
 
 
 def test_r1_on_unknot():
-    assert format_gauss(r1_insert(UNKNOT, None, 1)) == "O1+ U1+"
-    assert format_gauss(r1_insert(UNKNOT, None, -1, over_first=False)) == "U1- O1-"
+    assert move_sites(UNKNOT, "R1+") == [0]
+    assert format_gauss(apply_move(UNKNOT, "R1+", 0, 1, True)) == "O1+ U1+"
+    assert format_gauss(apply_move(UNKNOT, "R1+", 0, -1, False)) == "U1- O1-"
 
 
 def test_r1_insert_remove_round_trip(example_31):
     for arc in range(len(example_31)):
         for sign in (1, -1):
-            grown = r1_insert(example_31, arc, sign)
+            grown = apply_move(example_31, "R1+", arc, sign, True)
             assert grown.n_crossings == 4
-            assert r1_remove(grown, arc + 1) == example_31
+            assert apply_move(grown, "R1-", arc + 1) == example_31
 
 
 def test_r1_invalid_arc(example_31):
     with pytest.raises(InvalidArc):
-        r1_insert(example_31, 17, 1)
+        apply_move(example_31, "R1+", 17, 1, True)
     with pytest.raises(MoveError):
-        r1_insert(example_31, 0, 3)
+        apply_move(example_31, "R1+", 0, 3, True)
 
 
 def test_r1_remove_requires_kink(example_31):
     with pytest.raises(PatternNotFound):
-        r1_remove(example_31, 0)
+        apply_move(example_31, "R1-", 0)
     with pytest.raises(PatternNotFound):
-        r1_remove(UNKNOT, 0)
+        apply_move(UNKNOT, "R1-", 0)
 
 
 def test_r1_sites_wraparound():
     # The kink pair sits at positions 3,0 across the seam.
     d = parse_gauss("U1+ O2- U2- O1+")
-    assert r1_sites(d) == [1, 3]
-    assert format_gauss(r1_remove(d, 3)) == "O2- U2-"
+    assert move_sites(d, "R1-") == [1, 3]
+    assert format_gauss(apply_move(d, "R1-", 3)) == "O2- U2-"
 
 
 # -- R2 ------------------------------------------------------------------------
@@ -74,7 +71,7 @@ def test_r1_sites_wraparound():
 
 def test_r2_insert_structure():
     d = parse_gauss("O1+ U1+")
-    grown = r2_insert(d, 0, 1, over_first=True)
+    grown = apply_move(d, "R2+", 0, 1, True)
     assert grown.n_crossings == 3
     assert format_gauss(grown) == "O1+ O2+ O3- U1+ U3- U2+"
     # fresh ids use the smallest unused numeric tokens
@@ -83,53 +80,70 @@ def test_r2_insert_structure():
 
 def test_r2_insert_validation(example_31):
     with pytest.raises(InvalidArc):
-        r2_insert(example_31, 2, 2)
+        apply_move(example_31, "R2+", 2, 2, True)
     with pytest.raises(InvalidArc):
-        r2_insert(example_31, 0, 99)
+        apply_move(example_31, "R2+", 0, 99, True)
     with pytest.raises(InvalidArc):
-        r2_insert(UNKNOT, 0, 1)
+        apply_move(UNKNOT, "R2+", 0, 1, True)
 
 
 def test_r2_insert_remove_round_trip(example_31):
-    grown = r2_insert(example_31, 1, 4, over_first=False)
-    sites = r2_sites(grown)
+    grown = apply_move(example_31, "R2+", 1, 4, False)
+    sites = move_sites(grown, "R2-")
     assert sites, "inserted configuration must be removable"
-    candidates = [r2_remove(grown, s) for s in sites]
+    candidates = [apply_move(grown, "R2-", s) for s in sites]
     assert example_31 in candidates
-    assert [r2_remove(grown, list(s)) for s in sites] == candidates  # a list site too
+    # A site is a step's JSON parameter as it is.
+    steps = [json.loads(json.dumps({"move": "R2-", "site": s})) for s in sites]
+    assert [MoveScript((step,)).apply(grown) for step in steps] == candidates
 
 
 def test_r2_remove_rejects_bad_site(example_31):
     with pytest.raises(PatternNotFound):
-        r2_remove(example_31, (0, 2))
+        apply_move(example_31, "R2-", [0, 2])
+
+
+# A case id names its move kind in words, e.g. r1_insert for R1+.
+KIND_IDS = {
+    "R1+": "r1_insert", "R1-": "r1_remove", "R2+": "r2_insert", "R2-": "r2_remove", "R3": "r3_apply"
+}
 
 
 @pytest.mark.parametrize(
-    "move, args",
+    "kind, args",
     [
-        (r1_insert, (1.5, 1)),
-        (r1_insert, ("0", 1)),
-        (r1_insert, (True, 1)),
-        (r1_insert, (0, True)),
-        (r1_insert, (0, 1, 1)),
-        (r1_remove, (1.0,)),
-        (r1_remove, ("1",)),
-        (r2_insert, (0, 1, 1)),
-        (r2_insert, (0.0, 1)),
-        (r2_remove, ((4.0, 9),)),
-        (r2_remove, ([4, 9, 0],)),
-        (r2_remove, (4,)),
-        (r3_apply, (1, 2, 3)),
+        ("R1+", (1.5, 1)),  # this, the next three and (0.0, 1) also miss over_first
+        ("R1+", ("0", 1)),
+        ("R1+", (True, 1)),
+        ("R1+", (0, True)),
+        ("R1+", (1.5, 1, True)),
+        ("R1+", ("0", 1, True)),
+        ("R1+", (True, 1, True)),
+        ("R1+", (0, True, True)),
+        ("R1+", (0, 1, 1)),
+        ("R1+", (0, 1, True, True)),
+        ("R1-", (1.0,)),
+        ("R1-", ("1",)),
+        ("R1-", (True,)),
+        ("R2+", (0, 1, 1)),
+        ("R2+", (0.0, 1)),
+        ("R2+", (0.0, 1, True)),
+        ("R2-", ((4.0, 9),)),
+        ("R2-", ((4, 9),)),
+        ("R2-", ([4.0, 9],)),
+        ("R2-", ([4, 9, 0],)),
+        ("R2-", (4,)),
+        ("R3", (1, 2, 3)),
     ],
-    ids=lambda case: case.__name__ if callable(case) else repr(case),
+    ids=lambda case: KIND_IDS[case] if type(case) is str else repr(case),
 )
-def test_move_functions_take_parameters_of_exact_types(example_31, move, args):
-    # A kink at position 1 and an R2 configuration at (4, 9): only the
+def test_move_functions_take_parameters_of_exact_types(example_31, kind, args):
+    # A kink at position 1 and an R2 configuration at [4, 9]: only the
     # parameter types are wrong.
-    d = r1_insert(r2_insert(example_31, 1, 4), 0, 1)
-    assert r1_sites(d) == [1] and (4, 9) in r2_sites(d)
+    d = apply_move(apply_move(example_31, "R2+", 1, 4, True), "R1+", 0, 1, True)
+    assert move_sites(d, "R1-") == [1] and [4, 9] in move_sites(d, "R2-")
     with pytest.raises(MoveError):
-        move(d, *args)
+        apply_move(d, kind, *args)
 
 
 # -- R3 ------------------------------------------------------------------------
@@ -140,28 +154,28 @@ def braidlike_triangle() -> Diagram:
     base = parse_gauss("O1- O2- U1- U2-")
     for seed in range(200):
         walked, _ = random_walk(base, 8, seed)
-        if r3_triples(walked):
+        if move_sites(walked, "R3"):
             return walked
     raise AssertionError("no R3-applicable diagram found")
 
 
 def test_r3_swaps_are_involution():
     d = braidlike_triangle()
-    for triple in r3_triples(d):
-        moved = r3_apply(d, *triple)
+    for triple in move_sites(d, "R3"):
+        moved = apply_move(d, "R3", *triple)
         assert moved != d
-        assert r3_apply(moved, *triple) == d
+        assert apply_move(moved, "R3", *triple) == d
 
 
 def test_r3_preserves_f_sequence():
     d = braidlike_triangle()
-    for triple in r3_triples(d):
-        assert fp(r3_apply(d, *triple)) == fp(d)
+    for triple in move_sites(d, "R3"):
+        assert fp(apply_move(d, "R3", *triple)) == fp(d)
 
 
 def test_r3_rejects_non_triangle(example_31):
     with pytest.raises(PatternNotFound):
-        r3_apply(example_31, "1", "2", "3")
+        apply_move(example_31, "R3", "1", "2", "3")
 
 
 # -- deterministic RNG -----------------------------------------------------------
@@ -231,6 +245,8 @@ def test_script_from_json_needs_an_array(text):
 def test_script_rejects_unknown_move(example_31):
     with pytest.raises(MoveError):
         MoveScript(({"move": "R9"},)).apply(example_31)
+    with pytest.raises(MoveError):
+        apply_move(example_31, "R9")
 
 
 @pytest.mark.parametrize(
@@ -244,11 +260,19 @@ def test_script_rejects_unknown_move(example_31):
         {"move": "R2-", "site": 5},
         {"move": "R3", "p": ["1"], "q": "2", "r": "3"},
         {"move": ["R1+"]},
+        # (start code, step): a well-typed step that names no site of its scan;
+        # the first three name the kink at 1 modulo 8 (a kink inserted at arc 0).
+        ("O3- O4+ U4+ U1- O2+ U3- U2+ O1-", {"move": "R1-", "site": -7}),
+        ("O3- O4+ U4+ U1- O2+ U3- U2+ O1-", {"move": "R1-", "site": 41}),
+        ("O3- O4+ U4+ U1- O2+ U3- U2+ O1-", {"move": "R1-", "site": 9}),
+        ("O1+ U1+", {"move": "R1-", "site": 1}),  # the kink is at 0
+        ("", {"move": "R1+", "arc": 99, "sign": 1, "over_first": True}),
     ],
 )
 def test_script_rejects_malformed_steps(example_31, step):
+    start, step = (parse_gauss(step[0]), step[1]) if type(step) is tuple else (example_31, step)
     with pytest.raises(MoveError):
-        MoveScript((step,)).apply(example_31)
+        MoveScript((step,)).apply(start)
 
 
 def test_walk_builds_one_diagram_and_scans_once_per_step(table_records, monkeypatch):
@@ -301,8 +325,8 @@ def test_walks_preserve_all_invariants(d, seed):
 
 def test_single_moves_preserve_invariants(example_31):
     d = example_31
-    cases = [r1_insert(d, 2, -1), r1_insert(d, 0, 1, over_first=False)]
-    cases += [r2_insert(d, 0, 3), r2_insert(d, 5, 2, over_first=False)]
+    cases = [apply_move(d, "R1+", 2, -1, True), apply_move(d, "R1+", 0, 1, False)]
+    cases += [apply_move(d, "R2+", 0, 3, True), apply_move(d, "R2+", 5, 2, False)]
     for moved in cases:
         assert fp(moved) == fp(d)
         assert affine_index_polynomial(moved) == affine_index_polynomial(d)

@@ -8,9 +8,10 @@ any change to the LCG draw order, a move's site order or its rewrite
 fails here.  When a change of walks is intended, re-record the digest
 and say why in the change log.
 
-The replay applies every step through the public Diagram-level move
-functions, so every intermediate diagram of every pinned walk is built
-and validated, and the replay must end where the walk did.
+The replay applies every recorded step on its own through
+``MoveScript.apply``, which calls ``apply_move``, so every intermediate
+diagram of every pinned walk is built and validated, and the replay
+must end where the walk did.
 """
 
 import hashlib
@@ -20,29 +21,12 @@ import pytest
 
 from conftest import random_code
 from vknot.gauss import parse_gauss
-from vknot.moves import (
-    Lcg,
-    r1_insert,
-    r1_remove,
-    r2_insert,
-    r2_remove,
-    r3_apply,
-    random_walk,
-)
+from vknot.moves import Lcg, MoveScript, random_walk
 from vknot.table import load_table
 
 PINNED = "577ec7d1bdda3cfa3d6ddae44ef7457918442208b432efad2921ce167eb3c87a"
 STEPS = 40
 SEEDS_PER_CODE = 3
-
-# move kind -> replay of one recorded step through the public functions
-REPLAY = {
-    "R1+": lambda d, s: r1_insert(d, s["arc"], s["sign"], s["over_first"]),
-    "R1-": lambda d, s: r1_remove(d, s["site"]),
-    "R2+": lambda d, s: r2_insert(d, s["arc1"], s["arc2"], s["over_first"]),
-    "R2-": lambda d, s: r2_remove(d, tuple(s["site"])),
-    "R3": lambda d, s: r3_apply(d, s["p"], s["q"], s["r"]),
-}
 
 
 def start_codes() -> list[str]:
@@ -84,5 +68,5 @@ def test_step_by_step_replay_ends_where_the_walk_did(walks):
         assert len(script.steps) == STEPS
         cur = start
         for step in script.steps:
-            cur = REPLAY[step["move"]](cur, step)
+            cur = MoveScript((step,)).apply(cur)
         assert cur == final, (code, seed)
