@@ -1,14 +1,7 @@
 """F-polynomial invariants of oriented virtual knots from signed Gauss codes."""
 
 from .gauss import Diagram, Entry, parse_gauss, format_gauss
-from .invariants import (
-    FReport,
-    CrossingReport,
-    affine_index_polynomial,
-    arc_labels,
-    f_polynomial,
-    f_sequence,
-)
+from .invariants import FReport, arc_labels, f_sequence
 from .laurent import LaurentPoly2, parse_poly
 
 __version__ = "0.1.0"
@@ -21,9 +14,6 @@ __all__ = [
     "LaurentPoly2",
     "parse_poly",
     "FReport",
-    "CrossingReport",
-    "affine_index_polynomial",
     "arc_labels",
-    "f_polynomial",
     "f_sequence",
 ]

@@ -33,16 +33,15 @@ collapse.  The invariant content of the sequence is captured by
 is what equality of F-sequences means everywhere in this package.
 
 ``f_sequence`` is the one analysis of a diagram; the ``FReport`` it
-returns keeps Ind(c), the writhe table of D and the dJ table, and
-dJ_n(D), T_n, the rows of the dJ table and the per-crossing reports are
-its methods.  The dJ table holds dJ_n(D_c) for n = 1 .. n_max+1 (one
-row per n) and every crossing c (one column per crossing, in traversal
-order).  It is filled in one pass over the smoothed writhe tables,
-J_k(D_c) adding to row k and J_{-k}(D_c) subtracting from it, and F^n,
-T_n and the per-crossing reports all read their rows from it; any n
-beyond the table reads zeros.  Ind(c), J_n(D) and dJ_n(D) are read from
-the same analysis (``FReport.index``, ``.writhes``, ``.dwrithe(n)``),
-and ``f_polynomial`` is ``f_sequence(diagram).f_at(n)``.
+returns keeps Ind(c), the writhe table of D and the dJ table, and F^n,
+dJ_n(D), T_n and the rows of the dJ table are its methods.  The dJ
+table holds dJ_n(D_c) for n = 1 .. n_max+1 (one row per n) and every
+crossing c (one column per crossing, in traversal order).  It is filled
+in one pass over the smoothed writhe tables, J_k(D_c) adding to row k
+and J_{-k}(D_c) subtracting from it, and F^n and T_n read their rows
+from it; any n beyond the table reads zeros.  Ind(c), J_n(D), dJ_n(D)
+and the affine index polynomial are read from the same analysis
+(``FReport.index``, ``.writhes``, ``.dwrithe(n)``, ``.stable_tail``).
 
 The analysis runs on an integer kernel over the integer form that
 ``Diagram`` builds while it validates (see its docstring): crossings
@@ -76,10 +75,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .gauss import Diagram
 from .laurent import LaurentPoly2
-
-
-class EmptyDiagram(ValueError):
-    """An arc-level question was asked of the crossingless unknot diagram."""
 
 
 class NonpositiveN(ValueError):
@@ -117,11 +112,11 @@ def arc_labels(diagram: Diagram) -> list[int]:
 
     The label is the first-met-overcrossing sign sum described in the
     module docstring; the local +-sgn rule around each crossing holds
-    by construction and is property-tested.
+    by construction and is property-tested.  The unknot has no arcs: [].
     """
-    if not diagram.entries:
-        raise EmptyDiagram("the unknot diagram has no arcs")
     passes, sign = diagram._passes, diagram._sign
+    if not passes:
+        return []
     # Direct evaluation for arc 0 (the arc between passes 0 and 1): a
     # crossing counts when the first of its passes met after arc 0 is
     # Over.  Fed those passes in reverse, the dict keeps each first one.
@@ -130,16 +125,6 @@ def arc_labels(diagram: Diagram) -> list[int]:
     # Propagate the local rule around the cycle from arc 0.
     steps = [-sign[k] if o else sign[k] for k, o in passes[1:]]
     return list(accumulate(steps, initial=base))
-
-
-def _index_table(diagram: Diagram) -> dict[str, int]:
-    """Ind(c) for every crossing; {} for the unknot."""
-    return dict(zip(diagram._number, _indices(diagram._passes, diagram._sign)))
-
-
-def affine_index_polynomial(diagram: Diagram) -> LaurentPoly2:
-    """P_D(t) = sum_c sgn(c) (t^Ind(c) - 1); zero on the unknot."""
-    return _affine(_index_table(diagram).values(), diagram._sign)
 
 
 def _affine(ind: Iterable[int], sign: Iterable[int]) -> LaurentPoly2:
@@ -171,15 +156,6 @@ def _dj(writhes: dict[int, int], n: int) -> int:
     return writhes.get(n, 0) - writhes.get(-n, 0)
 
 
-class CrossingReport(NamedTuple):
-    """Per-crossing data: sign, index value, and smoothed-diagram dwrithes."""
-
-    crossing: str
-    sign: int
-    index: int
-    smoothed_dwrithe: dict[int, int]
-
-
 class FReport(NamedTuple):
     """The full F-polynomial sequence of a diagram, and the analysis behind it.
 
@@ -190,7 +166,9 @@ class FReport(NamedTuple):
     checked, not assumed.  The other views read ``index`` (Ind(c) in
     traversal order), ``writhes`` (J_k(D)) and ``smoothed_dj``, where
     ``smoothed_dj[n - 1][i]`` is dJ_n(D_c) for the i-th crossing c of
-    ``index``, for n = 1 .. n_max+1; every larger n reads zeros.
+    ``index``, for n = 1 .. n_max+1; every larger n reads zeros.  What
+    is known of one crossing c is ``index[c]``, ``diagram.sign(c)`` and
+    its column of ``smoothed_row(n)``.
     """
 
     diagram: Diagram
@@ -227,17 +205,6 @@ class FReport(NamedTuple):
             raise NonpositiveN(f"T_n needs n >= 1, got {n}")
         size = abs(_dj(self.writhes, n))
         return frozenset(c for c, dc in zip(self.index, self.smoothed_row(n)) if abs(dc) == size)
-
-    def crossing_reports(self, n_range: Iterable[int]) -> list[CrossingReport]:
-        """Sign, index and smoothed dwrithes per crossing, in traversal order."""
-        ns = sorted(set(n_range))
-        if any(n < 1 for n in ns):
-            raise NonpositiveN("crossing reports need n >= 1")
-        rows = [self.smoothed_row(n) for n in ns]
-        return [
-            CrossingReport(c, self.diagram.sign(c), k, {n: row[i] for n, row in zip(ns, rows)})
-            for i, (c, k) in enumerate(self.index.items())
-        ]
 
     def fingerprint(self) -> tuple[tuple[int, LaurentPoly2], ...]:
         """Entries (n, F^n) up to and including the first entry from
@@ -301,13 +268,6 @@ def _f_poly(ind: Iterable[int], signs: Sequence[int], row: Sequence[int], d_n: i
         key = (0, dc if abs(dc) == size else d_n)  # c in T_n, or not
         terms[key] = get(key, 0) - s
     return LaurentPoly2(terms)
-
-
-def f_polynomial(diagram: Diagram, n: int) -> LaurentPoly2:
-    """The n-th F-polynomial F^n_D(t, l) for n >= 1."""
-    if n < 1:
-        raise NonpositiveN(f"F^n needs n >= 1, got {n}")
-    return f_sequence(diagram).f_at(n)
 
 
 def f_sequence(diagram: Diagram) -> FReport:

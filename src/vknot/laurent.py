@@ -2,8 +2,10 @@
 
 Every invariant produced by this package lives in Z[t, t^-1, l, l^-1]:
 the affine index polynomial uses only the variable t, the F-polynomials
-use both.  Coefficients are plain Python integers, so arithmetic is
-exact at any size.
+use both.  Coefficients are plain Python integers, so they are exact at
+any size.  The invariants module sums the terms of each polynomial
+itself; this class only stores, compares, prints and parses the result,
+and carries no arithmetic.
 
 A polynomial is stored canonically as a map from exponent pairs
 (e_t, e_l) to nonzero integer coefficients; two values are equal iff
@@ -19,7 +21,6 @@ way such polynomials are tabulated (ascending t-degree).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
 
 
 class PolyParseError(ValueError):
@@ -39,9 +40,9 @@ _TERM_RE = re.compile(
 class LaurentPoly2:
     """An integer Laurent polynomial in t and l, in canonical form.
 
-    Construct via :meth:`from_terms`, :meth:`monomial`, :meth:`zero`
-    or :func:`parse_poly`; the constructor itself expects an already
-    clean ``{(e_t, e_l): coeff}`` mapping and is mostly internal.
+    Construct from a ``{(e_t, e_l): coeff}`` mapping (zero coefficients
+    are dropped; no argument gives the zero polynomial) or with
+    :func:`parse_poly`.  Read it back with :meth:`terms` or ``str()``.
     """
 
     __slots__ = ("_terms",)
@@ -56,79 +57,14 @@ class LaurentPoly2:
     def __delattr__(self, name: str) -> None:
         raise AttributeError("LaurentPoly2 is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly2":
-        return cls({})
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[tuple[int, int, int]]) -> "LaurentPoly2":
-        """Sum a list of (e_t, e_l, coeff) triples into canonical form.
-
-        Duplicate exponent pairs are added together; anything that
-        cancels to zero is dropped.
-        """
-        acc: dict[tuple[int, int], int] = {}
-        for e_t, e_l, coeff in terms:
-            key = (e_t, e_l)
-            acc[key] = acc.get(key, 0) + coeff
-        return cls(acc)
-
-    @classmethod
-    def monomial(cls, sign: int, e_t: int = 0, e_l: int = 0) -> "LaurentPoly2":
-        """A single term ``sign * t^e_t * l^e_l`` with sign in {+1, -1}."""
-        if sign not in (1, -1):
-            raise ValueError(f"monomial sign must be +1 or -1, got {sign!r}")
-        return cls({(e_t, e_l): sign})
-
-    # -- ring-ish operations ----------------------------------------------
-
-    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc[key] = acc.get(key, 0) + coeff
-        return LaurentPoly2(acc)
-
-    def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2({k: -v for k, v in self._terms.items()})
-
-    def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        return self + (-other)
-
-    def invert_vars(self) -> "LaurentPoly2":
-        """Substitute t -> t^-1 and l -> l^-1 (negate all exponents).
-
-        An involution.  It is not what orientation reversal does to
-        F^n, which is computed from ``Diagram.reverse`` instead.
-        """
-        return LaurentPoly2({(-et, -el): c for (et, el), c in self._terms.items()})
-
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> list[tuple[int, int, int]]:
         """Canonically ordered (e_t, e_l, coeff) triples."""
         return [(et, el, c) for (et, el), c in sorted(self._terms.items())]
 
-    def coefficient(self, e_t: int, e_l: int = 0) -> int:
-        return self._terms.get((e_t, e_l), 0)
-
-    def substitute_l_one(self) -> "LaurentPoly2":
-        """Set l = 1, collapsing the l-exponents."""
-        return LaurentPoly2.from_terms((et, 0, c) for (et, _), c in self._terms.items())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        return iter(self.terms())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly2):

@@ -165,15 +165,17 @@ def read_expected(path: Path) -> dict[str, tuple[tuple[int, LaurentPoly2], ...]]
                 poly = polys[poly_text] = parse_poly(poly_text)
         except ValueError as exc:  # PolyParseError, or more digits than int() converts
             raise CorruptData(f"bad expected row for {name!r}: {exc}") from exc
+        if n < 1:
+            raise CorruptData(f"bad expected row for {name!r}: n must be >= 1, got {n}")
         rows.setdefault(name, []).append((n, poly))
     if set(rows) != _EXPECTED_NAMES:
         odd = sorted(set(rows) ^ _EXPECTED_NAMES)
         raise CorruptData(f"table names do not cover 2.1..4.108: {odd}")
     for name, listed in rows.items():
         listed.sort(key=lambda row: row[0])
-        ns = [n for n, _ in listed]
-        if ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise CorruptData(f"record {name!r} expected rows not strictly increasing")
+        for (a, _), (b, _) in zip(listed, listed[1:]):
+            if a == b:
+                raise CorruptData(f"record {name!r} repeats the expected row for n = {a}")
     return {name: tuple(listed) for name, listed in rows.items()}
 
 

@@ -1,4 +1,4 @@
-"""Shared fixtures and hypothesis strategies."""
+"""Shared fixtures, hypothesis strategies and engine-free oracles."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from vknot.gauss import Diagram, Entry, parse_gauss
+from vknot.laurent import LaurentPoly2
 from vknot.table import load_table
 
 # The worked three-crossing example (crossings alpha,beta,gamma = 1,2,3):
@@ -23,6 +24,51 @@ def example_31() -> Diagram:
 @pytest.fixture(scope="session")
 def table_records():
     return load_table()
+
+
+def interlacement_index(d: Diagram) -> dict[str, int]:
+    """Ind(c) as the sum over the passes strictly between the Over and the
+    Under pass of c, in cyclic order, of s_j for an Over pass and -s_j for
+    an Under pass.  Reads only the raw entries: no arc labels."""
+    entries = d.entries
+    size = len(entries)
+    over_at = {e.crossing: i for i, e in enumerate(entries) if e.over}
+    under_at = {e.crossing: i for i, e in enumerate(entries) if not e.over}
+    ind = {}
+    for c, start in over_at.items():
+        total = 0
+        i = (start + 1) % size
+        while i != under_at[c]:
+            total += entries[i].sign if entries[i].over else -entries[i].sign
+            i = (i + 1) % size
+        ind[c] = total
+    return ind
+
+
+def writhe_table(d: Diagram) -> dict[int, int]:
+    """J_k(D) for every index value k, from ``interlacement_index`` and the signs."""
+    table: dict[int, int] = {}
+    for c, k in interlacement_index(d).items():
+        table[k] = table.get(k, 0) + d.sign(c)
+    return table
+
+
+def map_terms(poly, fn=None) -> LaurentPoly2:
+    """The sum of fn(e_t, e_l, c) over the terms (e_t, e_l, c) of ``poly``,
+    a ``LaurentPoly2`` or a list of triples: repeated exponent pairs add
+    up, and zero sums drop out.  Without fn each term is kept as it is."""
+    acc: dict[tuple[int, int], int] = {}
+    for term in poly.terms() if isinstance(poly, LaurentPoly2) else poly:
+        e_t, e_l, c = fn(*term) if fn else term
+        acc[e_t, e_l] = acc.get((e_t, e_l), 0) + c
+    return LaurentPoly2(acc)
+
+
+def affine_oracle(d: Diagram) -> LaurentPoly2:
+    """P(t) = sum_c sgn(c) (t^Ind(c) - 1) from ``writhe_table``, so it shares
+    no code with the engine: each J_k adds to t^k and subtracts from 1."""
+    terms = [(k, 0, j) for k, j in writhe_table(d).items()]
+    return map_terms(terms + [(0, 0, -j) for _, _, j in terms])
 
 
 def random_code(m: int, seed: int) -> str:

@@ -7,14 +7,10 @@ exact - there are no tolerances anywhere in this package.
 
 import time
 
-from conftest import EXAMPLE_31
+from conftest import EXAMPLE_31, affine_oracle
 from vknot.cli import main
 from vknot.gauss import parse_gauss
-from vknot.invariants import (
-    affine_index_polynomial,
-    f_polynomial,
-    f_sequence,
-)
+from vknot.invariants import f_sequence
 from vknot.laurent import parse_poly
 from vknot.moves import Lcg, fuzz_invariance, random_walk
 from vknot.table import (
@@ -73,8 +69,8 @@ def test_criterion_2_smoothing_oracle():
         assert report.dwrithe(1) == 0
         assert report.dwrithe(2) == 0
         checked_values += 2 * len(values) + 2
-    reports = f_sequence(d).crossing_reports((1, 2))
-    assert all(rep.smoothed_dwrithe == {1: 0, 2: 0} for rep in reports)
+    report = f_sequence(d)
+    assert report.smoothed_row(1) == report.smoothed_row(2) == (0, 0, 0)
     _report(2, f"all {checked_values} smoothing-table values exact; convention pinned")
 
 
@@ -118,7 +114,7 @@ def test_criterion_4_grouping_matches_published_rows(table_records):
 def test_criterion_5_shared_f_family():
     target = parse_poly("-t+2-t^-1")
     for k in (1, 3, 5, 7, 9):
-        assert f_polynomial(kauffman_family(k), 1) == target
+        assert f_sequence(kauffman_family(k)).f_at(1) == target
 
     d1 = kauffman_family(1)
     assert {c: d1.sign(c) for c in d1.crossings()} == {"g": -1, "b": -1, "a1": 1}
@@ -178,9 +174,9 @@ def test_criterion_8_stabilization(table_records):
     for record in table_records:
         d = record.diagram()
         report = f_sequence(d)
-        p = affine_index_polynomial(d)
+        p = affine_oracle(d)
         assert report.per_n[report.n_max + 1] == p
-        assert f_polynomial(d, report.n_max + 1) == p
+        assert report.f_at(report.n_max + 1) == p
 
     stable_at_one = parse_poly("-t^-2+2-t^2")
     for name in ("3.5", "3.7"):
@@ -196,14 +192,12 @@ def test_criterion_9_rotation_invariance(table_records):
     def portrait(d):
         report = f_sequence(d)
         ns = range(1, report.n_max + 2)
-        per_crossing = {
-            rep.crossing: (rep.sign, rep.index, tuple(sorted(rep.smoothed_dwrithe.items())))
-            for rep in f_sequence(d).crossing_reports(ns)
-        }
+        rows = zip(*(report.smoothed_row(n) for n in ns))
+        per_crossing = {c: (d.sign(c), k, row) for (c, k), row in zip(report.index.items(), rows)}
         return (
             report.fingerprint(),
             report.stable_tail,
-            affine_index_polynomial(d),
+            affine_oracle(d),
             frozenset((n, report.dwrithe(n)) for n in ns),
             frozenset((n, f_sequence(d).t_set(n)) for n in ns),
             per_crossing,

@@ -16,7 +16,7 @@ import pytest
 
 import vknot
 from vknot.gauss import GaussCodeError, parse_gauss
-from vknot.invariants import CrossingReport, f_sequence
+from vknot.invariants import f_sequence
 from vknot.laurent import parse_poly
 from vknot.moves import MoveScript
 from vknot.table import FGroup, KnotRecord, verify_record
@@ -52,7 +52,6 @@ def _record():
 
 # kind -> (a field, a factory); two calls of a factory give equal, distinct values.
 VALUES = {
-    "CrossingReport": ("sign", lambda: CrossingReport("1", 1, 0, {1: 0})),
     "FReport": ("n_max", lambda: f_sequence(parse_gauss(RECORD_CODE))),
     "KnotRecord": ("gauss", _record),
     "MatchVerdict": ("status", lambda: verify_record(_record())),

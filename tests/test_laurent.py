@@ -1,4 +1,4 @@
-"""Laurent polynomial arithmetic, canonical form, formatting, parsing."""
+"""Laurent polynomials: canonical form, formatting, parsing."""
 
 import hashlib
 import itertools
@@ -7,63 +7,27 @@ import sys
 import pytest
 from hypothesis import given
 
-from conftest import laurent_term_lists
+from conftest import laurent_term_lists, map_terms
 from vknot.laurent import LaurentPoly2, PolyParseError, parse_poly
 
-ZERO = LaurentPoly2.zero()
+ZERO = LaurentPoly2()
 
 
 def test_from_terms_cancellation():
-    assert LaurentPoly2.from_terms([(0, 0, 1), (0, 0, -1)]) == ZERO
+    assert map_terms([(0, 0, 1), (0, 0, -1)]) == ZERO
+    assert LaurentPoly2({(0, 0): 0, (1, 0): 0}) == ZERO
+    assert not ZERO and LaurentPoly2({(1, 0): 1})
 
 
 def test_from_terms_table_row():
-    p = LaurentPoly2.from_terms([(-1, 0, -1), (0, 0, 2), (1, 0, -1)])
+    p = map_terms([(-1, 0, -1), (0, 0, 2), (1, 0, -1)])
     assert str(p) == "-t^-1+2-t"
 
 
 def test_from_terms_merges_duplicates():
-    p = LaurentPoly2.from_terms([(1, 2, 3), (1, 2, -1)])
+    p = map_terms([(1, 2, 3), (1, 2, -1)])
     assert p.terms() == [(1, 2, 2)]
     assert str(p) == "2t*l^2"
-
-
-def test_add_inverse_and_identity():
-    p = LaurentPoly2.from_terms([(1, 0, 1), (0, 0, -1)])
-    assert p + (-p) == ZERO
-    q = LaurentPoly2.from_terms([(-1, 0, -1), (0, 0, 2), (1, 0, -1)])
-    assert q + ZERO == q
-
-
-def test_add_union_of_term_maps():
-    a = LaurentPoly2.from_terms([(0, 2, 1)])
-    b = LaurentPoly2.from_terms([(0, -2, -1)])
-    assert (a + b).terms() == [(0, -2, -1), (0, 2, 1)]
-    assert str(a + b) == "-l^-2+l^2"
-
-
-def test_negate():
-    assert -ZERO == ZERO
-    t = LaurentPoly2.monomial(1, 1, 0)
-    assert str(-t) == "-t"
-    p = parse_poly("-t^-1+2-t")
-    assert str(-p) == "t^-1-2+t"
-
-
-def test_monomial():
-    assert str(LaurentPoly2.monomial(1, 1, 2)) == "t*l^2"
-    assert str(LaurentPoly2.monomial(-1, -2, 0)) == "-t^-2"
-    assert str(LaurentPoly2.monomial(-1, 0, -2)) == "-l^-2"
-    with pytest.raises(ValueError):
-        LaurentPoly2.monomial(2, 0, 0)
-
-
-def test_invert_vars():
-    assert ZERO.invert_vars() == ZERO
-    p = parse_poly("-t^-1+t-t^2+l^2")
-    assert p.invert_vars() == parse_poly("-t+t^-1-t^-2+l^-2")
-    palindromic = parse_poly("-t^-1+2-t")
-    assert palindromic.invert_vars() == palindromic
 
 
 def test_to_string_examples():
@@ -130,50 +94,20 @@ def test_parse_rejects_integers_too_long_to_convert(text):
         parse_poly(text.format(digits))
 
 
-def test_coefficient_lookup():
-    p = parse_poly("-t^-1+2-t")
-    assert p.coefficient(-1) == -1
-    assert p.coefficient(0) == 2
-    assert p.coefficient(5) == 0
-
-
 @given(laurent_term_lists())
 def test_no_zero_coefficients_stored(terms):
-    poly = LaurentPoly2.from_terms(terms)
+    poly = map_terms(terms)
     assert all(c != 0 for _, _, c in poly.terms())
 
 
 @given(laurent_term_lists())
-def test_additive_inverse(terms):
-    poly = LaurentPoly2.from_terms(terms)
-    assert poly + (-poly) == ZERO
-
-
-@given(laurent_term_lists())
-def test_invert_vars_involution(terms):
-    poly = LaurentPoly2.from_terms(terms)
-    assert poly.invert_vars().invert_vars() == poly
-
-
-@given(laurent_term_lists())
 def test_string_round_trip(terms):
-    poly = LaurentPoly2.from_terms(terms)
+    poly = map_terms(terms)
     assert parse_poly(str(poly)) == poly
-
-
-@given(laurent_term_lists(), laurent_term_lists())
-def test_addition_commutes(ta, tb):
-    a, b = LaurentPoly2.from_terms(ta), LaurentPoly2.from_terms(tb)
-    assert a + b == b + a
-
-
-@given(laurent_term_lists(), laurent_term_lists(), laurent_term_lists())
-def test_addition_associates(ta, tb, tc):
-    a, b, c = (LaurentPoly2.from_terms(t) for t in (ta, tb, tc))
-    assert (a + b) + c == a + (b + c)
 
 
 def test_big_coefficients_do_not_overflow():
     big = 10**30
-    p = LaurentPoly2.from_terms([(1, 1, big)] * 1000)
-    assert p.coefficient(1, 1) == 1000 * big
+    p = map_terms([(1, 1, big)] * 1000)
+    assert p.terms() == [(1, 1, 1000 * big)]
+    assert parse_poly(str(p)) == p

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vknot.moves
-from conftest import diagrams
+from conftest import affine_oracle, diagrams
 from vknot.gauss import Diagram, format_gauss, parse_gauss
-from vknot.invariants import affine_index_polynomial, f_sequence
+from vknot.invariants import f_sequence
 from vknot.moves import (
     InvalidArc,
     Lcg,
@@ -316,7 +316,7 @@ def test_walk_builds_one_diagram_and_scans_once_per_step(table_records, monkeypa
 @settings(max_examples=40, deadline=None)
 def test_walks_preserve_all_invariants(d, seed):
     walked, _ = random_walk(d, 6, seed)
-    assert affine_index_polynomial(walked) == affine_index_polynomial(d)
+    assert affine_oracle(walked) == affine_oracle(d)
     after, before = f_sequence(walked), f_sequence(d)
     for n in (1, 2, 3):
         assert after.dwrithe(n) == before.dwrithe(n)
@@ -329,4 +329,4 @@ def test_single_moves_preserve_invariants(example_31):
     cases += [apply_move(d, "R2+", 0, 3, True), apply_move(d, "R2+", 5, 2, False)]
     for moved in cases:
         assert fp(moved) == fp(d)
-        assert affine_index_polynomial(moved) == affine_index_polynomial(d)
+        assert affine_oracle(moved) == affine_oracle(d)

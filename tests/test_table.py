@@ -6,12 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import affine_oracle, map_terms
 from vknot.gauss import parse_gauss
-from vknot.invariants import (
-    affine_index_polynomial,
-    f_polynomial,
-    f_sequence,
-)
+from vknot.invariants import f_sequence
 from vknot.laurent import parse_poly
 from vknot.table import (
     CorruptData,
@@ -53,9 +50,9 @@ def test_classical_records_have_zero_invariants(table_records):
         record = next(r for r in table_records if r.name == name)
         d = record.diagram()
         report = f_sequence(d)
-        assert affine_index_polynomial(d).is_zero()
+        assert not report.stable_tail and not affine_oracle(d)
         assert all(report.index[c] == 0 for c in d.crossings())
-        assert all(p.is_zero() for _, p in report.fingerprint())
+        assert not any(p for _, p in report.fingerprint())
 
 
 def test_load_table_missing_dir(tmp_path):
@@ -119,6 +116,24 @@ def test_load_table_rejects_a_repeated_n(tmp_path):
     (tmp_path / "fpolys.tsv").write_text(rows)
     with pytest.raises(CorruptData, match="2.1"):
         load_table(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "first, extra, error",
+    [
+        ("2.1\t0\t-t^-1+2-t", [], "bad expected row for '2.1': n must be >= 1, got 0"),
+        ("2.1\t1\t-t^-1+2-t", ["2.1\t1\tt"], "record '2.1' repeats the expected row for n = 1"),
+    ],
+    ids=["n = 0", "repeated n"],
+)
+def test_read_expected_names_a_zero_or_repeated_n(tmp_path, first, extra, error):
+    rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
+    assert rows[0] == "2.1\t1\t-t^-1+2-t"
+    rows = [first, *rows[1:], *extra]
+    (tmp_path / "fpolys.tsv").write_text("\n".join(rows) + "\n")
+    with pytest.raises(CorruptData) as info:
+        read_expected(tmp_path / "fpolys.tsv")
+    assert str(info.value) == error
 
 
 def test_read_expected_names_the_first_row_of_a_repeated_bad_polynomial(tmp_path):
@@ -186,7 +201,8 @@ def test_verify_record_reversed_where_substitution_fails(table_records):
     record = next(r for r in table_records if r.name == "4.9")
     flipped = KnotRecord("4.9", str(record.diagram().reverse()), record.expected)
     computed = f_sequence(flipped.diagram())
-    assert any(computed.f_at(n).invert_vars() != p for n, p in record.expected)
+    inverted = [map_terms(computed.f_at(n), lambda et, el, c: (-et, -el, c)) for n, _ in record.expected]
+    assert inverted != [p for _, p in record.expected]
     verdict = verify_record(flipped)
     assert verdict.status is Verdict.MATCH_UNDER_INVERSION
     assert verdict.ok
@@ -226,7 +242,7 @@ def test_grouping_reproduces_published_rows(table_records):
     assert by_name["3.5"].names == ("3.5", "3.7", "4.65", "4.85", "4.86", "4.106")
     zero = by_name["3.6"]
     assert "4.108" in zero.names and len(zero.names) == 22
-    assert all(p.is_zero() for _, p in zero.rows)
+    assert not any(p for _, p in zero.rows)
     # inverse-related fingerprints stay separate groups
     assert by_name["4.13"].names == ("4.13",)
     assert by_name["4.31"].names == ("4.31", "4.51")
@@ -269,7 +285,7 @@ def test_family_k1_matches_published_values():
     assert report.dwrithe(1) == 0
     assert {abs(k) for k in report.index.values() if k} == {1}
     assert report.t_set(1) == frozenset({"a1", "b", "g"})
-    assert affine_index_polynomial(d) == parse_poly("-t^-1+2-t")
+    assert report.stable_tail == parse_poly("-t^-1+2-t") == affine_oracle(d)
 
 
 def test_family_k1_smoothing_table():
@@ -295,14 +311,12 @@ def test_family_shares_f_polynomial_for_odd_k():
     for k in (1, 3, 5, 7, 9):
         d = kauffman_family(k)
         assert d.n_crossings == k + 2
-        assert f_polynomial(d, 1) == target
+        assert f_sequence(d).f_at(1) == target
         fingerprints.add(f_sequence(d).fingerprint())
     assert len(fingerprints) == 1  # indistinguishable by the whole sequence
 
 
 def test_family_crossing_reports_k1():
     d = kauffman_family(1)
-    reports = {r.crossing: r for r in f_sequence(d).crossing_reports((1,))}
-    assert reports["a1"].smoothed_dwrithe == {1: 0}
-    assert reports["b"].smoothed_dwrithe == {1: 0}
-    assert reports["g"].smoothed_dwrithe == {1: 0}
+    report = f_sequence(d)
+    assert dict(zip(report.index, report.smoothed_row(1))) == {"a1": 0, "b": 0, "g": 0}
