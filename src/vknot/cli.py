@@ -33,7 +33,7 @@ from .table import (
     kauffman_family,
     load_table,
     name_key,
-    verify_all,
+    verify_record,
 )
 
 
@@ -62,7 +62,7 @@ def _resolve(*texts: str) -> list[tuple[Diagram, str | None]]:
         record = table.get(text.strip())
         if record is None:
             raise _InputError(f"unknown table name {text.strip()!r}")
-        resolved.append((record.diagram(), record.name))
+        resolved.append((record.diagram, record.name))
     return resolved
 
 
@@ -125,8 +125,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_tabulate(args: argparse.Namespace) -> int:
+    if args.groups and args.format != "text":
+        raise _InputError("--groups needs --format text")
     records = load_table()
-    verdicts = verify_all(records)
+    verdicts = [verify_record(r) for r in records]
     # per record: (n, computed F^n) for each expected n
     rows = [[(n, str(v.report.f_at(n))) for n, _ in r.expected] for r, v in zip(records, verdicts)]
 
@@ -201,7 +203,7 @@ def _cmd_verify_moves(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise _InputError("steps must be >= 0")
     if args.target is None:
-        targets = [(r.name, r.diagram()) for r in load_table()]
+        targets = [(r.name, r.diagram) for r in load_table()]
     else:
         [(diagram, name)] = _resolve(args.target)
         targets = [(name or str(diagram) or "(unknot)", diagram)]

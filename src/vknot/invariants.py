@@ -216,10 +216,10 @@ class FReport(NamedTuple):
         is also the presentation convention of the published tables.
         """
         last_live = 0
-        for n in range(1, self.n_max + 2):
+        for n in range(1, self.n_max + 1):
             if self.per_n[n] != self.stable_tail:
                 last_live = n
-        return tuple((n, self.per_n[n]) for n in range(1, min(last_live + 1, self.n_max + 1) + 1))
+        return tuple((n, self.per_n[n]) for n in range(1, last_live + 2))
 
 
 def _smoothed_writhes(

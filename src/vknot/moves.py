@@ -233,11 +233,18 @@ _MOVES = {
 _KINDS = tuple(_MOVES)
 
 
+def _move(kind: str) -> _Move:
+    """The move named ``kind``; ``MoveError`` if it names none of ``_KINDS``."""
+    if kind not in _KINDS:
+        raise MoveError(f"unknown move kind {kind!r}")
+    return _MOVES[kind]
+
+
 def move_sites(diagram: Diagram, kind: str) -> list:
     """Where a ``kind`` move applies on the diagram, in parameter form:
     the arcs of R1+ and the first arcs of R2+, the kink positions of
     R1-, the ``[i, j]`` sites of R2- and the ``(p, q, r)`` triples of R3."""
-    return list(_MOVES[kind].sites(diagram.entries))
+    return list(_move(kind).sites(diagram.entries))
 
 
 def apply_move(diagram: Diagram, kind: str, *params) -> Diagram:
@@ -247,9 +254,7 @@ def apply_move(diagram: Diagram, kind: str, *params) -> Diagram:
     over_first``, R2- ``site``, R3 ``p, q, r``), each of exactly its
     key's type (a bool is not an int).  Raises ``InvalidArc`` or
     ``PatternNotFound`` if they name no site of the move's scan."""
-    if kind not in _KINDS:
-        raise MoveError(f"unknown move kind {kind!r}")
-    move = _MOVES[kind]
+    move = _move(kind)
     if tuple(map(type, params)) != tuple(move.keys.values()):
         raise MoveError(f"malformed {kind} parameters {params!r}: needs {', '.join(move.keys)}")
     ents = list(diagram.entries)

@@ -2,9 +2,9 @@
 
 The table names 116 knots: 2.1, 3.1-3.7 and 4.1-4.108, following the
 standard tabulation of virtual knots by classical crossing number.
-Two data files ship with the package (override the directory with the
-``VKNOT_TABLE_DIR`` environment variable to test an alternative
-tabulation):
+Two data files ship with the package; the ``VKNOT_TABLE_DIR``
+environment variable names another directory to read them from, to test
+an alternative tabulation (``data_dir``):
 
 * ``knots.tsv``   - one record per line, ``<name><TAB><gauss code>``;
 * ``fpolys.tsv``  - expected invariants, ``<name><TAB><n><TAB><poly>``
@@ -64,44 +64,12 @@ def name_key(name: str) -> tuple[int, int]:
     return int(crossings), int(index)
 
 
-class KnotRecord:
-    """A named tabulated knot: Gauss code plus expected F-sequence rows.
+class KnotRecord(NamedTuple):
+    """A named tabulated knot: its diagram and expected F-sequence rows."""
 
-    The code is parsed once, on construction (GaussCodeError if it is
-    bad), and ``diagram()`` returns that immutable Diagram.  Records
-    are immutable and compare by (name, gauss, expected).
-    """
-
-    __slots__ = ("name", "gauss", "expected", "_diagram")
-
-    def __init__(self, name: str, gauss: str, expected: tuple[tuple[int, LaurentPoly2], ...]):
-        object.__setattr__(self, "_diagram", parse_gauss(gauss))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "gauss", gauss)
-        object.__setattr__(self, "expected", expected)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("KnotRecord is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("KnotRecord is immutable")
-
-    def _key(self) -> tuple:
-        return self.name, self.gauss, self.expected
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KnotRecord):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"KnotRecord(name={self.name!r}, gauss={self.gauss!r}, expected={self.expected!r})"
-
-    def diagram(self) -> Diagram:
-        return self._diagram
+    name: str
+    diagram: Diagram
+    expected: tuple[tuple[int, LaurentPoly2], ...]
 
 
 class Verdict(enum.Enum):
@@ -179,14 +147,15 @@ def read_expected(path: Path) -> dict[str, tuple[tuple[int, LaurentPoly2], ...]]
     return {name: tuple(listed) for name, listed in rows.items()}
 
 
-def load_table(directory: Path | None = None) -> list[KnotRecord]:
-    """Load and validate all 116 records, sorted by name.
+def load_table() -> list[KnotRecord]:
+    """Load and validate all 116 records of ``data_dir()``, sorted by
+    name; each code is parsed once, into its record's ``diagram``.
 
     Raises CorruptData on structural problems: missing/duplicated
     names, unparsable codes, a crossing count that does not match the
     name prefix, or expected rows that ``read_expected`` rejects.
     """
-    root = directory if directory is not None else data_dir()
+    root = data_dir()
     expected = read_expected(root / "fpolys.tsv")
     codes: dict[str, str] = {}
     for name, code in _read_rows(root / "knots.tsv", 2):
@@ -200,13 +169,13 @@ def load_table(directory: Path | None = None) -> list[KnotRecord]:
     records = []
     for (promised, _), name in sorted((name_key(name), name) for name in codes):
         try:
-            record = KnotRecord(name, codes[name], expected[name])
+            diagram = parse_gauss(codes[name])
         except GaussCodeError as exc:
             raise CorruptData(f"record {name!r} has a bad code: {exc}") from exc
-        found = record.diagram().n_crossings
+        found = diagram.n_crossings
         if found != promised:
             raise CorruptData(f"record {name!r} has {found} crossings, name promises {promised}")
-        records.append(record)
+        records.append(KnotRecord(name, diagram, expected[name]))
     return records
 
 
@@ -216,11 +185,10 @@ def verify_record(record: KnotRecord) -> MatchVerdict:
     Tries the stored orientation first, then the reversed diagram.  A
     failure of both is a verdict, not an exception.
     """
-    diagram = record.diagram()
-    report = f_sequence(diagram)
+    report = f_sequence(record.diagram)
     if all(report.f_at(n) == poly for n, poly in record.expected):
         return MatchVerdict(record.name, Verdict.EXACT_MATCH, (), report)
-    reversed_report = f_sequence(diagram.reverse())
+    reversed_report = f_sequence(record.diagram.reverse())
     if all(reversed_report.f_at(n) == poly for n, poly in record.expected):
         return MatchVerdict(record.name, Verdict.MATCH_UNDER_INVERSION, (), reversed_report)
     details = tuple(
@@ -231,11 +199,6 @@ def verify_record(record: KnotRecord) -> MatchVerdict:
     return MatchVerdict(record.name, Verdict.MISMATCH, details, report)
 
 
-def verify_all(records: list[KnotRecord]) -> list[MatchVerdict]:
-    """The verdict of each record, in the order given."""
-    return [verify_record(r) for r in records]
-
-
 class FGroup(NamedTuple):
     """Knot names sharing one F-sequence (in table orientation)."""
 
@@ -244,7 +207,7 @@ class FGroup(NamedTuple):
 
 
 def group_by_f_sequence(verdicts: list[MatchVerdict]) -> list[FGroup]:
-    """Partition verdicts (from ``verify_all``) by their reports' fingerprints.
+    """Partition verdicts (from ``verify_record``) by their reports' fingerprints.
 
     Each verdict's report is of the orientation that matched its
     expected rows, so the grouping is independent of the stored codes'

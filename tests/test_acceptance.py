@@ -17,7 +17,7 @@ from vknot.table import (
     group_by_f_sequence,
     kauffman_family,
     load_table,
-    verify_all,
+    verify_record,
 )
 
 
@@ -97,7 +97,7 @@ def test_criterion_4_grouping_matches_published_rows(table_records):
         expected_groups.setdefault(key, []).append(record.name)
     expected_partition = {tuple(sorted(names)) for names in expected_groups.values()}
 
-    groups = group_by_f_sequence(verify_all(table_records))
+    groups = group_by_f_sequence([verify_record(r) for r in table_records])
     computed_partition = {tuple(sorted(g.names)) for g in groups}
     assert computed_partition == expected_partition
 
@@ -136,7 +136,7 @@ def test_criterion_5_shared_f_family():
 
 
 def test_criterion_6_mirror_reverse_dwrithe_laws(table_records):
-    diagrams = [r.diagram() for r in table_records]
+    diagrams = [r.diagram for r in table_records]
     rng = Lcg(20240)
     for i in range(100):
         base = diagrams[i % 116]
@@ -161,7 +161,7 @@ def test_criterion_7_move_invariance_fuzz(table_records):
     rng = Lcg(777)
     violations = 0
     for record in table_records:
-        for _, script in fuzz_invariance(record.diagram(), 10, 10, rng):
+        for _, script in fuzz_invariance(record.diagram, 10, 10, rng):
             violations += 1
             print(f"{record.name}: {script.to_json()}")
     elapsed = time.perf_counter() - started
@@ -172,7 +172,7 @@ def test_criterion_7_move_invariance_fuzz(table_records):
 
 def test_criterion_8_stabilization(table_records):
     for record in table_records:
-        d = record.diagram()
+        d = record.diagram
         report = f_sequence(d)
         p = affine_oracle(d)
         assert report.per_n[report.n_max + 1] == p
@@ -181,7 +181,7 @@ def test_criterion_8_stabilization(table_records):
     stable_at_one = parse_poly("-t^-2+2-t^2")
     for name in ("3.5", "3.7"):
         record = next(r for r in table_records if r.name == name)
-        fp = f_sequence(record.diagram()).fingerprint()
+        fp = f_sequence(record.diagram).fingerprint()
         assert fp == ((1, stable_at_one),)
     _report(8, "F^(n_max+1) = affine polynomial on all 116; 3.5/3.7 stable at n=1")
 
@@ -204,7 +204,7 @@ def test_criterion_9_rotation_invariance(table_records):
         )
 
     for record in table_records:
-        d = record.diagram()
+        d = record.diagram
         base = portrait(d)
         for _ in range(20):
             assert portrait(d.rotate(rng.randrange(len(d)))) == base

@@ -219,6 +219,14 @@ def test_tabulate_groups(capsys):
     assert "group: 2.1 3.2 4.4 4.5 4.30 4.40 4.54 4.61 4.69 4.74 4.94" in out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tabulate_groups_needs_text_format(capsys, monkeypatch, fmt):
+    # Checked before the table loads, as -n with --all is before the analysis.
+    monkeypatch.setattr(vknot.cli, "load_table", lambda: pytest.fail("table loaded"))
+    code, out, err = run(capsys, "tabulate", "--groups", "--format", fmt)
+    assert (code, out, err) == (2, "", "error: --groups needs --format text\n")
+
+
 def test_tabulate_groups_analyses_each_record_once(capsys, monkeypatch):
     analysed = []
 
@@ -393,7 +401,7 @@ def test_distinguish_reversal_is_flagged(capsys):
 
 def test_distinguish_reversed_4_9(capsys):
     record = next(r for r in vknot.table.load_table() if r.name == "4.9")
-    reversed_code = str(record.diagram().reverse())
+    reversed_code = str(record.diagram.reverse())
     code, out, _ = run(capsys, "distinguish", "4.9", reversed_code)
     assert code == 0
     assert out == "not distinguished by F up to n=3 (equal after orientation reversal)\n"

@@ -67,7 +67,7 @@ def test_format_round_trip_simple():
 
 def test_round_trip_on_table(table_records):
     for record in table_records:
-        d = parse_gauss(record.gauss)
+        d = record.diagram
         assert parse_gauss(format_gauss(d)) == d
 
 

@@ -65,7 +65,7 @@ def test_labels_obey_local_crossing_rule(d):
 
 def test_labels_rule_and_oracle_on_whole_table(table_records):
     for record in table_records:
-        d = record.diagram()
+        d = record.diagram
         labels = arc_labels(d)
         assert labels == brute_force_labels(d)
         n = len(d)
@@ -237,10 +237,10 @@ def test_f_report_json(table_records, capsys):
     assert main(["compute", "3.1", "--all", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["knot"] == "3.1"
-    assert data["gauss"] == str(record.diagram())
+    assert data["gauss"] == str(record.diagram)
     assert data["n_max"] == 2
     assert set(data["F"]) == {"1", "2", "3"}
-    stable = affine_oracle(record.diagram()).terms()
+    stable = affine_oracle(record.diagram).terms()
     assert data["stable"] == [{"t": t, "l": l, "c": c} for t, l, c in stable]
 
 
@@ -344,7 +344,7 @@ def _assert_reverse_mirror_law(d):
 
 def test_reverse_mirror_law_on_table(table_records):
     for record in table_records:
-        _assert_reverse_mirror_law(record.diagram())
+        _assert_reverse_mirror_law(record.diagram)
 
 
 @given(diagrams())

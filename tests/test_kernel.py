@@ -43,7 +43,7 @@ def kernel(d: Diagram) -> tuple[dict[str, dict[int, int]], frozenset[int]]:
 
 def test_kernel_matches_oracle_on_table(table_records):
     for record in table_records:
-        d = record.diagram()
+        d = record.diagram
         for variant in (d, d.reverse(), d.mirror()):
             assert kernel(variant) == oracle(variant), (record.name, str(variant))
 
@@ -139,7 +139,7 @@ def assert_views_match_smoothings(d: Diagram) -> None:
 
 def test_views_match_smoothings_on_table(table_records):
     for record in table_records:
-        assert_views_match_smoothings(record.diagram())
+        assert_views_match_smoothings(record.diagram)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -152,7 +152,7 @@ def test_views_match_smoothings_on_random_diagrams(seed):
 
 def test_index_oracle_on_table(table_records):
     for record in table_records:
-        d = record.diagram()
+        d = record.diagram
         for variant in (d, d.reverse(), d.mirror()):
             assert f_sequence(variant).index == interlacement_index(variant), record.name
 

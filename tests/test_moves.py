@@ -247,6 +247,10 @@ def test_script_rejects_unknown_move(example_31):
         MoveScript(({"move": "R9"},)).apply(example_31)
     with pytest.raises(MoveError):
         apply_move(example_31, "R9")
+    with pytest.raises(MoveError):
+        move_sites(example_31, "R9")
+    with pytest.raises(MoveError):
+        move_sites(example_31, ["R1-"])
 
 
 @pytest.mark.parametrize(
@@ -298,7 +302,7 @@ def test_walk_builds_one_diagram_and_scans_once_per_step(table_records, monkeypa
         move = vknot.moves._MOVES[kind]._replace(sites=counting_scan)
         monkeypatch.setitem(vknot.moves._MOVES, kind, move)
     kinds = []
-    starts = [r.diagram() for r in table_records]
+    starts = [r.diagram for r in table_records]
     monkeypatch.setattr(Diagram, "__init__", counting_init)
     for seed, start in enumerate(starts):
         built.clear()

@@ -25,7 +25,7 @@ PINNED = "ab08d4466d36c430d13e976f5d408de29596631fe00a3212e2d37ebd0148780c"
 
 def corpus() -> list[list[str]]:
     """Every argv of the digest, in a fixed order."""
-    codes = [r.gauss for r in load_table()]
+    codes = [str(r.diagram) for r in load_table()]
     codes += [random_code(8 + seed % 25, seed) for seed in range(40)]
     runs = []
     for code in codes:

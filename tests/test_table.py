@@ -7,20 +7,18 @@ from pathlib import Path
 import pytest
 
 from conftest import affine_oracle, map_terms
-from vknot.gauss import parse_gauss
 from vknot.invariants import f_sequence
 from vknot.laurent import parse_poly
 from vknot.table import (
     CorruptData,
     EvenK,
-    KnotRecord,
     Verdict,
     group_by_f_sequence,
     kauffman_family,
     data_dir,
     load_table,
+    name_key,
     read_expected,
-    verify_all,
     verify_record,
 )
 
@@ -40,24 +38,30 @@ def test_load_table_known_records(table_records):
     assert "3.6" in names  # classical trefoil: all invariants vanish
     assert "4.108" in names  # classical figure-eight
     for r in table_records:
-        d = parse_gauss(r.gauss)
-        assert d.n_crossings == int(r.name.split(".")[0])
+        assert r.diagram.n_crossings == int(r.name.split(".")[0])
         assert r.expected and all(n >= 1 for n, _ in r.expected)
 
 
 def test_classical_records_have_zero_invariants(table_records):
     for name in ("3.6", "4.108"):
         record = next(r for r in table_records if r.name == name)
-        d = record.diagram()
+        d = record.diagram
         report = f_sequence(d)
         assert not report.stable_tail and not affine_oracle(d)
         assert all(report.index[c] == 0 for c in d.crossings())
         assert not any(p for _, p in report.fingerprint())
 
 
-def test_load_table_missing_dir(tmp_path):
+def test_records_render_to_their_codes(table_records):
+    lines = (data_dir() / "knots.tsv").read_text().splitlines()
+    rows = sorted((line.split("\t") for line in lines), key=lambda row: name_key(row[0]))
+    assert [(r.name, str(r.diagram)) for r in table_records] == [tuple(row) for row in rows]
+
+
+def test_load_table_missing_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
     with pytest.raises(CorruptData):
-        load_table(tmp_path)
+        load_table()
 
 
 def test_load_table_env_override(tmp_path, monkeypatch, table_records):
@@ -72,32 +76,30 @@ def test_load_table_env_override(tmp_path, monkeypatch, table_records):
     assert len(table_mod.load_table()) == len(table_records)
 
 
-def test_load_table_rejects_wrong_crossing_count(tmp_path):
+def test_load_table_rejects_wrong_crossing_count(tmp_path, monkeypatch):
     import shutil
-
-    from vknot.table import data_dir
 
     shutil.copy(data_dir() / "fpolys.tsv", tmp_path / "fpolys.tsv")
     lines = (data_dir() / "knots.tsv").read_text().splitlines()
     lines[0] = "2.1\tO1+ U1+"  # one crossing, name promises two
     (tmp_path / "knots.tsv").write_text("\n".join(lines) + "\n")
+    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
     with pytest.raises(CorruptData):
-        load_table(tmp_path)
+        load_table()
 
 
 @pytest.mark.parametrize("n_text", ["0_1", "+1", " 1", "\u0661"])
-def test_load_table_rejects_non_digit_n(tmp_path, n_text):
+def test_load_table_rejects_non_digit_n(tmp_path, monkeypatch, n_text):
     # int() reads each of these as 1; only ASCII digits are an n.
     import shutil
-
-    from vknot.table import data_dir
 
     shutil.copy(data_dir() / "knots.tsv", tmp_path / "knots.tsv")
     rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
     rows[0] = f"2.1\t{n_text}\t-t^-1+2-t"
     (tmp_path / "fpolys.tsv").write_text("\n".join(rows) + "\n")
+    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
     with pytest.raises(CorruptData, match="2.1"):
-        load_table(tmp_path)
+        load_table()
 
 
 def test_read_expected_rejects_an_n_too_long_to_convert(tmp_path):
@@ -108,14 +110,15 @@ def test_read_expected_rejects_an_n_too_long_to_convert(tmp_path):
         read_expected(tmp_path / "fpolys.tsv")
 
 
-def test_load_table_rejects_a_repeated_n(tmp_path):
+def test_load_table_rejects_a_repeated_n(tmp_path, monkeypatch):
     import shutil
 
     shutil.copy(data_dir() / "knots.tsv", tmp_path / "knots.tsv")
     rows = (data_dir() / "fpolys.tsv").read_text() + "2.1\t1\tt\n"
     (tmp_path / "fpolys.tsv").write_text(rows)
+    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
     with pytest.raises(CorruptData, match="2.1"):
-        load_table(tmp_path)
+        load_table()
 
 
 @pytest.mark.parametrize(
@@ -179,7 +182,7 @@ def test_verify_record_exact(table_records):
     record = next(r for r in table_records if r.name == "2.1")
     verdict = verify_record(record)
     assert verdict.status is Verdict.EXACT_MATCH
-    assert verdict.report.diagram == record.diagram()
+    assert verdict.report.diagram == record.diagram
     assert verdict.report.f_at(1) == parse_poly("-t^-1+2-t")
 
 
@@ -187,11 +190,10 @@ def test_verify_record_under_inversion(table_records):
     # Store 3.1 with the opposite orientation: it must still verify,
     # by reversing the stored diagram back.
     record = next(r for r in table_records if r.name == "3.1")
-    reversed_code = str(record.diagram().reverse())
-    flipped = KnotRecord("3.1", reversed_code, record.expected)
+    flipped = record._replace(diagram=record.diagram.reverse())
     verdict = verify_record(flipped)
     assert verdict.status is Verdict.MATCH_UNDER_INVERSION
-    assert verdict.report.diagram == flipped.diagram().reverse()
+    assert verdict.report.diagram == flipped.diagram.reverse()
     assert verdict.ok
 
 
@@ -199,8 +201,8 @@ def test_verify_record_reversed_where_substitution_fails(table_records):
     # For 4.9, F of the reversed diagram is not F(t^-1, l^-1): only
     # recomputing the reversed diagram recognises the reversed code.
     record = next(r for r in table_records if r.name == "4.9")
-    flipped = KnotRecord("4.9", str(record.diagram().reverse()), record.expected)
-    computed = f_sequence(flipped.diagram())
+    flipped = record._replace(diagram=record.diagram.reverse())
+    computed = f_sequence(flipped.diagram)
     inverted = [map_terms(computed.f_at(n), lambda et, el, c: (-et, -el, c)) for n, _ in record.expected]
     assert inverted != [p for _, p in record.expected]
     verdict = verify_record(flipped)
@@ -210,7 +212,7 @@ def test_verify_record_reversed_where_substitution_fails(table_records):
 
 def test_verify_record_mismatch(table_records):
     record = next(r for r in table_records if r.name == "3.3")
-    broken = KnotRecord("3.3", record.gauss, ((1, parse_poly("t-1")),))
+    broken = record._replace(expected=((1, parse_poly("t-1")),))
     verdict = verify_record(broken)
     assert verdict.status is Verdict.MISMATCH
     assert not verdict.ok
@@ -218,7 +220,7 @@ def test_verify_record_mismatch(table_records):
 
 
 def test_whole_table_verifies(table_records):
-    verdicts = verify_all(table_records)
+    verdicts = [verify_record(r) for r in table_records]
     assert len(verdicts) == 116
     assert all(v.ok for v in verdicts)
     assert all(v.report.n_max <= 4 for v in verdicts)
@@ -228,12 +230,12 @@ def test_record_with_longest_sequence(table_records):
     record = next(r for r in table_records if r.name == "4.24")
     polys = [p for _, p in record.expected]
     assert len(polys) == 4 and len(set(polys)) == 4
-    report = f_sequence(record.diagram())
+    report = f_sequence(record.diagram)
     assert [report.f_at(n) for n in (1, 2, 3, 4)] == polys
 
 
 def test_grouping_reproduces_published_rows(table_records):
-    groups = group_by_f_sequence(verify_all(table_records))
+    groups = group_by_f_sequence([verify_record(r) for r in table_records])
     by_name = {name: g for g in groups for name in g.names}
     assert by_name["2.1"].names == (
         "2.1", "3.2", "4.4", "4.5", "4.30", "4.40",
@@ -251,18 +253,14 @@ def test_grouping_reproduces_published_rows(table_records):
 
 def test_grouping_is_orientation_normalized(table_records):
     flipped = [
-        KnotRecord(r.name, str(r.diagram().reverse()), r.expected)
-        if r.name == "3.1"
-        else r
-        for r in table_records
+        r._replace(diagram=r.diagram.reverse()) if r.name == "3.1" else r for r in table_records
     ]
-    original = {
-        g.names: [str(p) for _, p in g.rows]
-        for g in group_by_f_sequence(verify_all(table_records))
-    }
-    again = {
-        g.names: [str(p) for _, p in g.rows] for g in group_by_f_sequence(verify_all(flipped))
-    }
+
+    def groups(records):
+        verdicts = [verify_record(r) for r in records]
+        return {g.names: [str(p) for _, p in g.rows] for g in group_by_f_sequence(verdicts)}
+
+    original, again = groups(table_records), groups(flipped)
     assert original == again
 
 

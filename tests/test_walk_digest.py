@@ -30,7 +30,7 @@ SEEDS_PER_CODE = 3
 
 
 def start_codes() -> list[str]:
-    codes = [r.gauss for r in load_table()] + [""]
+    codes = [str(r.diagram) for r in load_table()] + [""]
     return codes + [random_code(3 + k, seed=100 + k) for k in range(8)]
 
 
