@@ -180,12 +180,12 @@ def _cmd_tabulate(args: argparse.Namespace) -> int:
 def _cmd_distinguish(args: argparse.Namespace) -> int:
     (da, _), (db, _) = _resolve(args.first, args.second)
     ra, rb = f_sequence(da), f_sequence(db)
-    fa, fb = ra.fingerprint(), rb.fingerprint()
+    fa, fb = ra.fingerprint, rb.fingerprint
     horizon = max(ra.n_max, rb.n_max) + 1
 
     if fa == fb:
         print(f"not distinguished by F up to n={horizon}")
-    elif fa == f_sequence(db.reverse()).fingerprint():
+    elif fa == f_sequence(db.reverse()).fingerprint:
         print(f"not distinguished by F up to n={horizon} (equal after orientation reversal)")
     else:
         # Unequal fingerprints differ at some n <= horizon.
@@ -231,10 +231,10 @@ def _cmd_family(args: argparse.Namespace) -> int:
     diagram = kauffman_family(args.k)
     report = f_sequence(diagram)
     if args.format == "json":
-        _print_json(report, f"D^{args.k}", sorted(report.per_n))
+        _print_json(report, f"D^{args.k}", list(range(1, report.n_max + 2)))
         return 0
     print(f"D^{args.k}: {diagram}")
-    for n, poly in report.fingerprint():
+    for n, poly in report.fingerprint:
         print(f"F^{n} = {poly}")
     print(f"P(t) = {report.stable_tail}")
     return 0

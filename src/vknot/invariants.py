@@ -28,9 +28,9 @@ For n above every index value appearing in D and in its smoothings, all
 dwrithes vanish, T_n is the whole crossing set, and F^n collapses to the
 affine index polynomial: the sequence stabilizes.  ``f_sequence``
 computes the exact bound, one extra stabilized entry, and checks the
-collapse.  The invariant content of the sequence is captured by
-``FReport.fingerprint`` (entries up to the first stabilized one), which
-is what equality of F-sequences means everywhere in this package.
+collapse.  It stores the sequence once, as ``FReport.fingerprint``: the
+entries (n, F^n) up to the first stabilized one.  Equal fingerprints
+are what equality of F-sequences means everywhere in this package.
 
 ``f_sequence`` is the one analysis of a diagram; the ``FReport`` it
 returns keeps Ind(c), the writhe table of D and the dJ table, and F^n,
@@ -159,12 +159,12 @@ def _dj(writhes: dict[int, int], n: int) -> int:
 class FReport(NamedTuple):
     """The full F-polynomial sequence of a diagram, and the analysis behind it.
 
-    ``per_n`` holds F^n for n = 1 .. n_max+1 where n_max bounds every
-    index value of the diagram and of its smoothings; for all larger n
-    the value is ``stable_tail`` (the affine index polynomial).  The
-    final computed entry equals the tail by construction - this is
-    checked, not assumed.  The other views read ``index`` (Ind(c) in
-    traversal order), ``writhes`` (J_k(D)) and ``smoothed_dj``, where
+    ``fingerprint`` holds (n, F^n) for n = 1 .. k, the first n from
+    which F^n equals ``stable_tail`` (the affine index polynomial) for
+    good: equal fingerprints mean equal F-sequences.  n_max bounds each
+    index value of D and its smoothings, and F^{n_max+1} is checked to
+    be the tail.  The other views read ``index`` (Ind(c) in traversal
+    order), ``writhes`` (J_k(D)) and ``smoothed_dj``, where
     ``smoothed_dj[n - 1][i]`` is dJ_n(D_c) for the i-th crossing c of
     ``index``, for n = 1 .. n_max+1; every larger n reads zeros.  What
     is known of one crossing c is ``index[c]``, ``diagram.sign(c)`` and
@@ -173,17 +173,17 @@ class FReport(NamedTuple):
 
     diagram: Diagram
     n_max: int
-    per_n: dict[int, LaurentPoly2]
+    fingerprint: tuple[tuple[int, LaurentPoly2], ...]
     stable_tail: LaurentPoly2
     index: dict[str, int]
     writhes: dict[int, int]
     smoothed_dj: tuple[tuple[int, ...], ...]
 
     def f_at(self, n: int) -> LaurentPoly2:
-        """F^n for any n >= 1, using the stable tail beyond n_max."""
+        """F^n for any n >= 1, using the stable tail beyond the fingerprint."""
         if n < 1:
             raise NonpositiveN(f"F^n needs n >= 1, got {n}")
-        return self.per_n.get(n, self.stable_tail)
+        return self.fingerprint[n - 1][1] if n <= len(self.fingerprint) else self.stable_tail
 
     def dwrithe(self, n: int) -> int:
         """dJ_n(D) for any n >= 1."""
@@ -205,21 +205,6 @@ class FReport(NamedTuple):
             raise NonpositiveN(f"T_n needs n >= 1, got {n}")
         size = abs(_dj(self.writhes, n))
         return frozenset(c for c, dc in zip(self.index, self.smoothed_row(n)) if abs(dc) == size)
-
-    def fingerprint(self) -> tuple[tuple[int, LaurentPoly2], ...]:
-        """Entries (n, F^n) up to and including the first entry from
-        which the sequence equals the stable tail for good.
-
-        Two diagrams have equal F-sequences (all n at once) exactly when
-        their fingerprints are equal, which makes this the comparison
-        key for grouping, distinguishing and invariance testing.  This
-        is also the presentation convention of the published tables.
-        """
-        last_live = 0
-        for n in range(1, self.n_max + 1):
-            if self.per_n[n] != self.stable_tail:
-                last_live = n
-        return tuple((n, self.per_n[n]) for n in range(1, last_live + 2))
 
 
 def _smoothed_writhes(
@@ -271,7 +256,7 @@ def _f_poly(ind: Iterable[int], signs: Sequence[int], row: Sequence[int], d_n: i
 
 
 def f_sequence(diagram: Diagram) -> FReport:
-    """Analyse the diagram once: F^n for n = 1 .. n_max+1, the stable
+    """Analyse the diagram once: the fingerprint of F^n, the stable
     tail, and the index, writhe and dJ tables they are built from.
 
     n_max is the largest index magnitude seen in the diagram or any of
@@ -288,13 +273,12 @@ def f_sequence(diagram: Diagram) -> FReport:
     n_max = max(map(abs, chain(writhes, *smoothed)), default=0)
     table = _dj_table(smoothed, n_max)
     tail = _affine(indices, sign)
-    per_n = {
-        n: _f_poly(indices, sign, row, _dj(writhes, n))
-        for n, row in enumerate(table, start=1)
-    }
-    if per_n[n_max + 1] != tail:
+    polys = [_f_poly(indices, sign, row, _dj(writhes, n)) for n, row in enumerate(table, start=1)]
+    if polys[-1] != tail:
         raise InternalInconsistency(
             f"F^{n_max + 1} of {str(diagram)!r} did not stabilize to the affine polynomial"
         )
+    while len(polys) > 1 and polys[-2] == tail:  # keep the first stabilized entry only
+        polys.pop()
     ind = dict(zip(diagram._number, indices))
-    return FReport(diagram, n_max, per_n, tail, ind, writhes, table)
+    return FReport(diagram, n_max, tuple(enumerate(polys, 1)), tail, ind, writhes, table)

@@ -333,10 +333,10 @@ def fuzz_invariance(
 ) -> list[tuple[int, MoveScript]]:
     """(trial, script) of each of ``trials`` walks of ``steps`` moves,
     seeded in turn by ``rng``, that changed the F-fingerprint."""
-    base = f_sequence(diagram).fingerprint()
+    base = f_sequence(diagram).fingerprint
     failures = []
     for trial in range(trials):
         moved, script = random_walk(diagram, steps, rng.next_bits())
-        if f_sequence(moved).fingerprint() != base:
+        if f_sequence(moved).fingerprint != base:
             failures.append((trial, script))
     return failures

@@ -9,15 +9,15 @@ an alternative tabulation (``data_dir``):
 * ``knots.tsv``   - one record per line, ``<name><TAB><gauss code>``;
 * ``fpolys.tsv``  - expected invariants, ``<name><TAB><n><TAB><poly>``
   with the polynomial in the canonical syntax of :mod:`vknot.laurent`,
-  listed for n = 1 upward until the F-polynomial stabilizes to the
-  affine index polynomial.
+  listed for n = 1 .. k, stopping at the first F^k from which the
+  sequence equals the affine index polynomial (``FReport.fingerprint``).
 
 The polynomial file is the ground truth; a Gauss code is considered
-correct for a name exactly when its computed F-sequence reproduces the
-expected rows (``verify_record``).  Published tabulations fix each
-knot's orientation only implicitly, so a record whose code matches only
-once its orientation is reversed (``Diagram.reverse``, the inverse knot)
-is reported as ``MATCH_UNDER_INVERSION`` rather than as a failure.
+correct for a name exactly when the fingerprint of its F-sequence
+equals the expected rows (``verify_record``).  Published tabulations
+fix each knot's orientation only implicitly, so a record whose code
+matches only once its orientation is reversed (``Diagram.reverse``, the
+inverse knot) is reported as ``MATCH_UNDER_INVERSION``, not a failure.
 Reversal is recomputed, not derived from the stored orientation's
 values: it negates Ind(c) and dJ_n(D) but leaves every dJ_n(D_c) alone,
 so F^n(t, l) does not in general become F^n(t^-1, l^-1).
@@ -65,7 +65,7 @@ def name_key(name: str) -> tuple[int, int]:
 
 
 class KnotRecord(NamedTuple):
-    """A named tabulated knot: its diagram and expected F-sequence rows."""
+    """A named tabulated knot: its diagram and the fingerprint it must have."""
 
     name: str
     diagram: Diagram
@@ -114,14 +114,15 @@ def _read_rows(path: Path, width: int) -> list[list[str]]:
 
 
 def read_expected(path: Path) -> dict[str, tuple[tuple[int, LaurentPoly2], ...]]:
-    """The expected rows of ``fpolys.tsv`` at *path*, by name, sorted by n.
+    """The expected rows of ``fpolys.tsv`` at *path*, by name: each a
+    well-formed fingerprint, the rows (n, F^n) for n = 1..k in order.
 
     Raises CorruptData if the file cannot be read as UTF-8, on a line
     that is not ``<name><TAB><n><TAB><poly>`` with n in ASCII digits and
     a parsable polynomial, if the names are not exactly 2.1..4.108, or
-    if a name's rows are not listed for distinct n >= 1.
+    if a name's rows are not n = 1..k or its last two rows are equal.
     """
-    rows: dict[str, list[tuple[int, LaurentPoly2]]] = {}
+    rows: dict[str, dict[int, LaurentPoly2]] = {}
     polys: dict[str, LaurentPoly2] = {}  # each distinct text parsed once
     for name, n_text, poly_text in _read_rows(path, 3):
         if not (n_text.isascii() and n_text.isdigit()):
@@ -135,16 +136,20 @@ def read_expected(path: Path) -> dict[str, tuple[tuple[int, LaurentPoly2], ...]]
             raise CorruptData(f"bad expected row for {name!r}: {exc}") from exc
         if n < 1:
             raise CorruptData(f"bad expected row for {name!r}: n must be >= 1, got {n}")
-        rows.setdefault(name, []).append((n, poly))
+        listed = rows.setdefault(name, {})
+        if n in listed:
+            raise CorruptData(f"record {name!r} repeats the expected row for n = {n}")
+        listed[n] = poly
     if set(rows) != _EXPECTED_NAMES:
         odd = sorted(set(rows) ^ _EXPECTED_NAMES)
         raise CorruptData(f"table names do not cover 2.1..4.108: {odd}")
     for name, listed in rows.items():
-        listed.sort(key=lambda row: row[0])
-        for (a, _), (b, _) in zip(listed, listed[1:]):
-            if a == b:
-                raise CorruptData(f"record {name!r} repeats the expected row for n = {a}")
-    return {name: tuple(listed) for name, listed in rows.items()}
+        k = len(listed)
+        if sorted(listed) != list(range(1, k + 1)):
+            raise CorruptData(f"record {name!r} lists n = {sorted(listed)}, not n = 1..{k}")
+        if k > 1 and listed[k] == listed[k - 1]:
+            raise CorruptData(f"record {name!r} lists n = {k}, past the stable row n = {k - 1}")
+    return {name: tuple(sorted(listed.items())) for name, listed in rows.items()}
 
 
 def load_table() -> list[KnotRecord]:
@@ -180,20 +185,22 @@ def load_table() -> list[KnotRecord]:
 
 
 def verify_record(record: KnotRecord) -> MatchVerdict:
-    """Compare the record's computed F-sequence with its expected rows.
-
-    Tries the stored orientation first, then the reversed diagram.  A
-    failure of both is a verdict, not an exception.
+    """Compare the record's fingerprint with its expected rows, as the
+    table builder does: for the stored diagram, then the reversed one.
+    A failure of both is a verdict, not an exception; its details name
+    each n where F^n differs from row n (past the listed rows, the last).
     """
     report = f_sequence(record.diagram)
-    if all(report.f_at(n) == poly for n, poly in record.expected):
+    if report.fingerprint == record.expected:
         return MatchVerdict(record.name, Verdict.EXACT_MATCH, (), report)
     reversed_report = f_sequence(record.diagram.reverse())
-    if all(reversed_report.f_at(n) == poly for n, poly in record.expected):
+    if reversed_report.fingerprint == record.expected:
         return MatchVerdict(record.name, Verdict.MATCH_UNDER_INVERSION, (), reversed_report)
+    rows = [poly for _, poly in record.expected]
+    rows += rows[-1:] * (len(report.fingerprint) - len(rows))
     details = tuple(
         f"n={n}: expected {poly}, computed {report.f_at(n)} (reversed {reversed_report.f_at(n)})"
-        for n, poly in record.expected
+        for n, poly in enumerate(rows, 1)
         if report.f_at(n) != poly
     )
     return MatchVerdict(record.name, Verdict.MISMATCH, details, report)
@@ -218,7 +225,7 @@ def group_by_f_sequence(verdicts: list[MatchVerdict]) -> list[FGroup]:
     """
     buckets: dict[tuple[tuple[int, LaurentPoly2], ...], list[str]] = {}
     for verdict in verdicts:
-        buckets.setdefault(verdict.report.fingerprint(), []).append(verdict.name)
+        buckets.setdefault(verdict.report.fingerprint, []).append(verdict.name)
     groups = [FGroup(rows, tuple(sorted(names, key=name_key))) for rows, names in buckets.items()]
     groups.sort(key=lambda g: name_key(g.names[0]))
     return groups

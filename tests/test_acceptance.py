@@ -42,10 +42,10 @@ def test_criterion_1_worked_example_end_to_end():
     assert indices == (-1, 1, 2)
     assert dj == (2, -1)
     assert t1 == frozenset() and t2 == frozenset()
-    assert report.per_n[1] == parse_poly("-t^-1+t-t^2+l^2")
-    assert report.per_n[2] == parse_poly("-t^-1+t-t^2+l^-1")
+    assert report.f_at(1) == parse_poly("-t^-1+t-t^2+l^2")
+    assert report.f_at(2) == parse_poly("-t^-1+t-t^2+l^-1")
     tail = parse_poly("-t^-1+t-t^2+1")
-    assert report.per_n[3] == tail
+    assert report.f_at(3) == tail
     assert report.stable_tail == tail
     for n in (3, 4, 5, 9):
         assert report.f_at(n) == tail
@@ -175,13 +175,13 @@ def test_criterion_8_stabilization(table_records):
         d = record.diagram
         report = f_sequence(d)
         p = affine_oracle(d)
-        assert report.per_n[report.n_max + 1] == p
+        assert report.fingerprint[-1][1] == p  # the fingerprint ends at the stable entry
         assert report.f_at(report.n_max + 1) == p
 
     stable_at_one = parse_poly("-t^-2+2-t^2")
     for name in ("3.5", "3.7"):
         record = next(r for r in table_records if r.name == name)
-        fp = f_sequence(record.diagram).fingerprint()
+        fp = f_sequence(record.diagram).fingerprint
         assert fp == ((1, stable_at_one),)
     _report(8, "F^(n_max+1) = affine polynomial on all 116; 3.5/3.7 stable at n=1")
 
@@ -195,7 +195,7 @@ def test_criterion_9_rotation_invariance(table_records):
         rows = zip(*(report.smoothed_row(n) for n in ns))
         per_crossing = {c: (d.sign(c), k, row) for (c, k), row in zip(report.index.items(), rows)}
         return (
-            report.fingerprint(),
+            report.fingerprint,
             report.stable_tail,
             affine_oracle(d),
             frozenset((n, report.dwrithe(n)) for n in ns),

@@ -270,6 +270,23 @@ def test_tabulate_mismatch_exit_code(capsys, tmp_path, monkeypatch):
     assert "2.1" in err
 
 
+def test_tabulate_rejects_rows_that_stop_short(capsys, tmp_path, monkeypatch):
+    from vknot.table import data_dir
+
+    (tmp_path / "knots.tsv").write_text((data_dir() / "knots.tsv").read_text())
+    rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
+    kept = [row for row in rows if not row.startswith(("3.1\t2\t", "3.1\t3\t"))]
+    assert len(kept) == len(rows) - 2
+    (tmp_path / "fpolys.tsv").write_text("\n".join(kept) + "\n")
+    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    code, out, err = run(capsys, "tabulate")
+    assert code == 1
+    assert "115 ExactMatch, 0 MatchUnderInversion, 1 Mismatch" in out
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("3.1: n=2: expected ") and lines[1].startswith("3.1: n=3: expected ")
+
+
 @pytest.mark.parametrize("row", ["2.1\t0_1\t-t^-1+2-t", "2.1\t1\t-t^-1+\uff12-t"])
 def test_tabulate_rejects_non_ascii_digits(capsys, tmp_path, monkeypatch, row):
     from vknot.table import data_dir

@@ -195,17 +195,17 @@ def test_f_polynomial_unknot_zero():
 def test_f_sequence_example(example_31):
     report = f_sequence(example_31)
     assert report.n_max == 2
-    assert report.per_n[1] != report.per_n[2]
-    assert report.per_n[3] == report.stable_tail == affine_oracle(example_31)
+    assert report.f_at(1) != report.f_at(2)
+    assert report.f_at(3) == report.stable_tail == affine_oracle(example_31)
     assert report.f_at(17) == report.stable_tail
-    assert [n for n, _ in report.fingerprint()] == [1, 2, 3]
+    assert [n for n, _ in report.fingerprint] == [1, 2, 3]
 
 
 def test_f_sequence_unknot():
     report = f_sequence(UNKNOT)
     assert report.n_max == 0
     assert report.stable_tail == LaurentPoly2()
-    assert report.fingerprint() == ((1, LaurentPoly2()),)
+    assert report.fingerprint == ((1, LaurentPoly2()),)
 
 
 def test_f_sequence_labels_each_diagram_once(example_31, monkeypatch):
@@ -265,7 +265,7 @@ def test_f_collapses_to_affine_at_l_equal_one(d):
     p = affine_oracle(d)
     report = f_sequence(d)
     for n in range(1, report.n_max + 2):
-        assert map_terms(report.per_n[n], lambda et, el, c: (et, 0, c)) == p
+        assert map_terms(report.f_at(n), lambda et, el, c: (et, 0, c)) == p
 
 
 @given(diagrams())
@@ -291,7 +291,7 @@ def test_rotation_invariance(d, k):
     for n in (1, 2, 3):
         assert rotated.dwrithe(n) == report.dwrithe(n)
         assert rotated.t_set(n) == report.t_set(n)
-    assert rotated.fingerprint() == report.fingerprint()
+    assert rotated.fingerprint == report.fingerprint
 
 
 @given(diagrams())
@@ -330,8 +330,8 @@ def test_reverse_inverts_f_when_smoothed_dwrithes_vanish(example_31):
     for n in range(1, fwd.n_max + 2):
         assert set(fwd.smoothed_row(n)) == {0}
     rev = f_sequence(example_31.reverse())
-    inverted = tuple((n, map_terms(p, lambda et, el, c: (-et, -el, c))) for n, p in fwd.fingerprint())
-    assert rev.fingerprint() == inverted
+    inverted = tuple((n, map_terms(p, lambda et, el, c: (-et, -el, c))) for n, p in fwd.fingerprint)
+    assert rev.fingerprint == inverted
 
 
 def _assert_reverse_mirror_law(d):

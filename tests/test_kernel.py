@@ -108,9 +108,9 @@ def assert_moves_keep_fingerprint(m: int) -> None:
     m = 4 (42,268 edges in all) takes about 7 s, so CI runs it as its
     own step (``.github/workflows/tests.yml``) and the suite runs m <= 3."""
     for d in enumerate_codes(m):
-        base = f_sequence(d).fingerprint()
+        base = f_sequence(d).fingerprint
         for moved in neighbours(d):
-            assert f_sequence(moved).fingerprint() == base, (str(d), str(moved))
+            assert f_sequence(moved).fingerprint == base, (str(d), str(moved))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

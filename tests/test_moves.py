@@ -25,7 +25,7 @@ UNKNOT = parse_gauss("")
 
 
 def fp(d: Diagram):
-    return f_sequence(d).fingerprint()
+    return f_sequence(d).fingerprint
 
 
 # -- R1 ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Embedded knot table: loading, verification, grouping, the twist family."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -49,7 +50,7 @@ def test_classical_records_have_zero_invariants(table_records):
         report = f_sequence(d)
         assert not report.stable_tail and not affine_oracle(d)
         assert all(report.index[c] == 0 for c in d.crossings())
-        assert not any(p for _, p in report.fingerprint())
+        assert not any(p for _, p in report.fingerprint)
 
 
 def test_records_render_to_their_codes(table_records):
@@ -126,8 +127,14 @@ def test_load_table_rejects_a_repeated_n(tmp_path, monkeypatch):
     [
         ("2.1\t0\t-t^-1+2-t", [], "bad expected row for '2.1': n must be >= 1, got 0"),
         ("2.1\t1\t-t^-1+2-t", ["2.1\t1\tt"], "record '2.1' repeats the expected row for n = 1"),
+        ("2.1\t1\t-t^-1+2-t", ["2.1\t3\tt"], "record '2.1' lists n = [1, 3], not n = 1..2"),
+        (
+            "2.1\t1\t-t^-1+2-t",
+            ["2.1\t2\t-t^-1+2-t"],
+            "record '2.1' lists n = 2, past the stable row n = 1",
+        ),
     ],
-    ids=["n = 0", "repeated n"],
+    ids=["n = 0", "repeated n", "gap", "row past the stable one"],
 )
 def test_read_expected_names_a_zero_or_repeated_n(tmp_path, first, extra, error):
     rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
@@ -169,8 +176,9 @@ def test_table_builder_rejects_corrupt_expected_rows(tmp_path, damage):
     expected.write_bytes((data_dir() / "fpolys.tsv").read_bytes() + damage)
     out = tmp_path / "knots.tsv"
     proc = subprocess.run(
-        [sys.executable, str(BUILDER), "--expected", str(expected), "--out", str(out)],
+        [sys.executable, str(BUILDER), "--out", str(out)],
         capture_output=True, text=True, timeout=60,
+        env={**os.environ, "VKNOT_TABLE_DIR": str(tmp_path)},
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -217,6 +225,17 @@ def test_verify_record_mismatch(table_records):
     assert verdict.status is Verdict.MISMATCH
     assert not verdict.ok
     assert verdict.details and "expected" in verdict.details[0]
+
+
+def test_verify_record_rejects_rows_that_stop_short(table_records):
+    # Every listed row of 4.24 agrees with the code, but F^3 and F^4 are left out.
+    record = next(r for r in table_records if r.name == "4.24")
+    short = record._replace(expected=record.expected[:2])
+    report = f_sequence(record.diagram)
+    assert all(report.f_at(n) == poly for n, poly in short.expected)
+    verdict = verify_record(short)
+    assert verdict.status is Verdict.MISMATCH
+    assert [line.split(":")[0] for line in verdict.details] == ["n=3", "n=4"]
 
 
 def test_whole_table_verifies(table_records):
@@ -310,7 +329,7 @@ def test_family_shares_f_polynomial_for_odd_k():
         d = kauffman_family(k)
         assert d.n_crossings == k + 2
         assert f_sequence(d).f_at(1) == target
-        fingerprints.add(f_sequence(d).fingerprint())
+        fingerprints.add(f_sequence(d).fingerprint)
     assert len(fingerprints) == 1  # indistinguishable by the whole sequence
 
 

@@ -1,7 +1,8 @@
 """Rebuild the embedded diagram table from the expected-polynomial data.
 
-A code is correct for a name exactly when its computed F-sequence
-matches the name's expected rows in ``fpolys.tsv``.  This tool assigns
+A code is correct for a name exactly when the fingerprint of its
+computed F-sequence (``FReport.fingerprint``) equals the name's expected
+rows in ``fpolys.tsv``, the rule of ``verify_record``.  This tool assigns
 one code to every name from scratch: it scans every code with 2, 3 or
 4 classical crossings (``vknot.enumerate``), buckets the canonical codes
 by (crossing count, F-sequence fingerprint), keeping at most
@@ -14,7 +15,11 @@ orientation-reversed form, the classical trefoil and figure-eight) and
 are checked against the expected rows like everything else.  Within a
 group of names sharing a fingerprint the assignment is conventional.
 
-Usage:  python tools/build_knot_table.py [--expected fpolys.tsv] [--out knots.tsv]
+It reads ``fpolys.tsv`` from ``vknot.table.data_dir()``, the package
+data or the directory that ``VKNOT_TABLE_DIR`` names, and writes
+``knots.tsv`` next to it unless ``--out`` names another file.
+
+Usage:  python tools/build_knot_table.py [--out knots.tsv]
 Exit status: 0 written, 1 a pin or bucket fails, 2 unreadable expected rows.
 """
 
@@ -29,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from vknot.enumerate import canonical_code, enumerate_codes
 from vknot.gauss import parse_gauss
 from vknot.invariants import f_sequence
-from vknot.table import CorruptData, name_key, read_expected
+from vknot.table import CorruptData, data_dir, name_key, read_expected
 
 PINNED = {
     # Worked three-crossing example, orientation matching the published table.
@@ -46,13 +51,11 @@ MAX_PER_BUCKET = 64
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    data_dir = Path(__file__).resolve().parent.parent / "src" / "vknot" / "data"
-    parser.add_argument("--expected", type=Path, default=data_dir / "fpolys.tsv")
-    parser.add_argument("--out", type=Path, default=data_dir / "knots.tsv")
+    parser.add_argument("--out", type=Path, default=data_dir() / "knots.tsv")
     args = parser.parse_args()
 
     try:
-        expected = read_expected(args.expected)
+        expected = read_expected(data_dir() / "fpolys.tsv")
     except CorruptData as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -67,7 +70,7 @@ def main() -> int:
     taken: set[str] = set()
     for name, code in PINNED.items():
         diagram = parse_gauss(code)
-        got = f_sequence(diagram).fingerprint()
+        got = f_sequence(diagram).fingerprint
         if got != expected[name]:
             print(f"pinned code for {name} does not match expected rows: {got}")
             return 1
@@ -79,7 +82,7 @@ def main() -> int:
         count = 0
         for diagram in enumerate_codes(m):
             count += 1
-            key = (m, f_sequence(diagram).fingerprint())
+            key = (m, f_sequence(diagram).fingerprint)
             bucket = buckets.get(key)
             if bucket is None or len(bucket) >= MAX_PER_BUCKET:
                 continue
