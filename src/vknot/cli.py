@@ -127,17 +127,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_tabulate(args: argparse.Namespace) -> int:
     if args.groups and args.format != "text":
         raise _InputError("--groups needs --format text")
-    records = load_table()
-    verdicts = [verify_record(r) for r in records]
-    # per record: (n, computed F^n) for each expected n
-    rows = [[(n, str(v.report.f_at(n))) for n, _ in r.expected] for r, v in zip(records, verdicts)]
+    verdicts = [verify_record(r) for r in load_table()]
 
-    if args.format == "csv":
-        print("name,n,polynomial,status")
-        for v, shown in zip(verdicts, rows):
-            for n, poly in shown:
-                print(f"{v.name},{n},{poly},{v.status.value}")
-    elif args.format == "json":
+    if args.format == "json":
         import json
 
         out = [
@@ -145,27 +137,25 @@ def _cmd_tabulate(args: argparse.Namespace) -> int:
                 "name": v.name,
                 "status": v.status.value,
                 "transform": "reverse" if v.status is Verdict.MATCH_UNDER_INVERSION else "identity",
-                "rows": [{"n": n, "polynomial": poly} for n, poly in shown],
+                "rows": [{"n": n, "polynomial": str(poly)} for n, poly in v.rows],
             }
-            for v, shown in zip(verdicts, rows)
+            for v in verdicts
         ]
         print(json.dumps(out))
     else:
-        for v, shown in zip(verdicts, rows):
-            for n, poly in shown:
-                print(f"{v.name}\t{n}\t{poly}\t{v.status.value}")
-        counts = {s: 0 for s in Verdict}
+        sep = "\t" if args.format == "text" else ","
+        if args.format == "csv":
+            print("name,n,polynomial,status")
         for v in verdicts:
-            counts[v.status] += 1
-        print(
-            f"{len(records)} records: "
-            f"{counts[Verdict.EXACT_MATCH]} ExactMatch, "
-            f"{counts[Verdict.MATCH_UNDER_INVERSION]} MatchUnderInversion, "
-            f"{counts[Verdict.MISMATCH]} Mismatch"
-        )
+            for n, poly in v.rows:
+                print(f"{v.name}{sep}{n}{sep}{poly}{sep}{v.status.value}")
+    if args.format == "text":
+        statuses = [v.status for v in verdicts]
+        counts = ", ".join(f"{statuses.count(s)} {s.value}" for s in Verdict)
+        print(f"{len(verdicts)} records: {counts}")
         if args.groups:
-            for group in group_by_f_sequence(verdicts):
-                print("group: " + " ".join(group.names))
+            for names in group_by_f_sequence(verdicts):
+                print("group: " + " ".join(names))
 
     failures = [v for v in verdicts if not v.ok]
     for v in failures:

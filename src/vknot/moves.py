@@ -42,7 +42,7 @@ the same table: ``move_sites(diagram, kind)`` lists one scan's sites,
 each in parameter form, and ``apply_move(diagram, kind, *params)``
 checks the exact type of each parameter, rewrites a copy of the word
 and builds a ``Diagram``.  ``MoveScript.apply`` (scripts are external
-input) calls ``apply_move`` for each step.
+input) checks each step's keys, then calls ``apply_move`` on it.
 
 ``fuzz_invariance`` is the one fuzzing loop.  Reproducibility across
 platforms matters more than statistical quality, so walks draw from a
@@ -278,9 +278,10 @@ class MoveScript(NamedTuple):
     def apply(self, diagram: Diagram) -> Diagram:
         cur = diagram
         for step in self.steps:
-            if type(step) is not dict or step.get("move") not in _KINDS:
-                raise MoveError(f"unknown move kind in step {step!r}")
-            cur = apply_move(cur, step["move"], *map(step.get, _MOVES[step["move"]].keys))
+            kind = step.get("move") if type(step) is dict else None
+            if kind not in _KINDS or step.keys() != {"move", *_MOVES[kind].keys}:
+                raise MoveError(f"malformed step {step!r}: needs a move kind and exactly its keys")
+            cur = apply_move(cur, kind, *map(step.get, _MOVES[kind].keys))
         return cur
 
     def to_json(self) -> str:

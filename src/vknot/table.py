@@ -85,6 +85,7 @@ class MatchVerdict(NamedTuple):
     status: Verdict
     details: tuple[str, ...]  # per-n diffs, empty unless MISMATCH
     report: FReport  # of the orientation that matched (the stored one on MISMATCH)
+    rows: tuple[tuple[int, LaurentPoly2], ...]  # (n, report's F^n) for each n compared
 
     @property
     def ok(self) -> bool:
@@ -187,48 +188,47 @@ def load_table() -> list[KnotRecord]:
 def verify_record(record: KnotRecord) -> MatchVerdict:
     """Compare the record's fingerprint with its expected rows, as the
     table builder does: for the stored diagram, then the reversed one.
-    A failure of both is a verdict, not an exception; its details name
-    each n where F^n differs from row n (past the listed rows, the last).
+    A match's ``rows`` are the matching fingerprint.  A failure of both
+    is a verdict, not an exception: its rows run over n = 1 .. the
+    longer of the listed rows and the stored diagram's fingerprint, and
+    its details name each n where F^n differs from row n (past the
+    listed rows, the last).
     """
     report = f_sequence(record.diagram)
     if report.fingerprint == record.expected:
-        return MatchVerdict(record.name, Verdict.EXACT_MATCH, (), report)
+        return MatchVerdict(record.name, Verdict.EXACT_MATCH, (), report, report.fingerprint)
     reversed_report = f_sequence(record.diagram.reverse())
     if reversed_report.fingerprint == record.expected:
-        return MatchVerdict(record.name, Verdict.MATCH_UNDER_INVERSION, (), reversed_report)
-    rows = [poly for _, poly in record.expected]
-    rows += rows[-1:] * (len(report.fingerprint) - len(rows))
+        status = Verdict.MATCH_UNDER_INVERSION
+        return MatchVerdict(record.name, status, (), reversed_report, reversed_report.fingerprint)
+    listed = [poly for _, poly in record.expected]
+    k = max(len(listed), len(report.fingerprint))
+    rows = tuple((n, report.f_at(n)) for n in range(1, k + 1))
     details = tuple(
-        f"n={n}: expected {poly}, computed {report.f_at(n)} (reversed {reversed_report.f_at(n)})"
-        for n, poly in enumerate(rows, 1)
-        if report.f_at(n) != poly
+        f"n={n}: expected {poly}, computed {f_n} (reversed {reversed_report.f_at(n)})"
+        for (n, f_n), poly in zip(rows, listed + listed[-1:] * k)
+        if f_n != poly
     )
-    return MatchVerdict(record.name, Verdict.MISMATCH, details, report)
+    return MatchVerdict(record.name, Verdict.MISMATCH, details, report, rows)
 
 
-class FGroup(NamedTuple):
-    """Knot names sharing one F-sequence (in table orientation)."""
-
-    rows: tuple[tuple[int, LaurentPoly2], ...]
-    names: tuple[str, ...]
-
-
-def group_by_f_sequence(verdicts: list[MatchVerdict]) -> list[FGroup]:
-    """Partition verdicts (from ``verify_record``) by their reports' fingerprints.
+def group_by_f_sequence(verdicts: list[MatchVerdict]) -> list[tuple[str, ...]]:
+    """Partition the names of verdicts (from ``verify_record``) by their
+    reports' fingerprints: each part sorted by ``name_key``, the parts
+    ordered by their least member.
 
     Each verdict's report is of the orientation that matched its
     expected rows, so the grouping is independent of the stored codes'
-    orientations.  Groups are ordered by their least member name.  With
-    the shipped data this reproduces the row structure of the published
-    tables; a knot and its inverse are never merged unless their
-    fingerprints are equal.
+    orientations; a matched member's ``rows`` are its part's fingerprint.
+    With the shipped data this reproduces the row structure of the
+    published tables; a knot and its inverse are never merged unless
+    their fingerprints are equal.
     """
     buckets: dict[tuple[tuple[int, LaurentPoly2], ...], list[str]] = {}
     for verdict in verdicts:
         buckets.setdefault(verdict.report.fingerprint, []).append(verdict.name)
-    groups = [FGroup(rows, tuple(sorted(names, key=name_key))) for rows, names in buckets.items()]
-    groups.sort(key=lambda g: name_key(g.names[0]))
-    return groups
+    groups = [tuple(sorted(names, key=name_key)) for names in buckets.values()]
+    return sorted(groups, key=lambda names: name_key(names[0]))
 
 
 def kauffman_family(k: int) -> Diagram:

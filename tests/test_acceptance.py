@@ -98,10 +98,10 @@ def test_criterion_4_grouping_matches_published_rows(table_records):
     expected_partition = {tuple(sorted(names)) for names in expected_groups.values()}
 
     groups = group_by_f_sequence([verify_record(r) for r in table_records])
-    computed_partition = {tuple(sorted(g.names)) for g in groups}
+    computed_partition = {tuple(sorted(names)) for names in groups}
     assert computed_partition == expected_partition
 
-    by_name = {name: g.names for g in groups for name in g.names}
+    by_name = {name: names for names in groups for name in names}
     assert by_name["2.1"] == (
         "2.1", "3.2", "4.4", "4.5", "4.30", "4.40",
         "4.54", "4.61", "4.69", "4.74", "4.94",

@@ -285,6 +285,19 @@ def test_tabulate_rejects_rows_that_stop_short(capsys, tmp_path, monkeypatch):
     lines = err.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("3.1: n=2: expected ") and lines[1].startswith("3.1: n=3: expected ")
+    # Every report shows each compared row, also the two the table left out.
+    computed = [(1, "-t^-2+t^-1+l^-2-t"), (2, "-t^-2+t^-1+l-t"), (3, "-t^-2+t^-1+1-t")]
+    text = [line for line in out.splitlines() if line.startswith("3.1\t")]
+    assert text == [f"3.1\t{n}\t{poly}\tMismatch" for n, poly in computed]
+    code, out, _ = run(capsys, "tabulate", "--format", "csv")
+    assert code == 1
+    csv = [line for line in out.splitlines() if line.startswith("3.1,")]
+    assert csv == [f"3.1,{n},{poly},Mismatch" for n, poly in computed]
+    code, out, _ = run(capsys, "tabulate", "--format", "json")
+    assert code == 1
+    [record] = [r for r in json.loads(out) if r["name"] == "3.1"]
+    assert record["status"] == "Mismatch"
+    assert [(row["n"], row["polynomial"]) for row in record["rows"]] == computed
 
 
 @pytest.mark.parametrize("row", ["2.1\t0_1\t-t^-1+2-t", "2.1\t1\t-t^-1+\uff12-t"])

@@ -3,11 +3,11 @@
 Every ``vknot`` command starts a fresh interpreter, so the modules that
 ``import vknot.cli`` pulls in are paid on every call.  The value classes
 are ``NamedTuple``s (``FReport``, ``KnotRecord``, ``MatchVerdict``,
-``FGroup``, ``MoveScript``) and ``__slots__`` classes (``Diagram``,
-``LaurentPoly2``) rather than dataclasses, and ``json`` is imported
-only where JSON is written or read; the cases below pin both the import
-graph and the value semantics callers rely on: equality by value, and
-no attribute set or deleted after construction.
+``MoveScript``) and ``__slots__`` classes (``Diagram``, ``LaurentPoly2``)
+rather than dataclasses, and ``json`` is imported only where JSON is
+written or read; the cases below pin both the import graph and the
+value semantics callers rely on: equality by value, and no attribute
+set or deleted after construction.
 """
 
 import subprocess
@@ -21,7 +21,7 @@ from vknot.gauss import parse_gauss
 from vknot.invariants import f_sequence
 from vknot.laurent import parse_poly
 from vknot.moves import MoveScript
-from vknot.table import FGroup, KnotRecord, verify_record
+from vknot.table import KnotRecord, verify_record
 
 _ADDED_MODULES = """\
 import sys
@@ -57,7 +57,6 @@ VALUES = {
     "FReport": ("n_max", lambda: f_sequence(parse_gauss(RECORD_CODE))),
     "KnotRecord": ("diagram", _record),
     "MatchVerdict": ("status", lambda: verify_record(_record())),
-    "FGroup": ("names", lambda: FGroup(((1, parse_poly("t-1")),), ("3.1", "3.2"))),
     "MoveScript": ("steps", lambda: MoveScript(({"move": "R1-", "site": 0},))),
     "Diagram": ("_sign", lambda: parse_gauss(RECORD_CODE)),
     "LaurentPoly2": ("_terms", lambda: parse_poly("t-1")),

@@ -9,7 +9,8 @@ the validated smoothed diagram ``d.smooth(c)``.  The ``FReport`` views
 T_n and ``smoothed_row(n)``, read from the one dJ_n(D_c) table, must
 equal the dwrithes of those oracle tables for every n.  Over every
 code with at most three crossings, every R1-, R2- and R3 neighbour must
-keep the F-fingerprint.
+keep the F-fingerprint, and control moves, which are not Reidemeister
+moves, must change it often enough to show that the check can fail.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 
 from conftest import diagrams, interlacement_index, random_code, writhe_table
 from vknot.enumerate import enumerate_codes
-from vknot.gauss import Diagram, parse_gauss
+from vknot.gauss import Diagram, Entry, parse_gauss
 from vknot.invariants import _smoothed_writhes, f_sequence
 from vknot.moves import apply_move, move_sites
 
@@ -116,6 +117,55 @@ def assert_moves_keep_fingerprint(m: int) -> None:
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_moves_keep_fingerprint_on_every_small_code(m):
     assert_moves_keep_fingerprint(m)
+
+
+def control_neighbours(d: Diagram):
+    """(kind, diagram) for every control neighbour of d: kind "over"
+    ("under") swaps two cyclically adjacent Over (Under) entries of
+    distinct crossings, a forbidden move; kind "change" flips both passes
+    of one crossing and negates its sign.  None of them is a Reidemeister
+    move, so none is in ``moves._MOVES``."""
+    ents = d.entries
+    for i, (a, b) in enumerate(zip(ents, ents[1:] + ents[:1])):
+        if a.over == b.over and a.crossing != b.crossing:
+            word = list(ents)
+            word[i], word[(i + 1) % len(ents)] = b, a
+            yield "over" if a.over else "under", Diagram(word)
+    for c in d.crossings():
+        word = [Entry(c, not e.over, -e.sign) if e.crossing == c else e for e in ents]
+        yield "change", Diagram(word)
+
+
+def control_move_counts(m: int) -> tuple[dict[str, tuple[int, int]], int]:
+    """Over every code with 2..m crossings: for each kind of
+    ``control_neighbours``, (neighbours whose F-fingerprint differs from
+    the code's, all neighbours), and the number of codes whose
+    fingerprint is not the unknot's.  Asserts that each of those codes
+    has a control neighbour with another fingerprint: forbidden moves
+    unknot every virtual knot.  m = 4 takes about 16 s, so CI runs it
+    as its own step (``.github/workflows/tests.yml``) and the suite
+    runs m = 3."""
+    unknot = f_sequence(parse_gauss("")).fingerprint
+    counts = {"over": [0, 0], "under": [0, 0], "change": [0, 0]}
+    knotted = 0
+    for d in (d for size in range(2, m + 1) for d in enumerate_codes(size)):
+        base = f_sequence(d).fingerprint
+        changed = False
+        for kind, moved in control_neighbours(d):
+            differs = f_sequence(moved).fingerprint != base
+            counts[kind][0] += differs
+            counts[kind][1] += 1
+            changed |= differs
+        if base != unknot:
+            knotted += 1
+            assert changed, str(d)
+    return {kind: tuple(pair) for kind, pair in counts.items()}, knotted
+
+
+def test_control_moves_change_fingerprint_on_every_small_code():
+    counts, knotted = control_move_counts(3)
+    assert counts == {"over": (688, 1184), "under": (688, 1184), "change": (1376, 2976)}
+    assert knotted == 8 + 360
 
 
 def test_kernel_unknot():

@@ -271,6 +271,9 @@ def test_script_rejects_unknown_move(example_31):
         ("O3- O4+ U4+ U1- O2+ U3- U2+ O1-", {"move": "R1-", "site": 9}),
         ("O1+ U1+", {"move": "R1-", "site": 1}),  # the kink is at 0
         ("", {"move": "R1+", "arc": 99, "sign": 1, "over_first": True}),
+        # (start code, step): an applicable step with a key its kind does not take.
+        ("O1+ U1+", {"move": "R1-", "site": 0, "bogus": 1}),
+        ("O1+ U1+", {"move": "R1+", "arc": 0, "sign": 1, "over_first": True, "site": 3}),
     ],
 )
 def test_script_rejects_malformed_steps(example_31, step):

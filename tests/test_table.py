@@ -236,6 +236,8 @@ def test_verify_record_rejects_rows_that_stop_short(table_records):
     verdict = verify_record(short)
     assert verdict.status is Verdict.MISMATCH
     assert [line.split(":")[0] for line in verdict.details] == ["n=3", "n=4"]
+    assert [n for n, _ in verdict.rows] == [1, 2, 3, 4]
+    assert verdict.rows == report.fingerprint == record.expected
 
 
 def test_whole_table_verifies(table_records):
@@ -255,19 +257,22 @@ def test_record_with_longest_sequence(table_records):
 
 def test_grouping_reproduces_published_rows(table_records):
     groups = group_by_f_sequence([verify_record(r) for r in table_records])
-    by_name = {name: g for g in groups for name in g.names}
-    assert by_name["2.1"].names == (
+    by_name = {name: names for names in groups for name in names}
+    assert by_name["2.1"] == (
         "2.1", "3.2", "4.4", "4.5", "4.30", "4.40",
         "4.54", "4.61", "4.69", "4.74", "4.94",
     )
-    assert by_name["3.5"].names == ("3.5", "3.7", "4.65", "4.85", "4.86", "4.106")
+    assert by_name["3.5"] == ("3.5", "3.7", "4.65", "4.85", "4.86", "4.106")
     zero = by_name["3.6"]
-    assert "4.108" in zero.names and len(zero.names) == 22
-    assert not any(p for _, p in zero.rows)
+    assert "4.108" in zero and len(zero) == 22
+    expected = {r.name: r.expected for r in table_records}
+    assert not any(p for name in zero for _, p in expected[name])
     # inverse-related fingerprints stay separate groups
-    assert by_name["4.13"].names == ("4.13",)
-    assert by_name["4.31"].names == ("4.31", "4.51")
-    assert sum(len(g.names) for g in groups) == 116
+    assert by_name["4.13"] == ("4.13",)
+    assert by_name["4.31"] == ("4.31", "4.51")
+    assert sum(map(len, groups)) == 116
+    assert groups == sorted(groups, key=lambda names: name_key(names[0]))
+    assert all(list(names) == sorted(names, key=name_key) for names in groups)
 
 
 def test_grouping_is_orientation_normalized(table_records):
@@ -276,8 +281,11 @@ def test_grouping_is_orientation_normalized(table_records):
     ]
 
     def groups(records):
-        verdicts = [verify_record(r) for r in records]
-        return {g.names: [str(p) for _, p in g.rows] for g in group_by_f_sequence(verdicts)}
+        verdicts = {v.name: v for v in map(verify_record, records)}
+        return {
+            names: [str(p) for _, p in verdicts[names[0]].rows]
+            for names in group_by_f_sequence(list(verdicts.values()))
+        }
 
     original, again = groups(table_records), groups(flipped)
     assert original == again
