@@ -136,15 +136,22 @@ def control_neighbours(d: Diagram):
         yield "change", Diagram(word)
 
 
-def control_move_counts(m: int) -> tuple[dict[str, tuple[int, int]], int]:
-    """Over every code with 2..m crossings: for each kind of
-    ``control_neighbours``, (neighbours whose F-fingerprint differs from
-    the code's, all neighbours), and the number of codes whose
-    fingerprint is not the unknot's.  Asserts that each of those codes
-    has a control neighbour with another fingerprint: forbidden moves
-    unknot every virtual knot.  m = 4 takes about 16 s, so CI runs it
-    as its own step (``.github/workflows/tests.yml``) and the suite
-    runs m = 3."""
+# Per kind of ``control_neighbours``: (neighbours whose F-fingerprint
+# differs from the code's, all neighbours), over every code with 2..m
+# crossings; and the number of those codes whose fingerprint is not the
+# unknot's.
+CONTROL_MOVE_COUNTS = {
+    3: ({"over": (688, 1184), "under": (688, 1184), "change": (1376, 2976)}, 8 + 360),
+    4: ({"over": (31664, 47264), "under": (31664, 47264), "change": (61792, 110496)}, 8 + 360 + 15008),
+}
+
+
+def assert_control_move_counts(m: int) -> None:
+    """Every code with 2..m crossings gives the ``CONTROL_MOVE_COUNTS[m]``
+    counts, and each code whose fingerprint is not the unknot's has a
+    control neighbour with another fingerprint: forbidden moves unknot
+    every virtual knot.  m = 4 takes about 16 s, so CI runs it as its own
+    step (``.github/workflows/tests.yml``) and the suite runs m = 3."""
     unknot = f_sequence(parse_gauss("")).fingerprint
     counts = {"over": [0, 0], "under": [0, 0], "change": [0, 0]}
     knotted = 0
@@ -159,13 +166,11 @@ def control_move_counts(m: int) -> tuple[dict[str, tuple[int, int]], int]:
         if base != unknot:
             knotted += 1
             assert changed, str(d)
-    return {kind: tuple(pair) for kind, pair in counts.items()}, knotted
+    assert ({kind: tuple(pair) for kind, pair in counts.items()}, knotted) == CONTROL_MOVE_COUNTS[m]
 
 
 def test_control_moves_change_fingerprint_on_every_small_code():
-    counts, knotted = control_move_counts(3)
-    assert counts == {"over": (688, 1184), "under": (688, 1184), "change": (1376, 2976)}
-    assert knotted == 8 + 360
+    assert_control_move_counts(3)
 
 
 def test_kernel_unknot():
