@@ -8,8 +8,9 @@ distinguish  first n at which two diagrams' F-polynomials differ
 verify-moves fuzz invariance under random Reidemeister moves
 family       emit the k-twist member of the shared-F-polynomial family
 
-Inputs may be raw Gauss codes (``"O1+ U2+ U1+ O2+"``) or tabulated
-knot names (``4.24``); raw codes win when both readings are possible.
+Inputs may be tabulated knot names (``4.24``), which are looked up, or
+raw Gauss codes (``"O1+ U2+ U1+ O2+"``): any text that is not a table
+name is parsed.  A reader that closes the pipe early is not an error.
 Exit status: 0 success, 1 verification mismatch, 2 malformed input.
 All stdout output is byte-deterministic for fixed arguments and seed;
 timing goes to stderr.
@@ -42,21 +43,19 @@ class _InputError(ValueError):
 
 
 def _resolve(*texts: str) -> list[tuple[Diagram, str | None]]:
-    """Each text as a raw Gauss code, or failing that a table name.
+    """Each text looked up if it is a table name, and parsed otherwise.
 
-    The table is loaded at most once, and only if a name is given.
+    No text is both: a name starts with 2, 3 or 4, a Gauss token with O
+    or U.  The table is loaded at most once, and only if a name is given.
     """
     table: dict[str, KnotRecord] | None = None
     resolved = []
     for text in texts:
         try:
+            name_key(text.strip())
+        except ValueError:
             resolved.append((parse_gauss(text), None))
             continue
-        except GaussCodeError as exc:
-            try:
-                name_key(text.strip())
-            except ValueError:
-                raise _InputError(str(exc)) from None
         if table is None:
             table = {record.name: record for record in load_table()}
         record = table.get(text.strip())
@@ -317,7 +316,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return status
     except (_InputError, GaussCodeError, MoveError, EvenK, CorruptData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

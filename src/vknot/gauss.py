@@ -110,20 +110,14 @@ class Diagram:
         opos: list[int] = []
         upos: list[int] = []
         for pos, (crossing, over, sign) in enumerate(ents):
-            try:
-                k = number.get(crossing)
-            except TypeError:  # unhashable, so not an id either
-                k = None
-            # A crossing's id is checked once, at its first entry.
-            if k is None and not (
-                isinstance(crossing, str) and crossing.isascii() and crossing.isalnum()
-            ):
+            if not (isinstance(crossing, str) and crossing.isascii() and crossing.isalnum()):
                 raise MalformedToken(f"bad crossing id {crossing!r}")
             if type(sign) is not int or (sign != 1 and sign != -1):
                 raise MalformedToken(f"bad sign {sign!r} at {crossing!r}")
             if type(over) is not bool:
                 raise MalformedToken(f"bad pass flag {over!r} at {crossing!r}")
             table = opos if over else upos
+            k = number.get(crossing)
             if k is None:
                 k = number[crossing] = len(signs)
                 signs.append(sign)
@@ -178,12 +172,6 @@ class Diagram:
 
     def sign(self, crossing: str) -> int:
         return self._sign[self._k(crossing)]
-
-    def over_position(self, crossing: str) -> int:
-        return self._opos[self._k(crossing)]
-
-    def under_position(self, crossing: str) -> int:
-        return self._upos[self._k(crossing)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Diagram):

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -9,6 +11,7 @@ import vknot.invariants
 import vknot.moves
 import vknot.table
 from conftest import random_code
+from test_gauss import _PIN_SEPARATORS, _PIN_TOKENS
 from vknot.cli import main
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import f_sequence
@@ -79,6 +82,25 @@ def test_compute_reads_only_ascii_digits_as_a_table_name(capsys, monkeypatch):
     code, out, _ = run(capsys, "compute", "3.1")
     assert code == 0 and out.startswith("knot 3.1: ")
     assert len(loads) == 1
+
+
+# Name pieces of the compute pin: names in the table and out of it, and
+# texts that only look like names.
+_NAME_PIECES = ("2.1", "4.24", "4.109", "5.1", "3.x")
+
+
+def test_compute_pinned_on_every_short_target(capsys):
+    # sha256 over the exit status, stdout and stderr of ``compute`` on every
+    # string of at most two pieces (the parse_gauss pin's tokens and
+    # separators, and the names above), in itertools.product order;
+    # recorded when a text that failed to parse was retried as a name.
+    digest = hashlib.sha256()
+    pieces = _PIN_TOKENS + _PIN_SEPARATORS + _NAME_PIECES
+    for length in range(3):
+        for parts in itertools.product(pieces, repeat=length):
+            outcome = run(capsys, "compute", "".join(parts))
+            digest.update(repr(outcome).encode() + b"\n")
+    assert digest.hexdigest() == "6c8c37702b5e55cb0d44d7c3b0602b7550bb878a78fcfe87269c5d83c887b6f7"
 
 
 def test_compute_rejects_bad_n(capsys):

@@ -128,3 +128,24 @@ def test_module_entry_reports_unrecognized_arguments():
     # Reported by the top-level parser, as the full parser does.
     assert proc.stderr.startswith("usage: vknot [-h] {compute,")
     assert proc.stderr.splitlines()[-1] == "vknot: error: unrecognized arguments: --bogus"
+
+
+@pytest.mark.parametrize(
+    "argv", [["compute", "3.1", "--all"], ["tabulate"]], ids=lambda argv: argv[0]
+)
+def test_a_reader_closing_the_pipe_early_is_not_an_error(argv):
+    # compute's report fits in stdout's buffer, so nothing is written until
+    # the buffer is flushed; PYTHONUNBUFFERED would write it at once.
+    src = str(Path(vknot.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "wb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vknot.cli", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": src},
+            timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (0, b"")

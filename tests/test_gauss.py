@@ -186,9 +186,7 @@ def test_diagram_pinned_on_every_short_sequence():
         for entries in itertools.product(_PIN_ENTRIES, repeat=length):
             try:
                 d = Diagram(entries)
-                out = repr(
-                    [(c, d.sign(c), d.over_position(c), d.under_position(c)) for c in d.crossings()]
-                )
+                out = repr([(c, d.sign(c), d._opos[k], d._upos[k]) for c, k in d._number.items()])
             except GaussCodeError as exc:
                 out = f"{type(exc).__name__}: {exc}"
             digest.update(out.encode() + b"\n")
@@ -215,9 +213,9 @@ def assert_positions_match_entries(m):
     in order of first appearance."""
     for d in enumerate_codes(m):
         entries = d.entries
-        for c in d.crossings():
-            assert entries[d.over_position(c)] == Entry(c, True, d.sign(c)), (str(d), c)
-            assert entries[d.under_position(c)] == Entry(c, False, d.sign(c)), (str(d), c)
+        for c, k in d._number.items():
+            assert entries[d._opos[k]] == Entry(c, True, d.sign(c)), (str(d), c)
+            assert entries[d._upos[k]] == Entry(c, False, d.sign(c)), (str(d), c)
         assert d.crossings() == tuple(dict.fromkeys(e.crossing for e in entries)), str(d)
 
 

@@ -68,7 +68,7 @@ def test_values_compare_by_value(kind):
     _, make = VALUES[kind]
     a, b = make(), make()
     assert a is not b
-    assert a == b
+    assert a == b and a != object()
     assert repr(a) == repr(b) and repr(a).startswith(f"{kind}(")
 
 

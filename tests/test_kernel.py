@@ -13,14 +13,18 @@ keep the F-fingerprint, and control moves, which are not Reidemeister
 moves, must change it often enough to show that the check can fail.
 """
 
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import diagrams, interlacement_index, random_code, writhe_table
+import vknot.invariants
+from conftest import diagrams, interlacement_index, map_terms, random_code, writhe_table
 from vknot.enumerate import enumerate_codes
 from vknot.gauss import Diagram, Entry, parse_gauss
-from vknot.invariants import _smoothed_writhes, f_sequence
+from vknot.invariants import _indices, _smoothed_writhes, _writhes, f_sequence
 from vknot.moves import apply_move, move_sites
+from vknot.table import Verdict, verify_record
 
 
 def dj(table: dict[int, int], n: int) -> int:
@@ -222,3 +226,44 @@ def test_index_oracle_on_random_diagrams(m):
 @given(diagrams(max_crossings=10))
 def test_index_oracle_property(d):
     assert f_sequence(d).index == interlacement_index(d)
+
+
+# -- a planted fault: the other smoothing segment ------------------------------------
+
+
+def other_segment_writhes(diagram, passes2, c):
+    """``_smoothed_writhes`` with the segment choice the ``gauss`` module
+    docstring rejects: D_c is the run from the Under pass to the Over pass
+    forward, then the run T from the Over pass to the Under pass reversed,
+    and a crossing with exactly one endpoint in T changes sign."""
+    o, u = diagram._opos[c], diagram._upos[c]
+    n = len(diagram._passes)
+    uu = u if u > o else u + n
+    oo = o if o > u else o + n
+    sign = list(diagram._sign)
+    for k, _ in passes2[o + 1 : uu]:
+        sign[k] = -sign[k]
+    ind = _indices(chain(passes2[u + 1 : oo], passes2[uu - 1 : o : -1]), sign)
+    del ind[c], sign[c]
+    return _writhes(ind, sign)
+
+
+def obeys_reversal_law(d: Diagram) -> bool:
+    """F^n(reverse D)(t, l) = F^n(D)(t^-1, l^-1) for every n."""
+    fwd, rev = f_sequence(d), f_sequence(d.reverse())
+    return all(
+        rev.f_at(n) == map_terms(fwd.f_at(n), lambda et, el, c: (-et, -el, c))
+        for n in range(1, max(fwd.n_max, rev.n_max) + 2)
+    )
+
+
+def test_table_rejects_the_other_smoothing_segment(table_records, monkeypatch):
+    # The other segment smooths to a diagram whose F agrees with the table
+    # exactly on the knots that obey the reversal law; the other 48 fail.
+    monkeypatch.setattr(vknot.invariants, "_smoothed_writhes", other_segment_writhes)
+    verdicts = [verify_record(record) for record in table_records]
+    monkeypatch.undo()
+    statuses = [v.status for v in verdicts]
+    assert [statuses.count(s) for s in Verdict] == [68, 13, 35]
+    exact = [v.name for v in verdicts if v.status is Verdict.EXACT_MATCH]
+    assert exact == [r.name for r in table_records if obeys_reversal_law(r.diagram)]
