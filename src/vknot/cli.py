@@ -6,7 +6,6 @@ compute      invariants of one diagram (raw Gauss code or table name)
 tabulate     recompute the embedded 116-knot table and verify it
 distinguish  first n at which two diagrams' F-polynomials differ
 verify-moves fuzz invariance under random Reidemeister moves
-family       emit the k-twist member of the shared-F-polynomial family
 
 Inputs may be tabulated knot names (``4.24``), which are looked up, or
 raw Gauss codes (``"O1+ U2+ U1+ O2+"``): any text that is not a table
@@ -27,11 +26,9 @@ from .invariants import FReport, f_sequence
 from .moves import Lcg, MoveError, fuzz_invariance
 from .table import (
     CorruptData,
-    EvenK,
     KnotRecord,
     Verdict,
     group_by_f_sequence,
-    kauffman_family,
     load_table,
     name_key,
     verify_record,
@@ -66,10 +63,9 @@ def _resolve(*texts: str) -> list[tuple[Diagram, str | None]]:
 
 
 def _print_json(report: FReport, name: str | None, ns: list[int]) -> None:
-    """The JSON report of ``compute`` and ``family``: ``knot`` (if named),
-    ``gauss``, ``n_max``, ``F`` (F^n keyed by each n of ``ns``) and
-    ``stable``, each polynomial a list of {"t", "l", "c"} terms in
-    canonical order."""
+    """The JSON report of ``compute``: ``knot`` (if named), ``gauss``,
+    ``n_max``, ``F`` (F^n keyed by each n of ``ns``) and ``stable``,
+    each polynomial a list of {"t", "l", "c"} terms in canonical order."""
     import json
 
     def terms(poly):
@@ -213,22 +209,6 @@ def _cmd_verify_moves(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-# -- family ----------------------------------------------------------------------
-
-
-def _cmd_family(args: argparse.Namespace) -> int:
-    diagram = kauffman_family(args.k)
-    report = f_sequence(diagram)
-    if args.format == "json":
-        _print_json(report, f"D^{args.k}", list(range(1, report.n_max + 2)))
-        return 0
-    print(f"D^{args.k}: {diagram}")
-    for n, poly in report.fingerprint:
-        print(f"F^{n} = {poly}")
-    print(f"P(t) = {report.stable_tail}")
-    return 0
-
-
 # -- plumbing --------------------------------------------------------------------
 
 
@@ -256,11 +236,6 @@ def _verify_moves_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _family_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("k", type=int)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-
 # name -> (help, argument-adding function, handler)
 _COMMANDS = {
     "compute": ("invariants of one diagram", _compute_args, _cmd_compute),
@@ -275,7 +250,6 @@ _COMMANDS = {
         _verify_moves_args,
         _cmd_verify_moves,
     ),
-    "family": ("k-twist member of the shared-F family", _family_args, _cmd_family),
 }
 
 
@@ -319,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return status
-    except (_InputError, GaussCodeError, MoveError, EvenK, CorruptData) as exc:
+    except (_InputError, GaussCodeError, MoveError, CorruptData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

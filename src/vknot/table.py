@@ -21,11 +21,6 @@ inverse knot) is reported as ``MATCH_UNDER_INVERSION``, not a failure.
 Reversal is recomputed, not derived from the stored orientation's
 values: it negates Ind(c) and dJ_n(D) but leaves every dJ_n(D_c) alone,
 so F^n(t, l) does not in general become F^n(t^-1, l^-1).
-
-``kauffman_family`` generates the classic infinite family D^k (odd k)
-of distinct virtual knots sharing one F-polynomial: a vertical twist
-chain of k positive kink-like crossings closed off through one virtual
-crossing and two negative crossings.
 """
 
 from __future__ import annotations
@@ -35,17 +30,13 @@ import os
 from pathlib import Path
 from typing import NamedTuple
 
-from .gauss import Diagram, Entry, GaussCodeError, parse_gauss
+from .gauss import Diagram, GaussCodeError, parse_gauss
 from .invariants import FReport, f_sequence
 from .laurent import LaurentPoly2, parse_poly
 
 
 class CorruptData(RuntimeError):
     """The embedded (or overridden) table files fail validation."""
-
-
-class EvenK(ValueError):
-    """kauffman_family is defined for odd k >= 1 only."""
 
 
 _EXPECTED_NAMES = frozenset(
@@ -229,22 +220,3 @@ def group_by_f_sequence(verdicts: list[MatchVerdict]) -> list[tuple[str, ...]]:
         buckets.setdefault(verdict.report.fingerprint, []).append(verdict.name)
     groups = [tuple(sorted(names, key=name_key)) for names in buckets.values()]
     return sorted(groups, key=lambda names: name_key(names[0]))
-
-
-def kauffman_family(k: int) -> Diagram:
-    """The k-twist member D^k of the family sharing F^1 = -t+2-t^-1.
-
-    k must be odd and >= 1.  Crossings are named a1..ak (the twist
-    chain, sign +1) plus b and g (sign -1); the single virtual crossing
-    of the drawing leaves no trace in the Gauss code.
-    """
-    if k < 1 or k % 2 == 0:
-        raise EvenK(f"family parameter must be odd and >= 1, got {k}")
-    entries = [Entry("g", True, -1), Entry("b", False, -1)]
-    for i in range(1, k + 1):
-        entries.append(Entry(f"a{i}", i % 2 == 0, 1))
-    entries.append(Entry("b", True, -1))
-    entries.append(Entry("g", False, -1))
-    for i in range(k, 0, -1):
-        entries.append(Entry(f"a{i}", i % 2 == 1, 1))
-    return Diagram(entries)

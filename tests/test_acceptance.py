@@ -13,12 +13,7 @@ from vknot.gauss import parse_gauss
 from vknot.invariants import f_sequence
 from vknot.laurent import parse_poly
 from vknot.moves import Lcg, fuzz_invariance, random_walk
-from vknot.table import (
-    group_by_f_sequence,
-    kauffman_family,
-    load_table,
-    verify_record,
-)
+from vknot.table import group_by_f_sequence, verify_record
 
 
 def _report(criterion: int, text: str) -> None:
@@ -111,28 +106,33 @@ def test_criterion_4_grouping_matches_published_rows(table_records):
     _report(4, f"{len(groups)} computed groups equal the published row partition")
 
 
-def test_criterion_5_shared_f_family():
-    target = parse_poly("-t+2-t^-1")
-    for k in (1, 3, 5, 7, 9):
-        assert f_sequence(kauffman_family(k)).f_at(1) == target
+# A three-crossing code whose F^1 is 2.1's, with a published smoothing table.
+SMOOTHING_EXAMPLE = "Og- Ub- Ua1+ Ob- Ug- Oa1+"
 
-    d1 = kauffman_family(1)
-    assert {c: d1.sign(c) for c in d1.crossings()} == {"g": -1, "b": -1, "a1": 1}
-    report = f_sequence(d1)
-    assert {c: report.index[c] for c in d1.crossings()} == {"g": -1, "b": 1, "a1": 0}
+
+def test_criterion_5_published_smoothing_table():
+    d = parse_gauss(SMOOTHING_EXAMPLE)
+    assert {c: d.sign(c) for c in d.crossings()} == {"g": -1, "b": -1, "a1": 1}
+    report = f_sequence(d)
+    assert {c: report.index[c] for c in d.crossings()} == {"g": -1, "b": 1, "a1": 0}
     assert report.dwrithe(1) == 0
     assert report.t_set(1) == frozenset({"a1", "b", "g"})
+    assert report.smoothed_row(1) == (0, 0, 0)
+    target = parse_poly("-t+2-t^-1")
+    assert report.f_at(1) == report.stable_tail == target == affine_oracle(d)
+    # The published table's one entry that contradicts its own dwrithe
+    # column is corrected: sgn(a1) in the g-smoothing is -1, not +1.
     smoothing_table = {
         "a1": ({"b": (1, 1), "g": (1, -1)}, 0),
         "b": ({"a1": (-1, -1), "g": (-1, 1)}, 0),
         "g": ({"a1": (-1, 1), "b": (-1, -1)}, 0),
     }
     for c, (values, dj1) in smoothing_table.items():
-        s = d1.smooth(c)
+        s = d.smooth(c)
         smoothed = f_sequence(s)
         assert {x: (s.sign(x), smoothed.index[x]) for x in s.crossings()} == values
         assert smoothed.dwrithe(1) == dj1
-    _report(5, "F^1 = -t+2-t^-1 for k in {1,3,5,7,9}; k=1 smoothing table exact")
+    _report(5, "F^1 = stable tail = -t+2-t^-1 = affine oracle; smoothing table exact")
 
 
 def test_criterion_6_mirror_reverse_dwrithe_laws(table_records):

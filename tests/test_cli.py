@@ -16,7 +16,6 @@ from vknot.cli import main
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import f_sequence
 from vknot.moves import MoveScript
-from vknot.table import kauffman_family
 
 EXAMPLE_31_REVERSED = "O1- U2+ U3- O2+ U1- O3-"  # table orientation of knot 3.1
 
@@ -459,12 +458,11 @@ def test_distinguish_reversed_4_9(capsys):
     assert out == "not distinguished by F up to n=3 (equal after orientation reversal)\n"
 
 
-def test_distinguish_family_members(capsys):
-    d1 = str(kauffman_family(1))
-    d3 = str(kauffman_family(3))
-    code, out, _ = run(capsys, "distinguish", d1, d3)
+def test_distinguish_shared_f_group_members(capsys):
+    # 2.1 and 4.94 have equal F-sequences but different crossing counts.
+    code, out, _ = run(capsys, "distinguish", "2.1", "4.94")
     assert code == 0
-    assert out.startswith("not distinguished by F")
+    assert out == "not distinguished by F up to n=2\n"
 
 
 def test_distinguish_loads_the_table_once(capsys, monkeypatch):
@@ -547,34 +545,6 @@ def test_verify_moves_deterministic_stdout(capsys):
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert (code1, out1) == (code2, out2)
-
-
-# -- family ----------------------------------------------------------------------
-
-
-def test_family_text(capsys):
-    code, out, _ = run(capsys, "family", "3")
-    assert code == 0
-    assert out.splitlines()[0] == "D^3: Og- Ub- Ua1+ Oa2+ Ua3+ Ob- Ug- Oa3+ Ua2+ Oa1+"
-    assert "F^1 = -t^-1+2-t" in out
-
-
-def test_family_json(capsys):
-    code, out, _ = run(capsys, "family", "5", "--format", "json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["knot"] == "D^5"
-    assert data["F"]["1"] == [
-        {"t": -1, "l": 0, "c": -1},
-        {"t": 0, "l": 0, "c": 2},
-        {"t": 1, "l": 0, "c": -1},
-    ]
-
-
-def test_family_rejects_even_k(capsys):
-    code, _, err = run(capsys, "family", "4")
-    assert code == 2
-    assert "odd" in err
 
 
 def test_verify_moves_whole_table_sweep(capsys):

@@ -4,9 +4,9 @@ One sha256 covers the argv, exit code and stdout of every run below.
 The pinned digest was recorded before the integer analysis kernel
 replaced the ``Diagram.smooth`` path, so any change to what the
 commands print, for any input of the corpus, fails here.  A second
-set of digests pins each JSON report of ``compute`` and ``family``, one
-per run.  When an output change is intended, re-record the digest and
-say why in the change log.
+set of digests pins JSON reports of ``compute``, one per run.  When an
+output change is intended, re-record the digest and say why in the
+change log.
 """
 
 import contextlib
@@ -55,7 +55,7 @@ def test_stdout_is_byte_identical_on_the_corpus(monkeypatch):
 
 # sha256 of the stdout of each JSON report, recorded before the CLI took
 # over writing them: a single n, an n past n_max + 1 (the stable tail),
-# the unknot (no ``knot`` key), a raw code, and two ``family`` members.
+# the unknot (no ``knot`` key) and a raw code.
 JSON_PINS = {
     ("compute", "3.1", "-n", "2"):
         "4d41604791ed8fddee50cc076763ac1fe7e62b37ef54a4578513f583bf480b3f",
@@ -65,10 +65,6 @@ JSON_PINS = {
         "6c498c78e5e702ae27198fb564fc2de39a029a07af440f70a5f1e39c44d98309",
     ("compute", "O1+ U2+ U1+ O2+", "-n", "1"):
         "4f4879871bc575f959dc7475a74db3b503806ba73f47a6df93e62e59a8a3fb8f",
-    ("family", "1"):
-        "0f6c4f4b60eeaa39ecabf7c5c0e33c0b04fbe0d403dec7753d5da1ca47fb5d1f",
-    ("family", "3"):
-        "0a3dd3d1ab73e743c474310795d53bb4b224e7e4396b329bdd31dd2aa7e8e680",
 }
 
 

@@ -1,4 +1,4 @@
-"""Embedded knot table: loading, verification, grouping, the twist family."""
+"""Embedded knot table: loading, verification, grouping."""
 
 import os
 import subprocess
@@ -12,10 +12,8 @@ from vknot.invariants import f_sequence
 from vknot.laurent import parse_poly
 from vknot.table import (
     CorruptData,
-    EvenK,
     Verdict,
     group_by_f_sequence,
-    kauffman_family,
     data_dir,
     load_table,
     name_key,
@@ -235,7 +233,14 @@ def test_verify_record_rejects_rows_that_stop_short(table_records):
     assert all(report.f_at(n) == poly for n, poly in short.expected)
     verdict = verify_record(short)
     assert verdict.status is Verdict.MISMATCH
-    assert [line.split(":")[0] for line in verdict.details] == ["n=3", "n=4"]
+    # Past the listed rows, each n is compared with the last listed row.
+    assert verdict.details == (
+        "n=3: expected t^-2-l^-1+1-l-t+t^3*l, computed t^-2+1-2l-t+t^3"
+        " (reversed t^-3-t^-1-2l^-1+1+t^2)",
+        "n=4: expected t^-2-l^-1+1-l-t+t^3*l, computed t^-2-1-t+t^3"
+        " (reversed t^-3-t^-1-1+t^2)",
+    )
+    assert str(short.expected[-1][1]) == "t^-2-l^-1+1-l-t+t^3*l"
     assert [n for n, _ in verdict.rows] == [1, 2, 3, 4]
     assert verdict.rows == report.fingerprint == record.expected
 
@@ -289,59 +294,3 @@ def test_grouping_is_orientation_normalized(table_records):
 
     original, again = groups(table_records), groups(flipped)
     assert original == again
-
-
-# -- the k-twist family -------------------------------------------------------------
-
-
-def test_family_rejects_bad_k():
-    for k in (0, -1, 2, 8):
-        with pytest.raises(EvenK):
-            kauffman_family(k)
-
-
-def test_family_k1_matches_published_values():
-    d = kauffman_family(1)
-    assert {c: d.sign(c) for c in d.crossings()} == {"a1": 1, "b": -1, "g": -1}
-    report = f_sequence(d)
-    assert report.index["a1"] == 0
-    assert report.index["b"] == 1
-    assert report.index["g"] == -1
-    assert report.dwrithe(1) == 0
-    assert {abs(k) for k in report.index.values() if k} == {1}
-    assert report.t_set(1) == frozenset({"a1", "b", "g"})
-    assert report.stable_tail == parse_poly("-t^-1+2-t") == affine_oracle(d)
-
-
-def test_family_k1_smoothing_table():
-    # Published sign/index/dwrithe values for the three smoothings,
-    # with the one entry that contradicts its own dwrithe column
-    # corrected (sgn(a1) in the g-smoothing is -1, not +1).
-    d = kauffman_family(1)
-    expected = {
-        "a1": {"b": (1, 1), "g": (1, -1)},
-        "b": {"a1": (-1, -1), "g": (-1, 1)},
-        "g": {"a1": (-1, 1), "b": (-1, -1)},
-    }
-    for c, values in expected.items():
-        s = d.smooth(c)
-        report = f_sequence(s)
-        assert {x: (s.sign(x), report.index[x]) for x in s.crossings()} == values
-        assert report.dwrithe(1) == 0
-
-
-def test_family_shares_f_polynomial_for_odd_k():
-    target = parse_poly("-t^-1+2-t")
-    fingerprints = set()
-    for k in (1, 3, 5, 7, 9):
-        d = kauffman_family(k)
-        assert d.n_crossings == k + 2
-        assert f_sequence(d).f_at(1) == target
-        fingerprints.add(f_sequence(d).fingerprint)
-    assert len(fingerprints) == 1  # indistinguishable by the whole sequence
-
-
-def test_family_crossing_reports_k1():
-    d = kauffman_family(1)
-    report = f_sequence(d)
-    assert dict(zip(report.index, report.smoothed_row(1))) == {"a1": 0, "b": 0, "g": 0}
