@@ -18,11 +18,12 @@ timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
 from .gauss import Diagram, GaussCodeError, parse_gauss
-from .invariants import FReport, f_sequence
+from .invariants import f_sequence
 from .moves import Lcg, MoveError, fuzz_invariance
 from .table import (
     CorruptData,
@@ -62,23 +63,6 @@ def _resolve(*texts: str) -> list[tuple[Diagram, str | None]]:
     return resolved
 
 
-def _print_json(report: FReport, name: str | None, ns: list[int]) -> None:
-    """The JSON report of ``compute``: ``knot`` (if named), ``gauss``,
-    ``n_max``, ``F`` (F^n keyed by each n of ``ns``) and ``stable``,
-    each polynomial a list of {"t", "l", "c"} terms in canonical order."""
-    import json
-
-    def terms(poly):
-        return [{"t": t, "l": l, "c": c} for t, l, c in poly.terms()]
-
-    data = {} if name is None else {"knot": name}
-    data["gauss"] = str(report.diagram)
-    data["n_max"] = report.n_max
-    data["F"] = {str(n): terms(report.f_at(n)) for n in ns}
-    data["stable"] = terms(report.stable_tail)
-    print(json.dumps(data))
-
-
 # -- compute ---------------------------------------------------------------------
 
 
@@ -92,7 +76,17 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     ns = list(range(1, report.n_max + 2)) if args.all else [args.n or 1]
 
     if args.format == "json":
-        _print_json(report, name, ns)
+        import json
+
+        def terms(poly):
+            return [{"t": t, "l": l, "c": c} for t, l, c in poly.terms()]
+
+        data = {} if name is None else {"knot": name}
+        data["gauss"] = str(diagram)
+        data["n_max"] = report.n_max
+        data["F"] = {str(n): terms(report.f_at(n)) for n in ns}
+        data["stable"] = terms(report.stable_tail)
+        print(json.dumps(data))
         return 0
 
     label = f"knot {name}: " if name else ""
@@ -212,83 +206,48 @@ def _cmd_verify_moves(args: argparse.Namespace) -> int:
 # -- plumbing --------------------------------------------------------------------
 
 
-def _compute_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("target", help="Gauss code or table name (empty string = unknot)")
-    p.add_argument("-n", type=int, default=None, help="single n (default 1)")
-    p.add_argument("--all", action="store_true", help="full F-sequence report")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _tabulate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--groups", action="store_true", help="also print F-sequence groups")
-
-
-def _distinguish_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("first")
-    p.add_argument("second")
-
-
-def _verify_moves_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("target", nargs="?", default=None, help="default: whole table")
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-
-
-# name -> (help, argument-adding function, handler)
-_COMMANDS = {
-    "compute": ("invariants of one diagram", _compute_args, _cmd_compute),
-    "tabulate": ("verify the embedded knot table", _tabulate_args, _cmd_tabulate),
-    "distinguish": (
-        "compare two diagrams by F-polynomials",
-        _distinguish_args,
-        _cmd_distinguish,
-    ),
-    "verify-moves": (
-        "fuzz invariance under Reidemeister moves",
-        _verify_moves_args,
-        _cmd_verify_moves,
-    ),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser, with a subparser per command."""
+    """The full parser, with a subparser per command: the one ``main``
+    parses every argv with.  Each call builds a new parser."""
     parser = argparse.ArgumentParser(
         prog="vknot",
         description="F-polynomial invariants of oriented virtual knots",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=handler)
+
+    p = sub.add_parser("compute", help="invariants of one diagram")
+    p.add_argument("target", help="Gauss code or table name (empty string = unknot)")
+    p.add_argument("-n", type=int, default=None, help="single n (default 1)")
+    p.add_argument("--all", action="store_true", help="full F-sequence report")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=_cmd_compute)
+
+    p = sub.add_parser("tabulate", help="verify the embedded knot table")
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p.add_argument("--groups", action="store_true", help="also print F-sequence groups")
+    p.set_defaults(func=_cmd_tabulate)
+
+    p = sub.add_parser("distinguish", help="compare two diagrams by F-polynomials")
+    p.add_argument("first")
+    p.add_argument("second")
+    p.set_defaults(func=_cmd_distinguish)
+
+    p = sub.add_parser("verify-moves", help="fuzz invariance under Reidemeister moves")
+    p.add_argument("target", nargs="?", default=None, help="default: whole table")
+    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=_cmd_verify_moves)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv with only the parser of the command it names.
-
-    That parser is the subparser ``build_parser()`` would use, so its
-    usage, help and errors are the same.  Only the full parser handles
-    anything else: no or an unknown command, top-level options, and
-    unrecognized arguments, which it reports with its own usage line.
-    """
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        _, add_arguments, handler = command
-        parser = argparse.ArgumentParser(prog=f"vknot {argv[0]}")
-        add_arguments(parser)
-        parser.set_defaults(func=handler)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+# Built on the first call of main, not at import: building costs about
+# 1 ms (a HelpFormatter per argument), parsing with it about 0.05 ms.
+_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         status = args.func(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit

@@ -177,13 +177,13 @@ def load_table() -> list[KnotRecord]:
 
 
 def verify_record(record: KnotRecord) -> MatchVerdict:
-    """Compare the record's fingerprint with its expected rows, as the
-    table builder does: for the stored diagram, then the reversed one.
-    A match's ``rows`` are the matching fingerprint.  A failure of both
-    is a verdict, not an exception: its rows run over n = 1 .. the
-    longer of the listed rows and the stored diagram's fingerprint, and
-    its details name each n where F^n differs from row n (past the
-    listed rows, the last).
+    """Compare the stored diagram's fingerprint with the record's
+    expected rows and, if they differ, the reversed diagram's
+    (``MATCH_UNDER_INVERSION``).  A match's ``rows`` are the matching
+    fingerprint.  A failure of both is a verdict, not an exception: its
+    rows run over n = 1 .. the longer of the listed rows and the stored
+    diagram's fingerprint, and its details name each n where F^n
+    differs from row n (past the listed rows, the last).
     """
     report = f_sequence(record.diagram)
     if report.fingerprint == record.expected:

@@ -1,6 +1,7 @@
 """The argument-parsing surface of the command line.
 
-``main`` parses with only the named subcommand's parser; the full
+``main`` parses every argv with one parser from ``build_parser()``,
+built on a process's first call and reused after; a fresh
 ``build_parser()`` is the reference it must reproduce byte for byte:
 usage, help and errors.  Help text differs between Python versions, so
 the reference is run rather than compared against literal text.
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import vknot
+from vknot import cli
 from vknot.cli import build_parser, main
 
 RAW_CODE = "O1+ U2+ U1+ O2+"
@@ -81,21 +83,21 @@ def count_parsers(monkeypatch) -> list:
     return built
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["compute", RAW_CODE, "--all"],
-        ["tabulate"],
-        ["verify-moves", "3.1", "--steps", "1", "--trials", "1"],
-        ["distinguish", "3.1", "3.3"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_a_well_formed_call_builds_one_parser(argv, capsys, monkeypatch):
+def test_the_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    assert main(["compute", RAW_CODE]) == 0
+    text_n1 = capsys.readouterr().out
+    assert "\nn=1: " in text_n1 and "\nn=2: " not in text_n1
+    cli._parser.cache_clear()
     built = count_parsers(monkeypatch)
-    assert main(argv) == 0
+    assert main(["compute", RAW_CODE, "-n", "2", "--format", "json"]) == 0
     capsys.readouterr()
-    assert built == [f"vknot {argv[0]}"]
+    assert built == [
+        "vknot", "vknot compute", "vknot tabulate", "vknot distinguish", "vknot verify-moves"
+    ]
+    built.clear()
+    assert main(["compute", RAW_CODE]) == 0
+    assert capsys.readouterr().out == text_n1
+    assert built == []
 
 
 def run_module(*argv: str) -> subprocess.CompletedProcess:
