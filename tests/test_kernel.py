@@ -13,6 +13,8 @@ keep the F-fingerprint, and control moves, which are not Reidemeister
 moves, must change it often enough to show that the check can fail.
 """
 
+import hashlib
+import json
 from itertools import chain
 
 import pytest
@@ -101,21 +103,40 @@ def test_kernel_matches_oracle_on_every_small_code(m):
 
 
 def neighbours(d: Diagram):
-    """Every diagram one R1-, R2- or R3 move away from d."""
-    yield from (apply_move(d, "R1-", site) for site in move_sites(d, "R1-"))
-    yield from (apply_move(d, "R2-", site) for site in move_sites(d, "R2-"))
-    yield from (apply_move(d, "R3", *triple) for triple in move_sites(d, "R3"))
+    """(kind, site, diagram) for every diagram one R1-, R2- or R3 move
+    away from d, in the order of ``move_sites``."""
+    for kind in ("R1-", "R2-", "R3"):
+        for site in move_sites(d, kind):
+            yield kind, site, apply_move(d, kind, *(site if kind == "R3" else (site,)))
+
+
+# Per m: (neighbours, sha256 of their (code, kind, site, moved code)
+# records in ``neighbours`` order) over every m-crossing code.  The
+# digests were recorded before the moves ran on integer words, so a
+# change of a move's site order or of its result text fails here.
+MOVE_DIGESTS = {
+    1: (4, "5e1d0469b3d343f60c06e4351ce2da0e5d625eae521285a00300ff9311f8c2dc"),
+    2: (72, "dff39e1de3c56d45b3d89d704faa39e9dcd4d9ccaef5a0ab61856defefb17753"),
+    3: (1488, "2735f063debf34f9b6b8e898a52a27ed29d08c8730e98d48024d88121ad2fd9d"),
+    4: (40704, "612373cec67f128e425669a83737eae22dd5ca1b297a5bb907b52a794adfd00e"),
+}
 
 
 def assert_moves_keep_fingerprint(m: int) -> None:
     """Every R1-, R2- and R3 neighbour of every m-crossing code has the
-    code's F-fingerprint: 4, 48, 960 and 26,880 codes for m = 1..4.
-    m = 4 (42,268 edges in all) takes about 7 s, so CI runs it as its
-    own step (``.github/workflows/tests.yml``) and the suite runs m <= 3."""
+    code's F-fingerprint, and the neighbours are ``MOVE_DIGESTS[m]``:
+    4, 48, 960 and 26,880 codes for m = 1..4.  m = 4 (40,704 neighbours)
+    takes about 7 s, so CI runs it as its own step
+    (``.github/workflows/tests.yml``) and the suite runs m <= 3."""
+    digest = hashlib.sha256()
+    count = 0
     for d in enumerate_codes(m):
         base = f_sequence(d).fingerprint
-        for moved in neighbours(d):
+        for kind, site, moved in neighbours(d):
             assert f_sequence(moved).fingerprint == base, (str(d), str(moved))
+            digest.update(json.dumps([str(d), kind, site, str(moved)]).encode() + b"\0")
+            count += 1
+    assert (count, digest.hexdigest()) == MOVE_DIGESTS[m]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

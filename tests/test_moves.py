@@ -103,6 +103,33 @@ def test_r2_remove_rejects_bad_site(example_31):
         apply_move(example_31, "R2-", [0, 2])
 
 
+# -- fresh ids -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "code, kind, params, expected",
+    [
+        # Ids are compared as text, so "01" and "a" do not block "1".
+        ("O01+ Ua- U01+ Oa-", "R1+", (0, 1, True), "O01+ O1+ U1+ Ua- U01+ Oa-"),
+        # R2+ takes the two smallest free ids, in order.
+        ("O1+ U1+ O3- U3-", "R2+", (0, 2, True), "O1+ O2+ O4- U1+ O3- U4- U2+ U3-"),
+        ("U1- O1-", "R1+", (0, 1, True), "U1- O2+ U2+ O1-"),
+    ],
+)
+def test_fresh_ids_are_the_smallest_unused_numeric_tokens(code, kind, params, expected):
+    assert format_gauss(apply_move(parse_gauss(code), kind, *params)) == expected
+
+
+def test_a_walk_reuses_the_id_of_a_removed_crossing():
+    # Seed 1 removes the kink of crossing 1, then inserts a kink: the
+    # insertion takes id 1, since only the crossings present count.
+    start = parse_gauss("O1+ U1+ O2+ U3+ O4+ U2+ O3+ U4+")
+    final, script = random_walk(start, 2, 1)
+    assert [step["move"] for step in script.steps] == ["R1-", "R1+"]
+    assert format_gauss(final) == "O2+ U3+ O4+ U2+ O3+ U4+ U1+ O1+"
+    assert script.apply(start) == final
+
+
 # A case id names its move kind in words, e.g. r1_insert for R1+.
 KIND_IDS = {
     "R1+": "r1_insert", "R1-": "r1_remove", "R2+": "r2_insert", "R2-": "r2_remove", "R3": "r3_apply"
