@@ -32,17 +32,23 @@ underpass before the ``r`` entry (-1 after), and ``chi`` is +1 when the
 them are rejected; the whole predicate is validated empirically by the
 invariance suite.
 
-Each move is defined once, as an in-place rewrite of a word (a list
-of ``Entry`` values) that checks its parameters against one scan of
-the word's sites; ``_MOVES`` maps each kind to scan, draw and rewrite.
-Valid moves keep a word valid, so ``random_walk`` rewrites one list and
-validates it once, as the ``Diagram`` it returns, and applies each
-drawn site from the scan it was drawn from.  The public interface reads
-the same table: ``move_sites(diagram, kind)`` lists one scan's sites,
-each in parameter form, and ``apply_move(diagram, kind, *params)``
-checks the exact type of each parameter, rewrites a copy of the word
-and builds a ``Diagram``.  ``MoveScript.apply`` (scripts are external
-input) checks each step's keys, then calls ``apply_move`` on it.
+Each move is defined once, as an in-place rewrite of a word that
+checks its parameters against one scan of the word's sites; ``_MOVES``
+maps each kind to scan, draw and rewrite.  A word is the mutable copy
+of a ``Diagram``'s integer form: the list of ``(k, over)`` passes, k a
+crossing number, with each crossing's sign and id in lists indexed by
+k.  Scans compare crossing numbers and read signs by k; only R3 sites,
+whose public parameters are crossing ids, read the ids.  ``Entry``
+values are built only where a word becomes a ``Diagram`` again, in
+``_Word.diagram``.  Valid moves keep a word valid, so ``random_walk``
+rewrites one word and validates it once, as the ``Diagram`` it
+returns, and applies each drawn site from the scan it was drawn from.
+The public interface reads the same table: ``move_sites(diagram,
+kind)`` lists one scan's sites, each in parameter form, and
+``apply_move(diagram, kind, *params)`` checks the exact type of each
+parameter, rewrites the diagram's word and builds a ``Diagram``.
+``MoveScript.apply`` (scripts are external input) checks each step's
+keys, then calls ``apply_move`` on it.
 
 ``fuzz_invariance`` is the one fuzzing loop.  Reproducibility across
 platforms matters more than statistical quality, so walks draw from a
@@ -99,116 +105,146 @@ class Lcg:
         return seq[self.randrange(len(seq))]
 
 
-# -- the moves, on words (lists of entries) ---------------------------------------
+# -- the moves, on words ---------------------------------------------------------
 
-def _fresh_ids(ents: list[Entry], count: int) -> list[str]:
-    """The ``count`` smallest unused numeric tokens, ascending."""
-    used = {e.crossing for e in ents}
-    out: list[str] = []
-    k = 1
-    while len(out) < count:
-        if str(k) not in used:
-            out.append(str(k))
-        k += 1
-    return out
+class _Word:
+    """A diagram's integer form, mutable: the ``(k, over)`` passes in word
+    order, and the sign and id of each crossing number k.  New crossings
+    append to ``sign`` and ``ids``; removed ones keep their slots."""
+
+    __slots__ = ("source", "passes", "sign", "ids")
+
+    def __init__(self, diagram: Diagram):
+        self.source = diagram
+        self.passes = list(diagram._passes)
+        self.sign = list(diagram._sign)
+        self.ids = list(diagram._number)
+
+    def fresh(self, *signs: int) -> list[int]:
+        """Add one crossing per sign, with the smallest numeric ids unused
+        by the crossings present, ascending; return their numbers."""
+        ids = self.ids
+        used = {ids[k] for k, _ in self.passes}
+        out = []
+        token = 0
+        for sign in signs:
+            token += 1
+            while str(token) in used:
+                token += 1
+            out.append(len(ids))
+            ids.append(str(token))
+            self.sign.append(sign)
+        return out
+
+    def diagram(self) -> Diagram:
+        """The word as a validated ``Diagram``.  No move changes an id or
+        a sign, so the source's crossings keep their ``Entry`` values."""
+        src, ids, sign = self.source, self.ids, self.sign
+        ents, pos, m = src._entries, (src._upos, src._opos), len(src._sign)
+        return Diagram([ents[pos[over][k]] if k < m else Entry(ids[k], over, sign[k])
+                        for k, over in self.passes])
 
 
-def _r1_insert(ents: list[Entry], arcs: range, arc: int, sign: int, over_first: bool) -> None:
+def _r1_insert(word: _Word, arcs: range, arc: int, sign: int, over_first: bool) -> None:
     if arc not in arcs:
-        raise InvalidArc(f"arc {arc} out of range for {len(ents)} entries")
+        raise InvalidArc(f"arc {arc} out of range for {len(word.passes)} entries")
     if sign not in (1, -1):
         raise MoveError(f"sign must be +1 or -1, got {sign!r}")
-    (cid,) = _fresh_ids(ents, 1)
-    ents[arc + 1 : arc + 1] = [Entry(cid, over_first, sign), Entry(cid, not over_first, sign)]
+    (k,) = word.fresh(sign)
+    word.passes[arc + 1 : arc + 1] = [(k, over_first), (k, not over_first)]
 
 
-def _r1_sites(ents: list[Entry]) -> list[int]:
-    n = len(ents)
-    sites = [i for i in range(n) if ents[i].crossing == ents[(i + 1) % n].crossing]
-    return sites[:1] if n == 2 else sites  # "O1 U1" is one kink, seen from both ends
+def _r1_sites(word: _Word) -> list[int]:
+    passes = word.passes
+    sites = [i for i, (a, b) in enumerate(zip(passes, passes[1:] + passes[:1])) if a[0] == b[0]]
+    return sites[:1] if len(passes) == 2 else sites  # "O1 U1" is one kink, seen from both ends
 
 
-def _r1_remove(ents: list[Entry], sites: list[int], site: int) -> None:
+def _r1_remove(word: _Word, sites: list[int], site: int) -> None:
     if site not in sites:
         raise PatternNotFound(f"no kink at position {site}")
-    for pos in sorted({site, (site + 1) % len(ents)}, reverse=True):
-        del ents[pos]
+    passes = word.passes
+    for pos in sorted({site, (site + 1) % len(passes)}, reverse=True):
+        del passes[pos]
 
 
-def _r2_insert(ents: list[Entry], arcs: range, arc1: int, arc2: int, over_first: bool) -> None:
+def _r2_insert(word: _Word, arcs: range, arc1: int, arc2: int, over_first: bool) -> None:
     if arc1 == arc2 or arc1 not in arcs or arc2 not in arcs:
         raise InvalidArc(f"R2 insertion needs two distinct arcs in {arcs}, got {arc1}, {arc2}")
-    a, b = _fresh_ids(ents, 2)
-    first = [Entry(a, over_first, 1), Entry(b, over_first, -1)]
-    second = [Entry(b, not over_first, -1), Entry(a, not over_first, 1)]
+    a, b = word.fresh(1, -1)
+    first = [(a, over_first), (b, over_first)]
+    second = [(b, not over_first), (a, not over_first)]
     for arc, block in sorted([(arc1, first), (arc2, second)], reverse=True):
-        ents[arc + 1 : arc + 1] = block
+        word.passes[arc + 1 : arc + 1] = block
 
 
-def _r2_sites(ents: list[Entry]) -> list[list[int]]:
-    n = len(ents)
-    pos = {(c, over): i for i, (c, over, _) in enumerate(ents)}  # (crossing, pass) -> position
+def _r2_sites(word: _Word) -> list[list[int]]:
+    passes, sign = word.passes, word.sign
+    n = len(passes)
+    pos = dict(zip(passes, range(n)))  # (k, pass) -> position
     sites = []
-    for i, (e1, e2) in enumerate(zip(ents, ents[1:] + ents[:1])):
-        if e1.over != e2.over or e1.crossing == e2.crossing or e1.sign == e2.sign:
+    for i, ((c1, o1), (c2, o2)) in enumerate(zip(passes, passes[1:] + passes[:1])):
+        if o1 != o2 or c1 == c2 or sign[c1] == sign[c2]:
             continue
         # Each configuration is seen from both pairs, (i, j) and (j, i): keep the first.
-        j = pos[e2.crossing, not e2.over]
-        if (j + 1) % n == pos[e1.crossing, not e1.over] and i < j:
+        j = pos[c2, not o2]
+        if (j + 1) % n == pos[c1, not o1] and i < j:
             sites.append([i, j])
     return sites
 
 
-def _r2_remove(ents: list[Entry], sites: list[list[int]], site: list[int]) -> None:
+def _r2_remove(word: _Word, sites: list[list[int]], site: list[int]) -> None:
     if list(map(type, site)) != [int, int] or site not in sites:  # [True, 2] == [1, 2]
         raise PatternNotFound(f"no R2 configuration at {site}")
-    (i, j), n = site, len(ents)
+    (i, j), passes = site, word.passes
+    n = len(passes)
     for pos in sorted({i, (i + 1) % n, j, (j + 1) % n}, reverse=True):
-        del ents[pos]
+        del passes[pos]
 
 
-def _r3_patterns(ents: list[Entry]) -> dict:
-    """Every valid R3 slide's triple, in word order -> its first position-swaps."""
-    n = len(ents)
-    pos = {(c, over): i for i, (c, over, _) in enumerate(ents)}  # (crossing, pass) -> position
+def _r3_patterns(word: _Word) -> dict:
+    """Every valid R3 slide's id triple, in word order -> its first position-swaps."""
+    passes, sign, ids = word.passes, word.sign, word.ids
+    n = len(passes)
+    pos = dict(zip(passes, range(n)))  # (k, pass) -> position
     out: dict = {}
-    for i, (ep, eq) in enumerate(zip(ents, ents[1:] + ents[:1])):
-        if not (ep.over and eq.over) or ep.crossing == eq.crossing:
+    for i, ((p, op), (q, oq)) in enumerate(zip(passes, passes[1:] + passes[:1])):
+        if not (op and oq) or p == q:
             continue
-        p, q = ep.crossing, eq.crossing
-        j, k = pos[p, False], pos[q, False]
+        up, uq = pos[p, False], pos[q, False]
         for beta in (1, -1):
-            jr = (j + beta) % n
-            er = ents[jr]
-            other = pos[er.crossing, not er.over]
-            gamma = 1 if other == (k + 1) % n else -1 if other == (k - 1) % n else 0
-            if er.crossing in (p, q) or not gamma:
+            jr = (up + beta) % n
+            r, over = passes[jr]
+            other = pos[r, not over]
+            gamma = 1 if other == (uq + 1) % n else -1 if other == (uq - 1) % n else 0
+            if r == p or r == q or not gamma:
                 continue
-            chi = 1 if er.over else -1
-            if ep.sign * beta == eq.sign * gamma and er.sign == ep.sign * gamma * chi:
-                out.setdefault((p, q, er.crossing), ((i, (i + 1) % n), (j, jr), (k, other)))
+            chi = 1 if over else -1
+            if sign[p] * beta == sign[q] * gamma and sign[r] == sign[p] * gamma * chi:
+                out.setdefault((ids[p], ids[q], ids[r]), ((i, (i + 1) % n), (up, jr), (uq, other)))
     return out
 
 
-def _r3_apply(ents: list[Entry], patterns: dict, p: str, q: str, r: str) -> None:
+def _r3_apply(word: _Word, patterns: dict, p: str, q: str, r: str) -> None:
     # The first pattern of (p, q, r) or (q, p, r): O_p O_q and O_q O_p are never both adjacent.
     swaps = patterns.get((p, q, r)) or patterns.get((q, p, r))
     if swaps is None:
         raise PatternNotFound(f"no R3 triangle for ({p}, {q}, {r})")
+    passes = word.passes
     for x, y in swaps:
-        ents[x], ents[y] = ents[y], ents[x]
+        passes[x], passes[y] = passes[y], passes[x]
 
 
 # -- one table of moves -----------------------------------------------------------
 
-def _draw_r1_insert(rng: Lcg, ents: list[Entry], arcs) -> tuple:
-    arc = rng.randrange(len(ents)) if ents else 0
+def _draw_r1_insert(rng: Lcg, word: _Word, arcs) -> tuple:
+    arc = rng.randrange(len(word.passes)) if word.passes else 0
     return arc, rng.choice((1, -1)), rng.choice((True, False))
 
 
-def _draw_r2_insert(rng: Lcg, ents: list[Entry], arcs) -> tuple:
-    arc1 = rng.randrange(len(ents))
-    arc2 = rng.randrange(len(ents) - 1)
+def _draw_r2_insert(rng: Lcg, word: _Word, arcs) -> tuple:
+    arc1 = rng.randrange(len(word.passes))
+    arc2 = rng.randrange(len(word.passes) - 1)
     return arc1, arc2 + (arc2 >= arc1), rng.choice((True, False))
 
 
@@ -221,11 +257,12 @@ class _Move(NamedTuple):
 
 # Insertions apply on every word with enough arcs; their "sites" are those arcs.
 _MOVES = {
-    "R1+": _Move({"arc": int, "sign": int, "over_first": bool}, lambda w: range(max(len(w), 1)),
-                 _draw_r1_insert, _r1_insert),
+    "R1+": _Move({"arc": int, "sign": int, "over_first": bool},
+                 lambda w: range(max(len(w.passes), 1)), _draw_r1_insert, _r1_insert),
     "R1-": _Move({"site": int}, _r1_sites, lambda rng, w, s: (rng.choice(s),), _r1_remove),
     "R2+": _Move({"arc1": int, "arc2": int, "over_first": bool},
-                 lambda w: range(len(w) if len(w) > 1 else 0), _draw_r2_insert, _r2_insert),
+                 lambda w: range(len(w.passes) if len(w.passes) > 1 else 0),
+                 _draw_r2_insert, _r2_insert),
     "R2-": _Move({"site": list}, _r2_sites, lambda rng, w, s: (rng.choice(s),), _r2_remove),
     "R3": _Move(dict.fromkeys("pqr", str), _r3_patterns,
                 lambda rng, w, s: rng.choice(list(s)), _r3_apply),
@@ -244,7 +281,7 @@ def move_sites(diagram: Diagram, kind: str) -> list:
     """Where a ``kind`` move applies on the diagram, in parameter form:
     the arcs of R1+ and the first arcs of R2+, the kink positions of
     R1-, the ``[i, j]`` sites of R2- and the ``(p, q, r)`` triples of R3."""
-    return list(_move(kind).sites(diagram.entries))
+    return list(_move(kind).sites(_Word(diagram)))
 
 
 def apply_move(diagram: Diagram, kind: str, *params) -> Diagram:
@@ -257,9 +294,9 @@ def apply_move(diagram: Diagram, kind: str, *params) -> Diagram:
     move = _move(kind)
     if tuple(map(type, params)) != tuple(move.keys.values()):
         raise MoveError(f"malformed {kind} parameters {params!r}: needs {', '.join(move.keys)}")
-    ents = list(diagram.entries)
-    move.rewrite(ents, move.sites(ents), *params)
-    return Diagram(ents)
+    word = _Word(diagram)
+    move.rewrite(word, move.sites(word), *params)
+    return word.diagram()
 
 
 # -- move scripts, random walks and fuzzing ------------------------------------------
@@ -315,18 +352,18 @@ def random_walk(diagram: Diagram, steps: int, seed: int) -> tuple[Diagram, MoveS
     if steps < 0:
         raise MoveError("steps must be >= 0")
     rng = Lcg(seed)
-    ents = list(diagram.entries)
+    word = _Word(diagram)
     recorded: list[dict] = []
     for _ in range(steps):
         sites = None
         while not sites:
             kind = _KINDS[rng.randrange(len(_KINDS))]
             move = _MOVES[kind]
-            sites = move.sites(ents)
-        params = move.draw(rng, ents, sites)
-        move.rewrite(ents, sites, *params)
+            sites = move.sites(word)
+        params = move.draw(rng, word, sites)
+        move.rewrite(word, sites, *params)
         recorded.append({"move": kind, **dict(zip(move.keys, params))})
-    return Diagram(ents), MoveScript(tuple(recorded))
+    return word.diagram(), MoveScript(tuple(recorded))
 
 
 def fuzz_invariance(

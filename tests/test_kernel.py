@@ -9,8 +9,9 @@ the validated smoothed diagram ``d.smooth(c)``.  The ``FReport`` views
 T_n and ``smoothed_row(n)``, read from the one dJ_n(D_c) table, must
 equal the dwrithes of those oracle tables for every n.  Over every
 code with at most three crossings, every R1-, R2- and R3 neighbour must
-keep the F-fingerprint, and control moves, which are not Reidemeister
-moves, must change it often enough to show that the check can fail.
+keep the F-fingerprint, and a digest pins the neighbours' codes.
+Control moves, which are not Reidemeister moves, must change the
+fingerprint often enough to show that the check can fail.
 """
 
 import hashlib
@@ -126,15 +127,15 @@ def assert_moves_keep_fingerprint(m: int) -> None:
     """Every R1-, R2- and R3 neighbour of every m-crossing code has the
     code's F-fingerprint, and the neighbours are ``MOVE_DIGESTS[m]``:
     4, 48, 960 and 26,880 codes for m = 1..4.  m = 4 (40,704 neighbours)
-    takes about 7 s, so CI runs it as its own step
+    takes about 8 s, so CI runs it as its own step
     (``.github/workflows/tests.yml``) and the suite runs m <= 3."""
     digest = hashlib.sha256()
     count = 0
     for d in enumerate_codes(m):
-        base = f_sequence(d).fingerprint
+        base, code = f_sequence(d).fingerprint, str(d)
         for kind, site, moved in neighbours(d):
-            assert f_sequence(moved).fingerprint == base, (str(d), str(moved))
-            digest.update(json.dumps([str(d), kind, site, str(moved)]).encode() + b"\0")
+            assert f_sequence(moved).fingerprint == base, (code, str(moved))
+            digest.update(json.dumps([code, kind, site, str(moved)]).encode() + b"\0")
             count += 1
     assert (count, digest.hexdigest()) == MOVE_DIGESTS[m]
 
