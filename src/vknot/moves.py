@@ -140,8 +140,9 @@ class _Word:
         """The word as a validated ``Diagram``.  No move changes an id or
         a sign, so the source's crossings keep their ``Entry`` values."""
         src, ids, sign = self.source, self.ids, self.sign
-        ents, pos, m = src._entries, (src._upos, src._opos), len(src._sign)
-        return Diagram([ents[pos[over][k]] if k < m else Entry(ids[k], over, sign[k])
+        ents, m = src._entries, len(src._sign)
+        at = (src._upos, src._opos)  # at[over][k]: the source position of pass (k, over)
+        return Diagram([ents[at[over][k]] if k < m else Entry(ids[k], over, sign[k])
                         for k, over in self.passes])
 
 

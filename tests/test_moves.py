@@ -310,7 +310,7 @@ def test_script_rejects_malformed_steps(example_31, step):
 
 
 def test_walk_builds_one_diagram_and_scans_once_per_step(table_records, monkeypatch):
-    # The walk rewrites one entry list and validates it once, at the end;
+    # The walk rewrites one word and validates it once, at the end;
     # a drawn R2- or R3 is applied from the scan it was drawn from.
     built = []
     init = Diagram.__init__
@@ -323,8 +323,8 @@ def test_walk_builds_one_diagram_and_scans_once_per_step(table_records, monkeypa
     for kind, name in (("R2-", "_r2_sites"), ("R3", "_r3_patterns")):
         scan = getattr(vknot.moves, name)
 
-        def counting_scan(ents, kind=kind, scan=scan):
-            sites = scan(ents)
+        def counting_scan(word, kind=kind, scan=scan):
+            sites = scan(word)
             found[kind] += bool(sites)
             return sites
 
