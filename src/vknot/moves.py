@@ -335,7 +335,7 @@ class MoveScript(NamedTuple):
 
         try:
             steps = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MoveError(f"script is not JSON: {exc}") from None
         if type(steps) is not list:
             raise MoveError(f"script is not a JSON array: {text!r}")

@@ -1,9 +1,10 @@
 """Code enumeration and canonical codes (``vknot.enumerate``).
 
 ``chord_words`` is checked against a brute force over every ordering of
-the chord labels; ``enumerate_codes`` and ``canonical_code`` against the
-code and class counts of the small-crossing universe.  CI checks the
-3,388 classes of ``enumerate_codes(4)`` as its own step.
+the chord labels, ``standard_relabel`` on one code, and ``canonical_code``
+against every rotation and relabelling of one code per class with at
+most three crossings.  The code and class counts of ``enumerate_codes``
+are read from the one pass of ``test_universe.sweep``.
 """
 
 from itertools import permutations
@@ -11,6 +12,7 @@ from itertools import permutations
 import pytest
 
 from vknot.enumerate import canonical_code, chord_words, enumerate_codes, standard_relabel
+from test_universe import CLASS_COUNTS, CODE_COUNTS, sweep
 from vknot.gauss import Diagram, Entry, parse_gauss
 
 
@@ -43,13 +45,11 @@ def test_standard_relabel_numbers_by_first_appearance():
     assert " ".join(map(str, standard_relabel(list(entries)))) == "U1- O2+ O1- U2+"
 
 
-@pytest.mark.parametrize("m, codes, classes", [(0, 1, 1), (1, 4, 2), (2, 48, 14), (3, 960, 164)])
+@pytest.mark.parametrize("m, codes, classes", [(m, CODE_COUNTS[m], CLASS_COUNTS[m]) for m in range(4)])
 def test_code_and_class_counts(m, codes, classes):
-    diagrams = list(enumerate_codes(m))
-    assert len(diagrams) == codes
-    assert all(d.n_crossings == m for d in diagrams)
-    assert len(set(map(str, diagrams))) == codes
-    assert len({canonical_code(d) for d in diagrams}) == classes
+    s = sweep(m)
+    assert s.faults["size"] == []
+    assert (s.codes, s.texts, s.classes) == (codes, codes, classes)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

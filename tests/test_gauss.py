@@ -1,4 +1,8 @@
-"""Gauss code parsing, validation and diagram transforms."""
+"""Gauss code parsing, validation and diagram transforms.
+
+The round trip and the Over/Under positions of every code with at most
+three crossings are read from the one pass of ``test_universe.sweep``.
+"""
 
 import hashlib
 import itertools
@@ -7,7 +11,7 @@ import pytest
 from hypothesis import given
 
 from conftest import diagrams
-from vknot.enumerate import enumerate_codes
+from test_universe import sweep
 from vknot.gauss import (
     BadPairing,
     Diagram,
@@ -193,35 +197,14 @@ def test_diagram_pinned_on_every_short_sequence():
     assert digest.hexdigest() == "bf9075ae9a6b9bbf39a6bcb40bad28c1b7ed704e89eb40f4b71c6d7f39caf997"
 
 
-def assert_every_code_round_trips(m):
-    """parse_gauss(format_gauss(d)) == d for every m-crossing code, also
-    with each space written as a comma and a tab and the text in lower case."""
-    for d in enumerate_codes(m):
-        text = format_gauss(d)
-        assert parse_gauss(text) == d
-        assert parse_gauss(text.replace(" ", ",\t").lower()) == d
-
-
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_every_small_code_round_trips(m):
-    assert_every_code_round_trips(m)
-
-
-def assert_positions_match_entries(m):
-    """For every m-crossing code, each crossing's Over and Under positions
-    hold its two entries with its sign, and ``crossings()`` lists the ids
-    in order of first appearance."""
-    for d in enumerate_codes(m):
-        entries = d.entries
-        for c, k in d._number.items():
-            assert entries[d._opos[k]] == Entry(c, True, d.sign(c)), (str(d), c)
-            assert entries[d._upos[k]] == Entry(c, False, d.sign(c)), (str(d), c)
-        assert d.crossings() == tuple(dict.fromkeys(e.crossing for e in entries)), str(d)
+    assert sweep(m).faults["round trip"] == []
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_positions_match_entries_on_every_small_code(m):
-    assert_positions_match_entries(m)
+    assert sweep(m).faults["positions"] == []
 
 
 @pytest.mark.parametrize("flag", ["yes", "", 1, 0, None])

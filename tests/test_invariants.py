@@ -1,11 +1,15 @@
-"""Invariant computations: oracles, worked-example fixtures, properties."""
+"""Invariant computations: oracles, worked-example fixtures, properties.
+
+The plane-reflection law on every code with at most three crossings is
+read from the one pass of ``test_universe.sweep``.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import affine_oracle, diagrams, map_terms
-from vknot.enumerate import enumerate_codes
+from test_universe import sweep
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import InternalInconsistency, NonpositiveN, arc_labels, f_sequence
 from vknot.laurent import LaurentPoly2, parse_poly
@@ -353,23 +357,9 @@ def test_reverse_mirror_law(d):
     _assert_reverse_mirror_law(d)
 
 
-def assert_reflection_law(m: int) -> None:
-    """F^n(reflect D)(t, l) = -F^n(D)(t^-1, l) for every n up to the larger
-    n_max + 1, on every m-crossing code: 4, 48, 960 and 26,880 codes for
-    m = 1..4.  Reflecting the plane negates every sign and keeps the
-    passes.  m = 4 takes about 4 s, so CI runs it as its own step
-    (``.github/workflows/tests.yml``) and the suite runs m <= 3."""
-    for d in enumerate_codes(m):
-        fwd = f_sequence(d)
-        reflected = f_sequence(Diagram(e._replace(sign=-e.sign) for e in d.entries))
-        for n in range(1, max(fwd.n_max, reflected.n_max) + 2):
-            expected = map_terms(fwd.f_at(n), lambda et, el, c: (-et, el, -c))
-            assert reflected.f_at(n) == expected, (str(d), n)
-
-
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_reflection_law_on_every_small_code(m):
-    assert_reflection_law(m)
+    assert sweep(m).faults["reflection"] == []
 
 
 # -- per-crossing data: index, sign and smoothed_row ---------------------------------

@@ -3,19 +3,22 @@
 Ind(c) must equal ``interlacement_index``, a count read off the raw
 Gauss code with no arc labels.  The oracle writhe table of a diagram is
 built from that count and the signs alone, so it shares no code with the
-kernel.  For every crossing c the kernel's writhe table J_k(D_c), and
-the support of all smoothings together, must equal the oracle table of
-the validated smoothed diagram ``d.smooth(c)``.  The ``FReport`` views
-T_n and ``smoothed_row(n)``, read from the one dJ_n(D_c) table, must
-equal the dwrithes of those oracle tables for every n.  Over every
-code with at most three crossings, every R1-, R2- and R3 neighbour must
-keep the F-fingerprint, and a digest pins the neighbours' codes.
-Control moves, which are not Reidemeister moves, must change the
-fingerprint often enough to show that the check can fail.
+kernel.  For every crossing c of the table codes and of random
+diagrams, the kernel's writhe table J_k(D_c), and the support of all
+smoothings together, must equal the oracle table of the validated
+smoothed diagram ``d.smooth(c)``.  The ``FReport`` views T_n and
+``smoothed_row(n)``, read from the one dJ_n(D_c) table, must equal the
+dwrithes of those oracle tables for every n.  A planted fault, the other
+smoothing segment, must fail the table check.
+
+Read from the one pass of ``test_universe.sweep`` over every code with
+at most three crossings: the kernel against the oracle at every
+crossing; every R1-, R2- and R3 neighbour keeps the F-fingerprint and
+the neighbours are ``MOVE_DIGESTS``; control moves, which are not
+Reidemeister moves, change the fingerprint as often as
+``CONTROL_MOVE_COUNTS`` says, so the move check can fail.
 """
 
-import hashlib
-import json
 from itertools import chain
 
 import pytest
@@ -23,10 +26,9 @@ from hypothesis import given, settings
 
 import vknot.invariants
 from conftest import diagrams, interlacement_index, map_terms, random_code, writhe_table
-from vknot.enumerate import enumerate_codes
-from vknot.gauss import Diagram, Entry, parse_gauss
+from test_universe import CONTROL_MOVE_COUNTS, MOVE_DIGESTS, control_totals, sweep
+from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import _indices, _smoothed_writhes, _writhes, f_sequence
-from vknot.moves import apply_move, move_sites
 from vknot.table import Verdict, verify_record
 
 
@@ -87,116 +89,21 @@ def test_kernel_adjacent_under_over_passes(code):
     assert kernel(d) == oracle(d)
 
 
-def assert_kernel_matches_every_code(m: int) -> None:
-    """The kernel against the oracle at every crossing of every m-crossing
-    code: 4, 48, 960 and 26,880 codes for m = 1..4.  m = 4 takes about 4 s,
-    which would push the suite past 15 s, so CI runs it as its own step
-    (``.github/workflows/tests.yml``) and the suite runs m <= 3."""
-    for d in enumerate_codes(m):
-        passes2 = d._passes * 2
-        for c, name in enumerate(d.crossings()):
-            assert _smoothed_writhes(d, passes2, c) == writhe_table(d.smooth(name)), (str(d), name)
-
-
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_kernel_matches_oracle_on_every_small_code(m):
-    assert_kernel_matches_every_code(m)
-
-
-def neighbours(d: Diagram):
-    """(kind, site, diagram) for every diagram one R1-, R2- or R3 move
-    away from d, in the order of ``move_sites``."""
-    for kind in ("R1-", "R2-", "R3"):
-        for site in move_sites(d, kind):
-            yield kind, site, apply_move(d, kind, *(site if kind == "R3" else (site,)))
-
-
-# Per m: (neighbours, sha256 of their (code, kind, site, moved code)
-# records in ``neighbours`` order) over every m-crossing code.  The
-# digests were recorded before the moves ran on integer words, so a
-# change of a move's site order or of its result text fails here.
-MOVE_DIGESTS = {
-    1: (4, "5e1d0469b3d343f60c06e4351ce2da0e5d625eae521285a00300ff9311f8c2dc"),
-    2: (72, "dff39e1de3c56d45b3d89d704faa39e9dcd4d9ccaef5a0ab61856defefb17753"),
-    3: (1488, "2735f063debf34f9b6b8e898a52a27ed29d08c8730e98d48024d88121ad2fd9d"),
-    4: (40704, "612373cec67f128e425669a83737eae22dd5ca1b297a5bb907b52a794adfd00e"),
-}
-
-
-def assert_moves_keep_fingerprint(m: int) -> None:
-    """Every R1-, R2- and R3 neighbour of every m-crossing code has the
-    code's F-fingerprint, and the neighbours are ``MOVE_DIGESTS[m]``:
-    4, 48, 960 and 26,880 codes for m = 1..4.  m = 4 (40,704 neighbours)
-    takes about 8 s, so CI runs it as its own step
-    (``.github/workflows/tests.yml``) and the suite runs m <= 3."""
-    digest = hashlib.sha256()
-    count = 0
-    for d in enumerate_codes(m):
-        base, code = f_sequence(d).fingerprint, str(d)
-        for kind, site, moved in neighbours(d):
-            assert f_sequence(moved).fingerprint == base, (code, str(moved))
-            digest.update(json.dumps([code, kind, site, str(moved)]).encode() + b"\0")
-            count += 1
-    assert (count, digest.hexdigest()) == MOVE_DIGESTS[m]
+    assert sweep(m).faults["kernel"] == []
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_moves_keep_fingerprint_on_every_small_code(m):
-    assert_moves_keep_fingerprint(m)
-
-
-def control_neighbours(d: Diagram):
-    """(kind, diagram) for every control neighbour of d: kind "over"
-    ("under") swaps two cyclically adjacent Over (Under) entries of
-    distinct crossings, a forbidden move; kind "change" flips both passes
-    of one crossing and negates its sign.  None of them is a Reidemeister
-    move, so none is in ``moves._MOVES``."""
-    ents = d.entries
-    for i, (a, b) in enumerate(zip(ents, ents[1:] + ents[:1])):
-        if a.over == b.over and a.crossing != b.crossing:
-            word = list(ents)
-            word[i], word[(i + 1) % len(ents)] = b, a
-            yield "over" if a.over else "under", Diagram(word)
-    for c in d.crossings():
-        word = [Entry(c, not e.over, -e.sign) if e.crossing == c else e for e in ents]
-        yield "change", Diagram(word)
-
-
-# Per kind of ``control_neighbours``: (neighbours whose F-fingerprint
-# differs from the code's, all neighbours), over every code with 2..m
-# crossings; and the number of those codes whose fingerprint is not the
-# unknot's.
-CONTROL_MOVE_COUNTS = {
-    3: ({"over": (688, 1184), "under": (688, 1184), "change": (1376, 2976)}, 8 + 360),
-    4: ({"over": (31664, 47264), "under": (31664, 47264), "change": (61792, 110496)}, 8 + 360 + 15008),
-}
-
-
-def assert_control_move_counts(m: int) -> None:
-    """Every code with 2..m crossings gives the ``CONTROL_MOVE_COUNTS[m]``
-    counts, and each code whose fingerprint is not the unknot's has a
-    control neighbour with another fingerprint: forbidden moves unknot
-    every virtual knot.  m = 4 takes about 16 s, so CI runs it as its own
-    step (``.github/workflows/tests.yml``) and the suite runs m = 3."""
-    unknot = f_sequence(parse_gauss("")).fingerprint
-    counts = {"over": [0, 0], "under": [0, 0], "change": [0, 0]}
-    knotted = 0
-    for d in (d for size in range(2, m + 1) for d in enumerate_codes(size)):
-        base = f_sequence(d).fingerprint
-        changed = False
-        for kind, moved in control_neighbours(d):
-            differs = f_sequence(moved).fingerprint != base
-            counts[kind][0] += differs
-            counts[kind][1] += 1
-            changed |= differs
-        if base != unknot:
-            knotted += 1
-            assert changed, str(d)
-    assert ({kind: tuple(pair) for kind, pair in counts.items()}, knotted) == CONTROL_MOVE_COUNTS[m]
+    s = sweep(m)
+    assert s.faults["moves"] == []
+    assert s.moves == MOVE_DIGESTS[m]
 
 
 def test_control_moves_change_fingerprint_on_every_small_code():
-    assert_control_move_counts(3)
+    assert sweep(2).faults["control"] == sweep(3).faults["control"] == []
+    assert control_totals(3) == CONTROL_MOVE_COUNTS[3]
 
 
 def test_kernel_unknot():

@@ -262,6 +262,7 @@ def test_script_json_round_trip(example_31):
         "5",
         "null",
         "{",  # not JSON at all
+        pytest.param("[" * 100_000, id="100000 nested arrays"),  # too deep for the decoder
     ],
 )
 def test_script_from_json_needs_an_array(text):

@@ -1,0 +1,281 @@
+"""Every code with at most m crossings, checked in one pass.
+
+``sweep(size)`` calls ``enumerate_codes(size)`` once and runs every
+exhaustive check on each code it yields; ``assert_every_code(m)``
+compares the sweeps of sizes 0..m with the pins:
+
+- the code and class counts, ``CODE_COUNTS`` and ``CLASS_COUNTS``;
+- each crossing's Over and Under positions hold its two entries with
+  its sign, and ``crossings()`` lists the ids in order of first
+  appearance;
+- ``parse_gauss(format_gauss(d)) == d``, also with each space written
+  as a comma and a tab and the text in lower case;
+- the kernel's writhe table J_k(D_c) at every crossing c equals the
+  oracle table of the validated smoothed diagram ``d.smooth(c)``;
+- the plane-reflection law of F^n;
+- every R1-, R2- and R3 neighbour keeps the F-fingerprint, and the
+  neighbours are ``MOVE_DIGESTS``; with the R1+ and R2+ calls of the
+  codes with m <= 2, the same moves are ``SINGLE_PINS``;
+- control moves, which are not Reidemeister moves, change the
+  fingerprint as often as ``CONTROL_MOVE_COUNTS`` says.
+
+Each code gets one ``f_sequence`` for the move, control and reflection
+checks, and each R-neighbour one ``apply_move`` call.  The suite runs
+m = 3 (1,013 codes); CI runs m = 4 (27,893 codes) as one step.
+
+A sweep records each failing check under its name and is kept for the
+process, so the per-check tests of ``test_enumerate``, ``test_gauss``,
+``test_invariants``, ``test_kernel`` and ``test_walk_digest`` read their
+own part of the one pass over each size and fail on their own.
+"""
+
+import hashlib
+import json
+from functools import cache
+from typing import NamedTuple
+
+from conftest import map_terms, writhe_table
+from vknot.enumerate import canonical_code, enumerate_codes
+from vknot.gauss import Diagram, Entry, format_gauss, parse_gauss
+from vknot.invariants import _smoothed_writhes, f_sequence
+from vknot.moves import MoveError, apply_move, move_sites
+
+# Per m: the m-crossing codes of ``enumerate_codes(m)``, and their
+# classes up to rotation and relabelling.
+CODE_COUNTS = {0: 1, 1: 4, 2: 48, 3: 960, 4: 26880}
+CLASS_COUNTS = {0: 1, 1: 2, 2: 14, 3: 164, 4: 3388}
+
+# Per m: (neighbours, sha256 of their (code, kind, site, moved code)
+# records in ``neighbours`` order) over every m-crossing code.  The
+# digests were recorded before the moves ran on integer words, so a
+# change of a move's site order or of its result text fails here.
+MOVE_DIGESTS = {
+    1: (4, "5e1d0469b3d343f60c06e4351ce2da0e5d625eae521285a00300ff9311f8c2dc"),
+    2: (72, "dff39e1de3c56d45b3d89d704faa39e9dcd4d9ccaef5a0ab61856defefb17753"),
+    3: (1488, "2735f063debf34f9b6b8e898a52a27ed29d08c8730e98d48024d88121ad2fd9d"),
+    4: (40704, "612373cec67f128e425669a83737eae22dd5ca1b297a5bb907b52a794adfd00e"),
+}
+
+# Per m: (records, sha256 of the records) of single ``apply_move``
+# calls on every m-crossing code: every R1-, R2- and R3 site of each
+# code and, for m <= 2, every R1+ arc with both signs and both pass
+# orders and every R2+ pair of arcs, equal arcs (``InvalidArc``)
+# included.  Each record is (code, kind, parameters, result text or
+# error class and message).  Recorded before the moves ran on integer
+# words.
+SINGLE_PINS = {
+    1: (68, "c6175e11fa56bbf0d3d37e2c7d4e70742f43b60fd652f1aed08243d2e628dadb"),
+    2: (2376, "d4e604b8bff739b5385146d6ba817b6e3ac9f01973c2031d5a441e5dabafdba0"),
+    3: (1488, "29418bb616cf7dbb450dd3063d8f8c0aa1f8800cdf16f40ab2414b5ff0de4f41"),
+}
+
+# Per kind of ``control_neighbours``: (neighbours whose F-fingerprint
+# differs from the code's, all neighbours), over every code with 2..m
+# crossings; and the number of those codes whose fingerprint is not the
+# unknot's.
+CONTROL_MOVE_COUNTS = {
+    3: ({"over": (688, 1184), "under": (688, 1184), "change": (1376, 2976)}, 8 + 360),
+    4: ({"over": (31664, 47264), "under": (31664, 47264), "change": (61792, 110496)}, 8 + 360 + 15008),
+}
+
+
+class Pin:
+    """A count of JSON records and the sha256 of them, each followed by a NUL."""
+
+    def __init__(self):
+        self.count, self.sha = 0, hashlib.sha256()
+
+    def add(self, record) -> None:
+        self.sha.update(json.dumps(record).encode() + b"\0")
+        self.count += 1
+
+    def value(self) -> tuple[int, str]:
+        return self.count, self.sha.hexdigest()
+
+
+def neighbours(d: Diagram):
+    """(kind, site, diagram) for every diagram one R1-, R2- or R3 move
+    away from d, in the order of ``move_sites``."""
+    for kind in ("R1-", "R2-", "R3"):
+        for site in move_sites(d, kind):
+            yield kind, site, apply_move(d, kind, *(site if kind == "R3" else (site,)))
+
+
+def insertions(d: Diagram):
+    """(kind, parameters, result) of every R1+ and R2+ call on d's arcs;
+    the result is the moved code, or an error's class and message."""
+    arcs = range(len(d))
+    calls = [("R1+", [a, s, o]) for a in arcs for s in (1, -1) for o in (True, False)]
+    calls += [("R2+", [a, b, o]) for a in arcs for b in arcs for o in (True, False)]
+    for kind, params in calls:
+        try:
+            result = str(apply_move(d, kind, *params))
+        except MoveError as exc:
+            result = [type(exc).__name__, str(exc)]
+        yield kind, params, result
+
+
+def control_neighbours(d: Diagram):
+    """(kind, diagram) for every control neighbour of d: kind "over"
+    ("under") swaps two cyclically adjacent Over (Under) entries of
+    distinct crossings, a forbidden move; kind "change" flips both passes
+    of one crossing and negates its sign.  None of them is a Reidemeister
+    move, so none is in ``moves._MOVES``."""
+    ents = d.entries
+    for i, (a, b) in enumerate(zip(ents, ents[1:] + ents[:1])):
+        if a.over == b.over and a.crossing != b.crossing:
+            word = list(ents)
+            word[i], word[(i + 1) % len(ents)] = b, a
+            yield "over" if a.over else "under", Diagram(word)
+    for c in d.crossings():
+        word = [Entry(c, not e.over, -e.sign) if e.crossing == c else e for e in ents]
+        yield "change", Diagram(word)
+
+
+def check_positions(d: Diagram, code: str) -> None:
+    """Each crossing's Over and Under positions hold its two entries with
+    its sign, and ``crossings()`` lists the ids in order of first
+    appearance."""
+    entries = d.entries
+    for c, k in d._number.items():
+        assert entries[d._opos[k]] == Entry(c, True, d.sign(c)), (code, c)
+        assert entries[d._upos[k]] == Entry(c, False, d.sign(c)), (code, c)
+    assert d.crossings() == tuple(dict.fromkeys(e.crossing for e in entries)), code
+
+
+def check_round_trip(d: Diagram, code: str) -> None:
+    """The text round trip, also with ",\\t" separators in lower case."""
+    text = format_gauss(d)
+    assert parse_gauss(text) == d, code
+    assert parse_gauss(text.replace(" ", ",\t").lower()) == d, code
+
+
+def check_kernel(d: Diagram, code: str) -> None:
+    """The kernel against the oracle at every crossing."""
+    passes2 = d._passes * 2
+    for c, name in enumerate(d.crossings()):
+        assert _smoothed_writhes(d, passes2, c) == writhe_table(d.smooth(name)), (code, name)
+
+
+def check_reflection(d: Diagram, report, code: str) -> None:
+    """F^n(reflect D)(t, l) = -F^n(D)(t^-1, l) for every n up to the
+    larger n_max + 1.  Reflecting the plane negates every sign and keeps
+    the passes."""
+    reflected = f_sequence(Diagram(e._replace(sign=-e.sign) for e in d.entries))
+    for n in range(1, max(report.n_max, reflected.n_max) + 2):
+        expected = map_terms(report.f_at(n), lambda et, el, c: (-et, el, -c))
+        assert reflected.f_at(n) == expected, (code, n)
+
+
+def check_moves(d: Diagram, base, code: str, moves: Pin, singles: Pin) -> None:
+    """Every R1-, R2- and R3 neighbour keeps the fingerprint ``base``;
+    each one feeds both pins."""
+    for kind, site, moved in neighbours(d):
+        moved_code = str(moved)
+        assert f_sequence(moved).fingerprint == base, (code, moved_code)
+        moves.add([code, kind, site, moved_code])
+        singles.add([code, kind, list(site) if kind == "R3" else [site], moved_code])
+
+
+def check_control(d: Diagram, base, code: str, unknot, control: dict) -> bool:
+    """Adds d's control neighbours to ``control``'s (differs, all) counts
+    and returns whether d is knotted.  Forbidden moves unknot every
+    virtual knot, so a knotted d has a neighbour that changes ``base``."""
+    changed = False
+    for kind, moved in control_neighbours(d):
+        differs = f_sequence(moved).fingerprint != base
+        control[kind][0] += differs
+        control[kind][1] += 1
+        changed |= differs
+    assert changed or base == unknot, code
+    return base != unknot
+
+
+# The per-code checks of ``sweep``, each a key of ``Size.faults``.
+CHECKS = ("size", "positions", "round trip", "kernel", "reflection", "moves", "control")
+
+
+class Size(NamedTuple):
+    """What one pass over ``enumerate_codes(size)`` found: the code count,
+    distinct texts and classes; the first few failures of each check in
+    ``CHECKS``; the ``MOVE_DIGESTS`` and ``SINGLE_PINS`` values; the
+    (differs, all) control counts per kind and the knotted codes."""
+
+    codes: int
+    texts: int
+    classes: int
+    faults: dict
+    moves: tuple
+    singles: tuple
+    control: dict
+    knotted: int
+
+
+@cache
+def sweep(size: int) -> Size:
+    """Every per-code check on every code with ``size`` crossings, in one
+    call of ``enumerate_codes``.  A failing check is recorded under its
+    name, up to five codes each, and the pass goes on, so each check
+    fails on its own; the result is kept for the process."""
+    unknot = f_sequence(parse_gauss("")).fingerprint
+    faults = {name: [] for name in CHECKS}
+
+    def run(name, check, *args):
+        try:
+            return check(*args)
+        except Exception as exc:
+            if len(faults[name]) < 5:
+                faults[name].append(f"{type(exc).__name__}: {exc}")
+
+    count, texts, classes = 0, set(), set()
+    moves, singles = Pin(), Pin()
+    control = {"over": [0, 0], "under": [0, 0], "change": [0, 0]}
+    knotted = 0
+    for d in enumerate_codes(size):
+        code = str(d)
+        if d.n_crossings != size and len(faults["size"]) < 5:
+            faults["size"].append(code)
+        count += 1
+        texts.add(code)
+        classes.add(canonical_code(d))
+        run("positions", check_positions, d, code)
+        run("round trip", check_round_trip, d, code)
+        run("kernel", check_kernel, d, code)
+        report = f_sequence(d)
+        base = report.fingerprint
+        run("reflection", check_reflection, d, report, code)
+        run("moves", check_moves, d, base, code, moves, singles)
+        if size <= 2:
+            for kind, params, result in insertions(d):
+                singles.add([code, kind, params, result])
+        if size >= 2:
+            knotted += bool(run("control", check_control, d, base, code, unknot, control))
+    return Size(count, len(texts), len(classes), faults, moves.value(), singles.value(),
+                {kind: tuple(pair) for kind, pair in control.items()}, knotted)
+
+
+def control_totals(m: int) -> tuple[dict, int]:
+    """``sweep``'s control counts and knotted codes summed over 2..m
+    crossings, the form of ``CONTROL_MOVE_COUNTS[m]``."""
+    sizes = [sweep(size) for size in range(2, m + 1)]
+    counts = {kind: tuple(sum(s.control[kind][i] for s in sizes) for i in (0, 1)) for kind in sizes[0].control}
+    return counts, sum(s.knotted for s in sizes)
+
+
+def assert_every_code(m: int) -> None:
+    """Every check of the module docstring on every code with at most m
+    crossings, m <= 4, each pin compared once its size is done."""
+    for size in range(m + 1):
+        s = sweep(size)
+        assert s.faults == {name: [] for name in CHECKS}, size
+        assert (s.codes, s.texts, s.classes) == (CODE_COUNTS[size], CODE_COUNTS[size], CLASS_COUNTS[size])
+        if size in MOVE_DIGESTS:
+            assert s.moves == MOVE_DIGESTS[size]
+        if size in SINGLE_PINS:
+            assert s.singles == SINGLE_PINS[size]
+        if size in CONTROL_MOVE_COUNTS:
+            assert control_totals(size) == CONTROL_MOVE_COUNTS[size]
+
+
+def test_every_code_with_at_most_three_crossings():
+    assert_every_code(3)

@@ -14,12 +14,9 @@ The replay applies every recorded step on its own through
 diagram of every pinned walk is built and validated, and the replay
 must end where the walk did.
 
-``SINGLE_PINS`` covers single ``apply_move`` calls on every code with
-m <= 3 crossings: every R1-, R2- and R3 site of each code and, for
-m <= 2, every R1+ arc with both signs and both pass orders and every
-R2+ pair of arcs, equal arcs (``InvalidArc``) included.  Each record is
-(code, kind, parameters, result text or error class and message).
-These digests were recorded before the moves ran on integer words.
+``SINGLE_PINS`` in ``test_universe`` covers single ``apply_move`` calls
+on every code with at most three crossings; the digests are read from
+the one pass of ``test_universe.sweep``.
 """
 
 import hashlib
@@ -28,20 +25,14 @@ import json
 import pytest
 
 from conftest import random_code
-from vknot.enumerate import enumerate_codes
+from test_universe import SINGLE_PINS, sweep
 from vknot.gauss import parse_gauss
-from vknot.moves import Lcg, MoveError, MoveScript, apply_move, move_sites, random_walk
+from vknot.moves import Lcg, MoveScript, random_walk
 from vknot.table import load_table
 
 PINNED = "577ec7d1bdda3cfa3d6ddae44ef7457918442208b432efad2921ce167eb3c87a"
 STEPS = 40
 SEEDS_PER_CODE = 3
-# m -> (records, sha256 of the records) of ``single_moves(m)``.
-SINGLE_PINS = {
-    1: (68, "c6175e11fa56bbf0d3d37e2c7d4e70742f43b60fd652f1aed08243d2e628dadb"),
-    2: (2376, "d4e604b8bff739b5385146d6ba817b6e3ac9f01973c2031d5a441e5dabafdba0"),
-    3: (1488, "29418bb616cf7dbb450dd3063d8f8c0aa1f8800cdf16f40ab2414b5ff0de4f41"),
-}
 
 
 def start_codes() -> list[str]:
@@ -87,29 +78,6 @@ def test_step_by_step_replay_ends_where_the_walk_did(walks):
         assert cur == final, (code, seed)
 
 
-def single_moves(m: int):
-    """[code, kind, parameters, result] of each pinned move on the m-crossing
-    codes; the result is the moved code, or an error's class and message."""
-    for d in enumerate_codes(m):
-        calls = [(kind, [site] if kind != "R3" else list(site))
-                 for kind in ("R1-", "R2-", "R3") for site in move_sites(d, kind)]
-        if m <= 2:
-            arcs = range(len(d))
-            calls += [("R1+", [a, s, o]) for a in arcs for s in (1, -1) for o in (True, False)]
-            calls += [("R2+", [a, b, o]) for a in arcs for b in arcs for o in (True, False)]
-        for kind, params in calls:
-            try:
-                result = str(apply_move(d, kind, *params))
-            except MoveError as exc:
-                result = [type(exc).__name__, str(exc)]
-            yield [str(d), kind, params, result]
-
-
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_single_moves_are_byte_identical(m):
-    digest = hashlib.sha256()
-    count = 0
-    for record in single_moves(m):
-        digest.update(json.dumps(record).encode() + b"\0")
-        count += 1
-    assert (count, digest.hexdigest()) == SINGLE_PINS[m]
+    assert sweep(m).singles == SINGLE_PINS[m]
