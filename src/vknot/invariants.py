@@ -39,7 +39,13 @@ table holds dJ_n(D_c) for n = 1 .. n_max+1 (one row per n) and every
 crossing c (one column per crossing, in traversal order).  It is filled
 in one pass over the smoothed writhe tables, J_k(D_c) adding to row k
 and J_{-k}(D_c) subtracting from it, and F^n and T_n read their rows
-from it; any n beyond the table reads zeros.  Ind(c), J_n(D), dJ_n(D)
+from it; any n beyond the table reads zeros.  F^n sums its first part
+term by term and its T_n part in closed form: with d_n = dJ_n(D) != 0,
+every crossing contributes l^{d_n} except those with dJ_n(D_c) = -d_n,
+which contribute l^{-d_n}, so the part is -(sum of all signs - S)
+l^{d_n} - S l^{-d_n}, where S, the sign sum over those crossings, is
+one masked sum over the row; with d_n = 0 the part is -(sum of all
+signs).  Ind(c), J_n(D), dJ_n(D)
 and the affine index polynomial are read from the same analysis
 (``FReport.index``, ``.writhes``, ``.dwrithe(n)``, ``.stable_tail``).
 
@@ -69,7 +75,7 @@ mutable state.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from operator import neg
 from typing import Iterable, NamedTuple, Sequence
 
@@ -243,15 +249,19 @@ def _dj_table(smoothed: list[dict[int, int]], n_max: int) -> tuple[tuple[int, ..
     return tuple(map(tuple, rows[1:]))
 
 
-def _f_poly(ind: Iterable[int], signs: Sequence[int], row: Sequence[int], d_n: int) -> LaurentPoly2:
-    """F^n from Ind(c), sgn(c) and dJ_n(D_c) per crossing, and d_n = dJ_n(D)."""
+def _f_poly(
+    ind: Iterable[int], signs: Sequence[int], row: Sequence[int], d_n: int, total: int
+) -> LaurentPoly2:
+    """F^n from Ind(c), sgn(c) and dJ_n(D_c) per crossing, d_n = dJ_n(D)
+    and ``total``, the sum of the signs; the T_n part in the closed form
+    of the module docstring."""
     terms: dict[tuple[int, int], int] = {}
     get = terms.get
-    size = abs(d_n)
     for k, s, dc in zip(ind, signs, row):
         terms[k, dc] = get((k, dc), 0) + s
-        key = (0, dc if abs(dc) == size else d_n)  # c in T_n, or not
-        terms[key] = get(key, 0) - s
+    flipped = sum(compress(signs, map((-d_n).__eq__, row))) if d_n else 0
+    terms[0, d_n] = get((0, d_n), 0) - (total - flipped)
+    terms[0, -d_n] = get((0, -d_n), 0) - flipped
     return LaurentPoly2(terms)
 
 
@@ -273,7 +283,8 @@ def f_sequence(diagram: Diagram) -> FReport:
     n_max = max(map(abs, chain(writhes, *smoothed)), default=0)
     table = _dj_table(smoothed, n_max)
     tail = _affine(indices, sign)
-    polys = [_f_poly(indices, sign, row, _dj(writhes, n)) for n, row in enumerate(table, start=1)]
+    total = sum(sign)
+    polys = [_f_poly(indices, sign, row, _dj(writhes, n), total) for n, row in enumerate(table, start=1)]
     if polys[-1] != tail:
         raise InternalInconsistency(
             f"F^{n_max + 1} of {str(diagram)!r} did not stabilize to the affine polynomial"

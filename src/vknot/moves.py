@@ -38,11 +38,19 @@ maps each kind to scan, draw and rewrite.  A word is the mutable copy
 of a ``Diagram``'s integer form: the list of ``(k, over)`` passes, k a
 crossing number, with each crossing's sign and id in lists indexed by
 k.  Scans compare crossing numbers and read signs by k; only R3 sites,
-whose public parameters are crossing ids, read the ids.  ``Entry``
+whose public parameters are crossing ids, read the ids.  The R2 and R3
+scans index the passes by position only once they meet a candidate
+pair.  The word also keeps the set of ids present and a low-water mark
+below which every numeric id is taken, updated by each insertion and
+removal, so a fresh id is found without rebuilding the set.  ``Entry``
 values are built only where a word becomes a ``Diagram`` again, in
-``_Word.diagram``.  Valid moves keep a word valid, so ``random_walk``
-rewrites one word and validates it once, as the ``Diagram`` it
-returns, and applies each drawn site from the scan it was drawn from.
+``_Word.diagram``.  Valid moves keep a word valid, so a walk rewrites
+one word and validates it once, as the ``Diagram`` it ends on, and
+applies each drawn site from the scan it was drawn from; a kind whose
+scan came back empty is redrawn without a second scan in that step.
+The walk records each step as a ``(kind, parameters)`` pair:
+``random_walk`` turns them into its ``MoveScript``, and
+``fuzz_invariance`` only for a walk that changed the fingerprint.
 The public interface reads the same table: ``move_sites(diagram,
 kind)`` lists one scan's sites, each in parameter form, and
 ``apply_move(diagram, kind, *params)`` checks the exact type of each
@@ -50,7 +58,8 @@ parameter, rewrites the diagram's word and builds a ``Diagram``.
 ``MoveScript.apply`` (scripts are external input) checks each step's
 keys, then calls ``apply_move`` on it.
 
-``fuzz_invariance`` is the one fuzzing loop.  Reproducibility across
+``fuzz_invariance`` is the one fuzzing loop, and ``_walk`` the one walk
+loop under it and ``random_walk``.  Reproducibility across
 platforms matters more than statistical quality, so walks draw from a
 fixed 64-bit linear congruential generator (Knuth's MMIX multiplier
 6364136223846793005 and increment 1442695040888963407, taking the top
@@ -99,7 +108,8 @@ class Lcg:
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
-        return self.next_bits() % n
+        self.state = state = (self.state * _MULT + _INC) & _MASK  # next_bits, inline
+        return (state >> 33) % n
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
@@ -110,31 +120,53 @@ class Lcg:
 class _Word:
     """A diagram's integer form, mutable: the ``(k, over)`` passes in word
     order, and the sign and id of each crossing number k.  New crossings
-    append to ``sign`` and ``ids``; removed ones keep their slots."""
+    append to ``sign`` and ``ids``; removed ones keep their slots.
 
-    __slots__ = ("source", "passes", "sign", "ids")
+    ``present`` is the set of ids of the crossings in ``passes``, and
+    ``mark`` a low-water mark: every canonical numeric id ``str(t)``
+    with 1 <= t < mark is present.  ``fresh`` and ``remove`` keep both
+    up to date, so an insertion probes upward from the mark only."""
+
+    __slots__ = ("source", "passes", "sign", "ids", "present", "mark")
 
     def __init__(self, diagram: Diagram):
         self.source = diagram
         self.passes = list(diagram._passes)
         self.sign = list(diagram._sign)
         self.ids = list(diagram._number)
+        self.present = set(diagram._number)
+        self.mark = 1
 
     def fresh(self, *signs: int) -> list[int]:
         """Add one crossing per sign, with the smallest numeric ids unused
         by the crossings present, ascending; return their numbers."""
-        ids = self.ids
-        used = {ids[k] for k, _ in self.passes}
+        ids, present = self.ids, self.present
         out = []
-        token = 0
+        token = self.mark
         for sign in signs:
-            token += 1
-            while str(token) in used:
+            c = str(token)
+            while c in present:
                 token += 1
+                c = str(token)
             out.append(len(ids))
-            ids.append(str(token))
+            ids.append(c)
+            present.add(c)
             self.sign.append(sign)
+            token += 1
+        self.mark = token
         return out
+
+    def remove(self, positions: set[int]) -> None:
+        """Delete the passes at ``positions``, which hold both passes of
+        each crossing they name."""
+        passes, ids = self.passes, self.ids
+        for k in {passes[pos][0] for pos in positions}:
+            c = ids[k]
+            self.present.remove(c)
+            if c.isdigit() and c[0] != "0" and int(c) < self.mark:  # ids are ASCII
+                self.mark = int(c)
+        for pos in sorted(positions, reverse=True):
+            del passes[pos]
 
     def diagram(self) -> Diagram:
         """The word as a validated ``Diagram``.  No move changes an id or
@@ -164,9 +196,7 @@ def _r1_sites(word: _Word) -> list[int]:
 def _r1_remove(word: _Word, sites: list[int], site: int) -> None:
     if site not in sites:
         raise PatternNotFound(f"no kink at position {site}")
-    passes = word.passes
-    for pos in sorted({site, (site + 1) % len(passes)}, reverse=True):
-        del passes[pos]
+    word.remove({site, (site + 1) % len(word.passes)})
 
 
 def _r2_insert(word: _Word, arcs: range, arc1: int, arc2: int, over_first: bool) -> None:
@@ -182,11 +212,13 @@ def _r2_insert(word: _Word, arcs: range, arc1: int, arc2: int, over_first: bool)
 def _r2_sites(word: _Word) -> list[list[int]]:
     passes, sign = word.passes, word.sign
     n = len(passes)
-    pos = dict(zip(passes, range(n)))  # (k, pass) -> position
+    pos = None  # (k, pass) -> position, built at the first candidate pair
     sites = []
     for i, ((c1, o1), (c2, o2)) in enumerate(zip(passes, passes[1:] + passes[:1])):
         if o1 != o2 or c1 == c2 or sign[c1] == sign[c2]:
             continue
+        if pos is None:
+            pos = dict(zip(passes, range(n)))
         # Each configuration is seen from both pairs, (i, j) and (j, i): keep the first.
         j = pos[c2, not o2]
         if (j + 1) % n == pos[c1, not o1] and i < j:
@@ -197,21 +229,21 @@ def _r2_sites(word: _Word) -> list[list[int]]:
 def _r2_remove(word: _Word, sites: list[list[int]], site: list[int]) -> None:
     if list(map(type, site)) != [int, int] or site not in sites:  # [True, 2] == [1, 2]
         raise PatternNotFound(f"no R2 configuration at {site}")
-    (i, j), passes = site, word.passes
-    n = len(passes)
-    for pos in sorted({i, (i + 1) % n, j, (j + 1) % n}, reverse=True):
-        del passes[pos]
+    (i, j), n = site, len(word.passes)
+    word.remove({i, (i + 1) % n, j, (j + 1) % n})
 
 
 def _r3_patterns(word: _Word) -> dict:
     """Every valid R3 slide's id triple, in word order -> its first position-swaps."""
     passes, sign, ids = word.passes, word.sign, word.ids
     n = len(passes)
-    pos = dict(zip(passes, range(n)))  # (k, pass) -> position
+    pos = None  # (k, pass) -> position, built at the first candidate pair
     out: dict = {}
     for i, ((p, op), (q, oq)) in enumerate(zip(passes, passes[1:] + passes[:1])):
         if not (op and oq) or p == q:
             continue
+        if pos is None:
+            pos = dict(zip(passes, range(n)))
         up, uq = pos[p, False], pos[q, False]
         for beta in (1, -1):
             jr = (up + beta) % n
@@ -342,6 +374,38 @@ class MoveScript(NamedTuple):
         return cls(tuple(steps))
 
 
+def _walk(diagram: Diagram, steps: int, seed: int) -> tuple[_Word, list[tuple[str, tuple]]]:
+    """The word after ``steps`` moves drawn from ``Lcg(seed)``, and the
+    ``(kind, parameters)`` of each step.  A kind whose scan is empty is
+    redrawn, and not scanned again in the same step."""
+    if steps < 0:
+        raise MoveError("steps must be >= 0")
+    rng, word = Lcg(seed), _Word(diagram)
+    table = list(_MOVES.items())
+    taken = []
+    for _ in range(steps):
+        empty = []  # the kinds whose scan came back empty in this step
+        while True:
+            i = rng.randrange(len(table))
+            if i in empty:
+                continue
+            kind, move = table[i]
+            sites = move.sites(word)
+            if sites:
+                break
+            empty.append(i)
+        params = move.draw(rng, word, sites)
+        move.rewrite(word, sites, *params)
+        taken.append((kind, params))
+    return word, taken
+
+
+def _script(taken: list[tuple[str, tuple]]) -> MoveScript:
+    """The script of the steps that ``_walk`` took."""
+    steps = ({"move": kind, **dict(zip(_MOVES[kind].keys, params))} for kind, params in taken)
+    return MoveScript(tuple(steps))
+
+
 def random_walk(diagram: Diagram, steps: int, seed: int) -> tuple[Diagram, MoveScript]:
     """Apply ``steps`` uniformly chosen applicable moves, reproducibly.
 
@@ -350,32 +414,20 @@ def random_walk(diagram: Diagram, steps: int, seed: int) -> tuple[Diagram, MoveS
     this terminates).  Returns the final diagram and the script that
     replays the walk.
     """
-    if steps < 0:
-        raise MoveError("steps must be >= 0")
-    rng = Lcg(seed)
-    word = _Word(diagram)
-    recorded: list[dict] = []
-    for _ in range(steps):
-        sites = None
-        while not sites:
-            kind = _KINDS[rng.randrange(len(_KINDS))]
-            move = _MOVES[kind]
-            sites = move.sites(word)
-        params = move.draw(rng, word, sites)
-        move.rewrite(word, sites, *params)
-        recorded.append({"move": kind, **dict(zip(move.keys, params))})
-    return word.diagram(), MoveScript(tuple(recorded))
+    word, taken = _walk(diagram, steps, seed)
+    return word.diagram(), _script(taken)
 
 
 def fuzz_invariance(
     diagram: Diagram, trials: int, steps: int, rng: Lcg
 ) -> list[tuple[int, MoveScript]]:
     """(trial, script) of each of ``trials`` walks of ``steps`` moves,
-    seeded in turn by ``rng``, that changed the F-fingerprint."""
+    seeded in turn by ``rng``, that changed the F-fingerprint.  Only a
+    failing walk's steps are made into a script."""
     base = f_sequence(diagram).fingerprint
     failures = []
     for trial in range(trials):
-        moved, script = random_walk(diagram, steps, rng.next_bits())
-        if f_sequence(moved).fingerprint != base:
-            failures.append((trial, script))
+        word, taken = _walk(diagram, steps, rng.next_bits())
+        if f_sequence(word.diagram()).fingerprint != base:
+            failures.append((trial, _script(taken)))
     return failures

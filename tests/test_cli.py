@@ -520,15 +520,16 @@ def test_verify_moves_rejects_negative_steps_without_trials(capsys):
 
 def test_verify_moves_reports_replayable_failures(capsys, monkeypatch):
     # A walk that lands on another knot must be reported with its script.
-    walk = vknot.moves.random_walk
-    other = parse_gauss(EXAMPLE_31_REVERSED)
+    walk = vknot.moves._walk
+    other = vknot.moves._Word(parse_gauss(EXAMPLE_31_REVERSED))
     walks = []
 
     def bad_walk(diagram, steps, seed):
-        walks.append((diagram,) + walk(diagram, steps, seed))
-        return other, walks[-1][2]
+        word, taken = walk(diagram, steps, seed)
+        walks.append((diagram, word.diagram(), taken))
+        return other, taken
 
-    monkeypatch.setattr(vknot.moves, "random_walk", bad_walk)
+    monkeypatch.setattr(vknot.moves, "_walk", bad_walk)
     code, out, _ = run(
         capsys, "verify-moves", "2.1", "--steps", "3", "--trials", "2", "--seed", "4"
     )

@@ -8,7 +8,9 @@ diagrams, the kernel's writhe table J_k(D_c), and the support of all
 smoothings together, must equal the oracle table of the validated
 smoothed diagram ``d.smooth(c)``.  The ``FReport`` views T_n and
 ``smoothed_row(n)``, read from the one dJ_n(D_c) table, must equal the
-dwrithes of those oracle tables for every n.  A planted fault, the other
+dwrithes of those oracle tables for every n, and F^n must equal its
+defining sum over the crossings, built from the oracle indices, dJ
+values and T_n.  A planted fault, the other
 smoothing segment, must fail the table check.
 
 Read from the one pass of ``test_universe.sweep`` over every code with
@@ -115,14 +117,19 @@ def test_kernel_unknot():
 
 def assert_views_match_smoothings(d: Diagram) -> None:
     report = f_sequence(d)
-    writhes, smoothed = writhe_table(d), oracle(d)[0]
+    writhes, smoothed, ind = writhe_table(d), oracle(d)[0], interlacement_index(d)
     # Two past the table's last row (n_max+1), which every view reads as zeros.
     for n in range(1, report.n_max + 4):
         d_n = dj(writhes, n)
         dc = {c: dj(table, n) for c, table in smoothed.items()}
-        assert report.t_set(n) == {c for c in dc if abs(dc[c]) == abs(d_n)}, (str(d), n)
+        t_n = {c for c in dc if abs(dc[c]) == abs(d_n)}
+        assert report.t_set(n) == t_n, (str(d), n)
         assert report.index.keys() == dc.keys(), str(d)
         assert report.smoothed_row(n) == tuple(dc[c] for c in report.index), (str(d), n)
+        # F^n by its definition, one term per crossing and sum.
+        terms = [(ind[c], dc[c], d.sign(c)) for c in dc]
+        terms += [(0, dc[c] if c in t_n else d_n, -d.sign(c)) for c in dc]
+        assert report.f_at(n) == map_terms(terms), (str(d), n)
 
 
 def test_views_match_smoothings_on_table(table_records):

@@ -1,6 +1,7 @@
 """Reidemeister rewriting: structure, inverses, invariance, determinism."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,62 @@ def test_a_walk_reuses_the_id_of_a_removed_crossing():
     assert [step["move"] for step in script.steps] == ["R1-", "R1+"]
     assert format_gauss(final) == "O2+ U3+ O4+ U2+ O3+ U4+ U1+ O1+"
     assert script.apply(start) == final
+
+
+# Any ids: numeric ones with and without leading zeros, "0" and letters.
+ID_POOL = ("1", "2", "3", "4", "5", "7", "10", "0", "01", "002", "a", "b3")
+
+
+def brute_force_fresh(word, count: int) -> list[str]:
+    """The ``count`` smallest tokens str(t), t >= 1, that no crossing in
+    the word's passes has as its id."""
+    used = {word.ids[k] for k, _ in word.passes}
+    out, token = [], 0
+    while len(out) < count:
+        token += 1
+        if str(token) not in used:
+            out.append(str(token))
+    return out
+
+
+def assert_fresh_ids_follow_the_rule(walks) -> int:
+    """Runs ``walks()`` with every ``_Word.fresh`` call checked against
+    ``brute_force_fresh`` and the id set and mark of the word checked
+    before it; returns how many calls took an id below the largest
+    numeric id present."""
+    fresh, below = vknot.moves._Word.fresh, [0]
+
+    def checked(word, *signs):
+        present = {word.ids[k] for k, _ in word.passes}
+        assert word.present == present
+        assert all(str(t) in present for t in range(1, word.mark))
+        expected = brute_force_fresh(word, len(signs))
+        out = fresh(word, *signs)
+        assert [word.ids[k] for k in out] == expected
+        below[0] += int(expected[0]) < max((int(c) for c in present if c.isdigit()), default=0)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vknot.moves._Word, "fresh", checked)
+        walks()
+    return below[0]
+
+
+def test_fresh_ids_on_long_walks_follow_the_rule(table_records):
+    # 200 steps grow words past 60 crossings and free ids below the mark.
+    def walks():
+        for seed, record in enumerate(table_records[::4]):
+            random_walk(record.diagram, 200, seed)
+
+    assert assert_fresh_ids_follow_the_rule(walks) > 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagrams(max_crossings=6), st.permutations(ID_POOL), st.integers(0, 2**32))
+def test_fresh_ids_follow_the_rule_for_any_ids(d, pool, seed):
+    rename = dict(zip(d.crossings(), pool))
+    d = Diagram(e._replace(crossing=rename[e.crossing]) for e in d.entries)
+    assert_fresh_ids_follow_the_rule(lambda: random_walk(d, 30, seed))
 
 
 # A case id names its move kind in words, e.g. r1_insert for R1+.
@@ -342,6 +399,43 @@ def test_walk_builds_one_diagram_and_scans_once_per_step(table_records, monkeypa
         kinds += [step["move"] for step in script.steps]
     assert found == {"R2-": kinds.count("R2-"), "R3": kinds.count("R3")}
     assert min(found.values()) > 100
+
+
+def test_walk_scans_each_kind_at_most_once_per_step(table_records, monkeypatch):
+    # A kind whose scan came back empty is redrawn without a second scan.
+    scanned = [[]]  # the kinds scanned in each step so far; a rewrite ends a step
+    for kind, move in list(vknot.moves._MOVES.items()):
+
+        def scan(word, kind=kind, sites=move.sites):
+            scanned[-1].append(kind)
+            return sites(word)
+
+        def rewrite(*args, rewrite=move.rewrite):
+            rewrite(*args)
+            scanned.append([])
+
+        monkeypatch.setitem(vknot.moves._MOVES, kind, move._replace(sites=scan, rewrite=rewrite))
+    for seed, start in enumerate([UNKNOT] + [r.diagram for r in table_records]):
+        for trial in range(3):
+            random_walk(start, 40, 3 * seed + trial)
+    steps = scanned[:-1]
+    assert len(steps) == 117 * 3 * 40
+    assert all(len(set(kinds)) == len(kinds) for kinds in steps)
+    assert sum(map(len, steps)) > len(steps) + 1000  # empty scans did happen
+
+
+def test_fuzz_scripts_are_the_walks_scripts(table_records, monkeypatch):
+    # Every walk that does not come back to its start text "fails" here.
+    monkeypatch.setattr(vknot.moves, "f_sequence", lambda d: SimpleNamespace(fingerprint=str(d)))
+    for record in table_records[::10]:
+        d = record.diagram
+        failures = vknot.moves.fuzz_invariance(d, 4, 12, Lcg(7))
+        rng = Lcg(7)
+        walks = [random_walk(d, 12, rng.next_bits()) for _ in range(4)]
+        assert failures == [(t, script) for t, (moved, script) in enumerate(walks) if moved != d]
+        assert failures
+        for trial, script in failures:
+            assert script.apply(d) == walks[trial][0]
 
 
 # -- invariance under all moves ----------------------------------------------------

@@ -20,7 +20,10 @@ compares the sweeps of sizes 0..m with the pins:
   fingerprint as often as ``CONTROL_MOVE_COUNTS`` says.
 
 Each code gets one ``f_sequence`` for the move, control and reflection
-checks, and each R-neighbour one ``apply_move`` call.  The suite runs
+checks, and each R-neighbour one ``apply_move`` call.  A plane
+reflection and a crossing change of a code are codes of the same size,
+so their analyses are read by code text once the size is analysed; a
+text missing there is a fault, never a skip.  The suite runs
 m = 3 (1,013 codes); CI runs m = 4 (27,893 codes) as one step.
 
 A sweep records each failing check under its name and is kept for the
@@ -37,7 +40,8 @@ from typing import NamedTuple
 from conftest import map_terms, writhe_table
 from vknot.enumerate import canonical_code, enumerate_codes
 from vknot.gauss import Diagram, Entry, format_gauss, parse_gauss
-from vknot.invariants import _smoothed_writhes, f_sequence
+from vknot.invariants import FReport, _smoothed_writhes, f_sequence
+from vknot.laurent import LaurentPoly2
 from vknot.moves import MoveError, apply_move, move_sites
 
 # Per m: the m-crossing codes of ``enumerate_codes(m)``, and their
@@ -157,11 +161,13 @@ def check_kernel(d: Diagram, code: str) -> None:
         assert _smoothed_writhes(d, passes2, c) == writhe_table(d.smooth(name)), (code, name)
 
 
-def check_reflection(d: Diagram, report, code: str) -> None:
+def check_reflection(d: Diagram, seen: dict, code: str) -> None:
     """F^n(reflect D)(t, l) = -F^n(D)(t^-1, l) for every n up to the
     larger n_max + 1.  Reflecting the plane negates every sign and keeps
-    the passes."""
-    reflected = f_sequence(Diagram(e._replace(sign=-e.sign) for e in d.entries))
+    the passes, so the reflection is a code of the same size, read from
+    ``seen``."""
+    report = seen[code]
+    reflected = seen[str(Diagram(e._replace(sign=-e.sign) for e in d.entries))]
     for n in range(1, max(report.n_max, reflected.n_max) + 2):
         expected = map_terms(report.f_at(n), lambda et, el, c: (-et, el, -c))
         assert reflected.f_at(n) == expected, (code, n)
@@ -177,18 +183,30 @@ def check_moves(d: Diagram, base, code: str, moves: Pin, singles: Pin) -> None:
         singles.add([code, kind, list(site) if kind == "R3" else [site], moved_code])
 
 
-def check_control(d: Diagram, base, code: str, unknot, control: dict) -> bool:
+def check_control(d: Diagram, seen: dict, code: str, unknot, control: dict) -> bool:
     """Adds d's control neighbours to ``control``'s (differs, all) counts
     and returns whether d is knotted.  Forbidden moves unknot every
-    virtual knot, so a knotted d has a neighbour that changes ``base``."""
-    changed = False
+    virtual knot, so a knotted d has a neighbour that changes its
+    fingerprint.  A crossing change is a code of the same size, read
+    from ``seen``."""
+    base, changed = seen[code].fingerprint, False
     for kind, moved in control_neighbours(d):
-        differs = f_sequence(moved).fingerprint != base
+        analysed = seen[str(moved)] if kind == "change" else f_sequence(moved)
+        differs = analysed.fingerprint != base
         control[kind][0] += differs
         control[kind][1] += 1
         changed |= differs
     assert changed or base == unknot, code
     return base != unknot
+
+
+class Seen(NamedTuple):
+    """What ``sweep`` keeps of a code's analysis, by code text."""
+
+    fingerprint: tuple
+    stable_tail: LaurentPoly2
+    n_max: int
+    f_at = FReport.f_at
 
 
 # The per-code checks of ``sweep``, each a key of ``Size.faults``.
@@ -214,9 +232,11 @@ class Size(NamedTuple):
 @cache
 def sweep(size: int) -> Size:
     """Every per-code check on every code with ``size`` crossings, in one
-    call of ``enumerate_codes``.  A failing check is recorded under its
-    name, up to five codes each, and the pass goes on, so each check
-    fails on its own; the result is kept for the process."""
+    call of ``enumerate_codes``.  Once every code is analysed, the
+    reflection and control checks read the analyses of the same-size
+    neighbours from the map ``seen``.  A failing check is recorded under
+    its name, up to five codes each, and the pass goes on, so each
+    check fails on its own; the result is kept for the process."""
     unknot = f_sequence(parse_gauss("")).fingerprint
     faults = {name: [] for name in CHECKS}
 
@@ -231,6 +251,8 @@ def sweep(size: int) -> Size:
     moves, singles = Pin(), Pin()
     control = {"over": [0, 0], "under": [0, 0], "change": [0, 0]}
     knotted = 0
+    seen: dict[str, Seen] = {}
+    distinct: dict[Seen, Seen] = {}  # codes share few analyses: keep one copy of each
     for d in enumerate_codes(size):
         code = str(d)
         if d.n_crossings != size and len(faults["size"]) < 5:
@@ -242,14 +264,17 @@ def sweep(size: int) -> Size:
         run("round trip", check_round_trip, d, code)
         run("kernel", check_kernel, d, code)
         report = f_sequence(d)
-        base = report.fingerprint
-        run("reflection", check_reflection, d, report, code)
-        run("moves", check_moves, d, base, code, moves, singles)
+        analysis = Seen(report.fingerprint, report.stable_tail, report.n_max)
+        seen[code] = distinct.setdefault(analysis, analysis)
+        run("moves", check_moves, d, report.fingerprint, code, moves, singles)
         if size <= 2:
             for kind, params, result in insertions(d):
                 singles.add([code, kind, params, result])
+    for code in seen:
+        d = parse_gauss(code)
+        run("reflection", check_reflection, d, seen, code)
         if size >= 2:
-            knotted += bool(run("control", check_control, d, base, code, unknot, control))
+            knotted += bool(run("control", check_control, d, seen, code, unknot, control))
     return Size(count, len(texts), len(classes), faults, moves.value(), singles.value(),
                 {kind: tuple(pair) for kind, pair in control.items()}, knotted)
 

@@ -9,6 +9,10 @@ any change to the LCG draw order, a move's site order or its rewrite
 fails here.  When a change of walks is intended, re-record the digest
 and say why in the change log.
 
+``LONG_PINS`` covers one 200-step and one 1,000-step walk from each
+table code, long enough for removals to free ids that later insertions
+take again.
+
 The replay applies every recorded step on its own through
 ``MoveScript.apply``, which calls ``apply_move``, so every intermediate
 diagram of every pinned walk is built and validated, and the replay
@@ -33,6 +37,16 @@ from vknot.table import load_table
 PINNED = "577ec7d1bdda3cfa3d6ddae44ef7457918442208b432efad2921ce167eb3c87a"
 STEPS = 40
 SEEDS_PER_CODE = 3
+
+# Per step count: the digest of one walk of that many steps from each
+# table code, seeded in turn by ``Lcg(steps)``.  Recorded before the
+# walk kept its ids in a set with a low-water mark.  Words of the
+# 200-step walks reach 63 crossings, so ids freed below the mark are
+# taken again; CI checks the 1,000-step walks.
+LONG_PINS = {
+    200: "d16a9de8affa2ad3d4cf8ac2bd581d519d0c5f83208ce143819955a883f01faa",
+    1000: "298f2ee1bee4da49cdef2f29af26b302d3e262b9847c793aeaba1af3d1738f01",
+}
 
 
 def start_codes() -> list[str]:
@@ -59,6 +73,20 @@ def walk_digest(walks) -> str:
     return digest.hexdigest()
 
 
+def long_walks(steps: int):
+    """(code, seed, start, final, script) of one ``steps``-step walk from
+    each table code."""
+    rng = Lcg(steps)
+    for record in load_table():
+        seed = rng.next_bits()
+        final, script = random_walk(record.diagram, steps, seed)
+        yield str(record.diagram), seed, record.diagram, final, script
+
+
+def assert_long_walks(steps: int) -> None:
+    assert walk_digest(long_walks(steps)) == LONG_PINS[steps]
+
+
 @pytest.fixture(scope="module")
 def walks():
     return list(pinned_walks())
@@ -76,6 +104,10 @@ def test_step_by_step_replay_ends_where_the_walk_did(walks):
         for step in script.steps:
             cur = MoveScript((step,)).apply(cur)
         assert cur == final, (code, seed)
+
+
+def test_long_walks_are_byte_identical():
+    assert_long_walks(200)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
