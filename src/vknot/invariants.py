@@ -36,10 +36,9 @@ are what equality of F-sequences means everywhere in this package.
 returns keeps Ind(c), the writhe table of D and the dJ table, and F^n,
 dJ_n(D), T_n and the rows of the dJ table are its methods.  The dJ
 table holds dJ_n(D_c) for n = 1 .. n_max+1 (one row per n) and every
-crossing c (one column per crossing, in traversal order).  It is filled
-in one pass over the smoothed writhe tables, J_k(D_c) adding to row k
-and J_{-k}(D_c) subtracting from it, and F^n and T_n read their rows
-from it; any n beyond the table reads zeros.  F^n sums its first part
+crossing c (one column per crossing, in traversal order); one of two
+kernels, below, fills it, and F^n and T_n read their rows from it; any
+n beyond the table reads zeros.  F^n sums its first part
 term by term and its T_n part in closed form: with d_n = dJ_n(D) != 0,
 every crossing contributes l^{d_n} except those with dJ_n(D_c) = -d_n,
 which contribute l^{-d_n}, so the part is -(sum of all signs - S)
@@ -62,12 +61,46 @@ It walks D over its positions, and each smoothing D_c over D's own
 positions in the order of ``Diagram.smooth``: the run from the Over
 pass to the Under pass forward, then the other run backward, with the
 sign of each crossing with exactly one endpoint in that backward run
-negated in a copy of the signs.  ``f_sequence`` doubles the pass tuple
-once, so that each run is one slice of it, and hands it to every
-smoothing: no smoothed word is assembled and no ``Diagram`` built per
-smoothing.  One writhe routine builds the J_k table of D and of every
-D_c (c left out) from the indices and signs.  ``Diagram.smooth`` stays
-the public transform and the kernel's test oracle.
+negated in a copy of the signs.  The walk (``_walk_table``) doubles
+the pass tuple once, so that each run is one slice of it, and hands it
+to every smoothing: no smoothed word is assembled and no ``Diagram``
+built per smoothing.  One writhe routine builds the J_k table of D and
+of every D_c (c left out) from the indices and signs.
+``Diagram.smooth`` stays the public transform and the kernels' test
+oracle.
+
+From ``_LANE_MIN`` crossings on, ``f_sequence`` takes the lane pass
+(``_lane_table``) instead, which analyses every smoothing at once from
+a closed form.  Write o_k and u_k for the Over and Under positions of
+crossing k, st(p) for the label step at position p (-s_k at o_k, +s_k
+at u_k), R_c for the run strictly between o_c and u_c forward (the run
+D_c keeps in order), and say that k and c interlace when exactly one
+pass of k lies in R_c (a symmetric relation).  Let
+
+    G_c(x) = sum over positions p < x of st(p) w_c(p),
+
+where w_c(p) is -1 at a pass of a crossing that interlaces c, 0 at a
+pass of c and +1 elsewhere: the signs of D_c are built into the steps.
+G_c sums to 0 round the cycle, so its differences are cyclic.  Then,
+for k != c, with e = +1 when o_k lies in R_c and -1 otherwise,
+
+    Ind_{D_c}(k) = e (G_c(o_k) - G_c(u_k) - s_k)               if k, c do not interlace
+    Ind_{D_c}(k) = e (G_c(o_k) + G_c(u_k) - G_c(o_c) - G_c(u_c))  if they do
+
+(the label along R_c is G_c less G_c(o_c); along the reversed run it
+is G_c(u_c) less G_c just after the pass).  With one lane per c in a
+Python int, one sweep of XOR toggles (lane c on after o_c, off at u_c)
+gives the lanes that interlace each k and those whose run holds o_k,
+one running sum over the 2m passes gives every G_c at once, and a fixed
+number of big-int operations per k gives Ind_{D_c}(k) in every lane.
+The dJ table is counted from the codes 2|Ind| + [s'_k sgn(Ind) < 0],
+s'_k the sign of k in D_c (-s_k where k and c interlace); the counting
+is described at ``_lane_table``.  Both kernels give the same n_max and
+dJ table, and the walk stays the reference of the lane pass's tests.
+Below ``_LANE_MIN`` the walk stays in use because it is faster there:
+the lane pass pays a fixed cost per diagram and per table row that a
+few short walks do not, and the table workload's codes (m <= 4) lie
+below the constant, the compute workload's (m = 32) above it.
 
 All functions are pure; diagrams are immutable; nothing here shares
 mutable state.
@@ -75,8 +108,10 @@ mutable state.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress
-from operator import neg
+from collections import Counter
+from itertools import accumulate, chain, compress, repeat
+from operator import neg, sub, xor
+from struct import Struct
 from typing import Iterable, NamedTuple, Sequence
 
 from .gauss import Diagram
@@ -237,16 +272,103 @@ def _smoothed_writhes(
     return _writhes(ind, sign)
 
 
-def _dj_table(smoothed: list[dict[int, int]], n_max: int) -> tuple[tuple[int, ...], ...]:
-    """dJ_n(D_c) for n = 1 .. n_max+1 (rows) and every crossing c
-    (columns, in the order of ``smoothed``), in one pass over the
-    smoothed writhe tables: J_k(D_c) adds to row k and J_{-k}(D_c)
-    subtracts from it."""
+def _walk_table(diagram: Diagram, bound: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """n_max and the dJ table by one index walk per smoothing; ``bound``
+    is the largest index magnitude of D itself.
+
+    The table has rows n = 1 .. n_max+1 and one column per crossing c,
+    filled in one pass over the smoothed writhe tables: J_k(D_c) adds
+    to row k and J_{-k}(D_c) subtracts from it."""
+    passes2 = diagram._passes * 2
+    smoothed = [_smoothed_writhes(diagram, passes2, c) for c in range(len(diagram._sign))]
+    n_max = max(bound, max(map(abs, chain(*smoothed)), default=0))
     rows = [[0] * len(smoothed) for _ in range(n_max + 2)]  # row 0 collects J_0, dropped
     for col, table in enumerate(smoothed):
         for k, j in table.items():
             rows[abs(k)][col] += j if k > 0 else -j
-    return tuple(map(tuple, rows[1:]))
+    return n_max, tuple(map(tuple, rows[1:]))
+
+
+def _lane_table(diagram: Diagram, bound: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``_walk_table`` for every smoothing at once: the closed form of
+    the module docstring, with lane c of each packed int for D_c.
+
+    A packed int is the sum of v_c 2^(w c) over the lanes c, for lanes
+    of w bits, a whole number of bytes with 2^(w-1) > 4(m-1), which
+    bounds every |v_c| met on the way.  Adding 2^(w-1) to every lane
+    (``bias``) makes each lane a nonnegative w-bit field, so lanes are
+    selected with masks.  Per crossing k a fixed number of operations
+    turns the lanes into codes, 2|Ind_{D_c}(k)| + 2 plus 1 when the
+    term of k in dJ(D_c), s'_k sgn(Ind_{D_c}(k)), is negative; lane k
+    reads 0, so it counts like an index 0.  Codes of smoothed indices
+    run up to 2m - 1 and each column sum below up to 2m - 1, so up to
+    128 crossings a byte holds both: row n of the table is one byte
+    translation of the m x m codes (2n+2 to 2, 2n+3 to 0, any other
+    code to 1) and one fold of its m rows, which leaves m + dJ_n(D_c)
+    in byte c.  Above that the codes are counted column by column.
+    """
+    sign, passes, opos, upos = diagram._sign, diagram._passes, diagram._opos, diagram._upos
+    m = len(sign)
+    step = 1  # bytes per lane
+    while 8 * step <= (4 * (m - 1)).bit_length():
+        step *= 2
+    w = 8 * step
+    lane = (1 << w) - 1
+    half = 1 << (w - 1)
+    ones = ((1 << (w * m)) - 1) // lane  # 1 in every lane
+    bias = half * ones
+    bit = [1 << (w * c) for c in range(m)]
+    # toggles[p]: the crossings with exactly one pass before position p.
+    toggles = list(accumulate((bit[k] for k, _ in passes), xor, initial=0))
+    wrapped = sum(b for b, o, u in zip(bit, opos, upos) if u < o)
+    inside = [wrapped ^ toggles[o] for o in opos]  # the c whose run holds o_k
+    cross = [toggles[o] ^ toggles[u] ^ b for o, u, b in zip(opos, upos, bit)]  # the c that k interlaces
+    steps = [s * (ones - b - 2 * x) for s, b, x in zip(sign, bit, cross)]
+    g = list(accumulate((-steps[k] if over else steps[k] for k, over in passes), initial=0))
+    ends = sum((g[o] + g[u] + bias) & (lane * b) for o, u, b in zip(opos, upos, bit)) - 2 * bias
+    low = (half - 1) * ones
+    codes = []
+    for o, u, s, x, b, i in zip(opos, upos, sign, cross, bit, inside):
+        go, gu = g[o], g[u]
+        y = go - gu + bias - s * ones  # the lanes c that k does not interlace
+        y ^= ((go + gu - ends) ^ y) & ((x | b) * lane)  # the others, and lane k at 0
+        minus = ((y >> (w - 1)) & ones) ^ ones  # the lanes below 0
+        size = ((y & low) ^ (minus * (half - 1))) + minus
+        codes.append((size << 1) + (minus ^ x ^ i ^ (3 * ones if s > 0 else 2 * ones)))
+    data = b"".join(code.to_bytes(step * m, "little") for code in codes)
+    table: list[tuple[int, ...]] = []
+    if m <= 128:
+        data = data[::step]
+        top = max(data, default=2) // 2 - 1  # the largest index magnitude of the smoothings
+        folds = []
+        height = m
+        while height > 1:
+            height = (height + 1) // 2
+            folds.append((8 * m * height, (1 << (8 * m * height)) - 1))
+        for n in range(1, top + 1):
+            counts = b"\1" * (2 * n + 2) + b"\2\0" + b"\1" * (252 - 2 * n)
+            total = int.from_bytes(data.translate(counts), "little")
+            for shift, mask in folds:
+                total = (total & mask) + (total >> shift)
+            # From a list: a tuple built from an iterator of unknown length
+            # is resized, and each row length's tuple free list would fill up.
+            table.append(tuple(list(map(sub, total.to_bytes(m, "little"), repeat(m)))))
+    else:
+        values = Struct(f"<{m * m}{'BHIQ'[step.bit_length() - 1]}").unpack(data)
+        top = max(values) // 2 - 1
+        zeros = [0] * top
+        columns = []
+        for c in range(m):
+            get = Counter(values[c::m]).get
+            plus, minus = map(get, range(4, 2 * top + 4, 2), zeros), map(get, range(5, 2 * top + 5, 2), zeros)
+            columns.append(map(sub, plus, minus))
+        table += zip(*columns)
+    n_max = max(bound, top)
+    table += [(0,) * m] * (n_max + 1 - top)
+    return n_max, tuple(table)
+
+
+_LANE_MIN = 6  # crossings from which f_sequence takes _lane_table, the measured crossover
 
 
 def _f_poly(
@@ -278,10 +400,8 @@ def f_sequence(diagram: Diagram) -> FReport:
     sign = diagram._sign
     indices = _indices(diagram._passes, sign)
     writhes = _writhes(indices, sign)
-    passes2 = diagram._passes * 2
-    smoothed = [_smoothed_writhes(diagram, passes2, c) for c in range(len(sign))]
-    n_max = max(map(abs, chain(writhes, *smoothed)), default=0)
-    table = _dj_table(smoothed, n_max)
+    kernel = _lane_table if len(sign) >= _LANE_MIN else _walk_table
+    n_max, table = kernel(diagram, max(map(abs, writhes), default=0))
     tail = _affine(indices, sign)
     total = sum(sign)
     polys = [_f_poly(indices, sign, row, _dj(writhes, n), total) for n, row in enumerate(table, start=1)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 import pytest
 from hypothesis import strategies as st
@@ -51,6 +52,16 @@ def writhe_table(d: Diagram) -> dict[int, int]:
     for c, k in interlacement_index(d).items():
         table[k] = table.get(k, 0) + d.sign(c)
     return table
+
+
+def dj_table(writhes: Iterable[dict[int, int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """n_max and the dJ table from the writhe tables of the smoothings,
+    in crossing order: the largest |k| of any key, and the rows of
+    dJ_n for n = 1 .. n_max+1, the form the kernels return for a
+    diagram whose own indices are all 0."""
+    writhes = list(writhes)
+    n_max = max((abs(k) for table in writhes for k in table), default=0)
+    return n_max, tuple(tuple(t.get(n, 0) - t.get(-n, 0) for t in writhes) for n in range(1, n_max + 2))
 
 
 def map_terms(poly, fn=None) -> LaurentPoly2:

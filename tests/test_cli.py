@@ -146,11 +146,15 @@ def test_compute_json_schema(capsys):
 
 
 def test_compute_all_smooths_each_crossing_once(capsys, monkeypatch):
-    # Counts the integer kernel's per-smoothing step; no validated
-    # Diagram is smoothed on the way.
-    text = random_code(32, seed=7)
-    step = vknot.invariants._smoothed_writhes
-    smoothed = []
+    # No validated Diagram is smoothed on the way, and every smoothing is
+    # analysed once: a 32-crossing code takes one lane pass over all of
+    # them, and a code below _LANE_MIN one index walk per crossing.
+    lane, step = vknot.invariants._lane_table, vknot.invariants._smoothed_writhes
+    lane_passes, smoothed = [], []
+
+    def counting_lane(diagram, bound):
+        lane_passes.append(diagram.n_crossings)
+        return lane(diagram, bound)
 
     def counting_step(diagram, passes2, c):
         smoothed.append(diagram.crossings()[c])
@@ -159,12 +163,18 @@ def test_compute_all_smooths_each_crossing_once(capsys, monkeypatch):
     def no_smooth(self, crossing):
         raise AssertionError("Diagram.smooth called")
 
+    monkeypatch.setattr(vknot.invariants, "_lane_table", counting_lane)
     monkeypatch.setattr(vknot.invariants, "_smoothed_writhes", counting_step)
     monkeypatch.setattr(Diagram, "smooth", no_smooth)
-    code, out, _ = run(capsys, "compute", text, "--all")
+    code, out, _ = run(capsys, "compute", random_code(32, seed=7), "--all")
     assert code == 0
     assert "crossings: 32" in out
-    assert sorted(smoothed) == sorted(parse_gauss(text).crossings())
+    assert (lane_passes, smoothed) == ([32], [])
+    small = random_code(vknot.invariants._LANE_MIN - 1, seed=7)
+    code, out, _ = run(capsys, "compute", small, "--all")
+    assert code == 0
+    assert lane_passes == [32]
+    assert sorted(smoothed) == sorted(parse_gauss(small).crossings())
 
 
 def test_compute_all_computes_each_smoothed_dwrithe_once(capsys, monkeypatch):

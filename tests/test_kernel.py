@@ -1,12 +1,15 @@
-"""The integer analysis kernel against independent oracles.
+"""The integer analysis kernels against independent oracles.
 
 Ind(c) must equal ``interlacement_index``, a count read off the raw
 Gauss code with no arc labels.  The oracle writhe table of a diagram is
 built from that count and the signs alone, so it shares no code with the
 kernel.  For every crossing c of the table codes and of random
-diagrams, the kernel's writhe table J_k(D_c), and the support of all
+diagrams, the walk's writhe table J_k(D_c), and the support of all
 smoothings together, must equal the oracle table of the validated
-smoothed diagram ``d.smooth(c)``.  The ``FReport`` views T_n and
+smoothed diagram ``d.smooth(c)``, and the lane pass, called directly
+whatever the size, must give the n_max and dJ table of those oracle
+tables, also on codes whose indices pass one byte, where the two
+kernels give equal reports.  The ``FReport`` views T_n and
 ``smoothed_row(n)``, read from the one dJ_n(D_c) table, must equal the
 dwrithes of those oracle tables for every n, and F^n must equal its
 defining sum over the crossings, built from the oracle indices, dJ
@@ -14,7 +17,7 @@ values and T_n.  A planted fault, the other
 smoothing segment, must fail the table check.
 
 Read from the one pass of ``test_universe.sweep`` over every code with
-at most three crossings: the kernel against the oracle at every
+at most three crossings: both kernels against the oracle at every
 crossing; every R1-, R2- and R3 neighbour keeps the F-fingerprint and
 the neighbours are ``MOVE_DIGESTS``; control moves, which are not
 Reidemeister moves, change the fingerprint as often as
@@ -27,10 +30,10 @@ import pytest
 from hypothesis import given, settings
 
 import vknot.invariants
-from conftest import diagrams, interlacement_index, map_terms, random_code, writhe_table
+from conftest import diagrams, dj_table, interlacement_index, map_terms, random_code, writhe_table
 from test_universe import CONTROL_MOVE_COUNTS, MOVE_DIGESTS, control_totals, sweep
 from vknot.gauss import Diagram, parse_gauss
-from vknot.invariants import _indices, _smoothed_writhes, _writhes, f_sequence
+from vknot.invariants import _indices, _lane_table, _smoothed_writhes, _walk_table, _writhes, f_sequence
 from vknot.table import Verdict, verify_record
 
 
@@ -53,30 +56,38 @@ def kernel(d: Diagram) -> tuple[dict[str, dict[int, int]], frozenset[int]]:
     return writhes, support(writhes)
 
 
+def assert_kernels_match_oracle(d: Diagram) -> None:
+    """The walk's writhe tables and the lane pass's n_max and dJ table,
+    whatever the size, against the oracle."""
+    expected = oracle(d)
+    assert kernel(d) == expected, str(d)
+    assert _lane_table(d, 0) == dj_table(expected[0].values()), str(d)
+
+
 def test_kernel_matches_oracle_on_table(table_records):
     for record in table_records:
         d = record.diagram
         for variant in (d, d.reverse(), d.mirror()):
-            assert kernel(variant) == oracle(variant), (record.name, str(variant))
+            assert_kernels_match_oracle(variant)
 
 
 @pytest.mark.parametrize("seed", range(24))
 def test_kernel_matches_oracle_on_random_diagrams(seed):
     # 24 sizes spread over 1..64, both ends included.
-    d = parse_gauss(random_code(1 + (seed * 37) % 64, seed))
-    assert kernel(d) == oracle(d)
+    assert_kernels_match_oracle(parse_gauss(random_code(1 + (seed * 37) % 64, seed)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(diagrams(max_crossings=8))
 def test_kernel_matches_oracle_property(d):
-    assert kernel(d) == oracle(d)
+    assert_kernels_match_oracle(d)
 
 
 @pytest.mark.parametrize("code", ["O1+ U1+", "U1- O1-"])
 def test_kernel_kink_smooths_to_empty_word(code):
     d = parse_gauss(code)
     assert kernel(d) == oracle(d) == ({"1": {}}, frozenset())
+    assert _lane_table(d, 0) == (0, ((0,),))
 
 
 @pytest.mark.parametrize(
@@ -87,8 +98,7 @@ def test_kernel_kink_smooths_to_empty_word(code):
     ],
 )
 def test_kernel_adjacent_under_over_passes(code):
-    d = parse_gauss(code)
-    assert kernel(d) == oracle(d)
+    assert_kernels_match_oracle(parse_gauss(code))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -110,6 +120,40 @@ def test_control_moves_change_fingerprint_on_every_small_code():
 
 def test_kernel_unknot():
     assert kernel(parse_gauss("")) == oracle(parse_gauss("")) == ({}, frozenset())
+    assert _lane_table(parse_gauss(""), 0) == (0, ((),))
+
+
+# -- wide indices: the lane pass past one byte -----------------------------------------
+
+# Every pair of the n crossings of COMPLETE[n] interlaces, so Ind(k) =
+# n + 1 - 2k: with n = 140, n_max = 139, while every smoothing has only
+# index 0.  After a kink, the smoothing at the kink keeps the indices of
+# the rest: with 127 more crossings its codes reach 255, the last that
+# fits the one-byte fold (m = 128), and with 128 more they pass it.
+COMPLETE = {n: " ".join([f"O{i}+" for i in range(1, n + 1)] + [f"U{i}+" for i in range(1, n + 1)])
+            for n in (127, 128, 140)}
+WIDE_CODES = [COMPLETE[140], "O0+ U0+ " + COMPLETE[127], "O0+ U0+ " + COMPLETE[128]]
+
+
+@pytest.mark.parametrize("code", WIDE_CODES)
+def test_lane_pass_on_wide_indices(code, monkeypatch):
+    d = parse_gauss(code)
+    lanes = f_sequence(d)
+    assert lanes.n_max == {140: 139, 128: 126, 129: 127}[d.n_crossings]
+    smoothed = dj_table(oracle(d)[0].values())
+    assert _lane_table(d, 0) == _walk_table(d, 0) == smoothed
+    assert lanes.smoothed_dj[: smoothed[0] + 1] == smoothed[1]
+    monkeypatch.setattr(vknot.invariants, "_LANE_MIN", d.n_crossings + 1)
+    assert f_sequence(d) == lanes  # the walk's report, fingerprint included
+
+
+def assert_lane_pass_matches_walk(sizes=(128, 256, 512), seeds=range(1, 4)) -> None:
+    """The lane pass against the walk, n_max and dJ table, on seeded
+    random codes of each size and on ``WIDE_CODES``.  The oracle tests
+    stop at 64 crossings; CI runs this past the one-byte fold at 128."""
+    for code in [random_code(m, seed) for m in sizes for seed in seeds] + WIDE_CODES:
+        d = parse_gauss(code)
+        assert _lane_table(d, 0) == _walk_table(d, 0), (d.n_crossings, code[:40])
 
 
 # -- views of the dJ_n(D_c) table ----------------------------------------------------
