@@ -92,18 +92,18 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     label = f"knot {name}: " if name else ""
     tail = str(report.stable_tail)
     lines = [f"{label}gauss: {str(diagram) or '(unknot)'}", f"crossings: {diagram.n_crossings}"]
-    # One column of the dJ table per crossing: dJ_n(D_c) for each n shown.
-    heads = [f"dJ_{n}(D_c)=" for n in ns]
-    columns = zip(*[report.smoothed_row(n) for n in ns])
-    for (c, k), column in zip(report.index.items(), columns):
-        smoothed = " ".join([head + str(dj) for head, dj in zip(heads, column)])
-        lines.append(f"crossing {c}: sign={diagram.sign(c):+d} index={k} {smoothed}")
+    # One line per crossing, from its column of the dJ table: dJ_n(D_c) for each n shown.
+    crossing = "crossing %s: sign=%+d index=%d" + "".join([f" dJ_{n}(D_c)=%d" for n in ns])
+    rows = [report.smoothed_row(n) for n in ns]
+    index = report.index
+    lines += map(crossing.__mod__, zip(index, map(diagram.sign, index), index.values(), *rows))
     lines.append(f"P(t) = {tail}")
     lines.append(f"n_max = {report.n_max}")
     for n in ns:
         ts = ",".join(sorted(report.t_set(n)))
         f_n = report.f_at(n)
-        lines.append(f"n={n}: dJ_{n}(D)={report.dwrithe(n)} T_{n}={{{ts}}} F^{n} = {f_n}")
+        f_text = tail if f_n == report.stable_tail else str(f_n)
+        lines.append(f"n={n}: dJ_{n}(D)={report.dwrithe(n)} T_{n}={{{ts}}} F^{n} = {f_text}")
     if args.all:
         lines.append(f"stable tail (n > {report.n_max}): {tail}")
     print("\n".join(lines))

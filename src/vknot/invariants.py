@@ -245,7 +245,7 @@ class FReport(NamedTuple):
         if n < 1:
             raise NonpositiveN(f"T_n needs n >= 1, got {n}")
         size = abs(_dj(self.writhes, n))
-        return frozenset(c for c, dc in zip(self.index, self.smoothed_row(n)) if abs(dc) == size)
+        return frozenset(compress(self.index, map(size.__eq__, map(abs, self.smoothed_row(n)))))
 
 
 def _smoothed_writhes(
@@ -286,7 +286,7 @@ def _walk_table(diagram: Diagram, bound: int) -> tuple[int, tuple[tuple[int, ...
     for col, table in enumerate(smoothed):
         for k, j in table.items():
             rows[abs(k)][col] += j if k > 0 else -j
-    return n_max, tuple(map(tuple, rows[1:]))
+    return n_max, tuple([tuple(row) for row in rows[1:]])  # from a list: see _lane_table
 
 
 def _lane_table(diagram: Diagram, bound: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -335,7 +335,7 @@ def _lane_table(diagram: Diagram, bound: int) -> tuple[int, tuple[tuple[int, ...
         minus = ((y >> (w - 1)) & ones) ^ ones  # the lanes below 0
         size = ((y & low) ^ (minus * (half - 1))) + minus
         codes.append((size << 1) + (minus ^ x ^ i ^ (3 * ones if s > 0 else 2 * ones)))
-    data = b"".join(code.to_bytes(step * m, "little") for code in codes)
+    data = b"".join([code.to_bytes(step * m, "little") for code in codes])
     table: list[tuple[int, ...]] = []
     if m <= 128:
         data = data[::step]
@@ -379,8 +379,8 @@ def _f_poly(
     of the module docstring."""
     terms: dict[tuple[int, int], int] = {}
     get = terms.get
-    for k, s, dc in zip(ind, signs, row):
-        terms[k, dc] = get((k, dc), 0) + s
+    for key, s in zip(zip(ind, row), signs):
+        terms[key] = get(key, 0) + s
     flipped = sum(compress(signs, map((-d_n).__eq__, row))) if d_n else 0
     terms[0, d_n] = get((0, d_n), 0) - (total - flipped)
     terms[0, -d_n] = get((0, -d_n), 0) - flipped
@@ -412,4 +412,5 @@ def f_sequence(diagram: Diagram) -> FReport:
     while len(polys) > 1 and polys[-2] == tail:  # keep the first stabilized entry only
         polys.pop()
     ind = dict(zip(diagram._number, indices))
-    return FReport(diagram, n_max, tuple(enumerate(polys, 1)), tail, ind, writhes, table)
+    fingerprint = tuple(list(enumerate(polys, 1)))  # from a list: see _lane_table
+    return FReport(diagram, n_max, fingerprint, tail, ind, writhes, table)

@@ -21,6 +21,7 @@ way such polynomials are tabulated (ascending t-degree).
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 
 class PolyParseError(ValueError):
@@ -35,6 +36,30 @@ _TERM_RE = re.compile(
      """,
     re.VERBOSE,
 )
+
+
+# The text of each exponent's t factor, and of its l factor with the
+# "*" that joins it to a t factor, for every exponent rendered so far:
+# LaurentPoly2.__str__ adds the exponents of a polynomial on first use.
+# An exponent's text is the same whoever adds it, so threads may share
+# them.
+_T_TEXT = {0: "", 1: "t"}
+_L_TEXT = {0: "", 1: "*l"}
+_EXPONENTS = itemgetter(0)  # the keys are distinct: sorting by them is canonical order
+
+
+def _render(items: list[tuple[tuple[int, int], int]]) -> str:
+    """The terms, in order, each with its sign (the first one too)."""
+    t_text, l_text = _T_TEXT, _L_TEXT
+    out = []
+    for (et, el), c in items:
+        if et:
+            out.append(("+" if c == 1 else "-" if c == -1 else f"{c:+d}") + t_text[et] + l_text[el])
+        elif el:
+            out.append(("+" if c == 1 else "-" if c == -1 else f"{c:+d}") + l_text[el][1:])
+        else:
+            out.append(f"{c:+d}")
+    return "".join(out)
 
 
 class LaurentPoly2:
@@ -77,25 +102,20 @@ class LaurentPoly2:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
-        out: list[str] = []
-        for (et, el), coeff in sorted(self._terms.items()):
-            sign = "-" if coeff < 0 else ("+" if out else "")
-            mag = abs(coeff)
-            factors = []
-            if et:
-                factors.append("t" if et == 1 else f"t^{et}")
-            if el:
-                factors.append("l" if el == 1 else f"l^{el}")
-            if not factors:
-                body = str(mag)
-            else:
-                body = "*".join(factors)
-                if mag != 1:
-                    body = f"{mag}{body}"
-            out.append(sign + body)
-        return "".join(out)
+        items = sorted(terms.items(), key=_EXPONENTS)
+        try:
+            text = _render(items)
+        except KeyError:  # an exponent not rendered before
+            for et, el in terms:
+                if et not in _T_TEXT:
+                    _T_TEXT[et] = f"t^{et}"
+                if el not in _L_TEXT:
+                    _L_TEXT[el] = f"*l^{el}"
+            text = _render(items)
+        return text[1:] if text[0] == "+" else text
 
     def __repr__(self) -> str:
         return f"LaurentPoly2({str(self)!r})"

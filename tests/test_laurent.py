@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from conftest import laurent_term_lists, map_terms
+from vknot import laurent
 from vknot.laurent import LaurentPoly2, PolyParseError, parse_poly
 
 ZERO = LaurentPoly2()
@@ -116,3 +117,45 @@ def test_big_coefficients_do_not_overflow():
     p = map_terms([(1, 1, big)] * 1000)
     assert p.terms() == [(1, 1, 1000 * big)]
     assert parse_poly(str(p)) == p
+
+
+def reference_text(terms: dict[tuple[int, int], int]) -> str:
+    """The canonical text of a term map, written out term by term."""
+    pieces = []
+    for (et, el), c in sorted(terms.items()):
+        factors = [var if e == 1 else f"{var}^{e}" for var, e in (("t", et), ("l", el)) if e]
+        body = "*".join(factors)
+        if not body or abs(c) != 1:
+            body = f"{abs(c)}{body}"
+        pieces.append(("-" if c < 0 else "+") + body)
+    return "".join(pieces).removeprefix("+") or "0"
+
+
+EXPONENTS = [0, 1, -1, 2, -2, 63, -63, 64, -64, 65, -65, 300, -300, 10**4, -(10**4)]
+COEFFICIENTS = [1, -1, 2, -2, 10**30, -(10**30)]
+
+
+def rendering_grid() -> list[dict[tuple[int, int], int]]:
+    """The zero polynomial; every constant, t-only, l-only and mixed
+    monomial over the grid; and sums of grid terms with all four kinds."""
+    polys = [{}]
+    polys += [{(et, el): c} for et in EXPONENTS for el in EXPONENTS for c in COEFFICIENTS]
+    keys = [(et, el) for et in EXPONENTS for el in EXPONENTS]
+    for shift in range(len(COEFFICIENTS)):
+        cycle = COEFFICIENTS[shift:] + COEFFICIENTS[:shift]
+        polys.append({key: cycle[i % len(cycle)] for i, key in enumerate(keys)})
+        polys.append({key: cycle[i % len(cycle)] for i, key in enumerate(keys) if i % (shift + 2) == 0})
+    return polys
+
+
+def test_rendering_matches_the_reference_on_the_grid(monkeypatch):
+    # Start from memos that hold only the fixed texts of exponents 0 and
+    # 1, so that the first rendering of each polynomial fills them.
+    for name in ("_T_TEXT", "_L_TEXT"):
+        monkeypatch.setattr(laurent, name, {e: t for e, t in getattr(laurent, name).items() if e in (0, 1)})
+    for terms in rendering_grid():
+        poly = LaurentPoly2(terms)
+        first = str(poly)
+        assert first == reference_text(terms)
+        assert str(poly) == first
+        assert parse_poly(first) == poly

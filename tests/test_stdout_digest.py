@@ -4,9 +4,9 @@ One sha256 covers the argv, exit code and stdout of every run below.
 The pinned digest was recorded before the integer analysis kernel
 replaced the ``Diagram.smooth`` path, so any change to what the
 commands print, for any input of the corpus, fails here.  A second
-set of digests pins JSON reports of ``compute``, one per run.  When an
-output change is intended, re-record the digest and say why in the
-change log.
+set of digests pins JSON reports of ``compute``, one per run, and a
+third the text reports of large diagrams.  When an output change is
+intended, re-record the digest and say why in the change log.
 """
 
 import contextlib
@@ -36,9 +36,9 @@ def corpus() -> list[list[str]]:
     return runs
 
 
-def stdout_digest() -> str:
+def stdout_digest(runs: list[list[str]]) -> str:
     digest = hashlib.sha256()
-    for argv in corpus():
+    for argv in runs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
@@ -50,7 +50,25 @@ def stdout_digest() -> str:
 
 def test_stdout_is_byte_identical_on_the_corpus(monkeypatch):
     monkeypatch.delenv("VKNOT_TABLE_DIR", raising=False)
-    assert stdout_digest() == PINNED
+    assert stdout_digest(corpus()) == PINNED
+
+
+# Recorded before the polynomial text was read from memoised exponent
+# text and the crossing lines from one format per report.
+LARGE_PINNED = "e51d58e525314c34ca3c43643073f9b2f0f20f4a52a813db1b0a873e23d8af11"
+
+
+def large_corpus() -> list[list[str]]:
+    """``compute --all`` on random codes of 64 to 256 crossings, and on a
+    140-crossing code whose indices run from -139 to 139."""
+    codes = [random_code(m, 3) for m in (64, 96, 128, 256)]
+    wide = [f"O{i}+" for i in range(1, 141)] + [f"U{i}+" for i in range(1, 141)]
+    codes.append(" ".join(wide))
+    return [["compute", code, "--all"] for code in codes]
+
+
+def test_stdout_is_byte_identical_on_large_diagrams():
+    assert stdout_digest(large_corpus()) == LARGE_PINNED
 
 
 # sha256 of the stdout of each JSON report, recorded before the CLI took
