@@ -99,8 +99,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     lines += map(crossing.__mod__, zip(index, map(diagram.sign, index), index.values(), *rows))
     lines.append(f"P(t) = {tail}")
     lines.append(f"n_max = {report.n_max}")
-    for n in ns:
-        ts = ",".join(sorted(report.t_set(n)))
+    # T_n (FReport.t_set): the crossings c with |dJ_n(D_c)| = |dJ_n(D)|, listed by name.
+    names = list(index)
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    for n, row in zip(ns, rows):
+        size = abs(report.dwrithe(n))
+        ts = ",".join([names[i] for i in by_name if abs(row[i]) == size])
         f_n = report.f_at(n)
         f_text = tail if f_n == report.stable_tail else str(f_n)
         lines.append(f"n={n}: dJ_{n}(D)={report.dwrithe(n)} T_{n}={{{ts}}} F^{n} = {f_text}")
@@ -133,18 +137,16 @@ def _cmd_tabulate(args: argparse.Namespace) -> int:
         print(json.dumps(out))
     else:
         sep = "\t" if args.format == "text" else ","
-        if args.format == "csv":
-            print("name,n,polynomial,status")
-        for v in verdicts:
-            for n, poly in v.rows:
-                print(f"{v.name}{sep}{n}{sep}{poly}{sep}{v.status.value}")
-    if args.format == "text":
-        statuses = [v.status for v in verdicts]
-        counts = ", ".join(f"{statuses.count(s)} {s.value}" for s in Verdict)
-        print(f"{len(verdicts)} records: {counts}")
-        if args.groups:
-            for names in group_by_f_sequence(verdicts):
-                print("group: " + " ".join(names))
+        lines = ["name,n,polynomial,status"] if args.format == "csv" else []
+        row = f"%s{sep}%d{sep}%s{sep}%s"
+        lines += [row % (v.name, n, poly, v.status.value) for v in verdicts for n, poly in v.rows]
+        if args.format == "text":
+            statuses = [v.status for v in verdicts]
+            counts = ", ".join(f"{statuses.count(s)} {s.value}" for s in Verdict)
+            lines.append(f"{len(verdicts)} records: {counts}")
+            if args.groups:
+                lines += ["group: " + " ".join(names) for names in group_by_f_sequence(verdicts)]
+        print("\n".join(lines))
 
     failures = [v for v in verdicts if not v.ok]
     for v in failures:

@@ -19,8 +19,15 @@ and digits (``[0-9A-Za-z]+``), ``<sign>`` is ``+`` or ``-``.  The empty
 (or all-separator) string encodes the unknot diagram (no classical
 crossings).  A ``Diagram`` built from entries enforces the same
 grammar: each id is a ``str`` of ASCII letters and digits, each pass
-flag a ``bool`` and each sign the ``int`` 1 or -1.  Its one checking
-loop also builds the integer form that ``invariants`` reads.
+flag a ``bool`` and each sign the ``int`` 1 or -1.
+
+A ``Diagram`` stores only its integer form, the one ``invariants`` and
+``moves`` read; its ``entries`` are a view of it, built on first read.
+One numbering and pairing loop builds that form from (id, pass flag,
+sign) triples for ``parse_gauss``, ``Diagram(entries)``, the transforms
+and the move rewrites.  ``parse_gauss`` checks every token before the
+loop pairs any of them; ``Diagram(entries)`` checks each entry as the
+loop draws it, so the first fault in entry order is the one reported.
 
 Transforms:
 
@@ -47,7 +54,7 @@ four-crossing tables, and it is pinned by the regression tests.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GaussCodeError(ValueError):
@@ -84,6 +91,21 @@ class Entry(NamedTuple):
 
 _PASSES = {"O": True, "o": True, "U": False, "u": False}
 _SIGNS = {"+": 1, "-": -1}
+_PASS_TEXT = ("U", "O")  # indexed by the pass flag
+_SIGN_TEXT = {1: "+", -1: "-"}
+
+
+def _checked(entries: Iterable[Entry]) -> Iterator[tuple[str, bool, int]]:
+    """Each entry as an (id, pass flag, sign) triple, checked against the
+    grammar of the module docstring as it is drawn."""
+    for crossing, over, sign in entries:
+        if not (isinstance(crossing, str) and crossing.isascii() and crossing.isalnum()):
+            raise MalformedToken(f"bad crossing id {crossing!r}")
+        if type(sign) is not int or (sign != 1 and sign != -1):
+            raise MalformedToken(f"bad sign {sign!r} at {crossing!r}")
+        if type(over) is not bool:
+            raise MalformedToken(f"bad pass flag {over!r} at {crossing!r}")
+        yield crossing, over, sign
 
 
 class Diagram:
@@ -94,28 +116,36 @@ class Diagram:
     Equality is entry-for-entry (a rotation is a different value that
     represents the same knot; all invariants agree on rotations).
 
-    The validating loop also builds the integer form that ``invariants``
-    reads: ``_number`` maps each id to k, its first-appearance number,
-    the tuple ``_passes`` holds (k, pass flag) for each position, and
-    the tuples ``_sign``, ``_opos`` and ``_upos`` are indexed by k.
+    Only the integer form is stored: ``_number`` maps each id to k, its
+    first-appearance number, the tuple ``_passes`` holds (k, pass flag)
+    for each position, and the tuples ``_sign``, ``_opos`` and ``_upos``
+    are indexed by k.  ``entries`` is a view of it, built on first read
+    and then kept; equality, hashing and ``len`` read the integer form.
     """
 
-    __slots__ = ("_entries", "_number", "_passes", "_sign", "_opos", "_upos")
+    __slots__ = ("_number", "_passes", "_sign", "_opos", "_upos", "_entries")
 
     def __init__(self, entries: Iterable[Entry]):
-        ents = tuple(entries)
+        self._pair(_checked(entries))
+
+    @classmethod
+    def _of(cls, triples: Iterable[tuple[str, bool, int]]) -> "Diagram":
+        """The Diagram of (id, pass flag, sign) triples that already meet
+        the grammar; their pairing is checked."""
+        diagram = object.__new__(cls)
+        diagram._pair(triples)
+        return diagram
+
+    def _pair(self, triples: Iterable[tuple[str, bool, int]]) -> None:
+        """The one numbering and pairing loop: number the crossings in
+        order of first appearance, check that each has one Over and one
+        Under pass of one sign, and store the integer form."""
         number: dict[str, int] = {}
         passes: list[tuple[int, bool]] = []
         signs: list[int] = []
         opos: list[int] = []
         upos: list[int] = []
-        for pos, (crossing, over, sign) in enumerate(ents):
-            if not (isinstance(crossing, str) and crossing.isascii() and crossing.isalnum()):
-                raise MalformedToken(f"bad crossing id {crossing!r}")
-            if type(sign) is not int or (sign != 1 and sign != -1):
-                raise MalformedToken(f"bad sign {sign!r} at {crossing!r}")
-            if type(over) is not bool:
-                raise MalformedToken(f"bad pass flag {over!r} at {crossing!r}")
+        for pos, (crossing, over, sign) in enumerate(triples):
             table = opos if over else upos
             k = number.get(crossing)
             if k is None:
@@ -130,16 +160,16 @@ class Diagram:
                 raise SignMismatch(f"crossing {crossing!r} has inconsistent signs")
             table[k] = pos
             passes.append((k, over))
-        # No crossing has two passes of one kind, so 2m entries means both.
-        if len(ents) != 2 * len(signs):
+        # No crossing has two passes of one kind, so 2m passes means both.
+        if len(passes) != 2 * len(signs):
             odd = [c for c, k in number.items() if opos[k] < 0 or upos[k] < 0]
             raise BadPairing(f"crossings without both passes: {sorted(odd)}")
-        object.__setattr__(self, "_entries", ents)
-        object.__setattr__(self, "_number", number)
-        object.__setattr__(self, "_passes", tuple(passes))
-        object.__setattr__(self, "_sign", tuple(signs))
-        object.__setattr__(self, "_opos", tuple(opos))
-        object.__setattr__(self, "_upos", tuple(upos))
+        setattr_ = object.__setattr__
+        setattr_(self, "_number", number)
+        setattr_(self, "_passes", tuple(passes))
+        setattr_(self, "_sign", tuple(signs))
+        setattr_(self, "_opos", tuple(opos))
+        setattr_(self, "_upos", tuple(upos))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Diagram is immutable")
@@ -149,12 +179,22 @@ class Diagram:
 
     # -- basic inspection ----------------------------------------------------
 
+    def _triples(self) -> list[tuple[str, bool, int]]:
+        """(id, pass flag, sign) for each position."""
+        ids, sign = tuple(self._number), self._sign
+        return [(ids[k], over, sign[k]) for k, over in self._passes]
+
     @property
     def entries(self) -> tuple[Entry, ...]:
-        return self._entries
+        try:
+            return self._entries
+        except AttributeError:  # not read before
+            entries = tuple([Entry(*triple) for triple in self._triples()])
+            object.__setattr__(self, "_entries", entries)
+            return entries
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._passes)
 
     @property
     def n_crossings(self) -> int:
@@ -176,10 +216,15 @@ class Diagram:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Diagram):
             return NotImplemented
-        return self._entries == other._entries
+        # Equal numberings: the same ids in order of first appearance.
+        return (
+            self._passes == other._passes
+            and self._sign == other._sign
+            and self._number == other._number
+        )
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return hash((self._passes, self._sign, *self._number))
 
     def __str__(self) -> str:
         return format_gauss(self)
@@ -191,19 +236,20 @@ class Diagram:
 
     def rotate(self, k: int) -> "Diagram":
         """Shift the basepoint: entry i of the result is entry i+k of self."""
-        n = len(self._entries)
+        n = len(self._passes)
         if n == 0:
             return self
         k %= n
-        return Diagram(self._entries[k:] + self._entries[:k])
+        triples = self._triples()
+        return self._of(triples[k:] + triples[:k])
 
     def mirror(self) -> "Diagram":
         """Switch all classical crossings: passes flip, signs negate."""
-        return Diagram(Entry(e.crossing, not e.over, -e.sign) for e in self._entries)
+        return self._of([(c, not over, -sign) for c, over, sign in self._triples()])
 
     def reverse(self) -> "Diagram":
         """Reverse the orientation: the word reverses, passes and signs stay."""
-        return Diagram(reversed(self._entries))
+        return self._of(reversed(self._triples()))
 
     def smooth(self, crossing: str) -> "Diagram":
         """Against-orientation smoothing at ``crossing``.
@@ -214,22 +260,18 @@ class Diagram:
         """
         k = self._k(crossing)
         o, u = self._opos[k], self._upos[k]
-        n = len(self._entries)
+        triples = self._triples()
+        n = len(triples)
         # Segment strictly between the Under pass and the Over pass,
         # walking forward; this is the strand whose orientation flips.
-        reversed_seg = [self._entries[i % n] for i in range(u + 1, u + (o - u) % n)]
-        kept_seg = [self._entries[i % n] for i in range(o + 1, o + (u - o) % n)]
+        reversed_seg = [triples[i % n] for i in range(u + 1, u + (o - u) % n)]
+        kept_seg = [triples[i % n] for i in range(o + 1, o + (u - o) % n)]
         inside_count: dict[str, int] = {}
-        for entry in reversed_seg:
-            inside_count[entry.crossing] = inside_count.get(entry.crossing, 0) + 1
+        for c, _, _ in reversed_seg:
+            inside_count[c] = inside_count.get(c, 0) + 1
         flipped = {c for c, cnt in inside_count.items() if cnt == 1}
-
-        def fix(entry: Entry) -> Entry:
-            if entry.crossing in flipped:
-                return Entry(entry.crossing, entry.over, -entry.sign)
-            return entry
-
-        return Diagram([fix(e) for e in kept_seg] + [fix(e) for e in reversed(reversed_seg)])
+        return self._of([(c, over, -sign if c in flipped else sign)
+                         for c, over, sign in kept_seg + reversed_seg[::-1]])
 
 
 def parse_gauss(text: str) -> Diagram:
@@ -237,18 +279,21 @@ def parse_gauss(text: str) -> Diagram:
 
     Token order defines the cyclic traversal order along the knot
     orientation.  The empty (or all-separator) string is the unknot.
+    Every token is checked before any crossing is paired, so a
+    malformed token is reported before a pairing or sign fault.
     """
-    entries = []
+    triples = []
     for token in text.replace(",", " ").split():
         over = _PASSES.get(token[0])
         sign = _SIGNS.get(token[-1])
         ident = token[1:-1]
         if over is None or sign is None or not (ident.isascii() and ident.isalnum()):
             raise MalformedToken(f"malformed token {token!r}")
-        entries.append(Entry(ident, over, sign))
-    return Diagram(entries)
+        triples.append((ident, over, sign))
+    return Diagram._of(triples)
 
 
 def format_gauss(diagram: Diagram) -> str:
     """Render a Diagram in the canonical text format (empty for the unknot)."""
-    return " ".join(str(entry) for entry in diagram.entries)
+    ids, sign = tuple(diagram._number), tuple(map(_SIGN_TEXT.__getitem__, diagram._sign))
+    return " ".join([_PASS_TEXT[over] + ids[k] + sign[k] for k, over in diagram._passes])

@@ -73,7 +73,9 @@ class LaurentPoly2:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[tuple[int, int], int] | None = None):
-        clean = {k: v for k, v in (terms or {}).items() if v != 0}
+        clean = dict(terms) if terms else {}
+        if 0 in clean.values():
+            clean = {k: v for k, v in clean.items() if v != 0}
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -42,9 +42,10 @@ whose public parameters are crossing ids, read the ids.  The R2 and R3
 scans index the passes by position only once they meet a candidate
 pair.  The word also keeps the set of ids present and a low-water mark
 below which every numeric id is taken, updated by each insertion and
-removal, so a fresh id is found without rebuilding the set.  ``Entry``
-values are built only where a word becomes a ``Diagram`` again, in
-``_Word.diagram``.  Valid moves keep a word valid, so a walk rewrites
+removal, so a fresh id is found without rebuilding the set.  A word
+becomes a ``Diagram`` again only in ``_Word.diagram``, which feeds its
+(id, pass flag, sign) triples to the pairing loop of ``gauss``; no
+``Entry`` is built.  Valid moves keep a word valid, so a walk rewrites
 one word and validates it once, as the ``Diagram`` it ends on, and
 applies each drawn site from the scan it was drawn from; a kind whose
 scan came back empty is redrawn without a second scan in that step.
@@ -70,7 +71,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .gauss import Diagram, Entry
+from .gauss import Diagram
 from .invariants import f_sequence
 
 
@@ -127,10 +128,9 @@ class _Word:
     with 1 <= t < mark is present.  ``fresh`` and ``remove`` keep both
     up to date, so an insertion probes upward from the mark only."""
 
-    __slots__ = ("source", "passes", "sign", "ids", "present", "mark")
+    __slots__ = ("passes", "sign", "ids", "present", "mark")
 
     def __init__(self, diagram: Diagram):
-        self.source = diagram
         self.passes = list(diagram._passes)
         self.sign = list(diagram._sign)
         self.ids = list(diagram._number)
@@ -169,13 +169,10 @@ class _Word:
             del passes[pos]
 
     def diagram(self) -> Diagram:
-        """The word as a validated ``Diagram``.  No move changes an id or
-        a sign, so the source's crossings keep their ``Entry`` values."""
-        src, ids, sign = self.source, self.ids, self.sign
-        ents, m = src._entries, len(src._sign)
-        at = (src._upos, src._opos)  # at[over][k]: the source position of pass (k, over)
-        return Diagram([ents[at[over][k]] if k < m else Entry(ids[k], over, sign[k])
-                        for k, over in self.passes])
+        """The word as a validated ``Diagram``: its ids and signs are
+        valid by construction, and the pairing is checked."""
+        ids, sign = self.ids, self.sign
+        return Diagram._of([(ids[k], over, sign[k]) for k, over in self.passes])
 
 
 def _r1_insert(word: _Word, arcs: range, arc: int, sign: int, over_first: bool) -> None:

@@ -10,8 +10,9 @@ import itertools
 import pytest
 from hypothesis import given
 
-from conftest import diagrams
+from conftest import diagrams, random_code
 from test_universe import sweep
+from vknot.enumerate import enumerate_codes
 from vknot.gauss import (
     BadPairing,
     Diagram,
@@ -113,6 +114,13 @@ def test_smooth_segment_reversal_and_sign_flips(example_31):
 def test_diagram_equality_is_entrywise(example_31):
     assert example_31 != example_31.rotate(1)
     assert example_31 == parse_gauss(format_gauss(example_31))
+
+
+def test_diagram_equality_reads_ids_in_first_appearance_order():
+    # Same passes and signs by crossing number, ids swapped: other entries.
+    a, b = parse_gauss("O1+ U2+ U1+ O2+"), parse_gauss("O2+ U1+ U2+ O1+")
+    assert a != b and a.entries != b.entries
+    assert a == parse_gauss("O1+ U2+ U1+ O2+") and hash(a) == hash(parse_gauss("o1+,u2+ u1+ o2+"))
 
 
 def test_diagram_is_immutable(example_31):
@@ -240,3 +248,116 @@ def test_smooth_output_is_valid(d):
         assert s.n_crossings == d.n_crossings - 1
         # Re-validating through the constructor proves the invariants hold.
         assert Diagram(s.entries) == s
+
+
+# The (class, message) of each fault, recorded with the parser and
+# constructor that checked every entry once in parse_gauss and again in
+# Diagram.__init__.  Every token is checked before any crossing is
+# paired, so "O1+ O1+ X" reports its token, not its first pairing fault;
+# Diagram(entries) checks and pairs one entry at a time, so a repeated
+# pass before a bad id reports the pairing.
+_TEXT_FAULTS = (
+    ("O1+ O1+ X", ("MalformedToken", "malformed token 'X'")),
+    ("O1+ U1- X1+", ("MalformedToken", "malformed token 'X1+'")),
+    ("O1+ U2+ U1- O2+ O3", ("MalformedToken", "malformed token 'O3'")),
+    ("O1+ U1+ O1+ U1+ O2*", ("MalformedToken", "malformed token 'O2*'")),
+    ("U1+ U1+", ("BadPairing", "crossing '1' has two Under passes")),
+    ("O1+ U1- O2+ O2+", ("SignMismatch", "crossing '1' has inconsistent signs")),
+    ("O1+ O2+ U1+", ("BadPairing", "crossings without both passes: ['2']")),
+    ("O1+ U1+ O2+ U3+", ("BadPairing", "crossings without both passes: ['2', '3']")),
+    ("Oa+ Ua- Ob+ Ob+", ("SignMismatch", "crossing 'a' has inconsistent signs")),
+    ("O1+ U1+ O\u0661+ U\u0661+", ("MalformedToken", "malformed token 'O\u0661+'")),
+    ("O1+ O1+ U1- U1-", ("BadPairing", "crossing '1' has two Over passes")),
+    ("o1+ U1- u1+", ("SignMismatch", "crossing '1' has inconsistent signs")),
+    ("O1+ U2- O2- U1+ O3+", ("BadPairing", "crossings without both passes: ['3']")),
+)
+
+_ENTRY_FAULTS = (
+    (
+        [Entry("1", True, 1), Entry("1", True, 1), Entry(1, False, 1)],
+        ("BadPairing", "crossing '1' has two Over passes"),
+    ),
+    (
+        [Entry("1", True, 1), Entry("1", False, -1), Entry("2", 1, 1)],
+        ("SignMismatch", "crossing '1' has inconsistent signs"),
+    ),
+    (
+        [Entry("1", True, 1), Entry("1", False, 1), Entry("2", True, 2), Entry("2", True, 1)],
+        ("MalformedToken", "bad sign 2 at '2'"),
+    ),
+    (
+        [Entry("1", False, 1), Entry("1", False, 1), Entry("1\n", True, 1)],
+        ("BadPairing", "crossing '1' has two Under passes"),
+    ),
+    (
+        [Entry("a", True, -1), Entry("b", True, 1), Entry("a", False, 1), Entry(None, False, 1)],
+        ("SignMismatch", "crossing 'a' has inconsistent signs"),
+    ),
+    (
+        [Entry("1", True, 1), Entry(["x"], False, 1), Entry("1", True, 1)],
+        ("MalformedToken", "bad crossing id ['x']"),
+    ),
+    (
+        [Entry("1", True, 1), Entry("2", True, 1), Entry("1", False, 1)],
+        ("BadPairing", "crossings without both passes: ['2']"),
+    ),
+    (
+        [Entry("1", True, 1), Entry("1", False, 1), Entry("1", True, 1.0)],
+        ("MalformedToken", "bad sign 1.0 at '1'"),
+    ),
+    ([Entry("1", True, True), Entry("1", True, 1)], ("MalformedToken", "bad sign True at '1'")),
+    (
+        [Entry("1", True, 1), Entry("1", False, 1), Entry("2", False, -1), Entry("2", "no", -1)],
+        ("MalformedToken", "bad pass flag 'no' at '2'"),
+    ),
+)
+
+
+def _fault(build, arg) -> tuple[str, str]:
+    with pytest.raises(GaussCodeError) as info:
+        build(arg)
+    return type(info.value).__name__, str(info.value)
+
+
+@pytest.mark.parametrize("text, fault", _TEXT_FAULTS)
+def test_parse_reports_the_pinned_fault(text, fault):
+    assert _fault(parse_gauss, text) == fault
+
+
+@pytest.mark.parametrize("entries, fault", _ENTRY_FAULTS)
+def test_constructor_reports_the_pinned_fault(entries, fault):
+    assert _fault(Diagram, entries) == fault
+    assert _fault(Diagram, iter(entries)) == fault
+
+
+def _text_entries(text: str) -> tuple[Entry, ...]:
+    """The entries of a code's text in canonical form, read without the parser."""
+    return tuple(Entry(t[1:-1], t[0] == "O", 1 if t[-1] == "+" else -1) for t in text.split())
+
+
+def check_views(d: Diagram) -> None:
+    """The integer form, its text and its entries view agree: the parse of
+    the text equals d and hashes alike, and so does the Diagram of d's
+    entries, whose own entries are the same Entry values."""
+    text = str(d)
+    parsed, rebuilt = parse_gauss(text), Diagram(d.entries)
+    assert parsed == d and hash(parsed) == hash(d), text
+    assert rebuilt == d and hash(rebuilt) == hash(d), text
+    assert all(type(e) is Entry for e in d.entries), text
+    assert d.entries == rebuilt.entries == parsed.entries == _text_entries(text), text
+    assert len(d) == len(d.entries) == len(parsed), text
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_views_agree_on_every_small_code(m):
+    for d in enumerate_codes(m):
+        check_views(d)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_views_agree_at_64_crossings(seed):
+    code = random_code(64, seed)
+    d = parse_gauss(code)
+    assert d.entries == _text_entries(code)
+    check_views(d)
+    check_views(d.mirror().reverse().rotate(seed + 5))

@@ -21,6 +21,26 @@ def test_from_terms_cancellation():
     assert not ZERO and LaurentPoly2({(1, 0): 1})
 
 
+@pytest.mark.parametrize("zero", [False, True], ids=["no zero", "a zero"])
+def test_constructor_keeps_its_own_copy(zero):
+    terms = {(-1, 0): -1, (0, 0): 2, (1, 0): -1}
+    if zero:
+        terms[2, 3] = 0
+    p = LaurentPoly2(terms)
+    before = (p.terms(), str(p), hash(p))
+    terms[0, 0] = 5
+    terms[4, 4] = 1
+    del terms[-1, 0]
+    assert (p.terms(), str(p), hash(p)) == before
+    assert p == parse_poly("-t^-1+2-t")
+
+
+def test_zero_has_one_form():
+    for p in (LaurentPoly2(), LaurentPoly2({}), LaurentPoly2({(1, 2): 0})):
+        assert p == ZERO and hash(p) == hash(ZERO)
+        assert p.terms() == [] and str(p) == "0" and not p
+
+
 def test_from_terms_table_row():
     p = map_terms([(-1, 0, -1), (0, 0, 2), (1, 0, -1)])
     assert str(p) == "-t^-1+2-t"
