@@ -62,12 +62,11 @@ positions in the order of ``Diagram.smooth``: the run from the Over
 pass to the Under pass forward, then the other run backward, with the
 sign of each crossing with exactly one endpoint in that backward run
 negated in a copy of the signs.  The walk (``_walk_table``) doubles
-the pass tuple once, so that each run is one slice of it, and hands it
-to every smoothing: no smoothed word is assembled and no ``Diagram``
-built per smoothing.  One writhe routine builds the J_k table of D and
-of every D_c (c left out) from the indices and signs.
-``Diagram.smooth`` stays the public transform and the kernels' test
-oracle.
+the pass tuple once, so that each run is one slice of it: no smoothed
+word is assembled, no ``Diagram`` built and no J_k table counted per
+smoothing, as each nonzero Ind_{D_c}(k) goes straight into the dJ table
+(``_writhes`` builds the J_k table of D alone).  ``Diagram.smooth``
+stays the public transform and the kernels' test oracle.
 
 From ``_LANE_MIN`` crossings on, ``f_sequence`` takes the lane pass
 (``_lane_table``) instead, which analyses every smoothing at once from
@@ -97,10 +96,10 @@ The dJ table is counted from the codes 2|Ind| + [s'_k sgn(Ind) < 0],
 s'_k the sign of k in D_c (-s_k where k and c interlace); the counting
 is described at ``_lane_table``.  Both kernels give the same n_max and
 dJ table, and the walk stays the reference of the lane pass's tests.
-Below ``_LANE_MIN`` the walk stays in use because it is faster there:
-the lane pass pays a fixed cost per diagram and per table row that a
-few short walks do not, and the table workload's codes (m <= 4) lie
-below the constant, the compute workload's (m = 32) above it.
+Below ``_LANE_MIN`` = 10 crossings the walk, which writes each index
+straight into the table, beats the lane pass's fixed cost per diagram
+and per table row; the table workload's codes (m <= 4) lie below the
+constant, the compute workload's (m = 32) above it.
 
 All functions are pure; diagrams are immutable; nothing here shares
 mutable state.
@@ -109,7 +108,7 @@ mutable state.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import neg, sub, xor
 from struct import Struct
 from typing import Iterable, NamedTuple, Sequence
@@ -178,14 +177,9 @@ def _affine(ind: Iterable[int], sign: Iterable[int]) -> LaurentPoly2:
 
 
 def _writhes(ind: list[int], sign: Sequence[int]) -> dict[int, int]:
-    """J_k for every index value k of the crossings (other k give 0), from
-    Ind and sgn indexed by crossing.
-
-    This is the one writhe routine, for a diagram and for each
-    smoothing D_c (whose lists have c deleted: it is not a crossing of
-    D_c).  A key stays even when its signs sum to 0, since n_max reads
-    the keys.
-    """
+    """J_k(D) for every index value k of the crossings (other k give 0),
+    from Ind and sgn indexed by crossing.  A key stays even when its
+    signs sum to 0, since n_max reads the keys."""
     table: dict[int, int] = {}
     get = table.get
     for i, s in zip(ind, sign):
@@ -248,45 +242,40 @@ class FReport(NamedTuple):
         return frozenset(compress(self.index, map(size.__eq__, map(abs, self.smoothed_row(n)))))
 
 
-def _smoothed_writhes(
-    diagram: Diagram, passes2: tuple[tuple[int, bool], ...], c: int
-) -> dict[int, int]:
-    """J_k(D_c) for the smoothing at crossing number c, read off D's
-    integer form and ``passes2``, its passes twice round the cycle.
-
-    D_c is the segment from the Over pass to the Under pass forward,
-    then the segment S from the Under pass to the Over pass reversed; a
-    crossing with exactly one endpoint in S changes sign (the ``gauss``
-    module docstring, ``Diagram.smooth``).  The index walk reads those
-    two runs as slices of ``passes2``, so D_c is never assembled.
-    """
-    o, u = diagram._opos[c], diagram._upos[c]
-    n = len(diagram._passes)
-    uu = u if u > o else u + n  # the Under pass, after o
-    oo = o if o > u else o + n  # the Over pass, after u
-    sign = list(diagram._sign)
-    for k, _ in passes2[u + 1 : oo]:  # a crossing with both endpoints in S flips back
-        sign[k] = -sign[k]
-    ind = _indices(chain(passes2[o + 1 : uu], passes2[oo - 1 : u : -1]), sign)
-    del ind[c], sign[c]
-    return _writhes(ind, sign)
-
-
 def _walk_table(diagram: Diagram, bound: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """n_max and the dJ table by one index walk per smoothing; ``bound``
     is the largest index magnitude of D itself.
 
-    The table has rows n = 1 .. n_max+1 and one column per crossing c,
-    filled in one pass over the smoothed writhe tables: J_k(D_c) adds
-    to row k and J_{-k}(D_c) subtracts from it."""
-    passes2 = diagram._passes * 2
-    smoothed = [_smoothed_writhes(diagram, passes2, c) for c in range(len(diagram._sign))]
-    n_max = max(bound, max(map(abs, chain(*smoothed)), default=0))
-    rows = [[0] * len(smoothed) for _ in range(n_max + 2)]  # row 0 collects J_0, dropped
-    for col, table in enumerate(smoothed):
-        for k, j in table.items():
-            rows[abs(k)][col] += j if k > 0 else -j
-    return n_max, tuple([tuple(row) for row in rows[1:]])  # from a list: see _lane_table
+    D_c is the run from the Over pass to the Under pass forward, then
+    the run S from the Under pass to the Over pass reversed, each a
+    slice of D's passes doubled; a crossing with exactly one endpoint in
+    S changes sign (``Diagram.smooth``), and c, not a crossing of D_c,
+    gets sign 0.  Each Ind_{D_c}(k) = i != 0 adds s'_k, the sign of k
+    in D_c, (i > 0) or -s'_k (i < 0) to column c of row |i|; the rows
+    past the largest |i| are one shared zero tuple."""
+    sign, passes = diagram._sign, diagram._passes
+    m, n = len(sign), len(passes)
+    passes2 = passes * 2
+    rows: list[list[int]] = []  # rows[i - 1][c]: dJ_i(D_c), up to the largest |i| met
+    for c, (o, u) in enumerate(zip(diagram._opos, diagram._upos)):
+        uu = u if u > o else u + n  # the Under pass, after o
+        oo = o if o > u else o + n  # the Over pass, after u
+        flipped = list(sign)
+        for k, _ in passes2[u + 1 : oo]:  # a crossing with both endpoints in S flips back
+            flipped[k] = -flipped[k]
+        flipped[c] = 0
+        ind = _indices(passes2[o + 1 : uu] + passes2[oo - 1 : u : -1], flipped)
+        for i, s in zip(ind, flipped):
+            if i:
+                if i < 0:
+                    i, s = -i, -s
+                while len(rows) < i:
+                    rows.append([0] * m)
+                rows[i - 1][c] += s
+    n_max = max(bound, len(rows))
+    table = [tuple(row) for row in rows]
+    table += [(0,) * m] * (n_max + 1 - len(rows))
+    return n_max, tuple(table)  # from a list: see _lane_table
 
 
 def _lane_table(diagram: Diagram, bound: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -294,23 +283,29 @@ def _lane_table(diagram: Diagram, bound: int) -> tuple[int, tuple[tuple[int, ...
     the module docstring, with lane c of each packed int for D_c.
 
     A packed int is the sum of v_c 2^(w c) over the lanes c, for lanes
-    of w bits, a whole number of bytes with 2^(w-1) > 4(m-1), which
+    of w bits, a whole number of bytes with 2^(w-1) > 2(m-1), which
     bounds every |v_c| met on the way.  Adding 2^(w-1) to every lane
     (``bias``) makes each lane a nonnegative w-bit field, so lanes are
-    selected with masks.  Per crossing k a fixed number of operations
-    turns the lanes into codes, 2|Ind_{D_c}(k)| + 2 plus 1 when the
-    term of k in dJ(D_c), s'_k sgn(Ind_{D_c}(k)), is negative; lane k
-    reads 0, so it counts like an index 0.  Codes of smoothed indices
-    run up to 2m - 1 and each column sum below up to 2m - 1, so up to
-    128 crossings a byte holds both: row n of the table is one byte
-    translation of the m x m codes (2n+2 to 2, 2n+3 to 0, any other
-    code to 1) and one fold of its m rows, which leaves m + dJ_n(D_c)
-    in byte c.  Above that the codes are counted column by column.
+    selected with masks.  The bound holds: lane c of G steps by +-1 at
+    the 2m - 2 passes of the other crossings, by 0 at those of c, and
+    sums to 0 round the cycle, so G_c(x) - G_c(x'), and G_c(x) itself,
+    is at most m - 1 in size, and each value met is two such terms (or
+    one and s_k); G_c(o_c) + G_c(u_c) reaches 2(m-1) when the passes of
+    c sit side by side atop a climb of every other crossing.  So up to
+    m = 64 a lane is one byte.  Per crossing k a fixed number of
+    operations turns the lanes into codes, 2|Ind_{D_c}(k)| + 2 plus 1
+    when the term of k in dJ(D_c), s'_k sgn(Ind_{D_c}(k)), is negative;
+    lane k reads 0, so it counts like an index 0.  Codes of smoothed
+    indices run up to 2m - 1 and each column sum below up to 2m - 1, so
+    up to 128 crossings a byte holds both: row n of the table is one
+    byte translation of the m x m codes (2n+2 to 2, 2n+3 to 0, any other
+    code to 1) and one fold of its m rows, which leaves m + dJ_n(D_c) in
+    byte c.  Above that the codes are counted column by column.
     """
     sign, passes, opos, upos = diagram._sign, diagram._passes, diagram._opos, diagram._upos
     m = len(sign)
     step = 1  # bytes per lane
-    while 8 * step <= (4 * (m - 1)).bit_length():
+    while 8 * step <= (2 * (m - 1)).bit_length():
         step *= 2
     w = 8 * step
     lane = (1 << w) - 1
@@ -368,7 +363,10 @@ def _lane_table(diagram: Diagram, bound: int) -> tuple[int, tuple[tuple[int, ...
     return n_max, tuple(table)
 
 
-_LANE_MIN = 6  # crossings from which f_sequence takes _lane_table, the measured crossover
+# Crossings from which f_sequence takes _lane_table, the measured crossover:
+# us per diagram, walk vs lane pass (40 random codes a size, best of 11,
+# 2-core Xeon, Python 3.11.7), 28 vs 31 at m = 8, 35 vs 37 at 9, 44 vs 43 at 10.
+_LANE_MIN = 10
 
 
 def _f_poly(

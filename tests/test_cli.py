@@ -148,33 +148,43 @@ def test_compute_json_schema(capsys):
 def test_compute_all_smooths_each_crossing_once(capsys, monkeypatch):
     # No validated Diagram is smoothed on the way, and every smoothing is
     # analysed once: a 32-crossing code takes one lane pass over all of
-    # them, and a code below _LANE_MIN one index walk per crossing.
-    lane, step = vknot.invariants._lane_table, vknot.invariants._smoothed_writhes
-    lane_passes, smoothed = [], []
+    # them and one index walk, of D; a code below _LANE_MIN one walk of
+    # the table, with one index walk of D and one per smoothing D_c, which
+    # leaves out crossing c alone.
+    inv = vknot.invariants
+    lane, walk, indices = inv._lane_table, inv._walk_table, inv._indices
+    kernels, left_out = [], []
 
     def counting_lane(diagram, bound):
-        lane_passes.append(diagram.n_crossings)
+        kernels.append(("lane", diagram.n_crossings))
         return lane(diagram, bound)
 
-    def counting_step(diagram, passes2, c):
-        smoothed.append(diagram.crossings()[c])
-        return step(diagram, passes2, c)
+    def counting_walk(diagram, bound):
+        kernels.append(("walk", diagram.n_crossings))
+        return walk(diagram, bound)
+
+    def counting_indices(passes, sign):
+        passes = list(passes)
+        left_out.append(sorted(set(range(len(sign))) - {k for k, _ in passes}))
+        return indices(passes, sign)
 
     def no_smooth(self, crossing):
         raise AssertionError("Diagram.smooth called")
 
-    monkeypatch.setattr(vknot.invariants, "_lane_table", counting_lane)
-    monkeypatch.setattr(vknot.invariants, "_smoothed_writhes", counting_step)
+    monkeypatch.setattr(inv, "_lane_table", counting_lane)
+    monkeypatch.setattr(inv, "_walk_table", counting_walk)
+    monkeypatch.setattr(inv, "_indices", counting_indices)
     monkeypatch.setattr(Diagram, "smooth", no_smooth)
     code, out, _ = run(capsys, "compute", random_code(32, seed=7), "--all")
     assert code == 0
     assert "crossings: 32" in out
-    assert (lane_passes, smoothed) == ([32], [])
-    small = random_code(vknot.invariants._LANE_MIN - 1, seed=7)
-    code, out, _ = run(capsys, "compute", small, "--all")
+    assert (kernels, left_out) == ([("lane", 32)], [[]])
+    m = inv._LANE_MIN - 1
+    code, out, _ = run(capsys, "compute", random_code(m, seed=7), "--all")
     assert code == 0
-    assert lane_passes == [32]
-    assert sorted(smoothed) == sorted(parse_gauss(small).crossings())
+    assert f"crossings: {m}" in out
+    assert kernels == [("lane", 32), ("walk", m)]
+    assert left_out == [[], []] + [[c] for c in range(m)]
 
 
 def test_compute_all_computes_each_smoothed_dwrithe_once(capsys, monkeypatch):

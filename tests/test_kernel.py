@@ -3,22 +3,21 @@
 Ind(c) must equal ``interlacement_index``, a count read off the raw
 Gauss code with no arc labels.  The oracle writhe table of a diagram is
 built from that count and the signs alone, so it shares no code with the
-kernel.  For every crossing c of the table codes and of random
-diagrams, the walk's writhe table J_k(D_c), and the support of all
-smoothings together, must equal the oracle table of the validated
-smoothed diagram ``d.smooth(c)``, and the lane pass, called directly
-whatever the size, must give the n_max and dJ table of those oracle
-tables, also on codes whose indices pass one byte, where the two
-kernels give equal reports.  The ``FReport`` views T_n and
-``smoothed_row(n)``, read from the one dJ_n(D_c) table, must equal the
-dwrithes of those oracle tables for every n, and F^n must equal its
-defining sum over the crossings, built from the oracle indices, dJ
-values and T_n.  A planted fault, the other
-smoothing segment, must fail the table check.
+kernel.  On the table codes and on random diagrams, the walk and the
+lane pass, each called directly whatever the size, must give the n_max
+and dJ table of the oracle tables of the validated smoothed diagrams
+``d.smooth(c)``, also on codes whose indices pass one byte, where the
+two kernels give equal reports.  On either side of ``_LANE_MIN`` the
+two kernels, and the reports ``f_sequence`` builds from each, agree.
+The ``FReport`` views T_n and ``smoothed_row(n)``, read from the one
+dJ_n(D_c) table, must equal the dwrithes of those oracle tables for
+every n, and F^n must equal its defining sum over the crossings, built
+from the oracle indices, dJ values and T_n.  A planted fault, a walk that smooths along the other
+segment, must fail the table check.
 
 Read from the one pass of ``test_universe.sweep`` over every code with
-at most three crossings: both kernels against the oracle at every
-crossing; every R1-, R2- and R3 neighbour keeps the F-fingerprint and
+at most three crossings: both kernels against the oracle's dJ table;
+every R1-, R2- and R3 neighbour keeps the F-fingerprint and
 the neighbours are ``MOVE_DIGESTS``; control moves, which are not
 Reidemeister moves, change the fingerprint as often as
 ``CONTROL_MOVE_COUNTS`` says, so the move check can fail.
@@ -33,7 +32,7 @@ import vknot.invariants
 from conftest import diagrams, dj_table, interlacement_index, map_terms, random_code, writhe_table
 from test_universe import CONTROL_MOVE_COUNTS, MOVE_DIGESTS, control_totals, sweep
 from vknot.gauss import Diagram, parse_gauss
-from vknot.invariants import _indices, _lane_table, _smoothed_writhes, _walk_table, _writhes, f_sequence
+from vknot.invariants import _indices, _lane_table, _walk_table, _writhes, f_sequence
 from vknot.table import Verdict, verify_record
 
 
@@ -41,27 +40,17 @@ def dj(table: dict[int, int], n: int) -> int:
     return table.get(n, 0) - table.get(-n, 0)
 
 
-def support(writhes: dict[str, dict[int, int]]) -> frozenset[int]:
-    return frozenset(abs(k) for table in writhes.values() for k in table if k != 0)
-
-
-def oracle(d: Diagram) -> tuple[dict[str, dict[int, int]], frozenset[int]]:
-    writhes = {c: writhe_table(d.smooth(c)) for c in d.crossings()}
-    return writhes, support(writhes)
-
-
-def kernel(d: Diagram) -> tuple[dict[str, dict[int, int]], frozenset[int]]:
-    passes2 = d._passes * 2
-    writhes = {name: _smoothed_writhes(d, passes2, c) for c, name in enumerate(d.crossings())}
-    return writhes, support(writhes)
+def oracle(d: Diagram) -> dict[str, dict[int, int]]:
+    """J_k(D_c) of every smoothing, from the validated ``d.smooth(c)``."""
+    return {c: writhe_table(d.smooth(c)) for c in d.crossings()}
 
 
 def assert_kernels_match_oracle(d: Diagram) -> None:
-    """The walk's writhe tables and the lane pass's n_max and dJ table,
-    whatever the size, against the oracle."""
-    expected = oracle(d)
-    assert kernel(d) == expected, str(d)
-    assert _lane_table(d, 0) == dj_table(expected[0].values()), str(d)
+    """The walk's and the lane pass's n_max and dJ table, whatever the
+    size, against those of the oracle smoothings."""
+    expected = dj_table(oracle(d).values())
+    assert _walk_table(d, 0) == expected, str(d)
+    assert _lane_table(d, 0) == expected, str(d)
 
 
 def test_kernel_matches_oracle_on_table(table_records):
@@ -86,8 +75,8 @@ def test_kernel_matches_oracle_property(d):
 @pytest.mark.parametrize("code", ["O1+ U1+", "U1- O1-"])
 def test_kernel_kink_smooths_to_empty_word(code):
     d = parse_gauss(code)
-    assert kernel(d) == oracle(d) == ({"1": {}}, frozenset())
-    assert _lane_table(d, 0) == (0, ((0,),))
+    assert oracle(d) == {"1": {}}
+    assert _walk_table(d, 0) == _lane_table(d, 0) == (0, ((0,),))
 
 
 @pytest.mark.parametrize(
@@ -119,8 +108,8 @@ def test_control_moves_change_fingerprint_on_every_small_code():
 
 
 def test_kernel_unknot():
-    assert kernel(parse_gauss("")) == oracle(parse_gauss("")) == ({}, frozenset())
-    assert _lane_table(parse_gauss(""), 0) == (0, ((),))
+    assert oracle(parse_gauss("")) == {}
+    assert _walk_table(parse_gauss(""), 0) == _lane_table(parse_gauss(""), 0) == (0, ((),))
 
 
 # -- wide indices: the lane pass past one byte -----------------------------------------
@@ -140,17 +129,46 @@ def test_lane_pass_on_wide_indices(code, monkeypatch):
     d = parse_gauss(code)
     lanes = f_sequence(d)
     assert lanes.n_max == {140: 139, 128: 126, 129: 127}[d.n_crossings]
-    smoothed = dj_table(oracle(d)[0].values())
+    smoothed = dj_table(oracle(d).values())
     assert _lane_table(d, 0) == _walk_table(d, 0) == smoothed
     assert lanes.smoothed_dj[: smoothed[0] + 1] == smoothed[1]
     monkeypatch.setattr(vknot.invariants, "_LANE_MIN", d.n_crossings + 1)
     assert f_sequence(d) == lanes  # the walk's report, fingerprint included
 
 
+# PLATEAU[m]: the passes of crossing 0 side by side at the top of a climb
+# of every other crossing, so that in its lane G_c(o_c) + G_c(u_c) reaches
+# 2(m-1), the bound of ``_lane_table``: 126 in the one-byte lanes of
+# m = 64; at m = 66 one-byte lanes give a wrong table.
+PLATEAU = {m: " ".join([f"U{i}+" for i in range(1, m)] + ["O0+ U0+"] + [f"O{i}+" for i in range(1, m)])
+           for m in (64, 66)}
+
+
+@pytest.mark.parametrize("m", [64, 66])
+def test_lane_width_bound_is_reached(m):
+    d = parse_gauss(PLATEAU[m])
+    assert _lane_table(d, 0) == _walk_table(d, 0) == dj_table(oracle(d).values())
+
+
+@pytest.mark.parametrize("m", range(1, vknot.invariants._LANE_MIN + 3))
+def test_kernels_agree_across_the_crossover(m, monkeypatch):
+    # Both kernels with the diagram's own index bound, and f_sequence
+    # forced onto the lane pass (_LANE_MIN = 0) and onto the walk.
+    for seed in range(6):
+        d = parse_gauss(random_code(m, 400 + seed))
+        bound = max(map(abs, interlacement_index(d).values()))
+        assert _walk_table(d, bound) == _lane_table(d, bound), (m, seed)
+        monkeypatch.setattr(vknot.invariants, "_LANE_MIN", 0)
+        lanes = f_sequence(d)
+        monkeypatch.setattr(vknot.invariants, "_LANE_MIN", m + 1)
+        assert f_sequence(d) == lanes, (m, seed)
+
+
 def assert_lane_pass_matches_walk(sizes=(128, 256, 512), seeds=range(1, 4)) -> None:
     """The lane pass against the walk, n_max and dJ table, on seeded
     random codes of each size and on ``WIDE_CODES``.  The oracle tests
-    stop at 64 crossings; CI runs this past the one-byte fold at 128."""
+    stop at 64 crossings; CI runs this past the one-byte fold at 128,
+    and with 200 seeds at each size from 6 to 16, across ``_LANE_MIN``."""
     for code in [random_code(m, seed) for m in sizes for seed in seeds] + WIDE_CODES:
         d = parse_gauss(code)
         assert _lane_table(d, 0) == _walk_table(d, 0), (d.n_crossings, code[:40])
@@ -161,7 +179,7 @@ def assert_lane_pass_matches_walk(sizes=(128, 256, 512), seeds=range(1, 4)) -> N
 
 def assert_views_match_smoothings(d: Diagram) -> None:
     report = f_sequence(d)
-    writhes, smoothed, ind = writhe_table(d), oracle(d)[0], interlacement_index(d)
+    writhes, smoothed, ind = writhe_table(d), oracle(d), interlacement_index(d)
     # Two past the table's last row (n_max+1), which every view reads as zeros.
     for n in range(1, report.n_max + 4):
         d_n = dj(writhes, n)
@@ -211,21 +229,26 @@ def test_index_oracle_property(d):
 # -- a planted fault: the other smoothing segment ------------------------------------
 
 
-def other_segment_writhes(diagram, passes2, c):
-    """``_smoothed_writhes`` with the segment choice the ``gauss`` module
+def other_segment_walk(diagram, bound):
+    """``_walk_table`` with the segment choice the ``gauss`` module
     docstring rejects: D_c is the run from the Under pass to the Over pass
     forward, then the run T from the Over pass to the Under pass reversed,
     and a crossing with exactly one endpoint in T changes sign."""
-    o, u = diagram._opos[c], diagram._upos[c]
+    passes2 = diagram._passes * 2
     n = len(diagram._passes)
-    uu = u if u > o else u + n
-    oo = o if o > u else o + n
-    sign = list(diagram._sign)
-    for k, _ in passes2[o + 1 : uu]:
-        sign[k] = -sign[k]
-    ind = _indices(chain(passes2[u + 1 : oo], passes2[uu - 1 : o : -1]), sign)
-    del ind[c], sign[c]
-    return _writhes(ind, sign)
+    smoothed = []
+    for c, (o, u) in enumerate(zip(diagram._opos, diagram._upos)):
+        uu = u if u > o else u + n
+        oo = o if o > u else o + n
+        sign = list(diagram._sign)
+        for k, _ in passes2[o + 1 : uu]:
+            sign[k] = -sign[k]
+        ind = _indices(chain(passes2[u + 1 : oo], passes2[uu - 1 : o : -1]), sign)
+        del ind[c], sign[c]
+        smoothed.append(_writhes(ind, sign))
+    top, table = dj_table(smoothed)
+    n_max = max(bound, top)
+    return n_max, table + ((0,) * len(smoothed),) * (n_max - top)
 
 
 def obeys_reversal_law(d: Diagram) -> bool:
@@ -240,7 +263,7 @@ def obeys_reversal_law(d: Diagram) -> bool:
 def test_table_rejects_the_other_smoothing_segment(table_records, monkeypatch):
     # The other segment smooths to a diagram whose F agrees with the table
     # exactly on the knots that obey the reversal law; the other 48 fail.
-    monkeypatch.setattr(vknot.invariants, "_smoothed_writhes", other_segment_writhes)
+    monkeypatch.setattr(vknot.invariants, "_walk_table", other_segment_walk)
     verdicts = [verify_record(record) for record in table_records]
     monkeypatch.undo()
     statuses = [v.status for v in verdicts]

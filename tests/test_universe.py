@@ -10,9 +10,9 @@ compares the sweeps of sizes 0..m with the pins:
   appearance;
 - ``parse_gauss(format_gauss(d)) == d``, also with each space written
   as a comma and a tab and the text in lower case;
-- the kernel's writhe table J_k(D_c) at every crossing c equals the
-  oracle table of the validated smoothed diagram ``d.smooth(c)``, and
-  the lane pass gives the n_max and dJ table of those oracle tables;
+- the walk and the lane pass both give the n_max and dJ table of the
+  oracle writhe tables of the validated smoothed diagrams
+  ``d.smooth(c)``, one per crossing c;
 - the plane-reflection law of F^n;
 - every R1-, R2- and R3 neighbour keeps the F-fingerprint, and the
   neighbours are ``MOVE_DIGESTS``; with the R1+ and R2+ calls of the
@@ -41,7 +41,7 @@ from typing import NamedTuple
 from conftest import dj_table, map_terms, writhe_table
 from vknot.enumerate import canonical_code, enumerate_codes
 from vknot.gauss import Diagram, Entry, format_gauss, parse_gauss
-from vknot.invariants import FReport, _lane_table, _smoothed_writhes, f_sequence
+from vknot.invariants import FReport, _lane_table, _walk_table, f_sequence
 from vknot.laurent import LaurentPoly2
 from vknot.moves import MoveError, apply_move, move_sites
 
@@ -156,14 +156,11 @@ def check_round_trip(d: Diagram, code: str) -> None:
 
 
 def check_kernel(d: Diagram, code: str) -> None:
-    """The walk against the oracle at every crossing, and the lane pass
-    against the oracle's n_max and dJ table."""
-    passes2 = d._passes * 2
-    names = d.crossings()
-    smoothed = [writhe_table(d.smooth(name)) for name in names]
-    for c, name in enumerate(names):
-        assert _smoothed_writhes(d, passes2, c) == smoothed[c], (code, name)
-    assert _lane_table(d, 0) == dj_table(smoothed), code
+    """The walk and the lane pass against the n_max and dJ table of the
+    oracle smoothings."""
+    expected = dj_table(writhe_table(d.smooth(name)) for name in d.crossings())
+    assert _walk_table(d, 0) == expected, code
+    assert _lane_table(d, 0) == expected, code
 
 
 def check_reflection(d: Diagram, seen: dict, code: str) -> None:
