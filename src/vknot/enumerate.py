@@ -6,13 +6,14 @@ them.  ``enumerate_codes`` decorates each word with every choice of
 passes and signs, which yields every m-crossing code once up to
 relabelling: a class up to rotation and relabelling appears once for
 each of its distinct rotations.  ``canonical_code`` names that class.
+Both read and build ``Diagram``'s integer form, never an ``Entry``.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .gauss import Diagram, Entry
+from .gauss import _PASS_TEXT, _SIGN_TEXT, Diagram
 
 
 def chord_words(m: int) -> Iterator[tuple[int, ...]]:
@@ -45,31 +46,30 @@ def enumerate_codes(m: int) -> Iterator[Diagram]:
     For m = 1 that is 4 codes for 2 classes up to rotation and relabelling.
     """
     for word in chord_words(m):
+        ids = [str(x) for x in word]
         firsts = [word.index(x) == pos for pos, x in enumerate(word)]
         for over_mask in range(1 << m):
             # Bit x-1 of over_mask: chord x's first pass is the Over pass.
             overs = [bool(over_mask >> (x - 1) & 1) == first for x, first in zip(word, firsts)]
             for sign_mask in range(1 << m):
-                entries = [
-                    Entry(str(x), over, 1 if sign_mask >> (x - 1) & 1 else -1)
-                    for x, over in zip(word, overs)
-                ]
-                yield Diagram(entries)
-
-
-def standard_relabel(entries: list[Entry]) -> tuple[Entry, ...]:
-    """Rename crossings to 1..m in order of first appearance."""
-    names: dict[str, str] = {}
-    out = []
-    for e in entries:
-        if e.crossing not in names:
-            names[e.crossing] = str(len(names) + 1)
-        out.append(Entry(names[e.crossing], e.over, e.sign))
-    return tuple(out)
+                signs = [1 if sign_mask >> (x - 1) & 1 else -1 for x in word]
+                yield Diagram._of(zip(ids, overs, signs))
 
 
 def canonical_code(diagram: Diagram) -> str:
-    """Lexicographically least rotation in standard relabelling, as ``format_gauss`` text."""
-    ents = list(diagram.entries)
-    rotations = (standard_relabel(ents[r:] + ents[:r]) for r in range(len(ents)))
-    return min((" ".join(map(str, rotation)) for rotation in rotations), default="")
+    """Lexicographically least rotation in first-appearance numbering, as
+    ``format_gauss`` text.  A sign only ends a token, so no token is a prefix
+    of another and token lists sort as their texts: ``O10+`` before ``O2+``."""
+    n = len(diagram._passes)
+    passes2 = diagram._passes * 2
+    signs = [_SIGN_TEXT[s] for s in diagram._sign]
+    # names[j] is label j+1, and one spare: setdefault draws a name for a labelled k too.
+    names = [str(i) for i in range(1, n // 2 + 2)]
+    least: list[str] = []
+    for r in range(n):
+        number: dict[int, str] = {}
+        label = number.setdefault  # k's label by first appearance in this rotation
+        tokens = [_PASS_TEXT[over] + label(k, names[len(number)]) + signs[k] for k, over in passes2[r : r + n]]
+        if not least or tokens < least:
+            least = tokens
+    return " ".join(least)

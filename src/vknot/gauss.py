@@ -22,7 +22,7 @@ grammar: each id is a ``str`` of ASCII letters and digits, each pass
 flag a ``bool`` and each sign the ``int`` 1 or -1.
 
 A ``Diagram`` stores only its integer form, the one ``invariants`` and
-``moves`` read; its ``entries`` are a view of it, built on first read.
+``moves`` read; its ``entries`` are a view of it, built on each read.
 One numbering and pairing loop builds that form from (id, pass flag,
 sign) triples for ``parse_gauss``, ``Diagram(entries)``, the transforms
 and the move rewrites.  ``parse_gauss`` checks every token before the
@@ -86,11 +86,12 @@ class Entry(NamedTuple):
     sign: int
 
     def __str__(self) -> str:
-        return f"{'O' if self.over else 'U'}{self.crossing}{'+' if self.sign > 0 else '-'}"
+        return _PASS_TEXT[self.over] + self.crossing + _SIGN_TEXT[self.sign]
 
 
 _PASSES = {"O": True, "o": True, "U": False, "u": False}
 _SIGNS = {"+": 1, "-": -1}
+# The one spelling of a token, for Entry, format_gauss and canonical codes.
 _PASS_TEXT = ("U", "O")  # indexed by the pass flag
 _SIGN_TEXT = {1: "+", -1: "-"}
 
@@ -119,11 +120,11 @@ class Diagram:
     Only the integer form is stored: ``_number`` maps each id to k, its
     first-appearance number, the tuple ``_passes`` holds (k, pass flag)
     for each position, and the tuples ``_sign``, ``_opos`` and ``_upos``
-    are indexed by k.  ``entries`` is a view of it, built on first read
-    and then kept; equality, hashing and ``len`` read the integer form.
+    are indexed by k.  ``entries`` is a view of it, built on each read;
+    equality, hashing and ``len`` read the integer form.
     """
 
-    __slots__ = ("_number", "_passes", "_sign", "_opos", "_upos", "_entries")
+    __slots__ = ("_number", "_passes", "_sign", "_opos", "_upos")
 
     def __init__(self, entries: Iterable[Entry]):
         self._pair(_checked(entries))
@@ -186,12 +187,7 @@ class Diagram:
 
     @property
     def entries(self) -> tuple[Entry, ...]:
-        try:
-            return self._entries
-        except AttributeError:  # not read before
-            entries = tuple([Entry(*triple) for triple in self._triples()])
-            object.__setattr__(self, "_entries", entries)
-            return entries
+        return tuple([Entry(*triple) for triple in self._triples()])
 
     def __len__(self) -> int:
         return len(self._passes)

@@ -36,17 +36,19 @@ are what equality of F-sequences means everywhere in this package.
 returns keeps Ind(c), the writhe table of D and the dJ table, and F^n,
 dJ_n(D), T_n and the rows of the dJ table are its methods.  The dJ
 table holds dJ_n(D_c) for n = 1 .. n_max+1 (one row per n) and every
-crossing c (one column per crossing, in traversal order); one of two
-kernels, below, fills it, and F^n and T_n read their rows from it; any
-n beyond the table reads zeros.  F^n sums its first part
-term by term and its T_n part in closed form: with d_n = dJ_n(D) != 0,
-every crossing contributes l^{d_n} except those with dJ_n(D_c) = -d_n,
-which contribute l^{-d_n}, so the part is -(sum of all signs - S)
-l^{d_n} - S l^{-d_n}, where S, the sign sum over those crossings, is
-one masked sum over the row; with d_n = 0 the part is -(sum of all
-signs).  Ind(c), J_n(D), dJ_n(D)
-and the affine index polynomial are read from the same analysis
-(``FReport.index``, ``.writhes``, ``.dwrithe(n)``, ``.stable_tail``).
+crossing c (one column per crossing, in traversal order).  One of two
+kernels, below, gives its rows up to the largest index magnitude of the
+smoothings, and ``f_sequence`` alone pads them with one shared zero row
+up to n_max+1.  F^n and T_n read their rows from it; any n beyond the
+table reads zeros.  F^n sums its first part term by term and its T_n
+part in closed form: with d_n = dJ_n(D) != 0, every crossing
+contributes l^{d_n} except those with dJ_n(D_c) = -d_n, which
+contribute l^{-d_n}, so the part is -(sum of all signs - S) l^{d_n} -
+S l^{-d_n}, where S, the sign sum over those crossings, is one masked
+sum over the row; with d_n = 0 the part is -(sum of all signs).
+Ind(c), J_n(D), dJ_n(D) and the affine index polynomial are read from
+the same analysis (``FReport.index``, ``.writhes``, ``.dwrithe(n)``,
+``.stable_tail``).
 
 The analysis runs on an integer kernel over the integer form that
 ``Diagram`` builds while it validates (see its docstring): crossings
@@ -94,8 +96,8 @@ one running sum over the 2m passes gives every G_c at once, and a fixed
 number of big-int operations per k gives Ind_{D_c}(k) in every lane.
 The dJ table is counted from the codes 2|Ind| + [s'_k sgn(Ind) < 0],
 s'_k the sign of k in D_c (-s_k where k and c interlace); the counting
-is described at ``_lane_table``.  Both kernels give the same n_max and
-dJ table, and the walk stays the reference of the lane pass's tests.
+is described at ``_lane_table``.  Both kernels give the same rows, and
+the walk stays the reference of the lane pass's tests.
 Below ``_LANE_MIN`` = 10 crossings the walk, which writes each index
 straight into the table, beats the lane pass's fixed cost per diagram
 and per table row; the table workload's codes (m <= 4) lie below the
@@ -242,17 +244,16 @@ class FReport(NamedTuple):
         return frozenset(compress(self.index, map(size.__eq__, map(abs, self.smoothed_row(n)))))
 
 
-def _walk_table(diagram: Diagram, bound: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """n_max and the dJ table by one index walk per smoothing; ``bound``
-    is the largest index magnitude of D itself.
+def _walk_table(diagram: Diagram) -> list[tuple[int, ...]]:
+    """The rows of the dJ table for n = 1 up to the largest index
+    magnitude of the smoothings, by one index walk per smoothing.
 
     D_c is the run from the Over pass to the Under pass forward, then
     the run S from the Under pass to the Over pass reversed, each a
     slice of D's passes doubled; a crossing with exactly one endpoint in
     S changes sign (``Diagram.smooth``), and c, not a crossing of D_c,
     gets sign 0.  Each Ind_{D_c}(k) = i != 0 adds s'_k, the sign of k
-    in D_c, (i > 0) or -s'_k (i < 0) to column c of row |i|; the rows
-    past the largest |i| are one shared zero tuple."""
+    in D_c, (i > 0) or -s'_k (i < 0) to column c of row |i|."""
     sign, passes = diagram._sign, diagram._passes
     m, n = len(sign), len(passes)
     passes2 = passes * 2
@@ -272,13 +273,10 @@ def _walk_table(diagram: Diagram, bound: int) -> tuple[int, tuple[tuple[int, ...
                 while len(rows) < i:
                     rows.append([0] * m)
                 rows[i - 1][c] += s
-    n_max = max(bound, len(rows))
-    table = [tuple(row) for row in rows]
-    table += [(0,) * m] * (n_max + 1 - len(rows))
-    return n_max, tuple(table)  # from a list: see _lane_table
+    return [tuple(row) for row in rows]
 
 
-def _lane_table(diagram: Diagram, bound: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _lane_table(diagram: Diagram) -> list[tuple[int, ...]]:
     """``_walk_table`` for every smoothing at once: the closed form of
     the module docstring, with lane c of each packed int for D_c.
 
@@ -358,9 +356,7 @@ def _lane_table(diagram: Diagram, bound: int) -> tuple[int, tuple[tuple[int, ...
             plus, minus = map(get, range(4, 2 * top + 4, 2), zeros), map(get, range(5, 2 * top + 5, 2), zeros)
             columns.append(map(sub, plus, minus))
         table += zip(*columns)
-    n_max = max(bound, top)
-    table += [(0,) * m] * (n_max + 1 - top)
-    return n_max, tuple(table)
+    return table
 
 
 # Crossings from which f_sequence takes _lane_table, the measured crossover:
@@ -398,8 +394,10 @@ def f_sequence(diagram: Diagram) -> FReport:
     sign = diagram._sign
     indices = _indices(diagram._passes, sign)
     writhes = _writhes(indices, sign)
-    kernel = _lane_table if len(sign) >= _LANE_MIN else _walk_table
-    n_max, table = kernel(diagram, max(map(abs, writhes), default=0))
+    rows = (_lane_table if len(sign) >= _LANE_MIN else _walk_table)(diagram)
+    n_max = max(max(map(abs, writhes), default=0), len(rows))
+    rows += [(0,) * len(sign)] * (n_max + 1 - len(rows))
+    table = tuple(rows)  # from a list: see _lane_table
     tail = _affine(indices, sign)
     total = sum(sign)
     polys = [_f_poly(indices, sign, row, _dj(writhes, n), total) for n, row in enumerate(table, start=1)]

@@ -54,14 +54,13 @@ def writhe_table(d: Diagram) -> dict[int, int]:
     return table
 
 
-def dj_table(writhes: Iterable[dict[int, int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """n_max and the dJ table from the writhe tables of the smoothings,
-    in crossing order: the largest |k| of any key, and the rows of
-    dJ_n for n = 1 .. n_max+1, the form the kernels return for a
-    diagram whose own indices are all 0."""
+def dj_table(writhes: Iterable[dict[int, int]]) -> list[tuple[int, ...]]:
+    """The rows of the dJ table from the writhe tables of the smoothings,
+    in crossing order: dJ_n for n = 1 up to the largest |k| of any key,
+    the rows the kernels return."""
     writhes = list(writhes)
-    n_max = max((abs(k) for table in writhes for k in table), default=0)
-    return n_max, tuple(tuple(t.get(n, 0) - t.get(-n, 0) for t in writhes) for n in range(1, n_max + 2))
+    top = max((abs(k) for table in writhes for k in table), default=0)
+    return [tuple(t.get(n, 0) - t.get(-n, 0) for t in writhes) for n in range(1, top + 1)]
 
 
 def map_terms(poly, fn=None) -> LaurentPoly2:

@@ -155,13 +155,13 @@ def test_compute_all_smooths_each_crossing_once(capsys, monkeypatch):
     lane, walk, indices = inv._lane_table, inv._walk_table, inv._indices
     kernels, left_out = [], []
 
-    def counting_lane(diagram, bound):
+    def counting_lane(diagram):
         kernels.append(("lane", diagram.n_crossings))
-        return lane(diagram, bound)
+        return lane(diagram)
 
-    def counting_walk(diagram, bound):
+    def counting_walk(diagram):
         kernels.append(("walk", diagram.n_crossings))
-        return walk(diagram, bound)
+        return walk(diagram)
 
     def counting_indices(passes, sign):
         passes = list(passes)

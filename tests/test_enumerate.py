@@ -1,18 +1,22 @@
 """Code enumeration and canonical codes (``vknot.enumerate``).
 
 ``chord_words`` is checked against a brute force over every ordering of
-the chord labels, ``standard_relabel`` on one code, and ``canonical_code``
-against every rotation and relabelling of one code per class with at
-most three crossings.  The code and class counts of ``enumerate_codes``
-are read from the one pass of ``test_universe.sweep``.
+the chord labels, and ``canonical_code`` against every rotation and
+relabelling of one code per class with at most three crossings.
+``CANONICAL_PIN`` pins the canonical codes themselves, up to 33
+crossings, and one code pins the order of two-digit labels.  The code
+and class counts of ``enumerate_codes`` are read from the one pass of
+``test_universe.sweep``.
 """
 
+import hashlib
 from itertools import permutations
 
 import pytest
 
-from vknot.enumerate import canonical_code, chord_words, enumerate_codes, standard_relabel
+from conftest import random_code
 from test_universe import CLASS_COUNTS, CODE_COUNTS, sweep
+from vknot.enumerate import canonical_code, chord_words, enumerate_codes
 from vknot.gauss import Diagram, Entry, parse_gauss
 
 
@@ -40,9 +44,26 @@ def test_chord_words_are_lazy():
     assert next(iter(chord_words(12))) == tuple(x for i in range(1, 13) for x in (i, i))
 
 
-def test_standard_relabel_numbers_by_first_appearance():
-    entries = parse_gauss("Ub- Oa+ Ob- Ua+").entries
-    assert " ".join(map(str, standard_relabel(list(entries)))) == "U1- O2+ O1- U2+"
+# (codes, sha256 of their canonical codes joined by newlines): every code
+# of ``enumerate_codes(m)`` for m = 0..3, then ``random_code(m, seed)``
+# for m = 10, 12, 20 and 33 and seeds 0, 1 and 2.
+CANONICAL_PIN = (1025, "b7d4d9643b2a1c5203a42e29dfff98828bbf6da250360e1f233821e6b58cfc17")
+
+
+def test_canonical_codes_are_pinned():
+    codes = [canonical_code(d) for m in range(4) for d in enumerate_codes(m)]
+    codes += [canonical_code(parse_gauss(random_code(m, seed))) for m in (10, 12, 20, 33) for seed in range(3)]
+    assert (len(codes), hashlib.sha256("\n".join(codes).encode()).hexdigest()) == CANONICAL_PIN
+
+
+def test_canonical_code_orders_labels_as_text():
+    # Two rotations of one class agree up to the 14th token, O10+ in one
+    # and O9+ in the other: as text "O10+" < "O9+", so the first is the
+    # canonical code, though by label number the second would be.
+    least = "O1+ O2+ O3+ O4+ U5+ O6+ U7+ U8+ U9+ O7+ U10+ U11+ O11+ O10+ O9+ O8+ U6+ O5+ U12+ U4+ U2+ O12+ U3+ U1+"
+    other = "O1+ O2+ O3+ O4+ U5+ O6+ U7+ U8+ U9+ O7+ U10+ U11+ O11+ O9+ O10+ O8+ U6+ O5+ U12+ U4+ U3+ O12+ U2+ U1+"
+    assert canonical_code(parse_gauss(least)) == canonical_code(parse_gauss(other)) == least
+    assert canonical_code(parse_gauss("Ub- Oa+ Ob- Ua+")) == "O1+ O2- U1+ U2-"
 
 
 @pytest.mark.parametrize("m, codes, classes", [(m, CODE_COUNTS[m], CLASS_COUNTS[m]) for m in range(4)])

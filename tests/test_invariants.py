@@ -20,13 +20,14 @@ UNKNOT = parse_gauss("")
 def brute_force_labels(d: Diagram) -> list[int]:
     """Independent oracle: evaluate the first-met-overcrossing sign sum
     separately at every arc, with no propagation shortcut."""
-    n = len(d)
+    entries = d.entries
+    n = len(entries)
     labels = []
     for start in range(n):
         seen = set()
         total = 0
         for i in range(start + 1, start + n + 1):
-            e = d.entries[i % n]
+            e = entries[i % n]
             if e.crossing not in seen:
                 seen.add(e.crossing)
                 if e.over:

@@ -4,8 +4,8 @@ Ind(c) must equal ``interlacement_index``, a count read off the raw
 Gauss code with no arc labels.  The oracle writhe table of a diagram is
 built from that count and the signs alone, so it shares no code with the
 kernel.  On the table codes and on random diagrams, the walk and the
-lane pass, each called directly whatever the size, must give the n_max
-and dJ table of the oracle tables of the validated smoothed diagrams
+lane pass, each called directly whatever the size, must give the dJ
+table rows of the oracle tables of the validated smoothed diagrams
 ``d.smooth(c)``, also on codes whose indices pass one byte, where the
 two kernels give equal reports.  On either side of ``_LANE_MIN`` the
 two kernels, and the reports ``f_sequence`` builds from each, agree.
@@ -46,11 +46,11 @@ def oracle(d: Diagram) -> dict[str, dict[int, int]]:
 
 
 def assert_kernels_match_oracle(d: Diagram) -> None:
-    """The walk's and the lane pass's n_max and dJ table, whatever the
-    size, against those of the oracle smoothings."""
+    """The walk's and the lane pass's dJ table rows, whatever the size,
+    against those of the oracle smoothings."""
     expected = dj_table(oracle(d).values())
-    assert _walk_table(d, 0) == expected, str(d)
-    assert _lane_table(d, 0) == expected, str(d)
+    assert _walk_table(d) == expected, str(d)
+    assert _lane_table(d) == expected, str(d)
 
 
 def test_kernel_matches_oracle_on_table(table_records):
@@ -76,7 +76,8 @@ def test_kernel_matches_oracle_property(d):
 def test_kernel_kink_smooths_to_empty_word(code):
     d = parse_gauss(code)
     assert oracle(d) == {"1": {}}
-    assert _walk_table(d, 0) == _lane_table(d, 0) == (0, ((0,),))
+    assert _walk_table(d) == _lane_table(d) == []
+    assert f_sequence(d).smoothed_dj == ((0,),)
 
 
 @pytest.mark.parametrize(
@@ -109,7 +110,8 @@ def test_control_moves_change_fingerprint_on_every_small_code():
 
 def test_kernel_unknot():
     assert oracle(parse_gauss("")) == {}
-    assert _walk_table(parse_gauss(""), 0) == _lane_table(parse_gauss(""), 0) == (0, ((),))
+    assert _walk_table(parse_gauss("")) == _lane_table(parse_gauss("")) == []
+    assert f_sequence(parse_gauss("")).smoothed_dj == ((),)
 
 
 # -- wide indices: the lane pass past one byte -----------------------------------------
@@ -130,8 +132,8 @@ def test_lane_pass_on_wide_indices(code, monkeypatch):
     lanes = f_sequence(d)
     assert lanes.n_max == {140: 139, 128: 126, 129: 127}[d.n_crossings]
     smoothed = dj_table(oracle(d).values())
-    assert _lane_table(d, 0) == _walk_table(d, 0) == smoothed
-    assert lanes.smoothed_dj[: smoothed[0] + 1] == smoothed[1]
+    assert _lane_table(d) == _walk_table(d) == smoothed
+    assert lanes.smoothed_dj == tuple(smoothed) + ((0,) * d.n_crossings,) * (lanes.n_max + 1 - len(smoothed))
     monkeypatch.setattr(vknot.invariants, "_LANE_MIN", d.n_crossings + 1)
     assert f_sequence(d) == lanes  # the walk's report, fingerprint included
 
@@ -147,31 +149,34 @@ PLATEAU = {m: " ".join([f"U{i}+" for i in range(1, m)] + ["O0+ U0+"] + [f"O{i}+"
 @pytest.mark.parametrize("m", [64, 66])
 def test_lane_width_bound_is_reached(m):
     d = parse_gauss(PLATEAU[m])
-    assert _lane_table(d, 0) == _walk_table(d, 0) == dj_table(oracle(d).values())
+    assert _lane_table(d) == _walk_table(d) == dj_table(oracle(d).values())
 
 
 @pytest.mark.parametrize("m", range(1, vknot.invariants._LANE_MIN + 3))
 def test_kernels_agree_across_the_crossover(m, monkeypatch):
-    # Both kernels with the diagram's own index bound, and f_sequence
-    # forced onto the lane pass (_LANE_MIN = 0) and onto the walk.
+    # Both kernels' rows, and f_sequence forced onto the lane pass
+    # (_LANE_MIN = 0) and onto the walk, with n_max the larger of the
+    # diagram's own index bound and the rows.
     for seed in range(6):
         d = parse_gauss(random_code(m, 400 + seed))
         bound = max(map(abs, interlacement_index(d).values()))
-        assert _walk_table(d, bound) == _lane_table(d, bound), (m, seed)
+        rows = _walk_table(d)
+        assert rows == _lane_table(d), (m, seed)
         monkeypatch.setattr(vknot.invariants, "_LANE_MIN", 0)
         lanes = f_sequence(d)
+        assert lanes.n_max == max(bound, len(rows)), (m, seed)
         monkeypatch.setattr(vknot.invariants, "_LANE_MIN", m + 1)
         assert f_sequence(d) == lanes, (m, seed)
 
 
 def assert_lane_pass_matches_walk(sizes=(128, 256, 512), seeds=range(1, 4)) -> None:
-    """The lane pass against the walk, n_max and dJ table, on seeded
+    """The lane pass against the walk, the dJ table rows, on seeded
     random codes of each size and on ``WIDE_CODES``.  The oracle tests
     stop at 64 crossings; CI runs this past the one-byte fold at 128,
     and with 200 seeds at each size from 6 to 16, across ``_LANE_MIN``."""
     for code in [random_code(m, seed) for m in sizes for seed in seeds] + WIDE_CODES:
         d = parse_gauss(code)
-        assert _lane_table(d, 0) == _walk_table(d, 0), (d.n_crossings, code[:40])
+        assert _lane_table(d) == _walk_table(d), (d.n_crossings, code[:40])
 
 
 # -- views of the dJ_n(D_c) table ----------------------------------------------------
@@ -229,7 +234,7 @@ def test_index_oracle_property(d):
 # -- a planted fault: the other smoothing segment ------------------------------------
 
 
-def other_segment_walk(diagram, bound):
+def other_segment_walk(diagram):
     """``_walk_table`` with the segment choice the ``gauss`` module
     docstring rejects: D_c is the run from the Under pass to the Over pass
     forward, then the run T from the Over pass to the Under pass reversed,
@@ -246,9 +251,7 @@ def other_segment_walk(diagram, bound):
         ind = _indices(chain(passes2[u + 1 : oo], passes2[uu - 1 : o : -1]), sign)
         del ind[c], sign[c]
         smoothed.append(_writhes(ind, sign))
-    top, table = dj_table(smoothed)
-    n_max = max(bound, top)
-    return n_max, table + ((0,) * len(smoothed),) * (n_max - top)
+    return dj_table(smoothed)
 
 
 def obeys_reversal_law(d: Diagram) -> bool:

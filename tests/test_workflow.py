@@ -1,8 +1,11 @@
 """The CI workflow parses as YAML, every check it imports exists, and
-one step checks every code with four crossings.
+one step checks every code with four crossings; every library name the
+tools import exists.
 
 A step whose text breaks the YAML makes the whole workflow invalid, so
-that no job runs at all; this catches it before a push does.
+that no job runs at all; this catches it before a push does.  A library
+name deleted or renamed under a tool fails here, not in the CI step that
+runs the tool.
 """
 
 import importlib
@@ -25,12 +28,25 @@ def test_workflow_parses_and_its_imports_resolve(monkeypatch):
     # The steps run with PYTHONPATH=src:tests.
     monkeypatch.syspath_prepend(str(ROOT / "tests"))
     monkeypatch.syspath_prepend(str(ROOT / "src"))
-    imports = [m for run in runs for m in re.finditer(r"from ([\w.]+) import ([\w ,]+)", run)]
+    pattern = re.compile(r"from ([\w.]+) import ([\w ,]+)")
+    assert_imports_resolve([m.groups() for run in runs for m in pattern.finditer(run)])
+
+
+def test_tool_imports_resolve(monkeypatch):
+    # Each tool puts src on the path itself; an import may span lines in parentheses.
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    pattern = re.compile(r"^from (vknot[\w.]*) import (?:\(([^)]*)\)|(.*)$)", re.M)
+    texts = [path.read_text() for path in sorted((ROOT / "tools").glob("*.py"))]
+    assert_imports_resolve([(m[1], m[2] or m[3]) for text in texts for m in pattern.finditer(text)])
+
+
+def assert_imports_resolve(imports: list[tuple[str, str]]) -> None:
+    """Each (module, names) import names attributes of its module."""
     assert imports
-    for m in imports:
-        module = importlib.import_module(m[1])
-        for name in m[2].split(","):
-            assert hasattr(module, name.split(" as ")[0].strip()), m[0]
+    for module_name, names in imports:
+        module = importlib.import_module(module_name)
+        for name in filter(None, map(str.strip, names.split(","))):
+            assert hasattr(module, name.split(" as ")[0].strip()), (module_name, name)
 
 
 def test_one_step_checks_every_code_with_four_crossings():
