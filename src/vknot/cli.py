@@ -24,7 +24,6 @@ import time
 
 from .gauss import Diagram, GaussCodeError, parse_gauss
 from .invariants import f_sequence
-from .moves import Lcg, MoveError, fuzz_invariance
 from .table import (
     CorruptData,
     KnotRecord,
@@ -183,6 +182,7 @@ def _cmd_verify_moves(args: argparse.Namespace) -> int:
         raise _InputError("trials must be >= 0")
     if args.steps < 0:
         raise _InputError("steps must be >= 0")
+    from .moves import Lcg, fuzz_invariance  # here only: no other command walks
     if args.target is None:
         targets = [(r.name, r.diagram) for r in load_table()]
     else:
@@ -254,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return status
-    except (_InputError, GaussCodeError, MoveError, CorruptData) as exc:
+    except (_InputError, GaussCodeError, CorruptData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -11,7 +11,7 @@ Both read and build ``Diagram``'s integer form, never an ``Entry``.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .gauss import _PASS_TEXT, _SIGN_TEXT, Diagram
 

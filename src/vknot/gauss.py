@@ -54,7 +54,8 @@ four-crossing tables, and it is pinned by the regression tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 
 class GaussCodeError(ValueError):
@@ -78,12 +79,11 @@ class UnknownCrossing(GaussCodeError):
     """A crossing id is not present in the diagram."""
 
 
-class Entry(NamedTuple):
-    """One classical crossing pass: which crossing, Over/Under, sign."""
+class Entry(namedtuple("Entry", "crossing over sign")):
+    """One classical crossing pass: ``crossing``, its id (str); ``over``,
+    True for the Over pass; ``sign``, +1 or -1."""
 
-    crossing: str
-    over: bool
-    sign: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return _PASS_TEXT[self.over] + self.crossing + _SIGN_TEXT[self.sign]
@@ -165,12 +165,12 @@ class Diagram:
         if len(passes) != 2 * len(signs):
             odd = [c for c, k in number.items() if opos[k] < 0 or upos[k] < 0]
             raise BadPairing(f"crossings without both passes: {sorted(odd)}")
-        setattr_ = object.__setattr__
-        setattr_(self, "_number", number)
-        setattr_(self, "_passes", tuple(passes))
-        setattr_(self, "_sign", tuple(signs))
-        setattr_(self, "_opos", tuple(opos))
-        setattr_(self, "_upos", tuple(upos))
+        set_number, set_passes, set_sign, set_opos, set_upos = _SLOT_SETTERS
+        set_number(self, number)
+        set_passes(self, tuple(passes))
+        set_sign(self, tuple(signs))
+        set_opos(self, tuple(opos))
+        set_upos(self, tuple(upos))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Diagram is immutable")
@@ -268,6 +268,10 @@ class Diagram:
         flipped = {c for c, cnt in inside_count.items() if cnt == 1}
         return self._of([(c, over, -sign if c in flipped else sign)
                          for c, over, sign in kept_seg + reversed_seg[::-1]])
+
+
+# For _pair: each slot's descriptor setter, half the cost of object.__setattr__.
+_SLOT_SETTERS = tuple(getattr(Diagram, name).__set__ for name in Diagram.__slots__)
 
 
 def parse_gauss(text: str) -> Diagram:

@@ -109,11 +109,10 @@ mutable state.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import accumulate, compress, repeat
 from operator import neg, sub, xor
-from struct import Struct
-from typing import Iterable, NamedTuple, Sequence
 
 from .gauss import Diagram
 from .laurent import LaurentPoly2
@@ -193,8 +192,10 @@ def _dj(writhes: dict[int, int], n: int) -> int:
     return writhes.get(n, 0) - writhes.get(-n, 0)
 
 
-class FReport(NamedTuple):
-    """The full F-polynomial sequence of a diagram, and the analysis behind it.
+class FReport(
+    namedtuple("FReport", "diagram n_max fingerprint stable_tail index writhes smoothed_dj")
+):
+    """The full F-polynomial sequence of ``diagram``, and the analysis behind it.
 
     ``fingerprint`` holds (n, F^n) for n = 1 .. k, the first n from
     which F^n equals ``stable_tail`` (the affine index polynomial) for
@@ -208,13 +209,7 @@ class FReport(NamedTuple):
     its column of ``smoothed_row(n)``.
     """
 
-    diagram: Diagram
-    n_max: int
-    fingerprint: tuple[tuple[int, LaurentPoly2], ...]
-    stable_tail: LaurentPoly2
-    index: dict[str, int]
-    writhes: dict[int, int]
-    smoothed_dj: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def f_at(self, n: int) -> LaurentPoly2:
         """F^n for any n >= 1, using the stable tail beyond the fingerprint."""
@@ -347,6 +342,7 @@ def _lane_table(diagram: Diagram) -> list[tuple[int, ...]]:
             # is resized, and each row length's tuple free list would fill up.
             table.append(tuple(list(map(sub, total.to_bytes(m, "little"), repeat(m)))))
     else:
+        from struct import Struct  # here, not at import: only m > 128 needs it
         values = Struct(f"<{m * m}{'BHIQ'[step.bit_length() - 1]}").unpack(data)
         top = max(values) // 2 - 1
         zeros = [0] * top

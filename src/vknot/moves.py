@@ -69,7 +69,7 @@ fixed 64-bit linear congruential generator (Knuth's MMIX multiplier
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .gauss import Diagram
 from .invariants import f_sequence
@@ -278,11 +278,12 @@ def _draw_r2_insert(rng: Lcg, word: _Word, arcs) -> tuple:
     return arc1, arc2 + (arc2 >= arc1), rng.choice((True, False))
 
 
-class _Move(NamedTuple):
-    keys: dict[str, type]  # step-dict key of each parameter, in order -> its JSON type
-    sites: Callable  # word -> the sites of one scan; empty if the move cannot apply
-    draw: Callable  # (rng, word, sites) -> parameters
-    rewrite: Callable  # (word, sites, *parameters) -> None; rewrites in place or raises
+class _Move(namedtuple("_Move", "keys sites draw rewrite")):
+    """``keys``: each parameter's step-dict key, in order -> its JSON type;
+    ``sites(word)``: one scan's sites, empty if the move cannot apply; ``draw(rng,
+    word, sites)`` -> parameters; ``rewrite(word, sites, *parameters)`` in place or raises."""
+
+    __slots__ = ()
 
 
 # Insertions apply on every word with enough arcs; their "sites" are those arcs.
@@ -331,16 +332,16 @@ def apply_move(diagram: Diagram, kind: str, *params) -> Diagram:
 
 # -- move scripts, random walks and fuzzing ------------------------------------------
 
-class MoveScript(NamedTuple):
+class MoveScript(namedtuple("MoveScript", "steps")):
     """A replayable sequence of move applications.
 
-    Each step is a JSON-able dict naming the move kind and its
-    parameters; ``apply`` replays the script on a diagram, raising if
-    any step is inapplicable there.  Serialized scripts are how the
-    fuzzing CLI reports failures for reproduction.
+    ``steps`` is a tuple of JSON-able dicts, each naming the move kind
+    and its parameters; ``apply`` replays the script on a diagram,
+    raising if any step is inapplicable there.  Serialized scripts are
+    how the fuzzing CLI reports failures for reproduction.
     """
 
-    steps: tuple[dict, ...]
+    __slots__ = ()
 
     def apply(self, diagram: Diagram) -> Diagram:
         cur = diagram

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import enum
 import os
-from pathlib import Path
-from typing import NamedTuple
+from collections import namedtuple
 
-from .gauss import Diagram, GaussCodeError, parse_gauss
-from .invariants import FReport, f_sequence
+from .gauss import GaussCodeError, parse_gauss
+from .invariants import f_sequence
 from .laurent import LaurentPoly2, parse_poly
 
 
@@ -55,12 +54,11 @@ def name_key(name: str) -> tuple[int, int]:
     return int(crossings), int(index)
 
 
-class KnotRecord(NamedTuple):
-    """A named tabulated knot: its diagram and the fingerprint it must have."""
+class KnotRecord(namedtuple("KnotRecord", "name diagram expected")):
+    """A named tabulated knot: its ``name``, its ``diagram`` and the
+    fingerprint it must have, ``expected``: (n, F^n) pairs."""
 
-    name: str
-    diagram: Diagram
-    expected: tuple[tuple[int, LaurentPoly2], ...]
+    __slots__ = ()
 
 
 class Verdict(enum.Enum):
@@ -69,14 +67,15 @@ class Verdict(enum.Enum):
     MISMATCH = "Mismatch"
 
 
-class MatchVerdict(NamedTuple):
+class MatchVerdict(namedtuple("MatchVerdict", (
+    "name", "status",  # status: a Verdict
+    "details",  # per-n diffs, empty unless MISMATCH
+    "report",  # FReport of the orientation that matched (the stored one on MISMATCH)
+    "rows",  # (n, report's F^n) for each n compared
+))):
     """Outcome of checking one record against its expected rows."""
 
-    name: str
-    status: Verdict
-    details: tuple[str, ...]  # per-n diffs, empty unless MISMATCH
-    report: FReport  # of the orientation that matched (the stored one on MISMATCH)
-    rows: tuple[tuple[int, LaurentPoly2], ...]  # (n, report's F^n) for each n compared
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -84,10 +83,9 @@ class MatchVerdict(NamedTuple):
 
 
 def data_dir() -> Path:
+    from pathlib import Path  # here, not at import: only locating the table needs it
     override = os.environ.get("VKNOT_TABLE_DIR")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "data"
+    return Path(override) if override else Path(__file__).resolve().parent / "data"
 
 
 def _read_rows(path: Path, width: int) -> list[list[str]]:

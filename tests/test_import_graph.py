@@ -2,11 +2,14 @@
 
 Every ``vknot`` command starts a fresh interpreter, so the modules that
 ``import vknot.cli`` pulls in are paid on every call.  The value classes
-are ``NamedTuple``s (``FReport``, ``KnotRecord``, ``MatchVerdict``,
-``MoveScript``) and ``__slots__`` classes (``Diagram``, ``LaurentPoly2``)
-rather than dataclasses, and ``json`` is imported only where JSON is
-written or read; the cases below pin both the import graph and the
-value semantics callers rely on: equality by value, and no attribute
+are ``collections.namedtuple`` subclasses with empty ``__slots__``
+(``FReport``, ``KnotRecord``, ``MatchVerdict``, ``MoveScript``) and
+``__slots__`` classes (``Diagram``, ``LaurentPoly2``) rather than
+dataclasses or ``typing.NamedTuple``s, so neither ``dataclasses`` nor
+``typing`` is imported.  ``json`` is imported only where JSON is written
+or read, ``pathlib`` only when the table is located, and ``vknot.moves``
+only by ``verify-moves``.  The cases below pin both the import graph and
+the value semantics callers rely on: equality by value, and no attribute
 set or deleted after construction.
 """
 
@@ -33,16 +36,17 @@ print(" ".join(sorted(set(sys.modules) - started)))
 
 
 def test_cli_import_leaves_out_heavy_stdlib_modules():
-    # Compared with the interpreter's own start-up modules, so that a
-    # module which ``site`` preloads cannot fail the test.
+    # Run with -E -S, so that no site hook or .pth file preloads a module
+    # and hides it; compared with the bare interpreter's start-up modules.
     src = str(Path(vknot.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", _ADDED_MODULES, src],
+        [sys.executable, "-E", "-S", "-c", _ADDED_MODULES, src],
         capture_output=True, text=True, timeout=60, check=True,
     )
     added = set(proc.stdout.split())
     assert "vknot.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "json"}, sorted(added)
+    forbidden = {"dataclasses", "inspect", "ast", "json", "typing", "pathlib", "vknot.moves"}
+    assert not added & forbidden, sorted(added & forbidden)
 
 
 RECORD_CODE = "O1- U2+ U3- O2+ U1- O3-"

@@ -166,6 +166,29 @@ def test_read_expected_values_equal_their_texts():
         assert dict(expected[name])[int(n_text)] == parse_poly(text)
 
 
+def test_paper_rows_obey_the_laws_of_f_without_the_engine():
+    # Read from fpolys.tsv alone, with no f_sequence, so this checks the
+    # data and not the engine against itself.  At l = 1 every F^n is the
+    # affine index polynomial P(t) = sum sgn(c) (t^Ind(c) - 1), and
+    # sum sgn(c) Ind(c) = 0, so P(1) = P'(1) = 0; the last listed row is
+    # the stable tail, which is P(t) itself.
+    expected = read_expected(data_dir() / "fpolys.tsv")
+    assert len(expected) == 116
+    for name, rows in expected.items():
+        at_l_one = []
+        for n, poly in rows:
+            p = {}
+            for et, _, c in poly.terms():
+                p[et] = p.get(et, 0) + c
+            at_l_one.append({et: c for et, c in p.items() if c})
+            assert sum(c for _, _, c in poly.terms()) == 0, (name, n, "F^n(1, 1)")
+        p = at_l_one[0]
+        assert all(q == p for q in at_l_one), (name, "F^n(t, 1) depends on n")
+        assert sum(p.values()) == 0, (name, "P(1)")
+        assert sum(et * c for et, c in p.items()) == 0, (name, "P'(1)")
+        assert all(el == 0 for _, el, _ in rows[-1][1].terms()), (name, "last row has l")
+
+
 BUILDER = Path(__file__).resolve().parent.parent / "tools" / "build_knot_table.py"
 
 
