@@ -17,17 +17,15 @@ e.g.::
 ``O``/``U`` are case-insensitive, ``<id>`` is one or more ASCII letters
 and digits (``[0-9A-Za-z]+``), ``<sign>`` is ``+`` or ``-``.  The empty
 (or all-separator) string encodes the unknot diagram (no classical
-crossings).  A ``Diagram`` built from entries enforces the same
-grammar: each id is a ``str`` of ASCII letters and digits, each pass
-flag a ``bool`` and each sign the ``int`` 1 or -1.
+crossings).  This text is the one input grammar: ``parse_gauss`` is the
+one public way in, and ``Diagram(...)`` raises ``TypeError``.
 
 A ``Diagram`` stores only its integer form, the one ``invariants`` and
-``moves`` read; its ``entries`` are a view of it, built on each read.
-One numbering and pairing loop builds that form from (id, pass flag,
-sign) triples for ``parse_gauss``, ``Diagram(entries)``, the transforms
-and the move rewrites.  ``parse_gauss`` checks every token before the
-loop pairs any of them; ``Diagram(entries)`` checks each entry as the
-loop draws it, so the first fault in entry order is the one reported.
+``moves`` read; its ``entries`` are a read-only view of it, built on
+each read.  One numbering and pairing loop, ``Diagram._of``, builds
+that form from (id, pass flag, sign) triples for ``parse_gauss``, the
+transforms, the move rewrites and ``enumerate_codes``.  ``parse_gauss``
+checks every token before the loop pairs any of them.
 
 Transforms:
 
@@ -55,7 +53,7 @@ four-crossing tables, and it is pinned by the regression tests.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 
 class GaussCodeError(ValueError):
@@ -63,8 +61,8 @@ class GaussCodeError(ValueError):
 
 
 class MalformedToken(GaussCodeError):
-    """A token does not match ``(O|U)<id>(+|-)``, or an entry's id, pass
-    flag or sign is outside the grammar of the module docstring."""
+    """A token does not match ``(O|U)<id>(+|-)``, the text grammar of
+    the module docstring, the one input grammar of a ``Diagram``."""
 
 
 class BadPairing(GaussCodeError):
@@ -80,8 +78,8 @@ class UnknownCrossing(GaussCodeError):
 
 
 class Entry(namedtuple("Entry", "crossing over sign")):
-    """One classical crossing pass: ``crossing``, its id (str); ``over``,
-    True for the Over pass; ``sign``, +1 or -1."""
+    """One pass, an element of ``Diagram.entries``: ``crossing``, its id
+    (str); ``over``, True for the Over pass; ``sign``, +1 or -1."""
 
     __slots__ = ()
 
@@ -96,51 +94,35 @@ _PASS_TEXT = ("U", "O")  # indexed by the pass flag
 _SIGN_TEXT = {1: "+", -1: "-"}
 
 
-def _checked(entries: Iterable[Entry]) -> Iterator[tuple[str, bool, int]]:
-    """Each entry as an (id, pass flag, sign) triple, checked against the
-    grammar of the module docstring as it is drawn."""
-    for crossing, over, sign in entries:
-        if not (isinstance(crossing, str) and crossing.isascii() and crossing.isalnum()):
-            raise MalformedToken(f"bad crossing id {crossing!r}")
-        if type(sign) is not int or (sign != 1 and sign != -1):
-            raise MalformedToken(f"bad sign {sign!r} at {crossing!r}")
-        if type(over) is not bool:
-            raise MalformedToken(f"bad pass flag {over!r} at {crossing!r}")
-        yield crossing, over, sign
-
-
 class Diagram:
     """A validated, immutable cyclic signed Gauss code.
 
-    The pairing and sign-consistency invariants are enforced at
-    construction time, so every reachable ``Diagram`` value is valid.
+    Built from text, the one input grammar, by ``parse_gauss``, and
+    inside the package from valid triples; ``Diagram(...)`` raises
+    ``TypeError``.  The pairing and sign-consistency invariants are
+    enforced by ``_of``, the one constructor body, so every reachable
+    ``Diagram`` value is valid.
     Equality is entry-for-entry (a rotation is a different value that
     represents the same knot; all invariants agree on rotations).
 
     Only the integer form is stored: ``_number`` maps each id to k, its
     first-appearance number, the tuple ``_passes`` holds (k, pass flag)
     for each position, and the tuples ``_sign``, ``_opos`` and ``_upos``
-    are indexed by k.  ``entries`` is a view of it, built on each read;
-    equality, hashing and ``len`` read the integer form.
+    are indexed by k.  ``entries`` is a read-only view of it, built on
+    each read; equality, hashing and ``len`` read the integer form.
     """
 
     __slots__ = ("_number", "_passes", "_sign", "_opos", "_upos")
 
-    def __init__(self, entries: Iterable[Entry]):
-        self._pair(_checked(entries))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Diagram with parse_gauss")
 
     @classmethod
     def _of(cls, triples: Iterable[tuple[str, bool, int]]) -> "Diagram":
         """The Diagram of (id, pass flag, sign) triples that already meet
-        the grammar; their pairing is checked."""
-        diagram = object.__new__(cls)
-        diagram._pair(triples)
-        return diagram
-
-    def _pair(self, triples: Iterable[tuple[str, bool, int]]) -> None:
-        """The one numbering and pairing loop: number the crossings in
-        order of first appearance, check that each has one Over and one
-        Under pass of one sign, and store the integer form."""
+        the grammar, by the one numbering and pairing loop: number the
+        crossings in order of first appearance, check that each has one
+        Over and one Under pass of one sign, and store the integer form."""
         number: dict[str, int] = {}
         passes: list[tuple[int, bool]] = []
         signs: list[int] = []
@@ -165,12 +147,14 @@ class Diagram:
         if len(passes) != 2 * len(signs):
             odd = [c for c, k in number.items() if opos[k] < 0 or upos[k] < 0]
             raise BadPairing(f"crossings without both passes: {sorted(odd)}")
+        diagram = object.__new__(cls)
         set_number, set_passes, set_sign, set_opos, set_upos = _SLOT_SETTERS
-        set_number(self, number)
-        set_passes(self, tuple(passes))
-        set_sign(self, tuple(signs))
-        set_opos(self, tuple(opos))
-        set_upos(self, tuple(upos))
+        set_number(diagram, number)
+        set_passes(diagram, tuple(passes))
+        set_sign(diagram, tuple(signs))
+        set_opos(diagram, tuple(opos))
+        set_upos(diagram, tuple(upos))
+        return diagram
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Diagram is immutable")
@@ -270,7 +254,7 @@ class Diagram:
                          for c, over, sign in kept_seg + reversed_seg[::-1]])
 
 
-# For _pair: each slot's descriptor setter, half the cost of object.__setattr__.
+# For _of: each slot's descriptor setter, half the cost of object.__setattr__.
 _SLOT_SETTERS = tuple(getattr(Diagram, name).__set__ for name in Diagram.__slots__)
 
 

@@ -103,13 +103,12 @@ class Lcg:
         self.state = (seed ^ 0x9E3779B97F4A7C15) & _MASK
 
     def next_bits(self) -> int:
-        self.state = (self.state * _MULT + _INC) & _MASK
-        return self.state >> 33
+        return self.randrange(1 << 31)
 
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
-        self.state = state = (self.state * _MULT + _INC) & _MASK  # next_bits, inline
+        self.state = state = (self.state * _MULT + _INC) & _MASK
         return (state >> 33) % n
 
     def choice(self, seq):

@@ -27,6 +27,11 @@ def table_records():
     return load_table()
 
 
+def from_entries(entries: Iterable[Entry]) -> Diagram:
+    """The Diagram of a sequence of entries, through the text grammar."""
+    return parse_gauss(" ".join(map(str, entries)))
+
+
 def interlacement_index(d: Diagram) -> dict[str, int]:
     """Ind(c) as the sum over the passes strictly between the Over and the
     Under pass of c, in cyclic order, of s_j for an Over pass and -s_j for
@@ -107,7 +112,7 @@ def diagrams(draw, max_crossings: int = 5, min_crossings: int = 0) -> Diagram:
         sign = draw(st.sampled_from((1, -1)))
         entries[a] = Entry(str(c + 1), over_first, sign)
         entries[b] = Entry(str(c + 1), not over_first, sign)
-    return Diagram(entries)
+    return from_entries(entries)
 
 
 @st.composite

@@ -14,10 +14,10 @@ from itertools import permutations
 
 import pytest
 
-from conftest import random_code
+from conftest import from_entries, random_code
 from test_universe import CLASS_COUNTS, CODE_COUNTS, sweep
 from vknot.enumerate import canonical_code, chord_words, enumerate_codes
-from vknot.gauss import Diagram, Entry, parse_gauss
+from vknot.gauss import Entry, parse_gauss
 
 
 def relabel(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -83,4 +83,4 @@ def test_canonical_code_ignores_rotation_and_relabelling(m):
             rename = dict(zip(names, perm))
             renamed = [Entry(rename[e.crossing], e.over, e.sign) for e in d.entries]
             for r in range(2 * m):
-                assert canonical_code(Diagram(renamed[r:] + renamed[:r])) == code, (str(d), perm, r)
+                assert canonical_code(from_entries(renamed[r:] + renamed[:r])) == code, (str(d), perm, r)

@@ -10,7 +10,7 @@ import itertools
 import pytest
 from hypothesis import given
 
-from conftest import diagrams, random_code
+from conftest import diagrams, from_entries, random_code
 from test_universe import sweep
 from vknot.enumerate import enumerate_codes
 from vknot.gauss import (
@@ -132,27 +132,6 @@ def test_entry_str():
     assert str(Entry("7", True, -1)) == "O7-"
 
 
-@pytest.mark.parametrize(
-    "crossing, sign",
-    [
-        pytest.param("a b", 1, id="space in id"),
-        pytest.param("1", 2, id="sign 2"),
-        pytest.param("1\n", 1, id="newline after id"),
-        pytest.param("", 1, id="empty id"),
-        pytest.param("\u0661", 1, id="non-ASCII digit id"),
-        pytest.param(1, 1, id="int id"),
-        pytest.param(None, 1, id="None id"),
-        pytest.param(["1"], 1, id="unhashable id"),
-        pytest.param("1", 1.0, id="float sign 1.0"),
-        pytest.param("1", -1.0, id="float sign -1.0"),
-        pytest.param("1", True, id="bool sign"),
-    ],
-)
-def test_constructor_rejects_bad_entries(crossing, sign):
-    with pytest.raises(MalformedToken):
-        Diagram([Entry(crossing, True, sign), Entry(crossing, False, sign)])
-
-
 # Pieces of the parse_gauss pin: tokens good and bad, and separators
 # (commas and Unicode whitespace, and two characters that are neither).
 _PIN_TOKENS = (
@@ -178,31 +157,31 @@ def test_parse_pinned_on_every_short_sequence():
     assert digest.hexdigest() == "2566c101d13bfb3d5f44eb630b60cecbd79ac36ed4878ea2d44f733a4d53116d"
 
 
-# Entries of the Diagram pin: valid ones for ids "1" and "2", then one
-# entry per bad id, pass flag or sign.
-_PIN_ENTRIES = (
-    Entry("1", True, 1), Entry("1", False, 1), Entry("1", True, -1), Entry("1", False, -1),
-    Entry("2", True, -1), Entry("2", False, -1),
-    Entry("1\n", True, 1), Entry(1, False, 1), Entry(None, True, -1), Entry(["x"], False, -1),
-    Entry("1", 1, 1), Entry("1", True, 1.0), Entry("2", False, True), Entry("2", True, 0),
-)
-
-
-def test_diagram_pinned_on_every_short_sequence():
-    # sha256 over the outcome of Diagram(...) on every sequence of at most
-    # four pin entries (41,371 in all), in itertools.product order: each
+def test_pairing_pinned_on_every_short_token_sequence():
+    # sha256 over the outcome of parse_gauss on every sequence of at most
+    # four of these tokens (4,681 in all), in itertools.product order: each
     # crossing with its sign, Over and Under position, or the error class
-    # and message; recorded with the dict-keyed validation this one replaced.
+    # and message; it pins the pairing loop's numbering and fault order.
+    # Recorded with the Diagram(entries) constructor still in place.
     digest = hashlib.sha256()
+    tokens = ("O1+", "U1+", "O1-", "U1-", "O2+", "U2+", "O2-", "U2-")
     for length in range(5):
-        for entries in itertools.product(_PIN_ENTRIES, repeat=length):
+        for parts in itertools.product(tokens, repeat=length):
             try:
-                d = Diagram(entries)
+                d = parse_gauss(" ".join(parts))
                 out = repr([(c, d.sign(c), d._opos[k], d._upos[k]) for c, k in d._number.items()])
             except GaussCodeError as exc:
                 out = f"{type(exc).__name__}: {exc}"
             digest.update(out.encode() + b"\n")
-    assert digest.hexdigest() == "bf9075ae9a6b9bbf39a6bcb40bad28c1b7ed704e89eb40f4b71c6d7f39caf997"
+    assert digest.hexdigest() == "3db07a297bdd2b02d44785c3a537db3379c141da06eff610b3ea9cd7cdd596fa"
+
+
+@pytest.mark.parametrize(
+    "args", [(), ([Entry("1", True, 1), Entry("1", False, 1)],)], ids=["no entries", "entries"]
+)
+def test_diagram_is_built_only_from_text(args):
+    with pytest.raises(TypeError, match="parse_gauss"):
+        Diagram(*args)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -213,12 +192,6 @@ def test_every_small_code_round_trips(m):
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_positions_match_entries_on_every_small_code(m):
     assert sweep(m).faults["positions"] == []
-
-
-@pytest.mark.parametrize("flag", ["yes", "", 1, 0, None])
-def test_constructor_rejects_non_bool_pass_flags(flag):
-    with pytest.raises(MalformedToken):
-        Diagram([Entry("1", flag, 1), Entry("1", False, 1)])
 
 
 @given(diagrams())
@@ -246,16 +219,14 @@ def test_smooth_output_is_valid(d):
     for c in d.crossings():
         s = d.smooth(c)
         assert s.n_crossings == d.n_crossings - 1
-        # Re-validating through the constructor proves the invariants hold.
-        assert Diagram(s.entries) == s
+        # Re-validating through the parser proves the invariants hold.
+        assert from_entries(s.entries) == s
 
 
-# The (class, message) of each fault, recorded with the parser and
-# constructor that checked every entry once in parse_gauss and again in
-# Diagram.__init__.  Every token is checked before any crossing is
-# paired, so "O1+ O1+ X" reports its token, not its first pairing fault;
-# Diagram(entries) checks and pairs one entry at a time, so a repeated
-# pass before a bad id reports the pairing.
+# The (class, message) of each fault of parse_gauss.  Every token is
+# checked before any crossing is paired, so "O1+ O1+ X" reports its
+# token, not its first pairing fault; the pairing faults come in the
+# order the pairing loop meets them.
 _TEXT_FAULTS = (
     ("O1+ O1+ X", ("MalformedToken", "malformed token 'X'")),
     ("O1+ U1- X1+", ("MalformedToken", "malformed token 'X1+'")),
@@ -272,47 +243,6 @@ _TEXT_FAULTS = (
     ("O1+ U2- O2- U1+ O3+", ("BadPairing", "crossings without both passes: ['3']")),
 )
 
-_ENTRY_FAULTS = (
-    (
-        [Entry("1", True, 1), Entry("1", True, 1), Entry(1, False, 1)],
-        ("BadPairing", "crossing '1' has two Over passes"),
-    ),
-    (
-        [Entry("1", True, 1), Entry("1", False, -1), Entry("2", 1, 1)],
-        ("SignMismatch", "crossing '1' has inconsistent signs"),
-    ),
-    (
-        [Entry("1", True, 1), Entry("1", False, 1), Entry("2", True, 2), Entry("2", True, 1)],
-        ("MalformedToken", "bad sign 2 at '2'"),
-    ),
-    (
-        [Entry("1", False, 1), Entry("1", False, 1), Entry("1\n", True, 1)],
-        ("BadPairing", "crossing '1' has two Under passes"),
-    ),
-    (
-        [Entry("a", True, -1), Entry("b", True, 1), Entry("a", False, 1), Entry(None, False, 1)],
-        ("SignMismatch", "crossing 'a' has inconsistent signs"),
-    ),
-    (
-        [Entry("1", True, 1), Entry(["x"], False, 1), Entry("1", True, 1)],
-        ("MalformedToken", "bad crossing id ['x']"),
-    ),
-    (
-        [Entry("1", True, 1), Entry("2", True, 1), Entry("1", False, 1)],
-        ("BadPairing", "crossings without both passes: ['2']"),
-    ),
-    (
-        [Entry("1", True, 1), Entry("1", False, 1), Entry("1", True, 1.0)],
-        ("MalformedToken", "bad sign 1.0 at '1'"),
-    ),
-    ([Entry("1", True, True), Entry("1", True, 1)], ("MalformedToken", "bad sign True at '1'")),
-    (
-        [Entry("1", True, 1), Entry("1", False, 1), Entry("2", False, -1), Entry("2", "no", -1)],
-        ("MalformedToken", "bad pass flag 'no' at '2'"),
-    ),
-)
-
-
 def _fault(build, arg) -> tuple[str, str]:
     with pytest.raises(GaussCodeError) as info:
         build(arg)
@@ -322,12 +252,6 @@ def _fault(build, arg) -> tuple[str, str]:
 @pytest.mark.parametrize("text, fault", _TEXT_FAULTS)
 def test_parse_reports_the_pinned_fault(text, fault):
     assert _fault(parse_gauss, text) == fault
-
-
-@pytest.mark.parametrize("entries, fault", _ENTRY_FAULTS)
-def test_constructor_reports_the_pinned_fault(entries, fault):
-    assert _fault(Diagram, entries) == fault
-    assert _fault(Diagram, iter(entries)) == fault
 
 
 def _text_entries(text: str) -> tuple[Entry, ...]:
@@ -340,7 +264,7 @@ def check_views(d: Diagram) -> None:
     the text equals d and hashes alike, and so does the Diagram of d's
     entries, whose own entries are the same Entry values."""
     text = str(d)
-    parsed, rebuilt = parse_gauss(text), Diagram(d.entries)
+    parsed, rebuilt = parse_gauss(text), from_entries(d.entries)
     assert parsed == d and hash(parsed) == hash(d), text
     assert rebuilt == d and hash(rebuilt) == hash(d), text
     assert all(type(e) is Entry for e in d.entries), text

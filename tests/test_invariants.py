@@ -79,6 +79,28 @@ def test_labels_rule_and_oracle_on_whole_table(table_records):
             assert labels[i % n] == labels[(i - 1) % n] + step
 
 
+def assert_labels_give_index(d: Diagram) -> None:
+    """Ind(c) = lambda(over-in arc) - lambda(under-in arc) - sgn(c), the
+    module docstring's definition, from the public labels; the arc into
+    the pass at position p is the arc after pass p - 1."""
+    labels, index = arc_labels(d), f_sequence(d).index
+    for c, k in d._number.items():
+        o, u = d._opos[k], d._upos[k]
+        assert index[c] == labels[o - 1] - labels[u - 1] - d.sign(c), (str(d), c)
+
+
+def test_labels_give_the_engine_index_on_whole_table(table_records):
+    for record in table_records:
+        d = record.diagram
+        for variant in (d, d.reverse(), d.mirror()):
+            assert_labels_give_index(variant)
+
+
+@given(diagrams())
+def test_labels_give_the_engine_index(d):
+    assert_labels_give_index(d)
+
+
 # -- index values -----------------------------------------------------------------
 
 

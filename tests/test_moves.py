@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vknot.moves
-from conftest import affine_oracle, diagrams
+from conftest import affine_oracle, diagrams, from_entries
 from vknot.gauss import Diagram, format_gauss, parse_gauss
 from vknot.invariants import f_sequence
 from vknot.moves import (
@@ -183,7 +183,7 @@ def test_fresh_ids_on_long_walks_follow_the_rule(table_records):
 @given(diagrams(max_crossings=6), st.permutations(ID_POOL), st.integers(0, 2**32))
 def test_fresh_ids_follow_the_rule_for_any_ids(d, pool, seed):
     rename = dict(zip(d.crossings(), pool))
-    d = Diagram(e._replace(crossing=rename[e.crossing]) for e in d.entries)
+    d = from_entries(e._replace(crossing=rename[e.crossing]) for e in d.entries)
     assert_fresh_ids_follow_the_rule(lambda: random_walk(d, 30, seed))
 
 

@@ -38,7 +38,7 @@ import json
 from functools import cache
 from typing import NamedTuple
 
-from conftest import dj_table, map_terms, writhe_table
+from conftest import dj_table, from_entries, map_terms, writhe_table
 from vknot.enumerate import canonical_code, enumerate_codes
 from vknot.gauss import Diagram, Entry, format_gauss, parse_gauss
 from vknot.invariants import FReport, _lane_table, _walk_table, f_sequence
@@ -131,10 +131,10 @@ def control_neighbours(d: Diagram):
         if a.over == b.over and a.crossing != b.crossing:
             word = list(ents)
             word[i], word[(i + 1) % len(ents)] = b, a
-            yield "over" if a.over else "under", Diagram(word)
+            yield "over" if a.over else "under", from_entries(word)
     for c in d.crossings():
         word = [Entry(c, not e.over, -e.sign) if e.crossing == c else e for e in ents]
-        yield "change", Diagram(word)
+        yield "change", from_entries(word)
 
 
 def check_positions(d: Diagram, code: str) -> None:
@@ -169,7 +169,7 @@ def check_reflection(d: Diagram, seen: dict, code: str) -> None:
     the passes, so the reflection is a code of the same size, read from
     ``seen``."""
     report = seen[code]
-    reflected = seen[str(Diagram(e._replace(sign=-e.sign) for e in d.entries))]
+    reflected = seen[str(from_entries(e._replace(sign=-e.sign) for e in d.entries))]
     for n in range(1, max(report.n_max, reflected.n_max) + 2):
         expected = map_terms(report.f_at(n), lambda et, el, c: (-et, el, -c))
         assert reflected.f_at(n) == expected, (code, n)
