@@ -185,7 +185,7 @@ def _r1_insert(word: _Word, arcs: range, arc: int, sign: int, over_first: bool) 
 
 def _r1_sites(word: _Word) -> list[int]:
     passes = word.passes
-    sites = [i for i, (a, b) in enumerate(zip(passes, passes[1:] + passes[:1])) if a[0] == b[0]]
+    sites = [i for i, ((a, _), (b, _)) in enumerate(zip(passes, passes[1:] + passes[:1])) if a == b]
     return sites[:1] if len(passes) == 2 else sites  # "O1 U1" is one kink, seen from both ends
 
 
@@ -201,8 +201,13 @@ def _r2_insert(word: _Word, arcs: range, arc1: int, arc2: int, over_first: bool)
     a, b = word.fresh(1, -1)
     first = [(a, over_first), (b, over_first)]
     second = [(b, not over_first), (a, not over_first)]
-    for arc, block in sorted([(arc1, first), (arc2, second)], reverse=True):
-        word.passes[arc + 1 : arc + 1] = block
+    passes = word.passes
+    if arc1 < arc2:  # the later arc first, so that the earlier one keeps its position
+        passes[arc2 + 1 : arc2 + 1] = second
+        passes[arc1 + 1 : arc1 + 1] = first
+    else:
+        passes[arc1 + 1 : arc1 + 1] = first
+        passes[arc2 + 1 : arc2 + 1] = second
 
 
 def _r2_sites(word: _Word) -> list[list[int]]:
@@ -210,14 +215,16 @@ def _r2_sites(word: _Word) -> list[list[int]]:
     n = len(passes)
     pos = None  # (k, pass) -> position, built at the first candidate pair
     sites = []
-    for i, ((c1, o1), (c2, o2)) in enumerate(zip(passes, passes[1:] + passes[:1])):
+    i = -1
+    for (c1, o1), (c2, o2) in zip(passes, passes[1:] + passes[:1]):
+        i += 1
         if o1 != o2 or c1 == c2 or sign[c1] == sign[c2]:
             continue
         if pos is None:
             pos = dict(zip(passes, range(n)))
         # Each configuration is seen from both pairs, (i, j) and (j, i): keep the first.
         j = pos[c2, not o2]
-        if (j + 1) % n == pos[c1, not o1] and i < j:
+        if i < j and (j + 1) % n == pos[c1, not o1]:
             sites.append([i, j])
     return sites
 
@@ -235,21 +242,26 @@ def _r3_patterns(word: _Word) -> dict:
     n = len(passes)
     pos = None  # (k, pass) -> position, built at the first candidate pair
     out: dict = {}
-    for i, ((p, op), (q, oq)) in enumerate(zip(passes, passes[1:] + passes[:1])):
+    i = -1
+    for (p, op), (q, oq) in zip(passes, passes[1:] + passes[:1]):
+        i += 1
         if not (op and oq) or p == q:
             continue
         if pos is None:
             pos = dict(zip(passes, range(n)))
         up, uq = pos[p, False], pos[q, False]
+        sp, spq = sign[p], sign[p] * sign[q]
         for beta in (1, -1):
             jr = (up + beta) % n
             r, over = passes[jr]
-            other = pos[r, not over]
-            gamma = 1 if other == (uq + 1) % n else -1 if other == (uq - 1) % n else 0
-            if r == p or r == q or not gamma:
+            if r == p or r == q:
                 continue
-            chi = 1 if over else -1
-            if sign[p] * beta == sign[q] * gamma and sign[r] == sign[p] * gamma * chi:
+            # The first relation fixes gamma, so r's other pass is tested on
+            # one side of U_q only (n >= 6: the two sides differ); chi is
+            # +1 when ``over``.
+            gamma = spq * beta
+            other = pos[r, not over]
+            if other == (uq + gamma) % n and sign[r] == (sp * gamma if over else -sp * gamma):
                 out.setdefault((ids[p], ids[q], ids[r]), ((i, (i + 1) % n), (up, jr), (uq, other)))
     return out
 
@@ -266,15 +278,20 @@ def _r3_apply(word: _Word, patterns: dict, p: str, q: str, r: str) -> None:
 
 # -- one table of moves -----------------------------------------------------------
 
+# The insertions draw a sign and a pass order as ``Lcg.choice`` would from
+# (1, -1) and (True, False): ``randrange(2)`` picks the index.
+
 def _draw_r1_insert(rng: Lcg, word: _Word, arcs) -> tuple:
-    arc = rng.randrange(len(word.passes)) if word.passes else 0
-    return arc, rng.choice((1, -1)), rng.choice((True, False))
+    randrange = rng.randrange
+    arc = randrange(len(word.passes)) if word.passes else 0
+    return arc, (1, -1)[randrange(2)], not randrange(2)
 
 
 def _draw_r2_insert(rng: Lcg, word: _Word, arcs) -> tuple:
-    arc1 = rng.randrange(len(word.passes))
-    arc2 = rng.randrange(len(word.passes) - 1)
-    return arc1, arc2 + (arc2 >= arc1), rng.choice((True, False))
+    randrange, n = rng.randrange, len(word.passes)
+    arc1 = randrange(n)
+    arc2 = randrange(n - 1)
+    return arc1, arc2 + (arc2 >= arc1), not randrange(2)
 
 
 class _Move(namedtuple("_Move", "keys sites draw rewrite")):
@@ -378,21 +395,23 @@ def _walk(diagram: Diagram, steps: int, seed: int) -> tuple[_Word, list[tuple[st
     if steps < 0:
         raise MoveError("steps must be >= 0")
     rng, word = Lcg(seed), _Word(diagram)
-    table = list(_MOVES.items())
+    randrange = rng.randrange
+    table = [(kind, move.sites, move.draw, move.rewrite) for kind, move in _MOVES.items()]
+    kinds = len(table)
     taken = []
     for _ in range(steps):
-        empty = []  # the kinds whose scan came back empty in this step
+        empty = ()  # the kinds whose scan came back empty in this step
         while True:
-            i = rng.randrange(len(table))
+            i = randrange(kinds)
             if i in empty:
                 continue
-            kind, move = table[i]
-            sites = move.sites(word)
+            kind, scan, draw, rewrite = table[i]
+            sites = scan(word)
             if sites:
                 break
-            empty.append(i)
-        params = move.draw(rng, word, sites)
-        move.rewrite(word, sites, *params)
+            empty += (i,)
+        params = draw(rng, word, sites)
+        rewrite(word, sites, *params)
         taken.append((kind, params))
     return word, taken
 

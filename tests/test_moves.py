@@ -1,6 +1,7 @@
 """Reidemeister rewriting: structure, inverses, invariance, determinism."""
 
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 import vknot.moves
 from conftest import affine_oracle, diagrams, from_entries
+from test_universe import check_lemmas, sweep
+from vknot.enumerate import enumerate_codes
 from vknot.gauss import Diagram, format_gauss, parse_gauss
 from vknot.invariants import f_sequence
 from vknot.moves import (
@@ -262,6 +265,76 @@ def test_r3_rejects_non_triangle(example_31):
         apply_move(example_31, "R3", "1", "2", "3")
 
 
+# -- the crossing-level lemmas of the invariance proof -------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_moves_obey_the_crossing_lemmas_on_every_small_code(m):
+    # Read from the one pass of ``test_universe.sweep``: every R1-, R2-
+    # and R3 neighbour of every code with m crossings.
+    assert sweep(m).faults["lemmas"] == []
+
+
+def test_insertions_obey_the_crossing_lemmas(table_records):
+    # Every R1- kink of a code with m <= 3 sits on a diagram whose dJ_n
+    # are all 0, so the sign of a kink's column is tested here: every R1+
+    # call on each table code, and R2+ from each arc to one drawn arc,
+    # both pass orders.
+    rng, kinks = Lcg(0), 0
+    for record in table_records:
+        d = record.diagram
+        report, n = f_sequence(d), len(d)
+        calls = [("R1+", (a, s, o)) for a in range(n) for s in (1, -1) for o in (True, False)]
+        calls += [("R2+", (a, (a + 1 + rng.randrange(n - 1)) % n, o)) for a in range(n) for o in (True, False)]
+        for kind, params in calls:
+            check_lemmas(report, f_sequence(apply_move(d, kind, *params)), kind)
+        kinks += 4 * n * any(map(report.dwrithe, range(1, report.n_max + 1)))
+    assert kinks == 1288  # R1+ calls on a diagram with some dJ_n != 0
+
+
+def r3_first_relation_only(word) -> dict:
+    """A planted fault: ``_r3_patterns`` without its second sign
+    relation, sgn(r) == sgn(p) * gamma * chi."""
+    passes, sign, ids = word.passes, word.sign, word.ids
+    n = len(passes)
+    pos = dict(zip(passes, range(n)))
+    out = {}
+    for i, ((p, op), (q, oq)) in enumerate(zip(passes, passes[1:] + passes[:1])):
+        if not (op and oq) or p == q:
+            continue
+        up, uq = pos[p, False], pos[q, False]
+        for beta in (1, -1):
+            jr = (up + beta) % n
+            r, over = passes[jr]
+            other = pos[r, not over]
+            if r not in (p, q) and other == (uq + sign[p] * sign[q] * beta) % n:
+                out.setdefault((ids[p], ids[q], ids[r]), ((i, (i + 1) % n), (up, jr), (uq, other)))
+    return out
+
+
+def test_r3_without_its_second_sign_relation_fails_the_lemmas(monkeypatch):
+    # Of the rewrites the planted scan adds at m <= 3, every one breaks a
+    # lemma, and half of them keep the F-fingerprint all the same.
+    codes = [d for m in range(4) for d in enumerate_codes(m)]
+    real = {(str(d), str(apply_move(d, "R3", *t))) for d in codes for t in move_sites(d, "R3")}
+    planted = vknot.moves._MOVES["R3"]._replace(sites=r3_first_relation_only)
+    monkeypatch.setitem(vknot.moves._MOVES, "R3", planted)
+    outcomes = Counter()
+    for d in codes:
+        report = f_sequence(d)
+        for triple in move_sites(d, "R3"):
+            moved = apply_move(d, "R3", *triple)
+            analysis = f_sequence(moved)
+            try:
+                check_lemmas(report, analysis, "R3")
+                holds = True
+            except AssertionError:
+                holds = False
+            assert holds == ((str(d), str(moved)) in real), (str(d), triple)
+            outcomes[holds, analysis.fingerprint == report.fingerprint] += 1
+    assert outcomes == {(True, True): 192, (False, True): 96, (False, False): 96}
+
+
 # -- deterministic RNG -----------------------------------------------------------
 
 
@@ -370,12 +443,13 @@ def test_script_rejects_malformed_steps(example_31, step):
 def test_walk_builds_one_diagram_and_scans_once_per_step(table_records, monkeypatch):
     # The walk rewrites one word and validates it once, at the end;
     # a drawn R2- or R3 is applied from the scan it was drawn from.
+    # Every Diagram is built by ``Diagram._of``, so count its calls.
     built = []
-    init = Diagram.__init__
+    of = Diagram._of.__func__
 
-    def counting_init(self, entries):
+    def counting_of(cls, triples):
         built.append(1)
-        init(self, entries)
+        return of(cls, triples)
 
     found = {"R2-": 0, "R3": 0}
     for kind, name in (("R2-", "_r2_sites"), ("R3", "_r3_patterns")):
@@ -391,11 +465,11 @@ def test_walk_builds_one_diagram_and_scans_once_per_step(table_records, monkeypa
         monkeypatch.setitem(vknot.moves._MOVES, kind, move)
     kinds = []
     starts = [r.diagram for r in table_records]
-    monkeypatch.setattr(Diagram, "__init__", counting_init)
+    monkeypatch.setattr(Diagram, "_of", classmethod(counting_of))
     for seed, start in enumerate(starts):
         built.clear()
         _, script = random_walk(start, 40, seed)
-        assert len(built) <= 1
+        assert len(built) == 1
         kinds += [step["move"] for step in script.steps]
     assert found == {"R2-": kinds.count("R2-"), "R3": kinds.count("R3")}
     assert min(found.values()) > 100

@@ -17,11 +17,15 @@ compares the sweeps of sizes 0..m with the pins:
 - every R1-, R2- and R3 neighbour keeps the F-fingerprint, and the
   neighbours are ``MOVE_DIGESTS``; with the R1+ and R2+ calls of the
   codes with m <= 2, the same moves are ``SINGLE_PINS``;
+- each of those moves obeys the crossing-level lemmas of the invariance
+  proof, ``check_lemmas``: a kept crossing keeps its (sign, Ind, dJ
+  column), and the crossings a move removes cancel;
 - control moves, which are not Reidemeister moves, change the
   fingerprint as often as ``CONTROL_MOVE_COUNTS`` says.
 
-Each code gets one ``f_sequence`` for the move, control and reflection
-checks, and each R-neighbour one ``apply_move`` call.  A plane
+Each code gets one ``f_sequence`` for the move, lemma, control and
+reflection checks, and each R-neighbour one ``apply_move`` and one
+``f_sequence`` call.  A plane
 reflection and a crossing change of a code are codes of the same size,
 so their analyses are read by code text once the size is analysed; a
 text missing there is a fault, never a skip.  The suite runs
@@ -35,7 +39,7 @@ own part of the one pass over each size and fail on their own.
 
 import hashlib
 import json
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple
 
 from conftest import dj_table, from_entries, map_terms, writhe_table
@@ -175,12 +179,54 @@ def check_reflection(d: Diagram, seen: dict, code: str) -> None:
         assert reflected.f_at(n) == expected, (code, n)
 
 
-def check_moves(d: Diagram, base, code: str, moves: Pin, singles: Pin) -> None:
-    """Every R1-, R2- and R3 neighbour keeps the fingerprint ``base``;
-    each one feeds both pins."""
+def crossing_data(report: FReport, rows: int) -> dict[str, tuple]:
+    """{id: (sign, Ind, column)} for each crossing c of the report's
+    diagram, the column being dJ_n(D_c) for n = 1..rows (zeros past the
+    report's own rows)."""
+    sign = report.diagram.sign
+    columns = zip(*map(report.smoothed_row, range(1, rows + 1)))
+    return {c: (sign(c), ind, column) for (c, ind), column in zip(report.index.items(), columns)}
+
+
+def check_lemmas(before: FReport, after: FReport, kind: str) -> None:
+    """The crossing-level lemmas of the invariance proof for one ``kind``
+    move from ``before``'s diagram to ``after``'s, either way round:
+
+    - every crossing on both sides keeps its (sign, Ind, column);
+    - R1: the one crossing k on the larger side D is a kink with Ind(k)
+      = 0 and column dJ_n(D), negated when its Over pass comes first
+      (smoothing it then reverses the rest of the word);
+    - R2: the two crossings on the larger side have opposite signs,
+      equal Ind and equal columns; R3 adds or removes none."""
+    rows = max(len(before.smoothed_dj), len(after.smoothed_dj))
+    small, large = sorted((before, after), key=lambda side: len(side.index))
+    data, large_data = crossing_data(small, rows), crossing_data(large, rows)
+    where = (kind, str(before.diagram), str(after.diagram))
+    assert data.keys() <= large_data.keys(), where
+    assert all(large_data[c] == triple for c, triple in data.items()), where
+    extra = [large_data[c] + (c,) for c in large_data.keys() - data.keys()]
+    if kind in ("R1+", "R1-"):
+        ((_, ind, column, k),) = extra
+        passes = large.diagram.entries
+        at = next(i for i, e in enumerate(passes) if e.crossing == k and e.over)
+        over_first = passes[(at + 1) % len(passes)].crossing == k
+        dj = tuple(large.dwrithe(n) * (-1 if over_first else 1) for n in range(1, rows + 1))
+        assert (ind, column) == (0, dj), where
+    elif kind in ("R2+", "R2-"):
+        (s1, i1, c1, _), (s2, i2, c2, _) = extra
+        assert (s1, i1, c1) == (-s2, i2, c2), where
+    else:
+        assert not extra, where
+
+
+def check_moves(d: Diagram, report: FReport, code: str, moves: Pin, singles: Pin, lemmas) -> None:
+    """Every R1-, R2- and R3 neighbour keeps the fingerprint of ``report``,
+    d's analysis, and is checked by ``lemmas(report, its analysis,
+    kind)``; each one feeds both pins."""
     for kind, site, moved in neighbours(d):
-        moved_code = str(moved)
-        assert f_sequence(moved).fingerprint == base, (code, moved_code)
+        moved_code, analysis = str(moved), f_sequence(moved)
+        assert analysis.fingerprint == report.fingerprint, (code, moved_code)
+        lemmas(report, analysis, kind)
         moves.add([code, kind, site, moved_code])
         singles.add([code, kind, list(site) if kind == "R3" else [site], moved_code])
 
@@ -212,7 +258,7 @@ class Seen(NamedTuple):
 
 
 # The per-code checks of ``sweep``, each a key of ``Size.faults``.
-CHECKS = ("size", "positions", "round trip", "kernel", "reflection", "moves", "control")
+CHECKS = ("size", "positions", "round trip", "kernel", "reflection", "moves", "lemmas", "control")
 
 
 class Size(NamedTuple):
@@ -268,7 +314,7 @@ def sweep(size: int) -> Size:
         report = f_sequence(d)
         analysis = Seen(report.fingerprint, report.stable_tail, report.n_max)
         seen[code] = distinct.setdefault(analysis, analysis)
-        run("moves", check_moves, d, report.fingerprint, code, moves, singles)
+        run("moves", check_moves, d, report, code, moves, singles, partial(run, "lemmas", check_lemmas))
         if size <= 2:
             for kind, params, result in insertions(d):
                 singles.add([code, kind, params, result])
