@@ -44,10 +44,12 @@ Smoothing convention.  Writing the cyclic word as
 pass and the Over pass, and negates the sign of every crossing with
 exactly one endpoint inside ``S`` (one of its two strands has flipped
 orientation; with zero or two endpoints inside the sign is restored).
-Pass flags never change.  The opposite segment choice would produce
-the reverse-related diagram; this one is the choice that matches the
-published sign/index data for the smoothed diagrams of the three- and
-four-crossing tables, and it is pinned by the regression tests.
+Pass flags never change.  The opposite choice, ``S`` forward then ``T``
+reversed, negates the same signs (a crossing has one endpoint in ``T``
+exactly when it has one in ``S``), so it gives the reverse of this one's
+result.  This choice matches the published sign/index data of the
+smoothings in the three- and four-crossing tables; the test
+``test_table_rejects_the_other_smoothing_segment`` pins it.
 """
 
 from __future__ import annotations

@@ -46,9 +46,10 @@ contributes l^{d_n} except those with dJ_n(D_c) = -d_n, which
 contribute l^{-d_n}, so the part is -(sum of all signs - S) l^{d_n} -
 S l^{-d_n}, where S, the sign sum over those crossings, is one masked
 sum over the row; with d_n = 0 the part is -(sum of all signs).
-Ind(c), J_n(D), dJ_n(D) and the affine index polynomial are read from
-the same analysis (``FReport.index``, ``.writhes``, ``.dwrithe(n)``,
-``.stable_tail``).
+Ind(c), J_n(D) and dJ_n(D) are read from the same analysis
+(``FReport.index``, ``.writhes``, ``.dwrithe(n)``), and so is P_D(t),
+``.stable_tail``: sum_k J_k(D) t^k - sum_c sgn(c), from the writhe table.
+The collapse check compares it with F^{n_max+1} as ``_f_poly`` sums it.
 
 The analysis runs on an integer kernel over the integer form that
 ``Diagram`` builds while it validates (see its docstring): crossings
@@ -166,15 +167,6 @@ def arc_labels(diagram: Diagram) -> list[int]:
     # Propagate the local rule around the cycle from arc 0.
     steps = [-sign[k] if o else sign[k] for k, o in passes[1:]]
     return list(accumulate(steps, initial=base))
-
-
-def _affine(ind: Iterable[int], sign: Iterable[int]) -> LaurentPoly2:
-    terms: dict[tuple[int, int], int] = {}
-    get = terms.get
-    for k, s in zip(ind, sign):
-        terms[k, 0] = get((k, 0), 0) + s
-        terms[0, 0] = get((0, 0), 0) - s
-    return LaurentPoly2(terms)
 
 
 def _writhes(ind: list[int], sign: Sequence[int]) -> dict[int, int]:
@@ -383,9 +375,9 @@ def f_sequence(diagram: Diagram) -> FReport:
 
     n_max is the largest index magnitude seen in the diagram or any of
     its smoothings (0 when there is none), so every n > n_max has all
-    dwrithes zero and F^n equal to the affine index polynomial.  The
-    extra n_max+1 entry exercises that collapse; if it ever failed to
-    match the tail the engine would be wrong, hence the hard error.
+    dwrithes zero and F^n equal to P(t), the tail, read from the writhe
+    table.  The extra n_max+1 entry, summed over the crossings, checks
+    that collapse; a mismatch would be an engine bug, hence the hard error.
     """
     sign = diagram._sign
     indices = _indices(diagram._passes, sign)
@@ -394,8 +386,10 @@ def f_sequence(diagram: Diagram) -> FReport:
     n_max = max(max(map(abs, writhes), default=0), len(rows))
     rows += [(0,) * len(sign)] * (n_max + 1 - len(rows))
     table = tuple(rows)  # from a list: see _lane_table
-    tail = _affine(indices, sign)
     total = sum(sign)
+    affine = {(k, 0): j for k, j in writhes.items()}  # P(t) = sum_k J_k t^k - sum_c sgn(c)
+    affine[0, 0] = writhes.get(0, 0) - total
+    tail = LaurentPoly2(affine)
     polys = [_f_poly(indices, sign, row, _dj(writhes, n), total) for n, row in enumerate(table, start=1)]
     if polys[-1] != tail:
         raise InternalInconsistency(

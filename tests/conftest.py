@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from vknot.gauss import Diagram, Entry, parse_gauss
+from vknot.invariants import _lane_table, _walk_table
 from vknot.laurent import LaurentPoly2
 from vknot.table import load_table
 
@@ -68,6 +69,19 @@ def dj_table(writhes: Iterable[dict[int, int]]) -> list[tuple[int, ...]]:
     return [tuple(t.get(n, 0) - t.get(-n, 0) for t in writhes) for n in range(1, top + 1)]
 
 
+def smoothed_writhes(d: Diagram) -> dict[str, dict[int, int]]:
+    """J_k(D_c) of every smoothing, from the validated ``d.smooth(c)``."""
+    return {c: writhe_table(d.smooth(c)) for c in d.crossings()}
+
+
+def assert_kernels_match_oracle(d: Diagram) -> None:
+    """The walk's and the lane pass's dJ table rows, whatever the size,
+    against those of the oracle smoothings."""
+    expected = dj_table(smoothed_writhes(d).values())
+    assert _walk_table(d) == expected, str(d)
+    assert _lane_table(d) == expected, str(d)
+
+
 def map_terms(poly, fn=None) -> LaurentPoly2:
     """The sum of fn(e_t, e_l, c) over the terms (e_t, e_l, c) of ``poly``,
     a ``LaurentPoly2`` or a list of triples: repeated exponent pairs add
@@ -77,6 +91,15 @@ def map_terms(poly, fn=None) -> LaurentPoly2:
         e_t, e_l, c = fn(*term) if fn else term
         acc[e_t, e_l] = acc.get((e_t, e_l), 0) + c
     return LaurentPoly2(acc)
+
+
+def f_by_definition(crossings: Iterable[tuple[int, int, int]], d_n: int) -> LaurentPoly2:
+    """F^n by its definition, one term per crossing and sum, from (sgn(c),
+    Ind(c), dJ_n(D_c)) for each crossing c and d_n = dJ_n(D)."""
+    crossings = list(crossings)
+    terms = [(ind, dc, s) for s, ind, dc in crossings]
+    terms += [(0, dc if abs(dc) == abs(d_n) else d_n, -s) for s, _, dc in crossings]
+    return map_terms(terms)
 
 
 def affine_oracle(d: Diagram) -> LaurentPoly2:

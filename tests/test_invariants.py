@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_oracle, diagrams, map_terms
+from conftest import affine_oracle, diagrams, f_by_definition, map_terms, random_code
 from test_universe import sweep
+from vknot.enumerate import enumerate_codes
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import InternalInconsistency, NonpositiveN, arc_labels, f_sequence
 from vknot.laurent import LaurentPoly2, parse_poly
@@ -274,12 +275,14 @@ def test_f_report_json(table_records, capsys):
 def test_f_sequence_checks_that_it_stabilizes(example_31, monkeypatch):
     import vknot.invariants
 
-    affine = vknot.invariants._affine
+    # The tail is read from the writhe table and F^{n_max+1} is summed
+    # over the crossings by _f_poly: a term too many in the sum fails.
+    f_poly = vknot.invariants._f_poly
 
-    def one_term_off(ind, sign):
-        return map_terms(affine(ind, sign).terms() + [(9, 0, 1)])
+    def one_term_off(*args):
+        return map_terms(f_poly(*args).terms() + [(9, 0, 1)])
 
-    monkeypatch.setattr(vknot.invariants, "_affine", one_term_off)
+    monkeypatch.setattr(vknot.invariants, "_f_poly", one_term_off)
     with pytest.raises(InternalInconsistency) as info:
         f_sequence(example_31)
     assert repr(str(example_31)) in str(info.value)
@@ -359,6 +362,40 @@ def test_reverse_inverts_f_when_smoothed_dwrithes_vanish(example_31):
     rev = f_sequence(example_31.reverse())
     inverted = tuple((n, map_terms(p, lambda et, el, c: (-et, -el, c))) for n, p in fwd.fingerprint)
     assert rev.fingerprint == inverted
+
+
+def assert_reversal_rule(d: Diagram) -> None:
+    """The reversal rule of the ``table`` docstring, by crossing id c:
+    Ind_{rev D}(c) = -Ind_D(c), dJ_n(rev D) = -dJ_n(D) and dJ_n((rev D)_c)
+    = dJ_n(D_c), and F^n(rev D) is F^n assembled by its definition from
+    d's own report with Ind and dJ_n(D) negated, for n up to the larger
+    n_max + 2."""
+    fwd, rev = f_sequence(d), f_sequence(d.reverse())
+    assert rev.index == {c: -k for c, k in fwd.index.items()}, str(d)
+    for n in range(1, max(fwd.n_max, rev.n_max) + 3):
+        d_n, row = fwd.dwrithe(n), dict(zip(fwd.index, fwd.smoothed_row(n)))
+        assert rev.dwrithe(n) == -d_n, (str(d), n)
+        assert dict(zip(rev.index, rev.smoothed_row(n))) == row, (str(d), n)
+        crossings = [(d.sign(c), -k, row[c]) for c, k in fwd.index.items()]
+        assert rev.f_at(n) == f_by_definition(crossings, -d_n), (str(d), n)
+
+
+def test_reversal_rule_on_table_codes_and_their_mirrors(table_records):
+    for record in table_records:
+        assert_reversal_rule(record.diagram)
+        assert_reversal_rule(record.diagram.mirror())
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_reversal_rule_on_every_small_code(m):
+    for d in enumerate_codes(m):
+        assert_reversal_rule(d)
+
+
+def test_reversal_rule_on_random_codes():
+    # 66 codes: every size from 1 to 64 crossings, 1 and 2 twice.
+    for seed in range(66):
+        assert_reversal_rule(parse_gauss(random_code(1 + seed % 64, 500 + seed)))
 
 
 def _assert_reverse_mirror_law(d):

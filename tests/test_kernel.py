@@ -12,8 +12,9 @@ two kernels, and the reports ``f_sequence`` builds from each, agree.
 The ``FReport`` views T_n and ``smoothed_row(n)``, read from the one
 dJ_n(D_c) table, must equal the dwrithes of those oracle tables for
 every n, and F^n must equal its defining sum over the crossings, built
-from the oracle indices, dJ values and T_n.  A planted fault, a walk that smooths along the other
-segment, must fail the table check.
+from the oracle indices, dJ values and T_n.  A planted fault, a walk
+that smooths along the other segment (``other_segment``: its rows
+negated), must fail the table check.
 
 Read from the one pass of ``test_universe.sweep`` over every code with
 at most three crossings: both kernels against the oracle's dJ table;
@@ -23,34 +24,31 @@ Reidemeister moves, change the fingerprint as often as
 ``CONTROL_MOVE_COUNTS`` says, so the move check can fail.
 """
 
-from itertools import chain
+from operator import neg
 
 import pytest
 from hypothesis import given, settings
 
 import vknot.invariants
-from conftest import diagrams, dj_table, interlacement_index, map_terms, random_code, writhe_table
+from conftest import (
+    assert_kernels_match_oracle,
+    diagrams,
+    dj_table,
+    f_by_definition,
+    interlacement_index,
+    map_terms,
+    random_code,
+    smoothed_writhes,
+    writhe_table,
+)
 from test_universe import CONTROL_MOVE_COUNTS, MOVE_DIGESTS, control_totals, sweep
 from vknot.gauss import Diagram, parse_gauss
-from vknot.invariants import _indices, _lane_table, _walk_table, _writhes, f_sequence
+from vknot.invariants import _lane_table, _walk_table, f_sequence
 from vknot.table import Verdict, verify_record
 
 
 def dj(table: dict[int, int], n: int) -> int:
     return table.get(n, 0) - table.get(-n, 0)
-
-
-def oracle(d: Diagram) -> dict[str, dict[int, int]]:
-    """J_k(D_c) of every smoothing, from the validated ``d.smooth(c)``."""
-    return {c: writhe_table(d.smooth(c)) for c in d.crossings()}
-
-
-def assert_kernels_match_oracle(d: Diagram) -> None:
-    """The walk's and the lane pass's dJ table rows, whatever the size,
-    against those of the oracle smoothings."""
-    expected = dj_table(oracle(d).values())
-    assert _walk_table(d) == expected, str(d)
-    assert _lane_table(d) == expected, str(d)
 
 
 def test_kernel_matches_oracle_on_table(table_records):
@@ -75,7 +73,7 @@ def test_kernel_matches_oracle_property(d):
 @pytest.mark.parametrize("code", ["O1+ U1+", "U1- O1-"])
 def test_kernel_kink_smooths_to_empty_word(code):
     d = parse_gauss(code)
-    assert oracle(d) == {"1": {}}
+    assert smoothed_writhes(d) == {"1": {}}
     assert _walk_table(d) == _lane_table(d) == []
     assert f_sequence(d).smoothed_dj == ((0,),)
 
@@ -109,7 +107,7 @@ def test_control_moves_change_fingerprint_on_every_small_code():
 
 
 def test_kernel_unknot():
-    assert oracle(parse_gauss("")) == {}
+    assert smoothed_writhes(parse_gauss("")) == {}
     assert _walk_table(parse_gauss("")) == _lane_table(parse_gauss("")) == []
     assert f_sequence(parse_gauss("")).smoothed_dj == ((),)
 
@@ -131,7 +129,7 @@ def test_lane_pass_on_wide_indices(code, monkeypatch):
     d = parse_gauss(code)
     lanes = f_sequence(d)
     assert lanes.n_max == {140: 139, 128: 126, 129: 127}[d.n_crossings]
-    smoothed = dj_table(oracle(d).values())
+    smoothed = dj_table(smoothed_writhes(d).values())
     assert _lane_table(d) == _walk_table(d) == smoothed
     assert lanes.smoothed_dj == tuple(smoothed) + ((0,) * d.n_crossings,) * (lanes.n_max + 1 - len(smoothed))
     monkeypatch.setattr(vknot.invariants, "_LANE_MIN", d.n_crossings + 1)
@@ -148,8 +146,7 @@ PLATEAU = {m: " ".join([f"U{i}+" for i in range(1, m)] + ["O0+ U0+"] + [f"O{i}+"
 
 @pytest.mark.parametrize("m", [64, 66])
 def test_lane_width_bound_is_reached(m):
-    d = parse_gauss(PLATEAU[m])
-    assert _lane_table(d) == _walk_table(d) == dj_table(oracle(d).values())
+    assert_kernels_match_oracle(parse_gauss(PLATEAU[m]))
 
 
 @pytest.mark.parametrize("m", range(1, vknot.invariants._LANE_MIN + 3))
@@ -184,7 +181,7 @@ def assert_lane_pass_matches_walk(sizes=(128, 256, 512), seeds=range(1, 4)) -> N
 
 def assert_views_match_smoothings(d: Diagram) -> None:
     report = f_sequence(d)
-    writhes, smoothed, ind = writhe_table(d), oracle(d), interlacement_index(d)
+    writhes, smoothed, ind = writhe_table(d), smoothed_writhes(d), interlacement_index(d)
     # Two past the table's last row (n_max+1), which every view reads as zeros.
     for n in range(1, report.n_max + 4):
         d_n = dj(writhes, n)
@@ -193,10 +190,7 @@ def assert_views_match_smoothings(d: Diagram) -> None:
         assert report.t_set(n) == t_n, (str(d), n)
         assert report.index.keys() == dc.keys(), str(d)
         assert report.smoothed_row(n) == tuple(dc[c] for c in report.index), (str(d), n)
-        # F^n by its definition, one term per crossing and sum.
-        terms = [(ind[c], dc[c], d.sign(c)) for c in dc]
-        terms += [(0, dc[c] if c in t_n else d_n, -d.sign(c)) for c in dc]
-        assert report.f_at(n) == map_terms(terms), (str(d), n)
+        assert report.f_at(n) == f_by_definition([(d.sign(c), ind[c], dc[c]) for c in dc], d_n), (str(d), n)
 
 
 def test_views_match_smoothings_on_table(table_records):
@@ -234,24 +228,16 @@ def test_index_oracle_property(d):
 # -- a planted fault: the other smoothing segment ------------------------------------
 
 
-def other_segment_walk(diagram):
-    """``_walk_table`` with the segment choice the ``gauss`` module
-    docstring rejects: D_c is the run from the Under pass to the Over pass
-    forward, then the run T from the Over pass to the Under pass reversed,
-    and a crossing with exactly one endpoint in T changes sign."""
-    passes2 = diagram._passes * 2
-    n = len(diagram._passes)
-    smoothed = []
-    for c, (o, u) in enumerate(zip(diagram._opos, diagram._upos)):
-        uu = u if u > o else u + n
-        oo = o if o > u else o + n
-        sign = list(diagram._sign)
-        for k, _ in passes2[o + 1 : uu]:
-            sign[k] = -sign[k]
-        ind = _indices(chain(passes2[u + 1 : oo], passes2[uu - 1 : o : -1]), sign)
-        del ind[c], sign[c]
-        smoothed.append(_writhes(ind, sign))
-    return dj_table(smoothed)
+def other_segment(kernel):
+    """``kernel`` with the segment choice the ``gauss`` module docstring
+    rejects, as the kernel's rows negated.  In the word U_c S O_c T a
+    crossing has one endpoint in T exactly when it has one in S, so both
+    choices flip the same signs, and the other choice, S forward then T
+    reversed, is the reverse of D_c, whose every dJ_n is -dJ_n(D_c)."""
+    return lambda diagram: [tuple(map(neg, row)) for row in kernel(diagram)]
+
+
+other_segment_walk = other_segment(_walk_table)
 
 
 def obeys_reversal_law(d: Diagram) -> bool:

@@ -2,15 +2,19 @@
 
 import json
 from collections import Counter
+from functools import partial
+from operator import and_
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vknot.invariants
 import vknot.moves
-from conftest import affine_oracle, diagrams, from_entries
-from test_universe import check_lemmas, sweep
+from conftest import affine_oracle, diagrams, from_entries, random_code
+from test_kernel import other_segment
+from test_universe import R3_CENSUS, check_lemmas, r3_filter, sweep
 from vknot.enumerate import enumerate_codes
 from vknot.gauss import Diagram, format_gauss, parse_gauss
 from vknot.invariants import f_sequence
@@ -292,24 +296,9 @@ def test_insertions_obey_the_crossing_lemmas(table_records):
     assert kinks == 1288  # R1+ calls on a diagram with some dJ_n != 0
 
 
-def r3_first_relation_only(word) -> dict:
-    """A planted fault: ``_r3_patterns`` without its second sign
-    relation, sgn(r) == sgn(p) * gamma * chi."""
-    passes, sign, ids = word.passes, word.sign, word.ids
-    n = len(passes)
-    pos = dict(zip(passes, range(n)))
-    out = {}
-    for i, ((p, op), (q, oq)) in enumerate(zip(passes, passes[1:] + passes[:1])):
-        if not (op and oq) or p == q:
-            continue
-        up, uq = pos[p, False], pos[q, False]
-        for beta in (1, -1):
-            jr = (up + beta) % n
-            r, over = passes[jr]
-            other = pos[r, not over]
-            if r not in (p, q) and other == (uq + sign[p] * sign[q] * beta) % n:
-                out.setdefault((ids[p], ids[q], ids[r]), ((i, (i + 1) % n), (up, jr), (uq, other)))
-    return out
+# A planted fault: the R3 scan without its second sign relation,
+# sgn(r) == sgn(p) * gamma * chi.
+r3_first_relation_only = partial(r3_filter, keep=lambda first, second: first)
 
 
 def test_r3_without_its_second_sign_relation_fails_the_lemmas(monkeypatch):
@@ -333,6 +322,73 @@ def test_r3_without_its_second_sign_relation_fails_the_lemmas(monkeypatch):
             assert holds == ((str(d), str(moved)) in real), (str(d), triple)
             outcomes[holds, analysis.fingerprint == report.fingerprint] += 1
     assert outcomes == {(True, True): 192, (False, True): 96, (False, False): 96}
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_r3_census_on_every_small_code(m):
+    # Read from the one pass of ``test_universe.sweep``: the R3 scan is
+    # the candidates that meet both sign relations, and every candidate
+    # is counted by (accepted, lemmas kept, fingerprint kept).
+    assert sweep(m).faults["r3"] == []
+    assert sweep(m).r3 == R3_CENSUS[m]
+
+
+def test_r3_scan_is_the_accepted_candidates_on_random_codes():
+    # 20 codes of each size from 3 to 39 crossings, order included.
+    for m in range(3, 40):
+        for seed in range(20):
+            word = vknot.moves._Word(parse_gauss(random_code(m, 600 + seed)))
+            assert list(r3_filter(word, and_).items()) == list(vknot.moves._r3_patterns(word).items())
+
+
+# Every step of the walks of ``lane_walk_steps``, by kind.
+LANE_WALK_KINDS = {"R1+": 270, "R1-": 167, "R2+": 283, "R2-": 176, "R3": 64}
+
+
+def lane_walk_steps():
+    """(kind, before, after) analyses for each step of a 40-step walk
+    from random codes at lane-pass sizes, replayed one ``apply_move`` at
+    a time."""
+    for m in (10, 16, 24, 32, 48, 64):
+        for seed in range(4):
+            d = parse_gauss(random_code(m, 900 + seed))
+            _, script = random_walk(d, 40, seed)
+            before = f_sequence(d)
+            for step in script.steps:
+                kind, *params = step.values()
+                after = f_sequence(apply_move(before.diagram, kind, *params))
+                yield kind, before, after
+                before = after
+
+
+def lemma_faults_on_lane_walks():
+    """(steps by kind, lemma failures by kind, steps with both sides at
+    ``_LANE_MIN`` or more, those of them that change the fingerprint)."""
+    kinds, faults, lanes, changed = Counter(), Counter(), 0, 0
+    for kind, before, after in lane_walk_steps():
+        kinds[kind] += 1
+        try:
+            check_lemmas(before, after, kind)
+        except AssertionError:
+            faults[kind] += 1
+        if min(len(before.index), len(after.index)) >= vknot.invariants._LANE_MIN:
+            lanes += 1
+            changed += before.fingerprint != after.fingerprint
+    return kinds, faults, lanes, changed
+
+
+def test_moves_obey_the_crossing_lemmas_at_lane_pass_sizes():
+    assert lemma_faults_on_lane_walks() == (LANE_WALK_KINDS, {}, 946, 0)
+
+
+def test_lane_pass_on_the_other_segment_fails_only_the_lemmas(monkeypatch):
+    # Negated rows are the other smoothing segment in the lane pass.  It
+    # keeps every fingerprint equal where both sides take the lane pass,
+    # so only the lemmas see the fault.
+    monkeypatch.setattr(vknot.invariants, "_lane_table", other_segment(vknot.invariants._lane_table))
+    kinds, faults, lanes, changed = lemma_faults_on_lane_walks()
+    assert (kinds, lanes, changed) == (LANE_WALK_KINDS, 946, 0)
+    assert faults == {"R1+": 269, "R1-": 166, "R2+": 4, "R2-": 3}
 
 
 # -- deterministic RNG -----------------------------------------------------------

@@ -20,11 +20,14 @@ compares the sweeps of sizes 0..m with the pins:
 - each of those moves obeys the crossing-level lemmas of the invariance
   proof, ``check_lemmas``: a kept crossing keeps its (sign, Ind, dJ
   column), and the crossings a move removes cancel;
+- the R3 scan is the candidates of ``r3_candidates`` that meet both
+  sign relations, the first per triple; every candidate's rewrite is
+  counted by (accepted, lemmas kept, fingerprint kept), ``R3_CENSUS``;
 - control moves, which are not Reidemeister moves, change the
   fingerprint as often as ``CONTROL_MOVE_COUNTS`` says.
 
-Each code gets one ``f_sequence`` for the move, lemma, control and
-reflection checks, and each R-neighbour one ``apply_move`` and one
+Each code gets one ``f_sequence`` for the move, lemma, R3, control and
+reflection checks, and each R-neighbour and R3 candidate one
 ``f_sequence`` call.  A plane
 reflection and a crossing change of a code are codes of the same size,
 so their analyses are read by code text once the size is analysed; a
@@ -39,15 +42,17 @@ own part of the one pass over each size and fail on their own.
 
 import hashlib
 import json
+from collections import Counter
 from functools import cache, partial
+from operator import and_
 from typing import NamedTuple
 
-from conftest import dj_table, from_entries, map_terms, writhe_table
+from conftest import assert_kernels_match_oracle, from_entries, map_terms
 from vknot.enumerate import canonical_code, enumerate_codes
 from vknot.gauss import Diagram, Entry, format_gauss, parse_gauss
-from vknot.invariants import FReport, _lane_table, _walk_table, f_sequence
+from vknot.invariants import FReport, f_sequence
 from vknot.laurent import LaurentPoly2
-from vknot.moves import MoveError, apply_move, move_sites
+from vknot.moves import MoveError, _r3_apply, _r3_patterns, _Word, apply_move, move_sites
 
 # Per m: the m-crossing codes of ``enumerate_codes(m)``, and their
 # classes up to rotation and relabelling.
@@ -85,6 +90,15 @@ SINGLE_PINS = {
 CONTROL_MOVE_COUNTS = {
     3: ({"over": (688, 1184), "under": (688, 1184), "change": (1376, 2976)}, 8 + 360),
     4: ({"over": (31664, 47264), "under": (31664, 47264), "change": (61792, 110496)}, 8 + 360 + 15008),
+}
+
+# Per m: every ``r3_candidates`` pattern of every m-crossing code,
+# counted by (both sign relations hold, the crossing lemmas hold, the
+# F-fingerprint is kept) of its rewrite.  No code with m <= 2 has one.
+R3_CENSUS = {
+    **{m: {} for m in range(3)},
+    3: {(True, True, True): 192, (False, False, True): 240, (False, False, False): 336},
+    4: {(True, True, True): 6144, (False, False, True): 5760, (False, False, False): 12672},
 }
 
 
@@ -159,14 +173,6 @@ def check_round_trip(d: Diagram, code: str) -> None:
     assert parse_gauss(text.replace(" ", ",\t").lower()) == d, code
 
 
-def check_kernel(d: Diagram, code: str) -> None:
-    """The walk and the lane pass against the dJ table rows of the oracle
-    smoothings."""
-    expected = dj_table(writhe_table(d.smooth(name)) for name in d.crossings())
-    assert _walk_table(d) == expected, code
-    assert _lane_table(d) == expected, code
-
-
 def check_reflection(d: Diagram, seen: dict, code: str) -> None:
     """F^n(reflect D)(t, l) = -F^n(D)(t^-1, l) for every n up to the
     larger n_max + 1.  Reflecting the plane negates every sign and keeps
@@ -231,6 +237,61 @@ def check_moves(d: Diagram, report: FReport, code: str, moves: Pin, singles: Pin
         singles.add([code, kind, list(site) if kind == "R3" else [site], moved_code])
 
 
+def r3_candidates(word: _Word):
+    """Every adjacency pattern the R3 scan considers, in its order: an
+    adjacent O_p O_q, a pass of r next to U_p (beta = +1 after it, -1
+    before it) and r's other pass next to U_q, on either side (gamma
+    likewise).  Yields the (p, q, r) ids, the three position swaps, and
+    the two sign relations of the ``moves`` docstring, as written there:
+    sgn(p) beta == sgn(q) gamma and sgn(r) == sgn(p) gamma chi."""
+    passes, sign, ids = word.passes, word.sign, word.ids
+    n = len(passes)
+    pos = dict(zip(passes, range(n)))
+    for i, ((p, op), (q, oq)) in enumerate(zip(passes, passes[1:] + passes[:1])):
+        if not (op and oq) or p == q:
+            continue
+        up, uq = pos[p, False], pos[q, False]
+        for beta in (1, -1):
+            jr = (up + beta) % n
+            r, over = passes[jr]
+            if r in (p, q):
+                continue
+            chi, other = 1 if over else -1, pos[r, not over]
+            for gamma in (1, -1):
+                if other == (uq + gamma) % n:
+                    swaps = ((i, (i + 1) % n), (up, jr), (uq, other))
+                    yield ((ids[p], ids[q], ids[r]), swaps,
+                           sign[p] * beta == sign[q] * gamma, sign[r] == sign[p] * gamma * chi)
+
+
+def r3_filter(word: _Word, keep) -> dict:
+    """The first swaps of each (p, q, r) among the word's ``r3_candidates``
+    whose two relations pass ``keep(first, second)``."""
+    out: dict = {}
+    for triple, swaps, first, second in r3_candidates(word):
+        if keep(first, second):
+            out.setdefault(triple, swaps)
+    return out
+
+
+def check_r3(d: Diagram, report: FReport, code: str, census: Counter) -> None:
+    """The candidates that meet both relations, the first per triple, are
+    ``_r3_patterns`` in its order; each candidate's rewrite of d, with
+    ``report`` d's analysis, counts once in ``census``."""
+    accepted = r3_filter(_Word(d), and_)
+    assert list(accepted.items()) == list(_r3_patterns(_Word(d)).items()), code
+    for triple, swaps, first, second in r3_candidates(_Word(d)):
+        word = _Word(d)
+        _r3_apply(word, {triple: swaps}, *triple)
+        analysis = f_sequence(word.diagram())
+        try:
+            check_lemmas(report, analysis, "R3")
+            lemmas = True
+        except AssertionError:
+            lemmas = False
+        census[first and second, lemmas, analysis.fingerprint == report.fingerprint] += 1
+
+
 def check_control(d: Diagram, seen: dict, code: str, unknot, control: dict) -> bool:
     """Adds d's control neighbours to ``control``'s (differs, all) counts
     and returns whether d is knotted.  Forbidden moves unknot every
@@ -258,14 +319,15 @@ class Seen(NamedTuple):
 
 
 # The per-code checks of ``sweep``, each a key of ``Size.faults``.
-CHECKS = ("size", "positions", "round trip", "kernel", "reflection", "moves", "lemmas", "control")
+CHECKS = ("size", "positions", "round trip", "kernel", "reflection", "moves", "lemmas", "r3", "control")
 
 
 class Size(NamedTuple):
     """What one pass over ``enumerate_codes(size)`` found: the code count,
     distinct texts and classes; the first few failures of each check in
-    ``CHECKS``; the ``MOVE_DIGESTS`` and ``SINGLE_PINS`` values; the
-    (differs, all) control counts per kind and the knotted codes."""
+    ``CHECKS``; the ``MOVE_DIGESTS``, ``SINGLE_PINS`` and ``R3_CENSUS``
+    values; the (differs, all) control counts per kind and the knotted
+    codes."""
 
     codes: int
     texts: int
@@ -273,6 +335,7 @@ class Size(NamedTuple):
     faults: dict
     moves: tuple
     singles: tuple
+    r3: dict
     control: dict
     knotted: int
 
@@ -296,7 +359,7 @@ def sweep(size: int) -> Size:
                 faults[name].append(f"{type(exc).__name__}: {exc}")
 
     count, texts, classes = 0, set(), set()
-    moves, singles = Pin(), Pin()
+    moves, singles, r3 = Pin(), Pin(), Counter()
     control = {"over": [0, 0], "under": [0, 0], "change": [0, 0]}
     knotted = 0
     seen: dict[str, Seen] = {}
@@ -310,11 +373,12 @@ def sweep(size: int) -> Size:
         classes.add(canonical_code(d))
         run("positions", check_positions, d, code)
         run("round trip", check_round_trip, d, code)
-        run("kernel", check_kernel, d, code)
+        run("kernel", assert_kernels_match_oracle, d)
         report = f_sequence(d)
         analysis = Seen(report.fingerprint, report.stable_tail, report.n_max)
         seen[code] = distinct.setdefault(analysis, analysis)
         run("moves", check_moves, d, report, code, moves, singles, partial(run, "lemmas", check_lemmas))
+        run("r3", check_r3, d, report, code, r3)
         if size <= 2:
             for kind, params, result in insertions(d):
                 singles.add([code, kind, params, result])
@@ -323,7 +387,7 @@ def sweep(size: int) -> Size:
         run("reflection", check_reflection, d, seen, code)
         if size >= 2:
             knotted += bool(run("control", check_control, d, seen, code, unknot, control))
-    return Size(count, len(texts), len(classes), faults, moves.value(), singles.value(),
+    return Size(count, len(texts), len(classes), faults, moves.value(), singles.value(), dict(r3),
                 {kind: tuple(pair) for kind, pair in control.items()}, knotted)
 
 
@@ -346,6 +410,7 @@ def assert_every_code(m: int) -> None:
             assert s.moves == MOVE_DIGESTS[size]
         if size in SINGLE_PINS:
             assert s.singles == SINGLE_PINS[size]
+        assert s.r3 == R3_CENSUS[size], size
         if size in CONTROL_MOVE_COUNTS:
             assert control_totals(size) == CONTROL_MOVE_COUNTS[size]
 
