@@ -6,7 +6,7 @@ them.  ``enumerate_codes`` decorates each word with every choice of
 passes and signs, which yields every m-crossing code once up to
 relabelling: a class up to rotation and relabelling appears once for
 each of its distinct rotations.  ``canonical_code`` names that class.
-Both read and build ``Diagram``'s integer form, never an ``Entry``.
+Both read and build ``Diagram``'s integer form.
 """
 
 from __future__ import annotations

@@ -21,11 +21,11 @@ crossings).  This text is the one input grammar: ``parse_gauss`` is the
 one public way in, and ``Diagram(...)`` raises ``TypeError``.
 
 A ``Diagram`` stores only its integer form, the one ``invariants`` and
-``moves`` read; its ``entries`` are a read-only view of it, built on
-each read.  One numbering and pairing loop, ``Diagram._of``, builds
-that form from (id, pass flag, sign) triples for ``parse_gauss``, the
-transforms, the move rewrites and ``enumerate_codes``.  ``parse_gauss``
-checks every token before the loop pairs any of them.
+``moves`` read; its text is its one public form, in and out.  One
+numbering and pairing loop, ``Diagram._of``, builds that form from
+(id, pass flag, sign) triples for ``parse_gauss``, the transforms, the
+move rewrites and ``enumerate_codes``.  ``parse_gauss`` checks every
+token before the loop pairs any of them.
 
 Transforms:
 
@@ -54,7 +54,6 @@ smoothings in the three- and four-crossing tables; the test
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable
 
 
@@ -79,19 +78,9 @@ class UnknownCrossing(GaussCodeError):
     """A crossing id is not present in the diagram."""
 
 
-class Entry(namedtuple("Entry", "crossing over sign")):
-    """One pass, an element of ``Diagram.entries``: ``crossing``, its id
-    (str); ``over``, True for the Over pass; ``sign``, +1 or -1."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return _PASS_TEXT[self.over] + self.crossing + _SIGN_TEXT[self.sign]
-
-
 _PASSES = {"O": True, "o": True, "U": False, "u": False}
 _SIGNS = {"+": 1, "-": -1}
-# The one spelling of a token, for Entry, format_gauss and canonical codes.
+# The one spelling of a token, for format_gauss and canonical codes.
 _PASS_TEXT = ("U", "O")  # indexed by the pass flag
 _SIGN_TEXT = {1: "+", -1: "-"}
 
@@ -104,14 +93,13 @@ class Diagram:
     ``TypeError``.  The pairing and sign-consistency invariants are
     enforced by ``_of``, the one constructor body, so every reachable
     ``Diagram`` value is valid.
-    Equality is entry-for-entry (a rotation is a different value that
+    Equality is pass-for-pass (a rotation is a different value that
     represents the same knot; all invariants agree on rotations).
 
     Only the integer form is stored: ``_number`` maps each id to k, its
     first-appearance number, the tuple ``_passes`` holds (k, pass flag)
     for each position, and the tuples ``_sign``, ``_opos`` and ``_upos``
-    are indexed by k.  ``entries`` is a read-only view of it, built on
-    each read; equality, hashing and ``len`` read the integer form.
+    are indexed by k; equality, hashing and ``len`` read it.
     """
 
     __slots__ = ("_number", "_passes", "_sign", "_opos", "_upos")
@@ -170,10 +158,6 @@ class Diagram:
         """(id, pass flag, sign) for each position."""
         ids, sign = tuple(self._number), self._sign
         return [(ids[k], over, sign[k]) for k, over in self._passes]
-
-    @property
-    def entries(self) -> tuple[Entry, ...]:
-        return tuple([Entry(*triple) for triple in self._triples()])
 
     def __len__(self) -> int:
         return len(self._passes)

@@ -334,8 +334,13 @@ def _lane_table(diagram: Diagram) -> list[tuple[int, ...]]:
             # is resized, and each row length's tuple free list would fill up.
             table.append(tuple(list(map(sub, total.to_bytes(m, "little"), repeat(m)))))
     else:
-        from struct import Struct  # here, not at import: only m > 128 needs it
-        values = Struct(f"<{m * m}{'BHIQ'[step.bit_length() - 1]}").unpack(data)
+        from array import array  # here, not at import: only m > 128 needs it
+        from sys import byteorder
+
+        values = array("BHIQ"[step.bit_length() - 1], data)  # not a tuple of m^2 ints
+        assert values.itemsize == step
+        if byteorder == "big":
+            values.byteswap()  # data is little-endian
         top = max(values) // 2 - 1
         zeros = [0] * top
         columns = []

@@ -29,8 +29,14 @@ with travel directions read off the word forces two sign relations,
 where ``beta``/``gamma`` are +1 when the strand meets its ``p``/``q``
 underpass before the ``r`` entry (-1 after), and ``chi`` is +1 when the
 ``r`` pass adjacent to ``U_p`` is the overpass.  Patterns violating
-them are rejected; the whole predicate is validated empirically by the
-invariance suite.
+them are rejected.  What checks the predicate: on every code with at
+most four crossings, the crossing-level lemmas of the invariance proof
+and ``R3_CENSUS`` (``tests/test_universe.py``) separate the accepted
+patterns from the rejected ones exactly.  The 192 (m = 3) and 6,144
+(m = 4) accepted patterns keep every crossing's (sign, Ind, dJ column)
+triple; the 576 and 18,432 rejected ones each change some triple, and
+240 and 5,760 of those still keep F.  Whether the predicate accepts
+every oriented Omega-3 move is still open (ROADMAP item 13).
 
 Each move is defined once, as an in-place rewrite of a word that
 checks its parameters against one scan of the word's sites; ``_MOVES``
@@ -44,11 +50,11 @@ pair.  The word also keeps the set of ids present and a low-water mark
 below which every numeric id is taken, updated by each insertion and
 removal, so a fresh id is found without rebuilding the set.  A word
 becomes a ``Diagram`` again only in ``_Word.diagram``, which feeds its
-(id, pass flag, sign) triples to the pairing loop of ``gauss``; no
-``Entry`` is built.  Valid moves keep a word valid, so a walk rewrites
-one word and validates it once, as the ``Diagram`` it ends on, and
-applies each drawn site from the scan it was drawn from; a kind whose
-scan came back empty is redrawn without a second scan in that step.
+(id, pass flag, sign) triples to the pairing loop of ``gauss``.  Valid
+moves keep a word valid, so a walk rewrites one word and validates it
+once, as the ``Diagram`` it ends on, and applies each drawn site from
+the scan it was drawn from; a kind whose scan came back empty is
+redrawn without a second scan in that step.
 The walk records each step as a ``(kind, parameters)`` pair:
 ``random_walk`` turns them into its ``MoveScript``, and
 ``fuzz_invariance`` only for a walk that changed the fingerprint.

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import random
+import shutil
 from typing import Iterable
 
 import pytest
 from hypothesis import strategies as st
 
-from vknot.gauss import Diagram, Entry, parse_gauss
+from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import _lane_table, _walk_table
 from vknot.laurent import LaurentPoly2
-from vknot.table import load_table
+from vknot.table import data_dir, load_table
 
 # The worked three-crossing example (crossings alpha,beta,gamma = 1,2,3):
 # signs (-1, +1, -1), indices (-1, 1, 2), dJ_1 = 2, dJ_2 = -1.
@@ -28,25 +29,45 @@ def table_records():
     return load_table()
 
 
-def from_entries(entries: Iterable[Entry]) -> Diagram:
-    """The Diagram of a sequence of entries, through the text grammar."""
-    return parse_gauss(" ".join(map(str, entries)))
+@pytest.fixture
+def table_copy(tmp_path, monkeypatch):
+    """A copy of ``knots.tsv`` and ``fpolys.tsv`` in ``tmp_path``, the
+    directory the table is read from (``VKNOT_TABLE_DIR``): a test edits
+    its own copy."""
+    for name in ("knots.tsv", "fpolys.tsv"):
+        shutil.copy(data_dir() / name, tmp_path / name)
+    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    return tmp_path
+
+
+def passes(d: Diagram) -> list[tuple[str, bool, int]]:
+    """(id, over, sign) of each pass of d, in order, read from its text
+    without the parser."""
+    return [(t[1:-1], t[0] == "O", 1 if t[-1] == "+" else -1) for t in str(d).split()]
+
+
+def from_passes(word: Iterable[tuple[str, bool, int]]) -> Diagram:
+    """The Diagram of a sequence of (id, over, sign) passes, through the
+    text grammar."""
+    tokens = [("O" if over else "U") + c + ("+" if sign > 0 else "-") for c, over, sign in word]
+    return parse_gauss(" ".join(tokens))
 
 
 def interlacement_index(d: Diagram) -> dict[str, int]:
     """Ind(c) as the sum over the passes strictly between the Over and the
     Under pass of c, in cyclic order, of s_j for an Over pass and -s_j for
-    an Under pass.  Reads only the raw entries: no arc labels."""
-    entries = d.entries
-    size = len(entries)
-    over_at = {e.crossing: i for i, e in enumerate(entries) if e.over}
-    under_at = {e.crossing: i for i, e in enumerate(entries) if not e.over}
+    an Under pass.  Reads only the passes of the text: no arc labels."""
+    word = passes(d)
+    size = len(word)
+    over_at = {c: i for i, (c, over, _) in enumerate(word) if over}
+    under_at = {c: i for i, (c, over, _) in enumerate(word) if not over}
     ind = {}
     for c, start in over_at.items():
         total = 0
         i = (start + 1) % size
         while i != under_at[c]:
-            total += entries[i].sign if entries[i].over else -entries[i].sign
+            _, over, sign = word[i]
+            total += sign if over else -sign
             i = (i + 1) % size
         ind[c] = total
     return ind
@@ -128,14 +149,14 @@ def diagrams(draw, max_crossings: int = 5, min_crossings: int = 0) -> Diagram:
     m = draw(st.integers(min_crossings, max_crossings))
     slots = list(range(2 * m))
     order = draw(st.permutations(slots))
-    entries: list[Entry | None] = [None] * (2 * m)
+    word: list[tuple[str, bool, int] | None] = [None] * (2 * m)
     for c in range(m):
         a, b = order[2 * c], order[2 * c + 1]
         over_first = draw(st.booleans())
         sign = draw(st.sampled_from((1, -1)))
-        entries[a] = Entry(str(c + 1), over_first, sign)
-        entries[b] = Entry(str(c + 1), not over_first, sign)
-    return from_entries(entries)
+        word[a] = (str(c + 1), over_first, sign)
+        word[b] = (str(c + 1), not over_first, sign)
+    return from_passes(word)
 
 
 @st.composite

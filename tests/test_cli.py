@@ -297,29 +297,21 @@ def test_tabulate_parses_each_code_once(capsys, monkeypatch):
     assert len(parsed) == 116
 
 
-def test_tabulate_mismatch_exit_code(capsys, tmp_path, monkeypatch):
-    from vknot.table import data_dir
-
-    (tmp_path / "knots.tsv").write_text((data_dir() / "knots.tsv").read_text())
-    rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
+def test_tabulate_mismatch_exit_code(capsys, table_copy):
+    rows = (table_copy / "fpolys.tsv").read_text().splitlines()
     rows[0] = "2.1\t1\tt^9-1"  # sabotage one expected polynomial
-    (tmp_path / "fpolys.tsv").write_text("\n".join(rows) + "\n")
-    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    (table_copy / "fpolys.tsv").write_text("\n".join(rows) + "\n")
     code, out, err = run(capsys, "tabulate")
     assert code == 1
     assert "1 Mismatch" in out
     assert "2.1" in err
 
 
-def test_tabulate_rejects_rows_that_stop_short(capsys, tmp_path, monkeypatch):
-    from vknot.table import data_dir
-
-    (tmp_path / "knots.tsv").write_text((data_dir() / "knots.tsv").read_text())
-    rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
+def test_tabulate_rejects_rows_that_stop_short(capsys, table_copy):
+    rows = (table_copy / "fpolys.tsv").read_text().splitlines()
     kept = [row for row in rows if not row.startswith(("3.1\t2\t", "3.1\t3\t"))]
     assert len(kept) == len(rows) - 2
-    (tmp_path / "fpolys.tsv").write_text("\n".join(kept) + "\n")
-    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    (table_copy / "fpolys.tsv").write_text("\n".join(kept) + "\n")
     code, out, err = run(capsys, "tabulate")
     assert code == 1
     assert "115 ExactMatch, 0 MatchUnderInversion, 1 Mismatch" in out
@@ -342,14 +334,10 @@ def test_tabulate_rejects_rows_that_stop_short(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("row", ["2.1\t0_1\t-t^-1+2-t", "2.1\t1\t-t^-1+\uff12-t"])
-def test_tabulate_rejects_non_ascii_digits(capsys, tmp_path, monkeypatch, row):
-    from vknot.table import data_dir
-
-    (tmp_path / "knots.tsv").write_text((data_dir() / "knots.tsv").read_text())
-    rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
+def test_tabulate_rejects_non_ascii_digits(capsys, table_copy, row):
+    rows = (table_copy / "fpolys.tsv").read_text().splitlines()
     rows[0] = row
-    (tmp_path / "fpolys.tsv").write_text("\n".join(rows) + "\n")
-    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    (table_copy / "fpolys.tsv").write_text("\n".join(rows) + "\n")
     code, out, err = run(capsys, "tabulate")
     assert code == 2
     assert out == ""
@@ -358,16 +346,9 @@ def test_tabulate_rejects_non_ascii_digits(capsys, tmp_path, monkeypatch, row):
 
 @pytest.mark.parametrize("damaged", ["knots.tsv", "fpolys.tsv"])
 @pytest.mark.parametrize("argv", [["tabulate"], ["compute", "4.1"]])
-def test_undecodable_table_file_is_corrupt_data(capsys, tmp_path, monkeypatch, damaged, argv):
-    import shutil
-
-    from vknot.table import data_dir
-
-    for name in ("knots.tsv", "fpolys.tsv"):
-        shutil.copy(data_dir() / name, tmp_path / name)
-    with open(tmp_path / damaged, "ab") as f:
+def test_undecodable_table_file_is_corrupt_data(capsys, table_copy, damaged, argv):
+    with open(table_copy / damaged, "ab") as f:
         f.write(b"\xff")
-    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -389,16 +370,10 @@ LAST = "4.108\tO1+ U2- O4- U1+ O3+ U4- O2- U3+"
     ],
     ids=["short line", "duplicate", "missing name", "extra name", "bad code"],
 )
-def test_tabulate_rejects_a_corrupt_knots_file(capsys, tmp_path, monkeypatch, old, new, error):
-    import shutil
-
-    from vknot.table import data_dir
-
-    knots = (data_dir() / "knots.tsv").read_text()
+def test_tabulate_rejects_a_corrupt_knots_file(capsys, table_copy, old, new, error):
+    knots = (table_copy / "knots.tsv").read_text()
     assert old in knots
-    (tmp_path / "knots.tsv").write_text(knots.replace(old, new))
-    shutil.copy(data_dir() / "fpolys.tsv", tmp_path / "fpolys.tsv")
-    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    (table_copy / "knots.tsv").write_text(knots.replace(old, new))
     assert run(capsys, "tabulate") == (2, "", f"error: {error}\n")
 
 
@@ -406,37 +381,27 @@ def test_tabulate_rejects_a_corrupt_knots_file(capsys, tmp_path, monkeypatch, ol
     "row",
     ["2.1\t{}\t-t^-1+2-t", "2.1\t1\t-t^-{}+2-t", "2.1\t1\t-{}t^-1+2-t", "2.1\t1\t{0}+{0}"],
 )
-def test_tabulate_rejects_integers_too_long_to_convert(capsys, tmp_path, monkeypatch, row):
+def test_tabulate_rejects_integers_too_long_to_convert(capsys, table_copy, row):
     import sys
 
-    from vknot.table import data_dir
-
-    (tmp_path / "knots.tsv").write_text((data_dir() / "knots.tsv").read_text())
-    rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
+    rows = (table_copy / "fpolys.tsv").read_text().splitlines()
     # One digit too many; the last row sums two terms, each short enough.
     digits = "9" * sys.get_int_max_str_digits()
     rows[0] = row.format(digits if "{0}" in row else digits + "9")
-    (tmp_path / "fpolys.tsv").write_text("\n".join(rows) + "\n")
-    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    (table_copy / "fpolys.tsv").write_text("\n".join(rows) + "\n")
     code, out, err = run(capsys, "tabulate")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: bad expected row for '2.1': ")
 
 
-def test_tabulate_groups_on_reversed_table(capsys, tmp_path, monkeypatch):
-    import shutil
-
-    from vknot.table import data_dir
-
+def test_tabulate_groups_on_reversed_table(capsys, table_copy):
     _, shipped, _ = run(capsys, "tabulate", "--groups")
     lines = []
-    for line in (data_dir() / "knots.tsv").read_text().splitlines():
+    for line in (table_copy / "knots.tsv").read_text().splitlines():
         name, code = line.split("\t")
         lines.append(f"{name}\t{parse_gauss(code).reverse()}")
-    (tmp_path / "knots.tsv").write_text("\n".join(lines) + "\n")
-    shutil.copy(data_dir() / "fpolys.tsv", tmp_path / "fpolys.tsv")
-    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    (table_copy / "knots.tsv").write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "tabulate", "--groups")
     assert code == 0
     assert "116 records: 59 ExactMatch, 57 MatchUnderInversion, 0 Mismatch" in out.splitlines()

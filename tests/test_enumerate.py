@@ -14,10 +14,10 @@ from itertools import permutations
 
 import pytest
 
-from conftest import from_entries, random_code
+from conftest import from_passes, passes, random_code
 from test_universe import CLASS_COUNTS, CODE_COUNTS, sweep
 from vknot.enumerate import canonical_code, chord_words, enumerate_codes
-from vknot.gauss import Entry, parse_gauss
+from vknot.gauss import parse_gauss
 
 
 def relabel(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -81,6 +81,6 @@ def test_canonical_code_ignores_rotation_and_relabelling(m):
     for code, d in {canonical_code(d): d for d in enumerate_codes(m)}.items():
         for perm in permutations(names):
             rename = dict(zip(names, perm))
-            renamed = [Entry(rename[e.crossing], e.over, e.sign) for e in d.entries]
+            renamed = [(rename[c], over, sign) for c, over, sign in passes(d)]
             for r in range(2 * m):
-                assert canonical_code(from_entries(renamed[r:] + renamed[:r])) == code, (str(d), perm, r)
+                assert canonical_code(from_passes(renamed[r:] + renamed[:r])) == code, (str(d), perm, r)

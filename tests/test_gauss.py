@@ -6,17 +6,17 @@ three crossings are read from the one pass of ``test_universe.sweep``.
 
 import hashlib
 import itertools
+from collections import namedtuple
 
 import pytest
 from hypothesis import given
 
-from conftest import diagrams, from_entries, random_code
+from conftest import diagrams, from_passes, passes, random_code
 from test_universe import sweep
 from vknot.enumerate import enumerate_codes
 from vknot.gauss import (
     BadPairing,
     Diagram,
-    Entry,
     GaussCodeError,
     MalformedToken,
     SignMismatch,
@@ -29,8 +29,8 @@ from vknot.gauss import (
 def test_parse_two_crossings():
     d = parse_gauss("O1+ O2+ U1+ U2+")
     assert d.n_crossings == 2
-    assert [e.sign for e in d.entries] == [1, 1, 1, 1]
-    assert [e.over for e in d.entries] == [True, True, False, False]
+    assert [sign for _, _, sign in passes(d)] == [1, 1, 1, 1]
+    assert [over for _, over, _ in passes(d)] == [True, True, False, False]
 
 
 def test_parse_empty_is_unknot():
@@ -117,19 +117,15 @@ def test_diagram_equality_is_entrywise(example_31):
 
 
 def test_diagram_equality_reads_ids_in_first_appearance_order():
-    # Same passes and signs by crossing number, ids swapped: other entries.
+    # Same passes and signs by crossing number, ids swapped: other passes.
     a, b = parse_gauss("O1+ U2+ U1+ O2+"), parse_gauss("O2+ U1+ U2+ O1+")
-    assert a != b and a.entries != b.entries
+    assert a != b and passes(a) != passes(b)
     assert a == parse_gauss("O1+ U2+ U1+ O2+") and hash(a) == hash(parse_gauss("o1+,u2+ u1+ o2+"))
 
 
 def test_diagram_is_immutable(example_31):
     with pytest.raises(AttributeError):
-        example_31.entries = ()
-
-
-def test_entry_str():
-    assert str(Entry("7", True, -1)) == "O7-"
+        example_31._passes = ()
 
 
 # Pieces of the parse_gauss pin: tokens good and bad, and separators
@@ -142,15 +138,19 @@ _PIN_SEPARATORS = (" ", ",", "\t", "\n", "\x1c", ", \t", "\u00a0", "\u2028", "\u
 
 
 def test_parse_pinned_on_every_short_sequence():
-    # sha256 over the outcome (the entries, or the error class and message)
+    # sha256 over the outcome (the passes, or the error class and message)
     # of every string of at most three pieces, in itertools.product order;
     # recorded with the regular-expression tokenizer this parser replaced.
+    # The digest was recorded over the repr of a tuple of Entry(crossing,
+    # over, sign) named tuples, one per pass, so the passes are written in
+    # that format here.
+    entry = namedtuple("Entry", "crossing over sign")
     digest = hashlib.sha256()
     pieces = _PIN_TOKENS + _PIN_SEPARATORS
     for length in range(4):
         for parts in itertools.product(pieces, repeat=length):
             try:
-                out = repr(parse_gauss("".join(parts)).entries)
+                out = repr(tuple(entry(*p) for p in passes(parse_gauss("".join(parts)))))
             except GaussCodeError as exc:
                 out = f"{type(exc).__name__}: {exc}"
             digest.update(out.encode() + b"\n")
@@ -177,7 +177,7 @@ def test_pairing_pinned_on_every_short_token_sequence():
 
 
 @pytest.mark.parametrize(
-    "args", [(), ([Entry("1", True, 1), Entry("1", False, 1)],)], ids=["no entries", "entries"]
+    "args", [(), ([("1", True, 1), ("1", False, 1)],)], ids=["no entries", "entries"]
 )
 def test_diagram_is_built_only_from_text(args):
     with pytest.raises(TypeError, match="parse_gauss"):
@@ -220,7 +220,7 @@ def test_smooth_output_is_valid(d):
         s = d.smooth(c)
         assert s.n_crossings == d.n_crossings - 1
         # Re-validating through the parser proves the invariants hold.
-        assert from_entries(s.entries) == s
+        assert from_passes(passes(s)) == s
 
 
 # The (class, message) of each fault of parse_gauss.  Every token is
@@ -254,22 +254,13 @@ def test_parse_reports_the_pinned_fault(text, fault):
     assert _fault(parse_gauss, text) == fault
 
 
-def _text_entries(text: str) -> tuple[Entry, ...]:
-    """The entries of a code's text in canonical form, read without the parser."""
-    return tuple(Entry(t[1:-1], t[0] == "O", 1 if t[-1] == "+" else -1) for t in text.split())
-
-
 def check_views(d: Diagram) -> None:
-    """The integer form, its text and its entries view agree: the parse of
-    the text equals d and hashes alike, and so does the Diagram of d's
-    entries, whose own entries are the same Entry values."""
+    """The integer form and its text agree: the parse of the text equals
+    d and hashes alike, and the text has len(d) passes."""
     text = str(d)
-    parsed, rebuilt = parse_gauss(text), from_entries(d.entries)
+    parsed = parse_gauss(text)
     assert parsed == d and hash(parsed) == hash(d), text
-    assert rebuilt == d and hash(rebuilt) == hash(d), text
-    assert all(type(e) is Entry for e in d.entries), text
-    assert d.entries == rebuilt.entries == parsed.entries == _text_entries(text), text
-    assert len(d) == len(d.entries) == len(parsed), text
+    assert len(d) == len(passes(d)) == len(parsed), text
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -282,6 +273,6 @@ def test_views_agree_on_every_small_code(m):
 def test_views_agree_at_64_crossings(seed):
     code = random_code(64, seed)
     d = parse_gauss(code)
-    assert d.entries == _text_entries(code)
+    assert str(d) == code
     check_views(d)
     check_views(d.mirror().reverse().rotate(seed + 5))

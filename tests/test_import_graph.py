@@ -45,7 +45,7 @@ def test_cli_import_leaves_out_heavy_stdlib_modules():
     )
     added = set(proc.stdout.split())
     assert "vknot.cli" in added
-    forbidden = {"dataclasses", "inspect", "ast", "json", "typing", "pathlib", "vknot.moves"}
+    forbidden = {"dataclasses", "inspect", "ast", "json", "typing", "pathlib", "struct", "array", "vknot.moves"}
     assert not added & forbidden, sorted(added & forbidden)
 
 

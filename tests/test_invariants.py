@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_oracle, diagrams, f_by_definition, map_terms, random_code
+from conftest import affine_oracle, diagrams, f_by_definition, map_terms, passes, random_code
 from test_universe import sweep
 from vknot.enumerate import enumerate_codes
 from vknot.gauss import Diagram, parse_gauss
@@ -21,18 +21,18 @@ UNKNOT = parse_gauss("")
 def brute_force_labels(d: Diagram) -> list[int]:
     """Independent oracle: evaluate the first-met-overcrossing sign sum
     separately at every arc, with no propagation shortcut."""
-    entries = d.entries
-    n = len(entries)
+    word = passes(d)
+    n = len(word)
     labels = []
     for start in range(n):
         seen = set()
         total = 0
         for i in range(start + 1, start + n + 1):
-            e = entries[i % n]
-            if e.crossing not in seen:
-                seen.add(e.crossing)
-                if e.over:
-                    total += e.sign
+            c, over, sign = word[i % n]
+            if c not in seen:
+                seen.add(c)
+                if over:
+                    total += sign
         labels.append(total)
     return labels
 
@@ -64,8 +64,8 @@ def test_labels_obey_local_crossing_rule(d):
     # Over pass steps the label by -sgn, Under pass by +sgn.
     n = len(d)
     labels = arc_labels(d)
-    for i, e in enumerate(d.entries):
-        step = -e.sign if e.over else e.sign
+    for i, (_, over, sign) in enumerate(passes(d)):
+        step = -sign if over else sign
         assert labels[i % n] == labels[(i - 1) % n] + step
 
 
@@ -75,8 +75,8 @@ def test_labels_rule_and_oracle_on_whole_table(table_records):
         labels = arc_labels(d)
         assert labels == brute_force_labels(d)
         n = len(d)
-        for i, e in enumerate(d.entries):
-            step = -e.sign if e.over else e.sign
+        for i, (_, over, sign) in enumerate(passes(d)):
+            step = -sign if over else sign
             assert labels[i % n] == labels[(i - 1) % n] + step
 
 

@@ -14,7 +14,8 @@ dJ_n(D_c) table, must equal the dwrithes of those oracle tables for
 every n, and F^n must equal its defining sum over the crossings, built
 from the oracle indices, dJ values and T_n.  A planted fault, a walk
 that smooths along the other segment (``other_segment``: its rows
-negated), must fail the table check.
+negated), must fail the table check.  The traced peak of one
+``f_sequence`` at 2048 crossings is bounded.
 
 Read from the one pass of ``test_universe.sweep`` over every code with
 at most three crossings: both kernels against the oracle's dJ table;
@@ -24,6 +25,7 @@ Reidemeister moves, change the fingerprint as often as
 ``CONTROL_MOVE_COUNTS`` says, so the move check can fail.
 """
 
+import tracemalloc
 from operator import neg
 
 import pytest
@@ -174,6 +176,21 @@ def assert_lane_pass_matches_walk(sizes=(128, 256, 512), seeds=range(1, 4)) -> N
     for code in [random_code(m, seed) for m in sizes for seed in seeds] + WIDE_CODES:
         d = parse_gauss(code)
         assert _lane_table(d) == _walk_table(d), (d.n_crossings, code[:40])
+
+
+def test_lane_pass_peak_memory_at_2048_crossings():
+    # Above 128 crossings the lane pass reads its m^2 codes as one array
+    # of machine ints.  Traced peak of this f_sequence on CPython 3.11:
+    # 99.6 MB, against 124.2 MB when the codes were a tuple of Python
+    # ints; the bound is 10% above the new peak.
+    d = parse_gauss(random_code(2048, 0))
+    tracemalloc.start()
+    try:
+        f_sequence(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 110_000_000, peak
 
 
 # -- views of the dJ_n(D_c) table ----------------------------------------------------

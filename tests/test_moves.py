@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import vknot.invariants
 import vknot.moves
-from conftest import affine_oracle, diagrams, from_entries, random_code
+from conftest import affine_oracle, diagrams, from_passes, passes, random_code
 from test_kernel import other_segment
 from test_universe import R3_CENSUS, check_lemmas, r3_filter, sweep
 from vknot.enumerate import enumerate_codes
@@ -190,7 +190,7 @@ def test_fresh_ids_on_long_walks_follow_the_rule(table_records):
 @given(diagrams(max_crossings=6), st.permutations(ID_POOL), st.integers(0, 2**32))
 def test_fresh_ids_follow_the_rule_for_any_ids(d, pool, seed):
     rename = dict(zip(d.crossings(), pool))
-    d = from_entries(e._replace(crossing=rename[e.crossing]) for e in d.entries)
+    d = from_passes((rename[c], over, sign) for c, over, sign in passes(d))
     assert_fresh_ids_follow_the_rule(lambda: random_walk(d, 30, seed))
 
 

@@ -77,28 +77,20 @@ def test_load_table_env_override(tmp_path, monkeypatch, table_records):
     assert len(table_mod.load_table()) == len(table_records)
 
 
-def test_load_table_rejects_wrong_crossing_count(tmp_path, monkeypatch):
-    import shutil
-
-    shutil.copy(data_dir() / "fpolys.tsv", tmp_path / "fpolys.tsv")
-    lines = (data_dir() / "knots.tsv").read_text().splitlines()
+def test_load_table_rejects_wrong_crossing_count(table_copy):
+    lines = (table_copy / "knots.tsv").read_text().splitlines()
     lines[0] = "2.1\tO1+ U1+"  # one crossing, name promises two
-    (tmp_path / "knots.tsv").write_text("\n".join(lines) + "\n")
-    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    (table_copy / "knots.tsv").write_text("\n".join(lines) + "\n")
     with pytest.raises(CorruptData):
         load_table()
 
 
 @pytest.mark.parametrize("n_text", ["0_1", "+1", " 1", "\u0661"])
-def test_load_table_rejects_non_digit_n(tmp_path, monkeypatch, n_text):
+def test_load_table_rejects_non_digit_n(table_copy, n_text):
     # int() reads each of these as 1; only ASCII digits are an n.
-    import shutil
-
-    shutil.copy(data_dir() / "knots.tsv", tmp_path / "knots.tsv")
-    rows = (data_dir() / "fpolys.tsv").read_text().splitlines()
+    rows = (table_copy / "fpolys.tsv").read_text().splitlines()
     rows[0] = f"2.1\t{n_text}\t-t^-1+2-t"
-    (tmp_path / "fpolys.tsv").write_text("\n".join(rows) + "\n")
-    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+    (table_copy / "fpolys.tsv").write_text("\n".join(rows) + "\n")
     with pytest.raises(CorruptData, match="2.1"):
         load_table()
 
@@ -111,13 +103,9 @@ def test_read_expected_rejects_an_n_too_long_to_convert(tmp_path):
         read_expected(tmp_path / "fpolys.tsv")
 
 
-def test_load_table_rejects_a_repeated_n(tmp_path, monkeypatch):
-    import shutil
-
-    shutil.copy(data_dir() / "knots.tsv", tmp_path / "knots.tsv")
-    rows = (data_dir() / "fpolys.tsv").read_text() + "2.1\t1\tt\n"
-    (tmp_path / "fpolys.tsv").write_text(rows)
-    monkeypatch.setenv("VKNOT_TABLE_DIR", str(tmp_path))
+def test_load_table_rejects_a_repeated_n(table_copy):
+    rows = (table_copy / "fpolys.tsv").read_text() + "2.1\t1\tt\n"
+    (table_copy / "fpolys.tsv").write_text(rows)
     with pytest.raises(CorruptData, match="2.1"):
         load_table()
 

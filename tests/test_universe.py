@@ -5,7 +5,7 @@ exhaustive check on each code it yields; ``assert_every_code(m)``
 compares the sweeps of sizes 0..m with the pins:
 
 - the code and class counts, ``CODE_COUNTS`` and ``CLASS_COUNTS``;
-- each crossing's Over and Under positions hold its two entries with
+- each crossing's Over and Under positions hold its two passes with
   its sign, and ``crossings()`` lists the ids in order of first
   appearance;
 - ``parse_gauss(format_gauss(d)) == d``, also with each space written
@@ -47,9 +47,9 @@ from functools import cache, partial
 from operator import and_
 from typing import NamedTuple
 
-from conftest import assert_kernels_match_oracle, from_entries, map_terms
+from conftest import assert_kernels_match_oracle, from_passes, map_terms, passes
 from vknot.enumerate import canonical_code, enumerate_codes
-from vknot.gauss import Diagram, Entry, format_gauss, parse_gauss
+from vknot.gauss import Diagram, format_gauss, parse_gauss
 from vknot.invariants import FReport, f_sequence
 from vknot.laurent import LaurentPoly2
 from vknot.moves import MoveError, _r3_apply, _r3_patterns, _Word, apply_move, move_sites
@@ -140,30 +140,31 @@ def insertions(d: Diagram):
 
 def control_neighbours(d: Diagram):
     """(kind, diagram) for every control neighbour of d: kind "over"
-    ("under") swaps two cyclically adjacent Over (Under) entries of
+    ("under") swaps two cyclically adjacent Over (Under) passes of
     distinct crossings, a forbidden move; kind "change" flips both passes
     of one crossing and negates its sign.  None of them is a Reidemeister
     move, so none is in ``moves._MOVES``."""
-    ents = d.entries
-    for i, (a, b) in enumerate(zip(ents, ents[1:] + ents[:1])):
-        if a.over == b.over and a.crossing != b.crossing:
-            word = list(ents)
-            word[i], word[(i + 1) % len(ents)] = b, a
-            yield "over" if a.over else "under", from_entries(word)
+    word = passes(d)
+    for i, (a, b) in enumerate(zip(word, word[1:] + word[:1])):
+        (x, over, _), (y, other, _) = a, b
+        if over == other and x != y:
+            swapped = list(word)
+            swapped[i], swapped[(i + 1) % len(word)] = b, a
+            yield "over" if over else "under", from_passes(swapped)
     for c in d.crossings():
-        word = [Entry(c, not e.over, -e.sign) if e.crossing == c else e for e in ents]
-        yield "change", from_entries(word)
+        changed = [(x, not over, -sign) if x == c else (x, over, sign) for x, over, sign in word]
+        yield "change", from_passes(changed)
 
 
 def check_positions(d: Diagram, code: str) -> None:
-    """Each crossing's Over and Under positions hold its two entries with
+    """Each crossing's Over and Under positions hold its two passes with
     its sign, and ``crossings()`` lists the ids in order of first
     appearance."""
-    entries = d.entries
+    word = passes(d)
     for c, k in d._number.items():
-        assert entries[d._opos[k]] == Entry(c, True, d.sign(c)), (code, c)
-        assert entries[d._upos[k]] == Entry(c, False, d.sign(c)), (code, c)
-    assert d.crossings() == tuple(dict.fromkeys(e.crossing for e in entries)), code
+        assert word[d._opos[k]] == (c, True, d.sign(c)), (code, c)
+        assert word[d._upos[k]] == (c, False, d.sign(c)), (code, c)
+    assert d.crossings() == tuple(dict.fromkeys(c for c, _, _ in word)), code
 
 
 def check_round_trip(d: Diagram, code: str) -> None:
@@ -179,7 +180,7 @@ def check_reflection(d: Diagram, seen: dict, code: str) -> None:
     the passes, so the reflection is a code of the same size, read from
     ``seen``."""
     report = seen[code]
-    reflected = seen[str(from_entries(e._replace(sign=-e.sign) for e in d.entries))]
+    reflected = seen[str(from_passes((c, over, -sign) for c, over, sign in passes(d)))]
     for n in range(1, max(report.n_max, reflected.n_max) + 2):
         expected = map_terms(report.f_at(n), lambda et, el, c: (-et, el, -c))
         assert reflected.f_at(n) == expected, (code, n)
@@ -213,9 +214,9 @@ def check_lemmas(before: FReport, after: FReport, kind: str) -> None:
     extra = [large_data[c] + (c,) for c in large_data.keys() - data.keys()]
     if kind in ("R1+", "R1-"):
         ((_, ind, column, k),) = extra
-        passes = large.diagram.entries
-        at = next(i for i, e in enumerate(passes) if e.crossing == k and e.over)
-        over_first = passes[(at + 1) % len(passes)].crossing == k
+        word = passes(large.diagram)
+        at = next(i for i, (c, over, _) in enumerate(word) if c == k and over)
+        over_first = word[(at + 1) % len(word)][0] == k
         dj = tuple(large.dwrithe(n) * (-1 if over_first else 1) for n in range(1, rows + 1))
         assert (ind, column) == (0, dj), where
     elif kind in ("R2+", "R2-"):
