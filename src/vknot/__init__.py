@@ -1,6 +1,6 @@
 """F-polynomial invariants of oriented virtual knots from signed Gauss codes."""
 
-from .gauss import Diagram, parse_gauss, format_gauss
+from .gauss import Diagram, parse_gauss
 from .invariants import FReport, arc_labels, f_sequence
 from .laurent import LaurentPoly2, parse_poly
 
@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Diagram",
     "parse_gauss",
-    "format_gauss",
     "LaurentPoly2",
     "parse_poly",
     "FReport",

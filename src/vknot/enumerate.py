@@ -58,7 +58,7 @@ def enumerate_codes(m: int) -> Iterator[Diagram]:
 
 def canonical_code(diagram: Diagram) -> str:
     """Lexicographically least rotation in first-appearance numbering, as
-    ``format_gauss`` text.  A sign only ends a token, so no token is a prefix
+    ``str(d)`` text.  A sign only ends a token, so no token is a prefix
     of another and token lists sort as their texts: ``O10+`` before ``O2+``."""
     n = len(diagram._passes)
     passes2 = diagram._passes * 2

@@ -80,7 +80,7 @@ class UnknownCrossing(GaussCodeError):
 
 _PASSES = {"O": True, "o": True, "U": False, "u": False}
 _SIGNS = {"+": 1, "-": -1}
-# The one spelling of a token, for format_gauss and canonical codes.
+# The one spelling of a token, for str(d) and canonical codes.
 _PASS_TEXT = ("U", "O")  # indexed by the pass flag
 _SIGN_TEXT = {1: "+", -1: "-"}
 
@@ -138,12 +138,11 @@ class Diagram:
             odd = [c for c, k in number.items() if opos[k] < 0 or upos[k] < 0]
             raise BadPairing(f"crossings without both passes: {sorted(odd)}")
         diagram = object.__new__(cls)
-        set_number, set_passes, set_sign, set_opos, set_upos = _SLOT_SETTERS
-        set_number(diagram, number)
-        set_passes(diagram, tuple(passes))
-        set_sign(diagram, tuple(signs))
-        set_opos(diagram, tuple(opos))
-        set_upos(diagram, tuple(upos))
+        object.__setattr__(diagram, "_number", number)
+        object.__setattr__(diagram, "_passes", tuple(passes))
+        object.__setattr__(diagram, "_sign", tuple(signs))
+        object.__setattr__(diagram, "_opos", tuple(opos))
+        object.__setattr__(diagram, "_upos", tuple(upos))
         return diagram
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -193,10 +192,12 @@ class Diagram:
         return hash((self._passes, self._sign, *self._number))
 
     def __str__(self) -> str:
-        return format_gauss(self)
+        """The canonical text format (empty for the unknot)."""
+        ids, sign = tuple(self._number), tuple(map(_SIGN_TEXT.__getitem__, self._sign))
+        return " ".join([_PASS_TEXT[over] + ids[k] + sign[k] for k, over in self._passes])
 
     def __repr__(self) -> str:
-        return f"Diagram({format_gauss(self)!r})"
+        return f"Diagram({str(self)!r})"
 
     # -- transforms ------------------------------------------------------------
 
@@ -240,10 +241,6 @@ class Diagram:
                          for c, over, sign in kept_seg + reversed_seg[::-1]])
 
 
-# For _of: each slot's descriptor setter, half the cost of object.__setattr__.
-_SLOT_SETTERS = tuple(getattr(Diagram, name).__set__ for name in Diagram.__slots__)
-
-
 def parse_gauss(text: str) -> Diagram:
     """Parse the Gauss-code text format into a validated Diagram.
 
@@ -261,9 +258,3 @@ def parse_gauss(text: str) -> Diagram:
             raise MalformedToken(f"malformed token {token!r}")
         triples.append((ident, over, sign))
     return Diagram._of(triples)
-
-
-def format_gauss(diagram: Diagram) -> str:
-    """Render a Diagram in the canonical text format (empty for the unknot)."""
-    ids, sign = tuple(diagram._number), tuple(map(_SIGN_TEXT.__getitem__, diagram._sign))
-    return " ".join([_PASS_TEXT[over] + ids[k] + sign[k] for k, over in diagram._passes])

@@ -73,10 +73,7 @@ class LaurentPoly2:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[tuple[int, int], int] | None = None):
-        clean = dict(terms) if terms else {}
-        if 0 in clean.values():
-            clean = {k: v for k, v in clean.items() if v != 0}
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", {k: c for k, c in terms.items() if c} if terms else {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPoly2 is immutable")

@@ -108,9 +108,6 @@ class Lcg:
     def __init__(self, seed: int):
         self.state = (seed ^ 0x9E3779B97F4A7C15) & _MASK
 
-    def next_bits(self) -> int:
-        return self.randrange(1 << 31)
-
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
@@ -449,7 +446,7 @@ def fuzz_invariance(
     base = f_sequence(diagram).fingerprint
     failures = []
     for trial in range(trials):
-        word, taken = _walk(diagram, steps, rng.next_bits())
+        word, taken = _walk(diagram, steps, rng.randrange(1 << 31))
         if f_sequence(word.diagram()).fingerprint != base:
             failures.append((trial, _script(taken)))
     return failures

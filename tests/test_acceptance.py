@@ -140,7 +140,7 @@ def test_criterion_6_mirror_reverse_dwrithe_laws(table_records):
     rng = Lcg(20240)
     for i in range(100):
         base = diagrams[i % 116]
-        walked, _ = random_walk(base, 8, rng.next_bits())
+        walked, _ = random_walk(base, 8, rng.randrange(1 << 31))
         diagrams.append(walked)
 
     violations = 0

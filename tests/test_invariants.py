@@ -1,16 +1,16 @@
 """Invariant computations: oracles, worked-example fixtures, properties.
 
-The plane-reflection law on every code with at most three crossings is
-read from the one pass of ``test_universe.sweep``.
+The plane-reflection law, the reversal rule and the reverse-mirror law
+on every code with at most three crossings are read from the one pass
+of ``test_universe.sweep``, which also holds the last two checks.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_oracle, diagrams, f_by_definition, map_terms, passes, random_code
-from test_universe import sweep
-from vknot.enumerate import enumerate_codes
+from conftest import affine_oracle, diagrams, map_terms, passes, random_code
+from test_universe import check_reversal_rule, check_reverse_mirror_law, sweep
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import InternalInconsistency, NonpositiveN, arc_labels, f_sequence
 from vknot.laurent import LaurentPoly2, parse_poly
@@ -364,57 +364,38 @@ def test_reverse_inverts_f_when_smoothed_dwrithes_vanish(example_31):
     assert rev.fingerprint == inverted
 
 
-def assert_reversal_rule(d: Diagram) -> None:
-    """The reversal rule of the ``table`` docstring, by crossing id c:
-    Ind_{rev D}(c) = -Ind_D(c), dJ_n(rev D) = -dJ_n(D) and dJ_n((rev D)_c)
-    = dJ_n(D_c), and F^n(rev D) is F^n assembled by its definition from
-    d's own report with Ind and dJ_n(D) negated, for n up to the larger
-    n_max + 2."""
-    fwd, rev = f_sequence(d), f_sequence(d.reverse())
-    assert rev.index == {c: -k for c, k in fwd.index.items()}, str(d)
-    for n in range(1, max(fwd.n_max, rev.n_max) + 3):
-        d_n, row = fwd.dwrithe(n), dict(zip(fwd.index, fwd.smoothed_row(n)))
-        assert rev.dwrithe(n) == -d_n, (str(d), n)
-        assert dict(zip(rev.index, rev.smoothed_row(n))) == row, (str(d), n)
-        crossings = [(d.sign(c), -k, row[c]) for c, k in fwd.index.items()]
-        assert rev.f_at(n) == f_by_definition(crossings, -d_n), (str(d), n)
-
-
 def test_reversal_rule_on_table_codes_and_their_mirrors(table_records):
     for record in table_records:
-        assert_reversal_rule(record.diagram)
-        assert_reversal_rule(record.diagram.mirror())
+        for d in (record.diagram, record.diagram.mirror()):
+            check_reversal_rule(d, f_sequence(d))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_reversal_rule_on_every_small_code(m):
-    for d in enumerate_codes(m):
-        assert_reversal_rule(d)
+    assert sweep(m).faults["reversal rule"] == []
 
 
 def test_reversal_rule_on_random_codes():
     # 66 codes: every size from 1 to 64 crossings, 1 and 2 twice.
     for seed in range(66):
-        assert_reversal_rule(parse_gauss(random_code(1 + seed % 64, 500 + seed)))
-
-
-def _assert_reverse_mirror_law(d):
-    # F^n(reverse(mirror D))(t, l) = -F^n(D)(t, l^-1) for every n.
-    fwd, rm = f_sequence(d), f_sequence(d.mirror().reverse())
-    for n in range(1, max(fwd.n_max, rm.n_max) + 2):
-        expected = map_terms(fwd.f_at(n), lambda et, el, c: (et, -el, -c))
-        assert rm.f_at(n) == expected
+        d = parse_gauss(random_code(1 + seed % 64, 500 + seed))
+        check_reversal_rule(d, f_sequence(d))
 
 
 def test_reverse_mirror_law_on_table(table_records):
     for record in table_records:
-        _assert_reverse_mirror_law(record.diagram)
+        check_reverse_mirror_law(record.diagram, f_sequence(record.diagram))
 
 
 @given(diagrams())
 @settings(max_examples=60)
 def test_reverse_mirror_law(d):
-    _assert_reverse_mirror_law(d)
+    check_reverse_mirror_law(d, f_sequence(d))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_reverse_mirror_law_on_every_small_code(m):
+    assert sweep(m).faults["reverse mirror"] == []
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])

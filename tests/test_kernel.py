@@ -126,7 +126,7 @@ COMPLETE = {n: " ".join([f"O{i}+" for i in range(1, n + 1)] + [f"U{i}+" for i in
 WIDE_CODES = [COMPLETE[140], "O0+ U0+ " + COMPLETE[127], "O0+ U0+ " + COMPLETE[128]]
 
 
-@pytest.mark.parametrize("code", WIDE_CODES)
+@pytest.mark.parametrize("code", WIDE_CODES, ids=["complete140", "kink+complete127", "kink+complete128"])
 def test_lane_pass_on_wide_indices(code, monkeypatch):
     d = parse_gauss(code)
     lanes = f_sequence(d)
@@ -171,8 +171,9 @@ def test_kernels_agree_across_the_crossover(m, monkeypatch):
 def assert_lane_pass_matches_walk(sizes=(128, 256, 512), seeds=range(1, 4)) -> None:
     """The lane pass against the walk, the dJ table rows, on seeded
     random codes of each size and on ``WIDE_CODES``.  The oracle tests
-    stop at 64 crossings; CI runs this past the one-byte fold at 128,
-    and with 200 seeds at each size from 6 to 16, across ``_LANE_MIN``."""
+    stop at 64 crossings; CI runs this on the two-byte lanes of 65, 96
+    and 127 crossings, past the one-byte fold at 128, and with 200 seeds
+    at each size from 6 to 16, across ``_LANE_MIN``."""
     for code in [random_code(m, seed) for m in sizes for seed in seeds] + WIDE_CODES:
         d = parse_gauss(code)
         assert _lane_table(d) == _walk_table(d), (d.n_crossings, code[:40])

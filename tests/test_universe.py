@@ -8,12 +8,16 @@ compares the sweeps of sizes 0..m with the pins:
 - each crossing's Over and Under positions hold its two passes with
   its sign, and ``crossings()`` lists the ids in order of first
   appearance;
-- ``parse_gauss(format_gauss(d)) == d``, also with each space written
+- ``parse_gauss(str(d)) == d``, also with each space written
   as a comma and a tab and the text in lower case;
+- the integer form and the text agree, ``check_views``: the parse of
+  the text equals d and hashes alike, and has len(d) passes;
 - the walk and the lane pass both give the dJ table rows of the
   oracle writhe tables of the validated smoothed diagrams
   ``d.smooth(c)``, one per crossing c;
 - the plane-reflection law of F^n;
+- the reversal rule of the ``table`` docstring, crossing by crossing,
+  and the reverse-mirror law F^n(rev(mirror D))(t, l) = -F^n(D)(t, l^-1);
 - every R1-, R2- and R3 neighbour keeps the F-fingerprint, and the
   neighbours are ``MOVE_DIGESTS``; with the R1+ and R2+ calls of the
   codes with m <= 2, the same moves are ``SINGLE_PINS``;
@@ -26,12 +30,12 @@ compares the sweeps of sizes 0..m with the pins:
 - control moves, which are not Reidemeister moves, change the
   fingerprint as often as ``CONTROL_MOVE_COUNTS`` says.
 
-Each code gets one ``f_sequence`` for the move, lemma, R3, control and
-reflection checks, and each R-neighbour and R3 candidate one
-``f_sequence`` call.  A plane
-reflection and a crossing change of a code are codes of the same size,
-so their analyses are read by code text once the size is analysed; a
-text missing there is a fault, never a skip.  The suite runs
+Each code gets one ``f_sequence`` for the move, lemma, R3, control,
+reflection, reversal and reverse-mirror checks, and each R-neighbour,
+R3 candidate, reversal and reverse-mirror image one ``f_sequence``
+call.  A plane reflection and a crossing change of a code are codes of
+the same size, so their analyses are read by code text once the size
+is analysed; a text missing there is a fault, never a skip.  The suite runs
 m = 3 (1,013 codes); CI runs m = 4 (27,893 codes) as one step.
 
 A sweep records each failing check under its name and is kept for the
@@ -47,9 +51,9 @@ from functools import cache, partial
 from operator import and_
 from typing import NamedTuple
 
-from conftest import assert_kernels_match_oracle, from_passes, map_terms, passes
+from conftest import assert_kernels_match_oracle, f_by_definition, from_passes, map_terms, passes
 from vknot.enumerate import canonical_code, enumerate_codes
-from vknot.gauss import Diagram, format_gauss, parse_gauss
+from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import FReport, f_sequence
 from vknot.laurent import LaurentPoly2
 from vknot.moves import MoveError, _r3_apply, _r3_patterns, _Word, apply_move, move_sites
@@ -169,9 +173,18 @@ def check_positions(d: Diagram, code: str) -> None:
 
 def check_round_trip(d: Diagram, code: str) -> None:
     """The text round trip, also with ",\\t" separators in lower case."""
-    text = format_gauss(d)
+    text = str(d)
     assert parse_gauss(text) == d, code
     assert parse_gauss(text.replace(" ", ",\t").lower()) == d, code
+
+
+def check_views(d: Diagram) -> None:
+    """The integer form and its text agree: the parse of the text equals
+    d and hashes alike, and the text has len(d) passes."""
+    text = str(d)
+    parsed = parse_gauss(text)
+    assert parsed == d and hash(parsed) == hash(d), text
+    assert len(d) == len(passes(d)) == len(parsed), text
 
 
 def check_reflection(d: Diagram, seen: dict, code: str) -> None:
@@ -184,6 +197,31 @@ def check_reflection(d: Diagram, seen: dict, code: str) -> None:
     for n in range(1, max(report.n_max, reflected.n_max) + 2):
         expected = map_terms(report.f_at(n), lambda et, el, c: (-et, el, -c))
         assert reflected.f_at(n) == expected, (code, n)
+
+
+def check_reversal_rule(d: Diagram, fwd: FReport) -> None:
+    """The reversal rule of the ``table`` docstring, by crossing id c:
+    Ind_{rev D}(c) = -Ind_D(c), dJ_n(rev D) = -dJ_n(D) and dJ_n((rev D)_c)
+    = dJ_n(D_c), and F^n(rev D) is F^n assembled by its definition from
+    ``fwd``, d's report, with Ind and dJ_n(D) negated, for n up to the
+    larger n_max + 2."""
+    rev = f_sequence(d.reverse())
+    assert rev.index == {c: -k for c, k in fwd.index.items()}, str(d)
+    for n in range(1, max(fwd.n_max, rev.n_max) + 3):
+        d_n, row = fwd.dwrithe(n), dict(zip(fwd.index, fwd.smoothed_row(n)))
+        assert rev.dwrithe(n) == -d_n, (str(d), n)
+        assert dict(zip(rev.index, rev.smoothed_row(n))) == row, (str(d), n)
+        crossings = [(d.sign(c), -k, row[c]) for c, k in fwd.index.items()]
+        assert rev.f_at(n) == f_by_definition(crossings, -d_n), (str(d), n)
+
+
+def check_reverse_mirror_law(d: Diagram, fwd: FReport) -> None:
+    """F^n(rev(mirror D))(t, l) = -F^n(D)(t, l^-1) for every n up to the
+    larger n_max + 1, with ``fwd`` d's report."""
+    rm = f_sequence(d.mirror().reverse())
+    for n in range(1, max(fwd.n_max, rm.n_max) + 2):
+        expected = map_terms(fwd.f_at(n), lambda et, el, c: (et, -el, -c))
+        assert rm.f_at(n) == expected, (str(d), n)
 
 
 def crossing_data(report: FReport, rows: int) -> dict[str, tuple]:
@@ -320,7 +358,8 @@ class Seen(NamedTuple):
 
 
 # The per-code checks of ``sweep``, each a key of ``Size.faults``.
-CHECKS = ("size", "positions", "round trip", "kernel", "reflection", "moves", "lemmas", "r3", "control")
+CHECKS = ("size", "positions", "round trip", "views", "kernel", "reflection", "reversal rule",
+          "reverse mirror", "moves", "lemmas", "r3", "control")
 
 
 class Size(NamedTuple):
@@ -374,8 +413,11 @@ def sweep(size: int) -> Size:
         classes.add(canonical_code(d))
         run("positions", check_positions, d, code)
         run("round trip", check_round_trip, d, code)
+        run("views", check_views, d)
         run("kernel", assert_kernels_match_oracle, d)
         report = f_sequence(d)
+        run("reversal rule", check_reversal_rule, d, report)
+        run("reverse mirror", check_reverse_mirror_law, d, report)
         analysis = Seen(report.fingerprint, report.stable_tail, report.n_max)
         seen[code] = distinct.setdefault(analysis, analysis)
         run("moves", check_moves, d, report, code, moves, singles, partial(run, "lemmas", check_lemmas))

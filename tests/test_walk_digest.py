@@ -60,7 +60,7 @@ def pinned_walks():
     for code in start_codes():
         start = parse_gauss(code)
         for _ in range(SEEDS_PER_CODE):
-            seed = rng.next_bits()
+            seed = rng.randrange(1 << 31)
             final, script = random_walk(start, STEPS, seed)
             yield code, seed, start, final, script
 
@@ -78,7 +78,7 @@ def long_walks(steps: int):
     each table code."""
     rng = Lcg(steps)
     for record in load_table():
-        seed = rng.next_bits()
+        seed = rng.randrange(1 << 31)
         final, script = random_walk(record.diagram, steps, seed)
         yield str(record.diagram), seed, record.diagram, final, script
 
