@@ -226,19 +226,16 @@ class Diagram:
         original ids.
         """
         k = self._k(crossing)
-        o, u = self._opos[k], self._upos[k]
+        u = self._upos[k]
         triples = self._triples()
-        n = len(triples)
-        # Segment strictly between the Under pass and the Over pass,
-        # walking forward; this is the strand whose orientation flips.
-        reversed_seg = [triples[i % n] for i in range(u + 1, u + (o - u) % n)]
-        kept_seg = [triples[i % n] for i in range(o + 1, o + (u - o) % n)]
-        inside_count: dict[str, int] = {}
-        for c, _, _ in reversed_seg:
-            inside_count[c] = inside_count.get(c, 0) + 1
-        flipped = {c for c, cnt in inside_count.items() if cnt == 1}
-        return self._of([(c, over, -sign if c in flipped else sign)
-                         for c, over, sign in kept_seg + reversed_seg[::-1]])
+        word = triples[u:] + triples[:u]  # U_c S O_c T
+        o = (self._opos[k] - u) % len(word)
+        inside = word[1:o]  # S, the strand whose orientation flips
+        count: dict[str, int] = {}
+        for c, _, _ in inside:
+            count[c] = count.get(c, 0) + 1
+        return self._of([(c, over, -sign if count.get(c) == 1 else sign)
+                         for c, over, sign in word[o + 1:] + inside[::-1]])
 
 
 def parse_gauss(text: str) -> Diagram:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import shutil
+from operator import neg
 from typing import Iterable
 
 import pytest
@@ -101,6 +102,15 @@ def assert_kernels_match_oracle(d: Diagram) -> None:
     expected = dj_table(smoothed_writhes(d).values())
     assert _walk_table(d) == expected, str(d)
     assert _lane_table(d) == expected, str(d)
+
+
+def other_segment(kernel):
+    """``kernel`` with the segment choice the ``gauss`` module docstring
+    rejects, as the kernel's rows negated.  In the word U_c S O_c T a
+    crossing has one endpoint in T exactly when it has one in S, so both
+    choices flip the same signs, and the other choice, S forward then T
+    reversed, is the reverse of D_c, whose every dJ_n is -dJ_n(D_c)."""
+    return lambda diagram: [tuple(map(neg, row)) for row in kernel(diagram)]
 
 
 def map_terms(poly, fn=None) -> LaurentPoly2:

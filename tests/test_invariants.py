@@ -384,13 +384,14 @@ def test_reversal_rule_on_random_codes():
 
 def test_reverse_mirror_law_on_table(table_records):
     for record in table_records:
-        check_reverse_mirror_law(record.diagram, f_sequence(record.diagram))
+        d = record.diagram
+        check_reverse_mirror_law(f_sequence(d), f_sequence(d.mirror().reverse()), record.name)
 
 
 @given(diagrams())
 @settings(max_examples=60)
 def test_reverse_mirror_law(d):
-    check_reverse_mirror_law(d, f_sequence(d))
+    check_reverse_mirror_law(f_sequence(d), f_sequence(d.mirror().reverse()), str(d))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -406,31 +407,26 @@ def test_reflection_law_on_every_small_code(m):
 # -- per-crossing data: index, sign and smoothed_row ---------------------------------
 
 
-def test_crossing_reports_example(example_31):
+def test_index_sign_and_smoothed_row_example(example_31):
     report = f_sequence(example_31)
     per_crossing = {c: (example_31.sign(c), k) for c, k in report.index.items()}
     assert per_crossing == {"1": (-1, -1), "2": (1, 1), "3": (-1, 2)}
     assert report.smoothed_row(1) == report.smoothed_row(2) == (0, 0, 0)
 
 
-def test_crossing_reports_unknot_empty():
+def test_index_and_smoothed_row_of_unknot_are_empty():
     report = f_sequence(UNKNOT)
     assert report.index == {}
     assert report.smoothed_row(1) == report.smoothed_row(2) == ()
 
 
-def test_crossing_reports_rejects_bad_n(example_31):
+def test_per_crossing_views_reject_bad_n(example_31):
     report = f_sequence(example_31)
     for n in (0, -1):
         with pytest.raises(NonpositiveN):
             report.smoothed_row(n)
         with pytest.raises(NonpositiveN):
             report.t_set(n)
-
-
-def test_smoothed_row_rejects_bad_n(example_31):
-    with pytest.raises(NonpositiveN):
-        f_sequence(example_31).smoothed_row(0)
 
 
 def test_internal_inconsistency_is_exported():

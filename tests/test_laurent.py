@@ -15,7 +15,7 @@ from vknot.laurent import LaurentPoly2, PolyParseError, parse_poly
 ZERO = LaurentPoly2()
 
 
-def test_from_terms_cancellation():
+def test_map_terms_and_constructor_drop_zeros():
     assert map_terms([(0, 0, 1), (0, 0, -1)]) == ZERO
     assert LaurentPoly2({(0, 0): 0, (1, 0): 0}) == ZERO
     assert not ZERO and LaurentPoly2({(1, 0): 1})
@@ -41,12 +41,12 @@ def test_zero_has_one_form():
         assert p.terms() == [] and str(p) == "0" and not p
 
 
-def test_from_terms_table_row():
+def test_map_terms_table_row():
     p = map_terms([(-1, 0, -1), (0, 0, 2), (1, 0, -1)])
     assert str(p) == "-t^-1+2-t"
 
 
-def test_from_terms_merges_duplicates():
+def test_map_terms_merges_duplicates():
     p = map_terms([(1, 2, 3), (1, 2, -1)])
     assert p.terms() == [(1, 2, 2)]
     assert str(p) == "2t*l^2"

@@ -8,42 +8,44 @@ compares the sweeps of sizes 0..m with the pins:
 - each crossing's Over and Under positions hold its two passes with
   its sign, and ``crossings()`` lists the ids in order of first
   appearance;
-- ``parse_gauss(str(d)) == d``, also with each space written
-  as a comma and a tab and the text in lower case;
-- the integer form and the text agree, ``check_views``: the parse of
-  the text equals d and hashes alike, and has len(d) passes;
+- the round trip, with one parse of the text: ``parse_gauss(str(d))``
+  equals d, hashes alike and has len(d) passes, and the text also
+  parses to d with each space written as a comma and a tab and in
+  lower case;
 - the walk and the lane pass both give the dJ table rows of the
   oracle writhe tables of the validated smoothed diagrams
   ``d.smooth(c)``, one per crossing c;
 - the plane-reflection law of F^n;
 - the reversal rule of the ``table`` docstring, crossing by crossing,
   and the reverse-mirror law F^n(rev(mirror D))(t, l) = -F^n(D)(t, l^-1);
-- every R1-, R2- and R3 neighbour keeps the F-fingerprint, and the
-  neighbours are ``MOVE_DIGESTS``; with the R1+ and R2+ calls of the
-  codes with m <= 2, the same moves are ``SINGLE_PINS``;
-- each of those moves obeys the crossing-level lemmas of the invariance
-  proof, ``check_lemmas``: a kept crossing keeps its (sign, Ind, dJ
-  column), and the crossings a move removes cancel;
+- every R1- and R2- neighbour keeps the F-fingerprint, and the R1-,
+  R2- and R3 neighbours are ``MOVE_DIGESTS``; with the R1+ and R2+
+  calls of the codes with m <= 2, the same moves are ``SINGLE_PINS``;
+- each R1- and R2- move obeys the crossing-level lemmas of the
+  invariance proof, ``check_lemmas``: a kept crossing keeps its (sign,
+  Ind, dJ column), and the crossings a move removes cancel;
 - the R3 scan is the candidates of ``r3_candidates`` that meet both
-  sign relations, the first per triple; every candidate's rewrite is
-  counted by (accepted, lemmas kept, fingerprint kept), ``R3_CENSUS``;
+  sign relations, the first per triple, so its moves are among them;
+  every candidate's rewrite is counted by (accepted, lemmas kept,
+  fingerprint kept), ``R3_CENSUS``, and every accepted one keeps both;
 - control moves, which are not Reidemeister moves, change the
   fingerprint as often as ``CONTROL_MOVE_COUNTS`` says.
 
-Each code gets one ``f_sequence`` for the move, lemma, R3, control,
-reflection, reversal and reverse-mirror checks, and each R-neighbour,
-R3 candidate, reversal and reverse-mirror image one ``f_sequence``
-call.  A plane reflection and a crossing change of a code are codes of
-the same size, so their analyses are read by code text once the size
-is analysed; a text missing there is a fault, never a skip.  The suite runs
-m = 3 (1,013 codes); CI runs m = 4 (27,893 codes) as one step.
+Each code, its reversal, each R1- and R2- neighbour and each R3
+candidate's rewrite get one ``f_sequence`` call, and no other diagram
+does.  The plane reflection, the crossing changes, the over/under swaps
+and rev(mirror D) of a code are codes of the same size, so once the
+size is analysed ``read_image`` reads their analyses from the pass by
+code text, with the crossings renumbered by first appearance; a text
+missing there is a fault, never a skip.  The suite runs m = 3 (1,013
+codes); CI runs m = 4 (27,893 codes) as one step.
 
 A sweep records each failing check under its name and is kept for the
 process, so the per-check tests of ``test_enumerate``, ``test_gauss``,
-``test_invariants``, ``test_kernel`` and ``test_walk_digest`` read their
-own part of the one pass over each size and fail on their own.
+``test_invariants``, ``test_kernel``, ``test_moves`` and
+``test_walk_digest`` read their own part of the one pass over each size
+and fail on their own.
 """
-
 import hashlib
 import json
 from collections import Counter
@@ -51,7 +53,7 @@ from functools import cache, partial
 from operator import and_
 from typing import NamedTuple
 
-from conftest import assert_kernels_match_oracle, f_by_definition, from_passes, map_terms, passes
+from conftest import assert_kernels_match_oracle, f_by_definition, map_terms, passes
 from vknot.enumerate import canonical_code, enumerate_codes
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import FReport, f_sequence
@@ -142,22 +144,21 @@ def insertions(d: Diagram):
         yield kind, params, result
 
 
-def control_neighbours(d: Diagram):
-    """(kind, diagram) for every control neighbour of d: kind "over"
-    ("under") swaps two cyclically adjacent Over (Under) passes of
-    distinct crossings, a forbidden move; kind "change" flips both passes
-    of one crossing and negates its sign.  None of them is a Reidemeister
-    move, so none is in ``moves._MOVES``."""
-    word = passes(d)
+def control_neighbours(word: list):
+    """(kind, passes) for every control neighbour of the code whose
+    (id, over, sign) passes are ``word``: kind "over" ("under") swaps two
+    cyclically adjacent Over (Under) passes of distinct crossings, a
+    forbidden move; kind "change" flips both passes of one crossing and
+    negates its sign.  None of them is a Reidemeister move, so none is
+    in ``moves._MOVES``."""
     for i, (a, b) in enumerate(zip(word, word[1:] + word[:1])):
         (x, over, _), (y, other, _) = a, b
         if over == other and x != y:
             swapped = list(word)
             swapped[i], swapped[(i + 1) % len(word)] = b, a
-            yield "over" if over else "under", from_passes(swapped)
-    for c in d.crossings():
-        changed = [(x, not over, -sign) if x == c else (x, over, sign) for x, over, sign in word]
-        yield "change", from_passes(changed)
+            yield "over" if over else "under", swapped
+    for c in dict.fromkeys(x for x, _, _ in word):
+        yield "change", [(x, not over, -sign) if x == c else (x, over, sign) for x, over, sign in word]
 
 
 def check_positions(d: Diagram, code: str) -> None:
@@ -172,28 +173,31 @@ def check_positions(d: Diagram, code: str) -> None:
 
 
 def check_round_trip(d: Diagram, code: str) -> None:
-    """The text round trip, also with ",\\t" separators in lower case."""
-    text = str(d)
-    assert parse_gauss(text) == d, code
-    assert parse_gauss(text.replace(" ", ",\t").lower()) == d, code
+    """The text round trip, with one parse of ``code``, d's text: the
+    parse equals d and hashes alike, and the text has len(d) passes;
+    the text also parses to d with ",\\t" separators in lower case."""
+    parsed = parse_gauss(code)
+    assert parsed == d and hash(parsed) == hash(d), code
+    assert len(d) == len(code.split()) == len(parsed), code
+    assert parse_gauss(code.replace(" ", ",\t").lower()) == d, code
 
 
-def check_views(d: Diagram) -> None:
-    """The integer form and its text agree: the parse of the text equals
-    d and hashes alike, and the text has len(d) passes."""
-    text = str(d)
-    parsed = parse_gauss(text)
-    assert parsed == d and hash(parsed) == hash(d), text
-    assert len(d) == len(passes(d)) == len(parsed), text
+def read_image(seen: dict, word: list) -> "Seen":
+    """The analysis in ``seen`` of the code whose (id, over, sign) passes
+    are ``word``, a code of the size ``seen`` holds, with its crossings
+    renumbered 1, 2, ... in order of first appearance, as
+    ``enumerate_codes`` numbers them.  A missing text raises KeyError."""
+    number: dict[str, str] = {}
+    tokens = [("O" if over else "U") + number.setdefault(c, str(len(number) + 1)) + ("+" if sign > 0 else "-")
+              for c, over, sign in word]
+    return seen[" ".join(tokens)]
 
 
-def check_reflection(d: Diagram, seen: dict, code: str) -> None:
+def check_reflection(report, reflected, code: str) -> None:
     """F^n(reflect D)(t, l) = -F^n(D)(t^-1, l) for every n up to the
-    larger n_max + 1.  Reflecting the plane negates every sign and keeps
-    the passes, so the reflection is a code of the same size, read from
-    ``seen``."""
-    report = seen[code]
-    reflected = seen[str(from_passes((c, over, -sign) for c, over, sign in passes(d)))]
+    larger n_max + 1, with ``report`` and ``reflected`` the analyses of
+    D, whose text is ``code``, and of its plane reflection, which
+    negates every sign and keeps the passes."""
     for n in range(1, max(report.n_max, reflected.n_max) + 2):
         expected = map_terms(report.f_at(n), lambda et, el, c: (-et, el, -c))
         assert reflected.f_at(n) == expected, (code, n)
@@ -215,13 +219,13 @@ def check_reversal_rule(d: Diagram, fwd: FReport) -> None:
         assert rev.f_at(n) == f_by_definition(crossings, -d_n), (str(d), n)
 
 
-def check_reverse_mirror_law(d: Diagram, fwd: FReport) -> None:
+def check_reverse_mirror_law(fwd, rm, code: str) -> None:
     """F^n(rev(mirror D))(t, l) = -F^n(D)(t, l^-1) for every n up to the
-    larger n_max + 1, with ``fwd`` d's report."""
-    rm = f_sequence(d.mirror().reverse())
+    larger n_max + 1, with ``fwd`` and ``rm`` the analyses of D, whose
+    text is ``code``, and of rev(mirror D)."""
     for n in range(1, max(fwd.n_max, rm.n_max) + 2):
         expected = map_terms(fwd.f_at(n), lambda et, el, c: (et, -el, -c))
-        assert rm.f_at(n) == expected, (str(d), n)
+        assert rm.f_at(n) == expected, (code, n)
 
 
 def crossing_data(report: FReport, rows: int) -> dict[str, tuple]:
@@ -264,14 +268,26 @@ def check_lemmas(before: FReport, after: FReport, kind: str) -> None:
         assert not extra, where
 
 
+def lemmas_hold(before: FReport, after: FReport, kind: str) -> bool:
+    """Whether ``check_lemmas(before, after, kind)`` passes."""
+    try:
+        check_lemmas(before, after, kind)
+    except AssertionError:
+        return False
+    return True
+
+
 def check_moves(d: Diagram, report: FReport, code: str, moves: Pin, singles: Pin, lemmas) -> None:
-    """Every R1-, R2- and R3 neighbour keeps the fingerprint of ``report``,
+    """Every R1- and R2- neighbour keeps the fingerprint of ``report``,
     d's analysis, and is checked by ``lemmas(report, its analysis,
-    kind)``; each one feeds both pins."""
+    kind)``; every neighbour feeds both pins.  The R3 neighbours are
+    accepted candidates of ``check_r3``, which analyses them."""
     for kind, site, moved in neighbours(d):
-        moved_code, analysis = str(moved), f_sequence(moved)
-        assert analysis.fingerprint == report.fingerprint, (code, moved_code)
-        lemmas(report, analysis, kind)
+        moved_code = str(moved)
+        if kind != "R3":
+            analysis = f_sequence(moved)
+            assert analysis.fingerprint == report.fingerprint, (code, moved_code)
+            lemmas(report, analysis, kind)
         moves.add([code, kind, site, moved_code])
         singles.add([code, kind, list(site) if kind == "R3" else [site], moved_code])
 
@@ -315,32 +331,31 @@ def r3_filter(word: _Word, keep) -> dict:
 
 def check_r3(d: Diagram, report: FReport, code: str, census: Counter) -> None:
     """The candidates that meet both relations, the first per triple, are
-    ``_r3_patterns`` in its order; each candidate's rewrite of d, with
-    ``report`` d's analysis, counts once in ``census``."""
+    ``_r3_patterns`` in its order, so every R3 move of d is one of them.
+    Each candidate's rewrite of d, with ``report`` d's analysis, counts
+    once in ``census``, and each accepted one keeps the crossing lemmas
+    and the fingerprint."""
     accepted = r3_filter(_Word(d), and_)
     assert list(accepted.items()) == list(_r3_patterns(_Word(d)).items()), code
     for triple, swaps, first, second in r3_candidates(_Word(d)):
         word = _Word(d)
         _r3_apply(word, {triple: swaps}, *triple)
         analysis = f_sequence(word.diagram())
-        try:
-            check_lemmas(report, analysis, "R3")
-            lemmas = True
-        except AssertionError:
-            lemmas = False
-        census[first and second, lemmas, analysis.fingerprint == report.fingerprint] += 1
+        outcome = first and second, lemmas_hold(report, analysis, "R3"), analysis.fingerprint == report.fingerprint
+        census[outcome] += 1
+        assert not outcome[0] or all(outcome), (code, triple, outcome)
 
 
-def check_control(d: Diagram, seen: dict, code: str, unknot, control: dict) -> bool:
-    """Adds d's control neighbours to ``control``'s (differs, all) counts
-    and returns whether d is knotted.  Forbidden moves unknot every
-    virtual knot, so a knotted d has a neighbour that changes its
-    fingerprint.  A crossing change is a code of the same size, read
-    from ``seen``."""
-    base, changed = seen[code].fingerprint, False
-    for kind, moved in control_neighbours(d):
-        analysed = seen[str(moved)] if kind == "change" else f_sequence(moved)
-        differs = analysed.fingerprint != base
+def check_control(word: list, report, image, code: str, unknot, control: dict) -> bool:
+    """Adds the control neighbours of d, the code whose passes are
+    ``word`` and whose analysis is ``report``, to ``control``'s
+    (differs, all) counts and returns whether d is knotted.  Forbidden
+    moves unknot every virtual knot, so a knotted d has a neighbour that
+    changes its fingerprint.  Each neighbour is a code of the same size,
+    whose analysis ``image`` reads."""
+    base, changed = report.fingerprint, False
+    for kind, moved in control_neighbours(word):
+        differs = image(moved).fingerprint != base
         control[kind][0] += differs
         control[kind][1] += 1
         changed |= differs
@@ -358,7 +373,7 @@ class Seen(NamedTuple):
 
 
 # The per-code checks of ``sweep``, each a key of ``Size.faults``.
-CHECKS = ("size", "positions", "round trip", "views", "kernel", "reflection", "reversal rule",
+CHECKS = ("size", "positions", "round trip", "kernel", "reflection", "reversal rule",
           "reverse mirror", "moves", "lemmas", "r3", "control")
 
 
@@ -384,10 +399,11 @@ class Size(NamedTuple):
 def sweep(size: int) -> Size:
     """Every per-code check on every code with ``size`` crossings, in one
     call of ``enumerate_codes``.  Once every code is analysed, the
-    reflection and control checks read the analyses of the same-size
-    neighbours from the map ``seen``.  A failing check is recorded under
-    its name, up to five codes each, and the pass goes on, so each
-    check fails on its own; the result is kept for the process."""
+    reflection, reverse-mirror and control checks read the analyses of
+    the same-size images from the map ``seen``.  A failing check is
+    recorded under its name, up to five codes each, and the pass goes
+    on, so each check fails on its own; the result is kept for the
+    process."""
     unknot = f_sequence(parse_gauss("")).fingerprint
     faults = {name: [] for name in CHECKS}
 
@@ -413,11 +429,9 @@ def sweep(size: int) -> Size:
         classes.add(canonical_code(d))
         run("positions", check_positions, d, code)
         run("round trip", check_round_trip, d, code)
-        run("views", check_views, d)
         run("kernel", assert_kernels_match_oracle, d)
         report = f_sequence(d)
         run("reversal rule", check_reversal_rule, d, report)
-        run("reverse mirror", check_reverse_mirror_law, d, report)
         analysis = Seen(report.fingerprint, report.stable_tail, report.n_max)
         seen[code] = distinct.setdefault(analysis, analysis)
         run("moves", check_moves, d, report, code, moves, singles, partial(run, "lemmas", check_lemmas))
@@ -425,11 +439,15 @@ def sweep(size: int) -> Size:
         if size <= 2:
             for kind, params, result in insertions(d):
                 singles.add([code, kind, params, result])
-    for code in seen:
+    image = partial(read_image, seen)
+    for code, report in seen.items():
         d = parse_gauss(code)
-        run("reflection", check_reflection, d, seen, code)
+        word = passes(d)
+        reflected = [(c, over, -sign) for c, over, sign in word]
+        run("reflection", lambda: check_reflection(report, image(reflected), code))
+        run("reverse mirror", lambda: check_reverse_mirror_law(report, image(passes(d.mirror().reverse())), code))
         if size >= 2:
-            knotted += bool(run("control", check_control, d, seen, code, unknot, control))
+            knotted += bool(run("control", check_control, word, report, image, code, unknot, control))
     return Size(count, len(texts), len(classes), faults, moves.value(), singles.value(), dict(r3),
                 {kind: tuple(pair) for kind, pair in control.items()}, knotted)
 
