@@ -1,4 +1,11 @@
-"""Shared fixtures, hypothesis strategies and engine-free oracles."""
+"""Shared fixtures, hypothesis strategies and engine-free oracles.
+
+The oracles read only the passes of a code's text and its validated
+smoothings ``d.smooth(c)``.  ``assert_analysis_matches_oracle`` is the
+one place that compares an analysis, every view of an ``FReport`` and
+the arc labels, with them; ``record_calls`` records the arguments of
+each call of a patched function.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +18,7 @@ import pytest
 from hypothesis import strategies as st
 
 from vknot.gauss import Diagram, parse_gauss
-from vknot.invariants import _lane_table, _walk_table
+from vknot.invariants import FReport, _lane_table, _walk_table, arc_labels
 from vknot.laurent import LaurentPoly2
 from vknot.table import data_dir, load_table
 
@@ -54,11 +61,11 @@ def from_passes(word: Iterable[tuple[str, bool, int]]) -> Diagram:
     return parse_gauss(" ".join(tokens))
 
 
-def interlacement_index(d: Diagram) -> dict[str, int]:
+def interlacement_index(word: list[tuple[str, bool, int]]) -> dict[str, int]:
     """Ind(c) as the sum over the passes strictly between the Over and the
     Under pass of c, in cyclic order, of s_j for an Over pass and -s_j for
-    an Under pass.  Reads only the passes of the text: no arc labels."""
-    word = passes(d)
+    an Under pass.  Reads only ``word``, the ``passes`` of a code's text:
+    no arc labels."""
     size = len(word)
     over_at = {c: i for i, (c, over, _) in enumerate(word) if over}
     under_at = {c: i for i, (c, over, _) in enumerate(word) if not over}
@@ -74,11 +81,33 @@ def interlacement_index(d: Diagram) -> dict[str, int]:
     return ind
 
 
-def writhe_table(d: Diagram) -> dict[int, int]:
-    """J_k(D) for every index value k, from ``interlacement_index`` and the signs."""
+def brute_force_labels(word: list[tuple[str, bool, int]]) -> list[int]:
+    """The label of each arc of the code whose ``passes`` are ``word``,
+    entry i for the arc after pass i, evaluated separately at every arc as
+    the first-met-overcrossing sign sum, with no propagation shortcut."""
+    n = len(word)
+    labels = []
+    for start in range(n):
+        seen = set()
+        total = 0
+        for i in range(start + 1, start + n + 1):
+            c, over, sign = word[i % n]
+            if c not in seen:
+                seen.add(c)
+                if over:
+                    total += sign
+        labels.append(total)
+    return labels
+
+
+def writhe_table(word: list[tuple[str, bool, int]], ind: dict[str, int] | None = None) -> dict[int, int]:
+    """J_k(D) for every index value k, from the signs of ``word``, D's
+    ``passes``, and ``ind``, its ``interlacement_index``, computed when
+    not given."""
+    sign = {c: s for c, _, s in word}
     table: dict[int, int] = {}
-    for c, k in interlacement_index(d).items():
-        table[k] = table.get(k, 0) + d.sign(c)
+    for c, k in (interlacement_index(word) if ind is None else ind).items():
+        table[k] = table.get(k, 0) + sign[c]
     return table
 
 
@@ -93,15 +122,7 @@ def dj_table(writhes: Iterable[dict[int, int]]) -> list[tuple[int, ...]]:
 
 def smoothed_writhes(d: Diagram) -> dict[str, dict[int, int]]:
     """J_k(D_c) of every smoothing, from the validated ``d.smooth(c)``."""
-    return {c: writhe_table(d.smooth(c)) for c in d.crossings()}
-
-
-def assert_kernels_match_oracle(d: Diagram) -> None:
-    """The walk's and the lane pass's dJ table rows, whatever the size,
-    against those of the oracle smoothings."""
-    expected = dj_table(smoothed_writhes(d).values())
-    assert _walk_table(d) == expected, str(d)
-    assert _lane_table(d) == expected, str(d)
+    return {c: writhe_table(passes(d.smooth(c))) for c in d.crossings()}
 
 
 def other_segment(kernel):
@@ -133,11 +154,66 @@ def f_by_definition(crossings: Iterable[tuple[int, int, int]], d_n: int) -> Laur
     return map_terms(terms)
 
 
-def affine_oracle(d: Diagram) -> LaurentPoly2:
-    """P(t) = sum_c sgn(c) (t^Ind(c) - 1) from ``writhe_table``, so it shares
-    no code with the engine: each J_k adds to t^k and subtracts from 1."""
-    terms = [(k, 0, j) for k, j in writhe_table(d).items()]
+def affine_oracle(d: Diagram, writhes: dict[int, int] | None = None) -> LaurentPoly2:
+    """P(t) = sum_c sgn(c) (t^Ind(c) - 1) from ``writhes``, d's
+    ``writhe_table``, made when not given, so it shares no code with the
+    engine: each J_k adds to t^k and subtracts from 1."""
+    terms = [(k, 0, j) for k, j in (writhe_table(passes(d)) if writhes is None else writhes).items()]
     return map_terms(terms + [(0, 0, -j) for _, _, j in terms])
+
+
+def assert_analysis_matches_oracle(d: Diagram, report: FReport) -> None:
+    """``report``, the analysis of d, against the oracles, each computed
+    once: the walk's and the lane pass's dJ table rows; ``index``,
+    ``writhes``, ``n_max`` and ``stable_tail``; sum_c sgn(c) Ind(c) = 0;
+    ``arc_labels``, equal to ``brute_force_labels``, stepping by -sgn(c)
+    over an Over pass and +sgn(c) over an Under pass, and giving Ind(c)
+    = lambda(arc into O_c) - lambda(arc into U_c) - sgn(c); and, for n = 1
+    to two past the report's last row (n_max + 1), ``dwrithe(n)``,
+    ``smoothed_row(n)``, ``t_set(n)`` and ``f_at(n)`` by its definition."""
+    word = passes(d)
+    sign = {c: s for c, _, s in word}
+    ind, smoothed, labels = interlacement_index(word), smoothed_writhes(d), brute_force_labels(word)
+    writhes = writhe_table(word, ind)
+    rows = dj_table(smoothed.values())
+    assert _walk_table(d) == rows, str(d)
+    assert _lane_table(d) == rows, str(d)
+    assert report.index == ind and report.writhes == writhes, str(d)
+    assert report.n_max == max([len(rows), *map(abs, ind.values())]), str(d)
+    assert report.stable_tail == affine_oracle(d, writhes), str(d)
+    assert sum(sign[c] * k for c, k in ind.items()) == 0, str(d)
+    assert arc_labels(d) == labels, str(d)
+    at = {}
+    for i, (c, over, s) in enumerate(word):
+        assert labels[i] == labels[i - 1] + (-s if over else s), (str(d), i)
+        at[c, over] = i
+    for c, k in ind.items():
+        assert k == labels[at[c, True] - 1] - labels[at[c, False] - 1] - sign[c], (str(d), c)
+    zeros = (0,) * len(smoothed)
+    for n in range(1, report.n_max + 4):
+        if n <= report.n_max + 1:  # past n_max, every index is below n: the values repeat
+            d_n = writhes.get(n, 0) - writhes.get(-n, 0)
+            dc = dict(zip(smoothed, rows[n - 1] if n <= len(rows) else zeros))
+            t_n = {c for c, dc_n in dc.items() if abs(dc_n) == abs(d_n)}
+            f_n = f_by_definition([(sign[c], ind[c], dc[c]) for c in dc], d_n)
+        assert report.dwrithe(n) == d_n, (str(d), n)
+        assert report.smoothed_row(n) == tuple(map(dc.get, report.index)), (str(d), n)
+        assert report.t_set(n) == t_n and report.f_at(n) == f_n, (str(d), n)
+
+
+def record_calls(monkeypatch, function, *owners) -> list:
+    """Puts a wrapper of ``function`` in its place under its name on each
+    of ``owners`` (modules or classes) and returns the list to which the
+    wrapper appends the argument tuple of each call before calling it."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return function(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, function.__name__, recording)
+    return calls
 
 
 def random_code(m: int, seed: int) -> str:

@@ -199,7 +199,7 @@ def test_criterion_9_rotation_invariance(table_records):
             report.stable_tail,
             affine_oracle(d),
             frozenset((n, report.dwrithe(n)) for n in ns),
-            frozenset((n, f_sequence(d).t_set(n)) for n in ns),
+            frozenset((n, report.t_set(n)) for n in ns),
             per_crossing,
         )
 

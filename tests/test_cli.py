@@ -10,7 +10,7 @@ import vknot.cli
 import vknot.invariants
 import vknot.moves
 import vknot.table
-from conftest import random_code
+from conftest import random_code, record_calls
 from test_gauss import _PIN_SEPARATORS, _PIN_TOKENS
 from vknot.cli import main
 from vknot.gauss import Diagram, parse_gauss
@@ -67,13 +67,7 @@ def test_compute_unknown_name(capsys):
 
 
 def test_compute_reads_only_ascii_digits_as_a_table_name(capsys, monkeypatch):
-    loads = []
-
-    def counting_load_table(*args):
-        loads.append(args)
-        return vknot.table.load_table(*args)
-
-    monkeypatch.setattr(vknot.cli, "load_table", counting_load_table)
+    loads = record_calls(monkeypatch, vknot.table.load_table, vknot.cli)
     # An Arabic-Indic digit one: no table name, so it fails as a Gauss code
     # before the table is loaded.
     assert run(capsys, "compute", "3.\u0661") == (2, "", "error: malformed token '3.\u0661'\n")
@@ -109,13 +103,7 @@ def test_compute_rejects_bad_n(capsys):
 
 def test_compute_checks_n_before_the_analysis(capsys, monkeypatch):
     # A bad -n needs only the argument; a bad code still gets its own error.
-    calls = []
-
-    def counting_f_sequence(diagram):
-        calls.append(diagram)
-        return f_sequence(diagram)
-
-    monkeypatch.setattr(vknot.cli, "f_sequence", counting_f_sequence)
+    calls = record_calls(monkeypatch, f_sequence, vknot.cli)
     code, out, err = run(capsys, "compute", random_code(32, seed=7), "-n", "0")
     assert (code, out, err) == (2, "", "error: n must be >= 1\n")
     assert calls == []
@@ -152,39 +140,30 @@ def test_compute_all_smooths_each_crossing_once(capsys, monkeypatch):
     # the table, with one index walk of D and one per smoothing D_c, which
     # leaves out crossing c alone.
     inv = vknot.invariants
-    lane, walk, indices = inv._lane_table, inv._walk_table, inv._indices
-    kernels, left_out = [], []
+    lanes = record_calls(monkeypatch, inv._lane_table, inv)
+    walks = record_calls(monkeypatch, inv._walk_table, inv)
+    indices = record_calls(monkeypatch, inv._indices, inv)
 
-    def counting_lane(diagram):
-        kernels.append(("lane", diagram.n_crossings))
-        return lane(diagram)
+    def kernels():
+        return [d.n_crossings for d, in lanes], [d.n_crossings for d, in walks]
 
-    def counting_walk(diagram):
-        kernels.append(("walk", diagram.n_crossings))
-        return walk(diagram)
-
-    def counting_indices(passes, sign):
-        passes = list(passes)
-        left_out.append(sorted(set(range(len(sign))) - {k for k, _ in passes}))
-        return indices(passes, sign)
+    def left_out():
+        return [sorted(set(range(len(sign))) - {k for k, _ in passes}) for passes, sign in indices]
 
     def no_smooth(self, crossing):
         raise AssertionError("Diagram.smooth called")
 
-    monkeypatch.setattr(inv, "_lane_table", counting_lane)
-    monkeypatch.setattr(inv, "_walk_table", counting_walk)
-    monkeypatch.setattr(inv, "_indices", counting_indices)
     monkeypatch.setattr(Diagram, "smooth", no_smooth)
     code, out, _ = run(capsys, "compute", random_code(32, seed=7), "--all")
     assert code == 0
     assert "crossings: 32" in out
-    assert (kernels, left_out) == ([("lane", 32)], [[]])
+    assert (kernels(), left_out()) == (([32], []), [[]])
     m = inv._LANE_MIN - 1
     code, out, _ = run(capsys, "compute", random_code(m, seed=7), "--all")
     assert code == 0
     assert f"crossings: {m}" in out
-    assert kernels == [("lane", 32), ("walk", m)]
-    assert left_out == [[], []] + [[c] for c in range(m)]
+    assert kernels() == ([32], [m])
+    assert left_out() == [[], []] + [[c] for c in range(m)]
 
 
 def test_compute_all_computes_each_smoothed_dwrithe_once(capsys, monkeypatch):
@@ -194,14 +173,7 @@ def test_compute_all_computes_each_smoothed_dwrithe_once(capsys, monkeypatch):
     text = random_code(32, seed=7)
     n_max = f_sequence(parse_gauss(text)).n_max
     assert n_max == 10
-    dj = vknot.invariants._dj
-    calls = []
-
-    def counting_dj(writhes, n):
-        calls.append(n)
-        return dj(writhes, n)
-
-    monkeypatch.setattr(vknot.invariants, "_dj", counting_dj)
+    calls = record_calls(monkeypatch, vknot.invariants._dj, vknot.invariants)
     code, out, _ = run(capsys, "compute", text, "--all")
     assert code == 0
     assert f"n_max = {n_max}" in out
@@ -269,14 +241,7 @@ def test_tabulate_groups_needs_text_format(capsys, monkeypatch, fmt):
 
 
 def test_tabulate_groups_analyses_each_record_once(capsys, monkeypatch):
-    analysed = []
-
-    def counting_f_sequence(diagram):
-        analysed.append(diagram)
-        return f_sequence(diagram)
-
-    for module in (vknot.cli, vknot.table):
-        monkeypatch.setattr(module, "f_sequence", counting_f_sequence)
+    analysed = record_calls(monkeypatch, f_sequence, vknot.cli, vknot.table)
     code, out, _ = run(capsys, "tabulate", "--groups")
     assert code == 0
     assert "group: " in out
@@ -284,14 +249,7 @@ def test_tabulate_groups_analyses_each_record_once(capsys, monkeypatch):
 
 
 def test_tabulate_parses_each_code_once(capsys, monkeypatch):
-    parsed = []
-
-    def counting_parse_gauss(text):
-        parsed.append(text)
-        return parse_gauss(text)
-
-    for module in (vknot.cli, vknot.table):
-        monkeypatch.setattr(module, "parse_gauss", counting_parse_gauss)
+    parsed = record_calls(monkeypatch, parse_gauss, vknot.cli, vknot.table)
     code, _, _ = run(capsys, "tabulate")
     assert code == 0
     assert len(parsed) == 116
@@ -451,13 +409,7 @@ def test_distinguish_shared_f_group_members(capsys):
 
 
 def test_distinguish_loads_the_table_once(capsys, monkeypatch):
-    loads = []
-
-    def counting_load_table(*args):
-        loads.append(args)
-        return vknot.table.load_table(*args)
-
-    monkeypatch.setattr(vknot.cli, "load_table", counting_load_table)
+    loads = record_calls(monkeypatch, vknot.table.load_table, vknot.cli)
     code, out, _ = run(capsys, "distinguish", "4.9", "4.10")
     assert code == 0
     assert out.startswith("distinguished at n=") or out.startswith("not distinguished")

@@ -1,40 +1,25 @@
-"""Invariant computations: oracles, worked-example fixtures, properties.
+"""Invariant computations: worked-example fixtures and properties.
 
-The plane-reflection law, the reversal rule and the reverse-mirror law
-on every code with at most three crossings are read from the one pass
-of ``test_universe.sweep``, which also holds the last two checks.
+The values of the worked example and the unknot are pinned here; every
+view of the analysis and the arc labels are checked against the
+engine-free oracle by ``conftest.assert_analysis_matches_oracle``, which
+``test_kernel`` and ``test_universe`` run.  The plane-reflection law,
+the reversal rule and the reverse-mirror law on every code with at most
+three crossings are read from the one pass of ``test_universe.sweep``,
+which also holds the last two checks.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_oracle, diagrams, map_terms, passes, random_code
+from conftest import affine_oracle, diagrams, map_terms, random_code, record_calls
 from test_universe import check_reversal_rule, check_reverse_mirror_law, sweep
-from vknot.gauss import Diagram, parse_gauss
+from vknot.gauss import parse_gauss
 from vknot.invariants import InternalInconsistency, NonpositiveN, arc_labels, f_sequence
 from vknot.laurent import LaurentPoly2, parse_poly
 
 UNKNOT = parse_gauss("")
-
-
-def brute_force_labels(d: Diagram) -> list[int]:
-    """Independent oracle: evaluate the first-met-overcrossing sign sum
-    separately at every arc, with no propagation shortcut."""
-    word = passes(d)
-    n = len(word)
-    labels = []
-    for start in range(n):
-        seen = set()
-        total = 0
-        for i in range(start + 1, start + n + 1):
-            c, over, sign = word[i % n]
-            if c not in seen:
-                seen.add(c)
-                if over:
-                    total += sign
-        labels.append(total)
-    return labels
 
 
 # -- arc labels -------------------------------------------------------------------
@@ -46,60 +31,12 @@ def test_labels_one_crossing_kink():
 
 
 def test_labels_empty_diagram_is_empty():
-    assert arc_labels(UNKNOT) == [] == brute_force_labels(UNKNOT)
+    assert arc_labels(UNKNOT) == []
 
 
 def test_labels_match_example(example_31):
     # Figure labels along the traversal of the worked example.
     assert arc_labels(example_31) == [1, 0, -1, -2, -1, 0]
-
-
-@given(diagrams(min_crossings=1))
-def test_labels_equal_brute_force(d):
-    assert arc_labels(d) == brute_force_labels(d)
-
-
-@given(diagrams(min_crossings=1))
-def test_labels_obey_local_crossing_rule(d):
-    # Over pass steps the label by -sgn, Under pass by +sgn.
-    n = len(d)
-    labels = arc_labels(d)
-    for i, (_, over, sign) in enumerate(passes(d)):
-        step = -sign if over else sign
-        assert labels[i % n] == labels[(i - 1) % n] + step
-
-
-def test_labels_rule_and_oracle_on_whole_table(table_records):
-    for record in table_records:
-        d = record.diagram
-        labels = arc_labels(d)
-        assert labels == brute_force_labels(d)
-        n = len(d)
-        for i, (_, over, sign) in enumerate(passes(d)):
-            step = -sign if over else sign
-            assert labels[i % n] == labels[(i - 1) % n] + step
-
-
-def assert_labels_give_index(d: Diagram) -> None:
-    """Ind(c) = lambda(over-in arc) - lambda(under-in arc) - sgn(c), the
-    module docstring's definition, from the public labels; the arc into
-    the pass at position p is the arc after pass p - 1."""
-    labels, index = arc_labels(d), f_sequence(d).index
-    for c, k in d._number.items():
-        o, u = d._opos[k], d._upos[k]
-        assert index[c] == labels[o - 1] - labels[u - 1] - d.sign(c), (str(d), c)
-
-
-def test_labels_give_the_engine_index_on_whole_table(table_records):
-    for record in table_records:
-        d = record.diagram
-        for variant in (d, d.reverse(), d.mirror()):
-            assert_labels_give_index(variant)
-
-
-@given(diagrams())
-def test_labels_give_the_engine_index(d):
-    assert_labels_give_index(d)
 
 
 # -- index values -----------------------------------------------------------------
@@ -117,13 +54,6 @@ def test_index_value_kink_is_zero():
     assert f_sequence(parse_gauss("U1- O1-")).index["1"] == 0
 
 
-@given(diagrams(min_crossings=1))
-def test_index_sign_weighted_sum_vanishes(d):
-    # sum_c sgn(c) Ind(c) = 0 on every knot diagram.
-    index = f_sequence(d).index
-    assert sum(d.sign(c) * index[c] for c in d.crossings()) == 0
-
-
 # -- affine index polynomial --------------------------------------------------------
 
 
@@ -134,23 +64,6 @@ def test_affine_polynomial_example(example_31):
 
 def test_affine_polynomial_unknot_zero():
     assert f_sequence(UNKNOT).stable_tail == LaurentPoly2() == affine_oracle(UNKNOT)
-
-
-@given(diagrams())
-def test_affine_polynomial_pure_t(d):
-    poly = f_sequence(d).stable_tail
-    assert all(el == 0 for _, el, _ in poly.terms())
-    assert poly == affine_oracle(d)
-
-
-@given(diagrams(min_crossings=1))
-def test_writhe_is_affine_coefficient(d):
-    # J_n is the coefficient of t^n in P_D(t) for every n != 0.
-    report = f_sequence(d)
-    coefficient = {et: c for et, _, c in report.stable_tail.terms()}
-    for n in range(-6, 7):
-        if n:
-            assert report.writhes.get(n, 0) == coefficient.get(n, 0)
 
 
 # -- writhes, dwrithes, support -----------------------------------------------------
@@ -181,16 +94,6 @@ def test_dwrithe_example(example_31):
 def test_index_support_examples(example_31):
     assert support(f_sequence(UNKNOT)) == set()
     assert support(f_sequence(example_31)) == {1, 2}
-
-
-@given(diagrams())
-def test_writhe_vanishes_outside_support(d):
-    report = f_sequence(d)
-    for n in range(1, 8):
-        if n not in support(report):
-            assert report.writhes.get(n, 0) == 0
-            assert report.writhes.get(-n, 0) == 0
-            assert report.dwrithe(n) == 0
 
 
 # -- T_n and F-polynomials ----------------------------------------------------------
@@ -241,16 +144,9 @@ def test_f_sequence_labels_each_diagram_once(example_31, monkeypatch):
     # example, and only one of them over D's length.
     import vknot.invariants
 
-    walk = vknot.invariants._indices
-    lengths = []
-
-    def counting_walk(passes, sign):
-        passes = list(passes)
-        lengths.append(len(passes))
-        return walk(passes, sign)
-
-    monkeypatch.setattr(vknot.invariants, "_indices", counting_walk)
+    calls = record_calls(monkeypatch, vknot.invariants._indices, vknot.invariants)
     f_sequence(example_31)
+    lengths = [len(word) for word, _ in calls]
     assert len(lengths) == example_31.n_crossings + 1
     assert lengths.count(len(example_31)) == 1
 
@@ -286,26 +182,6 @@ def test_f_sequence_checks_that_it_stabilizes(example_31, monkeypatch):
     with pytest.raises(InternalInconsistency) as info:
         f_sequence(example_31)
     assert repr(str(example_31)) in str(info.value)
-
-
-@given(diagrams())
-@settings(max_examples=60)
-def test_f_collapses_to_affine_at_l_equal_one(d):
-    # Substituting l = 1 in any F^n recovers the affine index polynomial.
-    p = affine_oracle(d)
-    report = f_sequence(d)
-    for n in range(1, report.n_max + 2):
-        assert map_terms(report.f_at(n), lambda et, el, c: (et, 0, c)) == p
-
-
-@given(diagrams())
-@settings(max_examples=60)
-def test_f_stabilizes_beyond_n_max(d):
-    report = f_sequence(d)
-    tail = affine_oracle(d)
-    assert report.stable_tail == tail
-    assert report.f_at(report.n_max + 1) == tail
-    assert report.f_at(report.n_max + 3) == tail
 
 
 # -- behavior under rotation, mirror, reverse ---------------------------------------

@@ -1,24 +1,24 @@
-"""The integer analysis kernels against independent oracles.
+"""The integer analysis kernels and the analysis built on them against
+the engine-free oracle of ``conftest``.
 
-Ind(c) must equal ``interlacement_index``, a count read off the raw
-Gauss code with no arc labels.  The oracle writhe table of a diagram is
-built from that count and the signs alone, so it shares no code with the
-kernel.  On the table codes and on random diagrams, the walk and the
-lane pass, each called directly whatever the size, must give the dJ
-table rows of the oracle tables of the validated smoothed diagrams
-``d.smooth(c)``, also on codes whose indices pass one byte, where the
-two kernels give equal reports.  On either side of ``_LANE_MIN`` the
-two kernels, and the reports ``f_sequence`` builds from each, agree.
-The ``FReport`` views T_n and ``smoothed_row(n)``, read from the one
-dJ_n(D_c) table, must equal the dwrithes of those oracle tables for
-every n, and F^n must equal its defining sum over the crossings, built
-from the oracle indices, dJ values and T_n.  A planted fault, a walk
-that smooths along the other segment (``other_segment``: its rows
-negated), must fail the table check.  The traced peak of one
+``assert_analysis_matches_oracle`` runs the whole oracle on a diagram
+and its ``f_sequence`` report: both kernels' dJ table rows, each called
+directly whatever the size, against the oracle tables of the validated
+smoothed diagrams ``d.smooth(c)``; Ind(c) against
+``interlacement_index``, a count read off the raw Gauss code; J_k, n_max
+and the stable tail; the arc labels; and dJ_n, dJ_n(D_c), T_n and F^n by
+its definition for every n up to two past the last row.  It runs on the
+table codes with their reverses and mirrors, three seeded corpora of
+random codes, random diagrams of at most ten crossings, codes whose
+indices pass one byte, codes that reach the lane width bound and codes
+with adjacent Under and Over passes.  On either side of ``_LANE_MIN``
+the reports ``f_sequence`` builds from each kernel agree.  A planted
+fault, a walk that smooths along the other segment (``other_segment``:
+its rows negated), must fail the table check.  The traced peak of one
 ``f_sequence`` at 2048 crossings is bounded.
 
 Read from the one pass of ``test_universe.sweep`` over every code with
-at most three crossings: both kernels against the oracle's dJ table;
+at most three crossings: the whole oracle, under the "oracle" check;
 every R1-, R2- and R3 neighbour keeps the F-fingerprint (the R3 ones
 under the "r3" check) and the neighbours are ``MOVE_DIGESTS``; control
 moves, which are not Reidemeister moves, change the fingerprint as
@@ -32,16 +32,12 @@ from hypothesis import given, settings
 
 import vknot.invariants
 from conftest import (
-    assert_kernels_match_oracle,
+    assert_analysis_matches_oracle,
     diagrams,
-    dj_table,
-    f_by_definition,
-    interlacement_index,
     map_terms,
     other_segment,
     random_code,
     smoothed_writhes,
-    writhe_table,
 )
 from test_universe import CONTROL_MOVE_COUNTS, MOVE_DIGESTS, control_totals, sweep
 from vknot.gauss import Diagram, parse_gauss
@@ -49,27 +45,40 @@ from vknot.invariants import _lane_table, _walk_table, f_sequence
 from vknot.table import Verdict, verify_record
 
 
-def dj(table: dict[int, int], n: int) -> int:
-    return table.get(n, 0) - table.get(-n, 0)
+def assert_code_matches_oracle(code: str) -> None:
+    """The whole oracle on the diagram of ``code`` and its analysis."""
+    d = parse_gauss(code)
+    assert_analysis_matches_oracle(d, f_sequence(d))
 
 
 def test_kernel_matches_oracle_on_table(table_records):
     for record in table_records:
         d = record.diagram
         for variant in (d, d.reverse(), d.mirror()):
-            assert_kernels_match_oracle(variant)
+            assert_analysis_matches_oracle(variant, f_sequence(variant))
 
 
+# Three seeded corpora of random codes, 53 (m, seed) pairs in all.
 @pytest.mark.parametrize("seed", range(24))
 def test_kernel_matches_oracle_on_random_diagrams(seed):
     # 24 sizes spread over 1..64, both ends included.
-    assert_kernels_match_oracle(parse_gauss(random_code(1 + (seed * 37) % 64, seed)))
+    assert_code_matches_oracle(random_code(1 + (seed * 37) % 64, seed))
 
 
-@settings(max_examples=150, deadline=None)
-@given(diagrams(max_crossings=8))
+@pytest.mark.parametrize("seed", range(12))
+def test_views_match_smoothings_on_random_diagrams(seed):
+    assert_code_matches_oracle(random_code(4 + 3 * seed, 100 + seed))
+
+
+@pytest.mark.parametrize("m", [1, *range(4, 65, 4)])
+def test_index_oracle_on_random_diagrams(m):
+    assert_code_matches_oracle(random_code(m, 200 + m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagrams(max_crossings=10))
 def test_kernel_matches_oracle_property(d):
-    assert_kernels_match_oracle(d)
+    assert_analysis_matches_oracle(d, f_sequence(d))
 
 
 @pytest.mark.parametrize("code", ["O1+ U1+", "U1- O1-"])
@@ -88,12 +97,12 @@ def test_kernel_kink_smooths_to_empty_word(code):
     ],
 )
 def test_kernel_adjacent_under_over_passes(code):
-    assert_kernels_match_oracle(parse_gauss(code))
+    assert_code_matches_oracle(code)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_kernel_matches_oracle_on_every_small_code(m):
-    assert sweep(m).faults["kernel"] == []
+    assert sweep(m).faults["oracle"] == []
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -133,9 +142,7 @@ def test_lane_pass_on_wide_indices(code, monkeypatch):
     d = parse_gauss(code)
     lanes = f_sequence(d)
     assert lanes.n_max == {140: 139, 128: 126, 129: 127}[d.n_crossings]
-    smoothed = dj_table(smoothed_writhes(d).values())
-    assert _lane_table(d) == _walk_table(d) == smoothed
-    assert lanes.smoothed_dj == tuple(smoothed) + ((0,) * d.n_crossings,) * (lanes.n_max + 1 - len(smoothed))
+    assert_analysis_matches_oracle(d, lanes)
     monkeypatch.setattr(vknot.invariants, "_LANE_MIN", d.n_crossings + 1)
     assert f_sequence(d) == lanes  # the walk's report, fingerprint included
 
@@ -150,22 +157,18 @@ PLATEAU = {m: " ".join([f"U{i}+" for i in range(1, m)] + ["O0+ U0+"] + [f"O{i}+"
 
 @pytest.mark.parametrize("m", [64, 66])
 def test_lane_width_bound_is_reached(m):
-    assert_kernels_match_oracle(parse_gauss(PLATEAU[m]))
+    assert_code_matches_oracle(PLATEAU[m])
 
 
 @pytest.mark.parametrize("m", range(1, vknot.invariants._LANE_MIN + 3))
 def test_kernels_agree_across_the_crossover(m, monkeypatch):
-    # Both kernels' rows, and f_sequence forced onto the lane pass
-    # (_LANE_MIN = 0) and onto the walk, with n_max the larger of the
-    # diagram's own index bound and the rows.
+    # The report of f_sequence forced onto the lane pass (_LANE_MIN = 0)
+    # against the oracle, and equal to the one forced onto the walk.
     for seed in range(6):
         d = parse_gauss(random_code(m, 400 + seed))
-        bound = max(map(abs, interlacement_index(d).values()))
-        rows = _walk_table(d)
-        assert rows == _lane_table(d), (m, seed)
         monkeypatch.setattr(vknot.invariants, "_LANE_MIN", 0)
         lanes = f_sequence(d)
-        assert lanes.n_max == max(bound, len(rows)), (m, seed)
+        assert_analysis_matches_oracle(d, lanes)
         monkeypatch.setattr(vknot.invariants, "_LANE_MIN", m + 1)
         assert f_sequence(d) == lanes, (m, seed)
 
@@ -194,55 +197,6 @@ def test_lane_pass_peak_memory_at_2048_crossings():
     finally:
         tracemalloc.stop()
     assert peak < 110_000_000, peak
-
-
-# -- views of the dJ_n(D_c) table ----------------------------------------------------
-
-
-def assert_views_match_smoothings(d: Diagram) -> None:
-    report = f_sequence(d)
-    writhes, smoothed, ind = writhe_table(d), smoothed_writhes(d), interlacement_index(d)
-    # Two past the table's last row (n_max+1), which every view reads as zeros.
-    for n in range(1, report.n_max + 4):
-        d_n = dj(writhes, n)
-        dc = {c: dj(table, n) for c, table in smoothed.items()}
-        t_n = {c for c in dc if abs(dc[c]) == abs(d_n)}
-        assert report.t_set(n) == t_n, (str(d), n)
-        assert report.index.keys() == dc.keys(), str(d)
-        assert report.smoothed_row(n) == tuple(dc[c] for c in report.index), (str(d), n)
-        assert report.f_at(n) == f_by_definition([(d.sign(c), ind[c], dc[c]) for c in dc], d_n), (str(d), n)
-
-
-def test_views_match_smoothings_on_table(table_records):
-    for record in table_records:
-        assert_views_match_smoothings(record.diagram)
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_views_match_smoothings_on_random_diagrams(seed):
-    assert_views_match_smoothings(parse_gauss(random_code(4 + 3 * seed, 100 + seed)))
-
-
-# -- Ind(c) from the raw Gauss code ------------------------------------------------
-
-
-def test_index_oracle_on_table(table_records):
-    for record in table_records:
-        d = record.diagram
-        for variant in (d, d.reverse(), d.mirror()):
-            assert f_sequence(variant).index == interlacement_index(variant), record.name
-
-
-@pytest.mark.parametrize("m", [1, *range(4, 65, 4)])
-def test_index_oracle_on_random_diagrams(m):
-    d = parse_gauss(random_code(m, 200 + m))
-    assert f_sequence(d).index == interlacement_index(d)
-
-
-@settings(max_examples=200, deadline=None)
-@given(diagrams(max_crossings=10))
-def test_index_oracle_property(d):
-    assert f_sequence(d).index == interlacement_index(d)
 
 
 # -- a planted fault: the other smoothing segment ------------------------------------

@@ -12,9 +12,10 @@ compares the sweeps of sizes 0..m with the pins:
   equals d, hashes alike and has len(d) passes, and the text also
   parses to d with each space written as a comma and a tab and in
   lower case;
-- the walk and the lane pass both give the dJ table rows of the
-  oracle writhe tables of the validated smoothed diagrams
-  ``d.smooth(c)``, one per crossing c;
+- the whole engine-free oracle, ``assert_analysis_matches_oracle``,
+  on the code's analysis: both kernels' dJ table rows; Ind, J_k, n_max
+  and the affine index polynomial; the arc labels; and dJ_n(D),
+  dJ_n(D_c), T_n and F^n by its definition for n = 1 to n_max + 3;
 - the plane-reflection law of F^n;
 - the reversal rule of the ``table`` docstring, crossing by crossing,
   and the reverse-mirror law F^n(rev(mirror D))(t, l) = -F^n(D)(t, l^-1);
@@ -53,7 +54,7 @@ from functools import cache, partial
 from operator import and_
 from typing import NamedTuple
 
-from conftest import assert_kernels_match_oracle, f_by_definition, map_terms, passes
+from conftest import assert_analysis_matches_oracle, f_by_definition, map_terms, passes
 from vknot.enumerate import canonical_code, enumerate_codes
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import FReport, f_sequence
@@ -373,7 +374,7 @@ class Seen(NamedTuple):
 
 
 # The per-code checks of ``sweep``, each a key of ``Size.faults``.
-CHECKS = ("size", "positions", "round trip", "kernel", "reflection", "reversal rule",
+CHECKS = ("size", "positions", "round trip", "oracle", "reflection", "reversal rule",
           "reverse mirror", "moves", "lemmas", "r3", "control")
 
 
@@ -429,8 +430,8 @@ def sweep(size: int) -> Size:
         classes.add(canonical_code(d))
         run("positions", check_positions, d, code)
         run("round trip", check_round_trip, d, code)
-        run("kernel", assert_kernels_match_oracle, d)
         report = f_sequence(d)
+        run("oracle", assert_analysis_matches_oracle, d, report)
         run("reversal rule", check_reversal_rule, d, report)
         analysis = Seen(report.fingerprint, report.stable_tail, report.n_max)
         seen[code] = distinct.setdefault(analysis, analysis)
