@@ -5,11 +5,11 @@ the invariance of everything in :mod:`vknot.invariants`.  Virtual
 Reidemeister moves and the detour move are identities on Gauss codes
 and are deliberately not represented.
 
-Arc indices follow :mod:`vknot.gauss`: arc ``i`` is the edge after
-entry ``i``; insertions at arc ``i`` go between entries ``i`` and
-``i+1``.
+Arc ``i`` runs from pass ``i`` to pass ``i+1`` of the word, as
+``invariants.arc_labels`` numbers them; insertions at arc ``i`` go between
+passes ``i`` and ``i+1``.
 
-R1 inserts a kink: two adjacent entries of a fresh crossing, either
+R1 inserts a kink: two adjacent passes of a fresh crossing, either
 pass order, either sign.  R2 pushes one arc across another: fresh
 crossings ``a``, ``b`` appear as ``a b`` on one arc and ``b a`` on the
 other, all-Over on one strand and all-Under on the other, with opposite
@@ -18,7 +18,7 @@ signs (both sign assignments are geometrically realizable; we fix
 
 R3 slides a strand lying over two crossings ``p``, ``q`` across their
 common crossing ``r`` with a third strand.  On the word this swaps the
-entries inside three adjacent pairs: ``O_p O_q`` on the sliding strand,
+passes inside three adjacent pairs: ``O_p O_q`` on the sliding strand,
 ``U_p`` next to one pass of ``r``, and ``U_q`` next to the other.  Not
 every such adjacency pattern is a geometric R3: realizing the triangle
 with travel directions read off the word forces two sign relations,
@@ -27,7 +27,7 @@ with travel directions read off the word forces two sign relations,
     sgn(r) == sgn(p) * gamma * chi,
 
 where ``beta``/``gamma`` are +1 when the strand meets its ``p``/``q``
-underpass before the ``r`` entry (-1 after), and ``chi`` is +1 when the
+underpass before the ``r`` pass (-1 after), and ``chi`` is +1 when the
 ``r`` pass adjacent to ``U_p`` is the overpass.  Patterns violating
 them are rejected.  What checks the predicate: on every code with at
 most four crossings, the crossing-level lemmas of the invariance proof

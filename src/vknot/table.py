@@ -19,8 +19,12 @@ fix each knot's orientation only implicitly, so a record whose code
 matches only once its orientation is reversed (``Diagram.reverse``, the
 inverse knot) is reported as ``MATCH_UNDER_INVERSION``, not a failure.
 Reversal is recomputed, not derived from the stored orientation's
-values: it negates Ind(c) and dJ_n(D) but leaves every dJ_n(D_c) alone,
-so F^n(t, l) does not in general become F^n(t^-1, l^-1).
+values: it acts on each crossing's (sgn(c), Ind(c), dJ_n(D_c)) and on
+dJ_n(D) by the sign pattern (+1, -1, +1, -1), leaving every dJ_n(D_c)
+alone, so F^n(t, l) does not in general become F^n(t^-1, l^-1).  The
+mirror and the plane reflection act by sign patterns too; the tests
+hold all seven non-trivial images to them (``GENERATORS`` and
+``check_images`` in ``tests/test_universe.py``).
 """
 
 from __future__ import annotations

@@ -48,9 +48,9 @@ def table_copy(tmp_path, monkeypatch):
     return tmp_path
 
 
-def passes(d: Diagram) -> list[tuple[str, bool, int]]:
-    """(id, over, sign) of each pass of d, in order, read from its text
-    without the parser."""
+def passes(d: Diagram | str) -> list[tuple[str, bool, int]]:
+    """(id, over, sign) of each pass of d, in order, read from its text,
+    or from d itself when d is a code's text, without the parser."""
     return [(t[1:-1], t[0] == "O", 1 if t[-1] == "+" else -1) for t in str(d).split()]
 
 

@@ -3,18 +3,21 @@
 The values of the worked example and the unknot are pinned here; every
 view of the analysis and the arc labels are checked against the
 engine-free oracle by ``conftest.assert_analysis_matches_oracle``, which
-``test_kernel`` and ``test_universe`` run.  The plane-reflection law,
-the reversal rule and the reverse-mirror law on every code with at most
-three crossings are read from the one pass of ``test_universe.sweep``,
-which also holds the last two checks.
+``test_kernel`` and ``test_universe`` run.  The symmetry laws are one
+check, ``test_universe.check_images``: each of the 7 images of D under
+the group of order 8 carries D's per-crossing data by its sign pattern.
+It runs here on the table codes, seeded random codes and Hypothesis
+diagrams, each image analysed by ``f_sequence`` and its F^n compared
+with the definition, and is read for every code with at most three
+crossings from the one pass of ``test_universe.sweep``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_oracle, diagrams, map_terms, random_code, record_calls
-from test_universe import check_reversal_rule, check_reverse_mirror_law, sweep
+from conftest import affine_oracle, diagrams, f_by_definition, from_passes, map_terms, passes, random_code, record_calls
+from test_universe import check_images, group_view, sweep
 from vknot.gauss import parse_gauss
 from vknot.invariants import InternalInconsistency, NonpositiveN, arc_labels, f_sequence
 from vknot.laurent import LaurentPoly2, parse_poly
@@ -200,22 +203,6 @@ def test_rotation_invariance(d, k):
     assert rotated.fingerprint == report.fingerprint
 
 
-@given(diagrams())
-@settings(max_examples=60)
-def test_mirror_preserves_dwrithe(d):
-    mirrored, report = f_sequence(d.mirror()), f_sequence(d)
-    for n in range(1, 6):
-        assert mirrored.dwrithe(n) == report.dwrithe(n)
-
-
-@given(diagrams())
-@settings(max_examples=60)
-def test_reverse_negates_dwrithe(d):
-    reversed_, report = f_sequence(d.reverse()), f_sequence(d)
-    for n in range(1, 6):
-        assert reversed_.dwrithe(n) == -report.dwrithe(n)
-
-
 @given(diagrams(min_crossings=1))
 @settings(max_examples=60)
 def test_reverse_commutes_with_smoothing_up_to_rotation(d):
@@ -240,44 +227,40 @@ def test_reverse_inverts_f_when_smoothed_dwrithes_vanish(example_31):
     assert rev.fingerprint == inverted
 
 
-def test_reversal_rule_on_table_codes_and_their_mirrors(table_records):
+def check_images_analysed(d) -> None:
+    """``check_images`` on d, each image analysed by ``f_sequence``, with
+    its ids kept and its F^n equal to ``f_by_definition`` of its view."""
+    def analysed(word: list) -> tuple[tuple, dict]:
+        report = f_sequence(from_passes(word))
+        data, row = view = group_view(report)
+        for n, d_n in enumerate(row, 1):
+            crossings = [(sign, ind, column[n - 1]) for _, (sign, ind, column) in data]
+            assert report.f_at(n) == f_by_definition(crossings, d_n), (str(report.diagram), n)
+        return view, {c: c for c, _ in data}
+
+    check_images(group_view(f_sequence(d)), passes(d), analysed, str(d))
+
+
+def test_images_on_table_codes(table_records):
     for record in table_records:
-        for d in (record.diagram, record.diagram.mirror()):
-            check_reversal_rule(d, f_sequence(d))
+        check_images_analysed(record.diagram)
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 3])
-def test_reversal_rule_on_every_small_code(m):
-    assert sweep(m).faults["reversal rule"] == []
-
-
-def test_reversal_rule_on_random_codes():
+def test_images_on_random_codes():
     # 66 codes: every size from 1 to 64 crossings, 1 and 2 twice.
     for seed in range(66):
-        d = parse_gauss(random_code(1 + seed % 64, 500 + seed))
-        check_reversal_rule(d, f_sequence(d))
-
-
-def test_reverse_mirror_law_on_table(table_records):
-    for record in table_records:
-        d = record.diagram
-        check_reverse_mirror_law(f_sequence(d), f_sequence(d.mirror().reverse()), record.name)
+        check_images_analysed(parse_gauss(random_code(1 + seed % 64, 500 + seed)))
 
 
 @given(diagrams())
 @settings(max_examples=60)
-def test_reverse_mirror_law(d):
-    check_reverse_mirror_law(f_sequence(d), f_sequence(d.mirror().reverse()), str(d))
+def test_images(d):
+    check_images_analysed(d)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
-def test_reverse_mirror_law_on_every_small_code(m):
-    assert sweep(m).faults["reverse mirror"] == []
-
-
-@pytest.mark.parametrize("m", [0, 1, 2, 3])
-def test_reflection_law_on_every_small_code(m):
-    assert sweep(m).faults["reflection"] == []
+def test_images_on_every_small_code(m):
+    assert sweep(m).faults["images"] == []
 
 
 # -- per-crossing data: index, sign and smoothed_row ---------------------------------

@@ -180,12 +180,14 @@ def test_paper_rows_obey_the_laws_of_f_without_the_engine():
 BUILDER = Path(__file__).resolve().parent.parent / "tools" / "build_knot_table.py"
 
 
-@pytest.mark.parametrize("damage", [b"2.1\t1\n", b"\xff"], ids=["short line", "undecodable"])
-def test_table_builder_rejects_corrupt_expected_rows(tmp_path, damage):
-    # The builder reads fpolys.tsv with the loader's reader, so it stops before its scan.
+@pytest.mark.parametrize("damage, out", [(b"2.1\t1\n", "knots.tsv"), (b"\xff", "knots.tsv"), (b"", "missing/knots.tsv")],
+                         ids=["short line", "undecodable", "missing output directory"])
+def test_table_builder_rejects_corrupt_expected_rows(tmp_path, damage, out):
+    # The builder reads fpolys.tsv with the loader's reader and checks the
+    # output's directory, so it stops before its scan.
     expected = tmp_path / "fpolys.tsv"
     expected.write_bytes((data_dir() / "fpolys.tsv").read_bytes() + damage)
-    out = tmp_path / "knots.tsv"
+    out = tmp_path / out
     proc = subprocess.run(
         [sys.executable, str(BUILDER), "--out", str(out)],
         capture_output=True, text=True, timeout=60,

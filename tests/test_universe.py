@@ -16,9 +16,9 @@ compares the sweeps of sizes 0..m with the pins:
   on the code's analysis: both kernels' dJ table rows; Ind, J_k, n_max
   and the affine index polynomial; the arc labels; and dJ_n(D),
   dJ_n(D_c), T_n and F^n by its definition for n = 1 to n_max + 3;
-- the plane-reflection law of F^n;
-- the reversal rule of the ``table`` docstring, crossing by crossing,
-  and the reverse-mirror law F^n(rev(mirror D))(t, l) = -F^n(D)(t, l^-1);
+- each of the 7 images of D under the group of order 8 has D's
+  ``group_view`` times the image's sign pattern, ``check_images``,
+  crossing by crossing: (sgn(c), Ind(c), dJ_n(D_c)) and dJ_n(D);
 - every R1- and R2- neighbour keeps the F-fingerprint, and the R1-,
   R2- and R3 neighbours are ``MOVE_DIGESTS``; with the R1+ and R2+
   calls of the codes with m <= 2, the same moves are ``SINGLE_PINS``;
@@ -32,13 +32,16 @@ compares the sweeps of sizes 0..m with the pins:
 - control moves, which are not Reidemeister moves, change the
   fingerprint as often as ``CONTROL_MOVE_COUNTS`` says.
 
-Each code, its reversal, each R1- and R2- neighbour and each R3
-candidate's rewrite get one ``f_sequence`` call, and no other diagram
-does.  The plane reflection, the crossing changes, the over/under swaps
-and rev(mirror D) of a code are codes of the same size, so once the
-size is analysed ``read_image`` reads their analyses from the pass by
-code text, with the crossings renumbered by first appearance; a text
-missing there is a fault, never a skip.  The suite runs m = 3 (1,013
+Each code, each R1- and R2- neighbour and each R3 candidate's rewrite
+get one ``f_sequence`` call, and no other diagram does.  The 7 images,
+the crossing changes and the over/under swaps of a code are codes of
+the same size, so once the size is analysed ``read_image`` reads their
+analyses from the pass by code text, with the crossings renumbered by
+first appearance; a text missing there is a fault, never a skip.  The
+laws of F^n under the group follow: every image is a code of the
+sweep, so the oracle holds F^n of each image to its definition from
+the image's (sgn, Ind, dJ_n(D_c)) and dJ_n(D), which the images check
+holds to D's under the sign pattern.  The suite runs m = 3 (1,013
 codes); CI runs m = 4 (27,893 codes) as one step.
 
 A sweep records each failing check under its name and is kept for the
@@ -51,14 +54,14 @@ import hashlib
 import json
 from collections import Counter
 from functools import cache, partial
-from operator import and_
+from itertools import combinations
+from operator import and_, mul
 from typing import NamedTuple
 
-from conftest import assert_analysis_matches_oracle, f_by_definition, map_terms, passes
+from conftest import assert_analysis_matches_oracle, passes
 from vknot.enumerate import canonical_code, enumerate_codes
 from vknot.gauss import Diagram, parse_gauss
 from vknot.invariants import FReport, f_sequence
-from vknot.laurent import LaurentPoly2
 from vknot.moves import MoveError, _r3_apply, _r3_patterns, _Word, apply_move, move_sites
 
 # Per m: the m-crossing codes of ``enumerate_codes(m)``, and their
@@ -183,50 +186,16 @@ def check_round_trip(d: Diagram, code: str) -> None:
     assert parse_gauss(code.replace(" ", ",\t").lower()) == d, code
 
 
-def read_image(seen: dict, word: list) -> "Seen":
+def read_image(seen: dict, word: list) -> tuple["Seen", dict]:
     """The analysis in ``seen`` of the code whose (id, over, sign) passes
     are ``word``, a code of the size ``seen`` holds, with its crossings
     renumbered 1, 2, ... in order of first appearance, as
-    ``enumerate_codes`` numbers them.  A missing text raises KeyError."""
+    ``enumerate_codes`` numbers them, and that renumbering, {id in
+    ``word``: id in the code}.  A missing text raises KeyError."""
     number: dict[str, str] = {}
     tokens = [("O" if over else "U") + number.setdefault(c, str(len(number) + 1)) + ("+" if sign > 0 else "-")
               for c, over, sign in word]
-    return seen[" ".join(tokens)]
-
-
-def check_reflection(report, reflected, code: str) -> None:
-    """F^n(reflect D)(t, l) = -F^n(D)(t^-1, l) for every n up to the
-    larger n_max + 1, with ``report`` and ``reflected`` the analyses of
-    D, whose text is ``code``, and of its plane reflection, which
-    negates every sign and keeps the passes."""
-    for n in range(1, max(report.n_max, reflected.n_max) + 2):
-        expected = map_terms(report.f_at(n), lambda et, el, c: (-et, el, -c))
-        assert reflected.f_at(n) == expected, (code, n)
-
-
-def check_reversal_rule(d: Diagram, fwd: FReport) -> None:
-    """The reversal rule of the ``table`` docstring, by crossing id c:
-    Ind_{rev D}(c) = -Ind_D(c), dJ_n(rev D) = -dJ_n(D) and dJ_n((rev D)_c)
-    = dJ_n(D_c), and F^n(rev D) is F^n assembled by its definition from
-    ``fwd``, d's report, with Ind and dJ_n(D) negated, for n up to the
-    larger n_max + 2."""
-    rev = f_sequence(d.reverse())
-    assert rev.index == {c: -k for c, k in fwd.index.items()}, str(d)
-    for n in range(1, max(fwd.n_max, rev.n_max) + 3):
-        d_n, row = fwd.dwrithe(n), dict(zip(fwd.index, fwd.smoothed_row(n)))
-        assert rev.dwrithe(n) == -d_n, (str(d), n)
-        assert dict(zip(rev.index, rev.smoothed_row(n))) == row, (str(d), n)
-        crossings = [(d.sign(c), -k, row[c]) for c, k in fwd.index.items()]
-        assert rev.f_at(n) == f_by_definition(crossings, -d_n), (str(d), n)
-
-
-def check_reverse_mirror_law(fwd, rm, code: str) -> None:
-    """F^n(rev(mirror D))(t, l) = -F^n(D)(t, l^-1) for every n up to the
-    larger n_max + 1, with ``fwd`` and ``rm`` the analyses of D, whose
-    text is ``code``, and of rev(mirror D)."""
-    for n in range(1, max(fwd.n_max, rm.n_max) + 2):
-        expected = map_terms(fwd.f_at(n), lambda et, el, c: (et, -el, -c))
-        assert rm.f_at(n) == expected, (code, n)
+    return seen[" ".join(tokens)], number
 
 
 def crossing_data(report: FReport, rows: int) -> dict[str, tuple]:
@@ -236,6 +205,42 @@ def crossing_data(report: FReport, rows: int) -> dict[str, tuple]:
     sign = report.diagram.sign
     columns = zip(*map(report.smoothed_row, range(1, rows + 1)))
     return {c: (sign(c), ind, column) for (c, ind), column in zip(report.index.items(), columns)}
+
+
+def group_view(report: FReport) -> tuple[tuple, tuple]:
+    """What the group of order 8 acts on, hashable so that equal views
+    share one copy: the items of ``crossing_data`` for n = 1 to n_max + 1,
+    and the row dJ_n(D) for the same n."""
+    rows = report.n_max + 1
+    return tuple(crossing_data(report, rows).items()), tuple(map(report.dwrithe, range(1, rows + 1)))
+
+
+# The group's generators, which commute: each acts on a code's (id,
+# over, sign) passes and multiplies every crossing's sgn(c), Ind(c) and
+# column dJ_n(D_c), and the row dJ_n(D), by its sign pattern.
+GENERATORS = {
+    "reverse": (lambda word: word[::-1], (1, -1, 1, -1)),
+    "mirror": (lambda word: [(c, not over, -sign) for c, over, sign in word], (-1, -1, -1, 1)),
+    "reflect": (lambda word: [(c, over, -sign) for c, over, sign in word], (-1, -1, 1, 1)),
+}
+
+
+def check_images(view: tuple, word: list, image, code: str) -> None:
+    """Each of the 7 images of D, the products of distinct ``GENERATORS``,
+    has D's ``view`` with each crossing's data and the row multiplied by
+    the product of their patterns; ``word`` is D's passes and ``code``
+    its text.  ``image(passes)`` returns the view of the code with those
+    passes and the map from D's crossing ids to its ids."""
+    data, row = view
+    for names in (names for k in (1, 2, 3) for names in combinations(GENERATORS, k)):
+        moved, pattern = word, (1, 1, 1, 1)
+        for name in names:
+            act, signs = GENERATORS[name]
+            moved, pattern = act(moved), tuple(map(mul, pattern, signs))
+        (got, got_row), number = image(moved)
+        s, i, c, r = pattern
+        expected = {number[x]: (s * sign, i * ind, tuple(c * v for v in column)) for x, (sign, ind, column) in data}
+        assert dict(got) == expected and got_row == tuple(r * v for v in row), (code, names)
 
 
 def check_lemmas(before: FReport, after: FReport, kind: str) -> None:
@@ -353,10 +358,10 @@ def check_control(word: list, report, image, code: str, unknot, control: dict) -
     (differs, all) counts and returns whether d is knotted.  Forbidden
     moves unknot every virtual knot, so a knotted d has a neighbour that
     changes its fingerprint.  Each neighbour is a code of the same size,
-    whose analysis ``image`` reads."""
+    whose analysis ``image`` reads, as ``read_image`` does."""
     base, changed = report.fingerprint, False
     for kind, moved in control_neighbours(word):
-        differs = image(moved).fingerprint != base
+        differs = image(moved)[0].fingerprint != base
         control[kind][0] += differs
         control[kind][1] += 1
         changed |= differs
@@ -368,14 +373,11 @@ class Seen(NamedTuple):
     """What ``sweep`` keeps of a code's analysis, by code text."""
 
     fingerprint: tuple
-    stable_tail: LaurentPoly2
-    n_max: int
-    f_at = FReport.f_at
+    view: tuple
 
 
 # The per-code checks of ``sweep``, each a key of ``Size.faults``.
-CHECKS = ("size", "positions", "round trip", "oracle", "reflection", "reversal rule",
-          "reverse mirror", "moves", "lemmas", "r3", "control")
+CHECKS = ("size", "positions", "round trip", "oracle", "images", "moves", "lemmas", "r3", "control")
 
 
 class Size(NamedTuple):
@@ -400,11 +402,11 @@ class Size(NamedTuple):
 def sweep(size: int) -> Size:
     """Every per-code check on every code with ``size`` crossings, in one
     call of ``enumerate_codes``.  Once every code is analysed, the
-    reflection, reverse-mirror and control checks read the analyses of
-    the same-size images from the map ``seen``.  A failing check is
-    recorded under its name, up to five codes each, and the pass goes
-    on, so each check fails on its own; the result is kept for the
-    process."""
+    images and control checks read the analyses of the same-size images
+    from the map ``seen``, and each code's passes from its text.  A
+    failing check is recorded under its name, up to five codes each, and
+    the pass goes on, so each check fails on its own; the result is kept
+    for the process."""
     unknot = f_sequence(parse_gauss("")).fingerprint
     faults = {name: [] for name in CHECKS}
 
@@ -432,8 +434,7 @@ def sweep(size: int) -> Size:
         run("round trip", check_round_trip, d, code)
         report = f_sequence(d)
         run("oracle", assert_analysis_matches_oracle, d, report)
-        run("reversal rule", check_reversal_rule, d, report)
-        analysis = Seen(report.fingerprint, report.stable_tail, report.n_max)
+        analysis = Seen(report.fingerprint, group_view(report))
         seen[code] = distinct.setdefault(analysis, analysis)
         run("moves", check_moves, d, report, code, moves, singles, partial(run, "lemmas", check_lemmas))
         run("r3", check_r3, d, report, code, r3)
@@ -441,14 +442,16 @@ def sweep(size: int) -> Size:
             for kind, params, result in insertions(d):
                 singles.add([code, kind, params, result])
     image = partial(read_image, seen)
-    for code, report in seen.items():
-        d = parse_gauss(code)
-        word = passes(d)
-        reflected = [(c, over, -sign) for c, over, sign in word]
-        run("reflection", lambda: check_reflection(report, image(reflected), code))
-        run("reverse mirror", lambda: check_reverse_mirror_law(report, image(passes(d.mirror().reverse())), code))
+
+    def image_view(word):
+        known, number = image(word)
+        return known.view, number
+
+    for code, known in seen.items():
+        word = passes(code)
+        run("images", check_images, known.view, word, image_view, code)
         if size >= 2:
-            knotted += bool(run("control", check_control, word, report, image, code, unknot, control))
+            knotted += bool(run("control", check_control, word, known, image, code, unknot, control))
     return Size(count, len(texts), len(classes), faults, moves.value(), singles.value(), dict(r3),
                 {kind: tuple(pair) for kind, pair in control.items()}, knotted)
 

@@ -1,6 +1,6 @@
 """The CI workflow parses as YAML, every check it imports exists, and
-one step checks every code with four crossings; every library name the
-tools import exists.
+one step, named after the sweep's checks, checks every code with four
+crossings; every library name the tools import exists.
 
 A step whose text breaks the YAML makes the whole workflow invalid, so
 that no job runs at all; this catches it before a push does.  A library
@@ -14,13 +14,18 @@ from pathlib import Path
 
 import yaml
 
+from test_universe import CHECKS
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
+def workflow_steps() -> list[dict]:
+    return [step for job in yaml.safe_load(WORKFLOW.read_text())["jobs"].values() for step in job["steps"]]
+
+
 def workflow_runs() -> list[str]:
-    workflow = yaml.safe_load(WORKFLOW.read_text())
-    return [step["run"] for job in workflow["jobs"].values() for step in job["steps"] if "run" in step]
+    return [step["run"] for step in workflow_steps() if "run" in step]
 
 
 def test_workflow_parses_and_its_imports_resolve(monkeypatch):
@@ -55,3 +60,9 @@ def test_one_step_checks_every_code_with_four_crossings():
     calls = [run for run in workflow_runs() if re.search(r"\w\(\s*(m\s*=\s*)?4\s*\)", run)]
     assert len(calls) == 1, calls
     assert "from test_universe import assert_every_code" in calls[0]
+
+
+def test_sweep_step_names_every_check():
+    # A check added to or dropped from the sweep changes the step's name.
+    [step] = [step for step in workflow_steps() if "assert_every_code" in step.get("run", "")]
+    assert step["name"].endswith(": " + ", ".join(CHECKS)), step["name"]

@@ -20,7 +20,8 @@ data or the directory that ``VKNOT_TABLE_DIR`` names, and writes
 ``knots.tsv`` next to it unless ``--out`` names another file.
 
 Usage:  python tools/build_knot_table.py [--out knots.tsv]
-Exit status: 0 written, 1 a pin or bucket fails, 2 unreadable expected rows.
+Exit status: 0 written, 1 a pin or bucket fails, 2 unreadable expected
+rows or an unwritable output (one ``error: `` line on stderr).
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ def main() -> int:
         expected = read_expected(data_dir() / "fpolys.tsv")
     except CorruptData as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not args.out.parent.is_dir():
+        print(f"error: no directory {str(args.out.parent)!r} for {str(args.out)!r}", file=sys.stderr)
         return 2
 
     needed: dict[tuple[int, tuple], list[str]] = {}
@@ -109,7 +113,11 @@ def main() -> int:
         return 1
 
     lines = [f"{name}\t{assigned[name]}" for name in sorted(assigned, key=name_key)]
-    args.out.write_text("\n".join(lines) + "\n")
+    try:
+        args.out.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {str(args.out)!r}: {exc.strerror}", file=sys.stderr)
+        return 2
     print(f"wrote {len(lines)} records to {args.out}")
     return 0
 
