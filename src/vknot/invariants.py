@@ -352,9 +352,12 @@ def _lane_table(diagram: Diagram) -> list[tuple[int, ...]]:
     return table
 
 
-# Crossings from which f_sequence takes _lane_table, the measured crossover:
-# us per diagram, walk vs lane pass (40 random codes a size, best of 11,
-# 2-core Xeon, Python 3.11.7), 28 vs 31 at m = 8, 35 vs 37 at 9, 44 vs 43 at 10.
+# Crossings from which f_sequence takes _lane_table, near the measured
+# crossover: us per diagram, walk vs lane pass (40 random codes a size,
+# best of 11, the two in turn; 2-core Xeon, Python 3.11.7), 29 vs 35-36
+# at m = 8, 35 vs 41-42 at 9, 43-45 vs 45-47 at 10, 50-55 vs 50-54 at 11
+# and 58-63 vs 53-59 at 12.  The two tie at 11; at 10 the walk leads by
+# about 3 us a diagram, too little to move the constant.
 _LANE_MIN = 10
 
 

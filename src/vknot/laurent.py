@@ -125,7 +125,8 @@ def parse_poly(text: str) -> LaurentPoly2:
 
     Whitespace is ignored.  ``"0"`` parses to the zero polynomial.
     Every term after the first starts with a sign, and every term has a
-    coefficient or a variable; digits are ASCII only, and no more of
+    coefficient or a variable; a ``*`` only follows a coefficient or a
+    ``t`` factor; digits are ASCII only, and no more of
     them per integer, nor in the sum of repeated terms, than
     ``sys.get_int_max_str_digits()``.
     Round-trips: ``parse_poly(str(p)) == p`` for every polynomial p.
@@ -138,7 +139,9 @@ def parse_poly(text: str) -> LaurentPoly2:
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
         sign, mag, t, e_t, l, e_l = m.groups()
-        if (pos and not sign) or not (mag or t or l):
+        # _TERM_RE lets a term open with "*"; the grammar puts one only after
+        # a coefficient or a t factor.
+        if (pos and not sign) or not (mag or t or l) or s[pos + len(sign)] == "*":
             raise PolyParseError(f"bad polynomial {text!r} near {s[pos:]!r}")
         try:
             key = (int(e_t) if e_t else 1 if t else 0, int(e_l) if e_l else 1 if l else 0)

@@ -44,17 +44,17 @@ maps each kind to scan, draw and rewrite.  A word is the mutable copy
 of a ``Diagram``'s integer form: the list of ``(k, over)`` passes, k a
 crossing number, with each crossing's sign and id in lists indexed by
 k.  Scans compare crossing numbers and read signs by k; only R3 sites,
-whose public parameters are crossing ids, read the ids.  The R2 and R3
-scans index the passes by position only once they meet a candidate
-pair.  The word also keeps the set of ids present and a low-water mark
-below which every numeric id is taken, updated by each insertion and
-removal, so a fresh id is found without rebuilding the set.  A word
-becomes a ``Diagram`` again only in ``_Word.diagram``, which feeds its
-(id, pass flag, sign) triples to the pairing loop of ``gauss``.  Valid
-moves keep a word valid, so a walk rewrites one word and validates it
-once, as the ``Diagram`` it ends on, and applies each drawn site from
-the scan it was drawn from; a kind whose scan came back empty is
-redrawn without a second scan in that step.
+whose public parameters are crossing ids, read the ids.  They rely on
+the word being valid: two adjacent passes with one pass flag belong to
+two crossings.  The word also keeps the set of ids present and a
+low-water mark below which every numeric id is taken, updated by each
+insertion and removal, so a fresh id is found without rebuilding the
+set.  A word becomes a ``Diagram`` again only in ``_Word.diagram``,
+which feeds its (id, pass flag, sign) triples to the pairing loop of
+``gauss``.  Valid moves keep a word valid, so a walk rewrites one word
+and validates it once, as the ``Diagram`` it ends on, and applies each
+drawn site from the scan it was drawn from; a kind whose scan came back
+empty is redrawn without a second scan in that step.
 The walk records each step as a ``(kind, parameters)`` pair:
 ``random_walk`` turns them into its ``MoveScript``, and
 ``fuzz_invariance`` only for a walk that changed the fingerprint.
@@ -216,15 +216,13 @@ def _r2_insert(word: _Word, arcs: range, arc1: int, arc2: int, over_first: bool)
 def _r2_sites(word: _Word) -> list[list[int]]:
     passes, sign = word.passes, word.sign
     n = len(passes)
-    pos = None  # (k, pass) -> position, built at the first candidate pair
+    pos = dict(zip(passes, range(n)))  # (k, pass) -> position
     sites = []
     i = -1
     for (c1, o1), (c2, o2) in zip(passes, passes[1:] + passes[:1]):
         i += 1
-        if o1 != o2 or c1 == c2 or sign[c1] == sign[c2]:
+        if o1 != o2 or sign[c1] == sign[c2]:
             continue
-        if pos is None:
-            pos = dict(zip(passes, range(n)))
         # Each configuration is seen from both pairs, (i, j) and (j, i): keep the first.
         j = pos[c2, not o2]
         if i < j and (j + 1) % n == pos[c1, not o1]:
@@ -243,15 +241,13 @@ def _r3_patterns(word: _Word) -> dict:
     """Every valid R3 slide's id triple, in word order -> its first position-swaps."""
     passes, sign, ids = word.passes, word.sign, word.ids
     n = len(passes)
-    pos = None  # (k, pass) -> position, built at the first candidate pair
+    pos = dict(zip(passes, range(n)))  # (k, pass) -> position
     out: dict = {}
     i = -1
     for (p, op), (q, oq) in zip(passes, passes[1:] + passes[:1]):
         i += 1
-        if not (op and oq) or p == q:
+        if not (op and oq):
             continue
-        if pos is None:
-            pos = dict(zip(passes, range(n)))
         up, uq = pos[p, False], pos[q, False]
         sp, spq = sign[p], sign[p] * sign[q]
         for beta in (1, -1):

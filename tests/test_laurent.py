@@ -65,7 +65,7 @@ def test_string_term_order_is_et_then_el():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "t^", "x+1", "2**t", "+", "1..2"]:
+    for bad in ["", "t^", "x+1", "2**t", "+", "1..2", "*t", "-*t", "t+*l", "*l"]:
         with pytest.raises(PolyParseError):
             parse_poly(bad)
 
@@ -80,7 +80,9 @@ def test_parse_rejects_non_ascii_digits(bad):
 def test_parse_pinned_on_every_short_string():
     # sha256 over the result (repr, or "error") of every string of length
     # <= 5 over this alphabet, in itertools.product order; recorded with
-    # the character-by-character splitter this parser replaced.
+    # the character-by-character splitter this parser replaced, then again
+    # when the 539 strings with a "*" after a sign or at the start of a
+    # term became errors.
     digest = hashlib.sha256()
     for length in range(6):
         for chars in itertools.product("+-01t^l* ", repeat=length):
@@ -89,7 +91,7 @@ def test_parse_pinned_on_every_short_string():
             except PolyParseError:
                 out = "error"
             digest.update(out.encode() + b"\n")
-    assert digest.hexdigest() == "bf32c5b5e8903a6141c3d8254c399718598db5f8a249094324f2c93b9efac10b"
+    assert digest.hexdigest() == "a1f10db31c313e9d85230dcce1713dfe606d235e30060eb07c5a270c38102675"
 
 
 def test_json_terms_sorted(capsys):

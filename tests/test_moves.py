@@ -498,61 +498,41 @@ def test_script_rejects_malformed_steps(example_31, step):
         MoveScript((step,)).apply(start)
 
 
-def test_walk_builds_one_diagram_and_scans_once_per_step(table_records, monkeypatch):
-    # The walk rewrites one word and validates it once, at the end;
-    # a drawn R2- or R3 is applied from the scan it was drawn from.
-    # Every Diagram is built by ``Diagram._of``, so count its calls.
-    built = []
-    of = Diagram._of.__func__
-
-    def counting_of(cls, triples):
-        built.append(1)
-        return of(cls, triples)
-
-    found = {"R2-": 0, "R3": 0}
-    for kind, name in (("R2-", "_r2_sites"), ("R3", "_r3_patterns")):
-        scan = getattr(vknot.moves, name)
-
-        def counting_scan(word, kind=kind, scan=scan):
-            sites = scan(word)
-            found[kind] += bool(sites)
-            return sites
-
-        monkeypatch.setattr(vknot.moves, name, counting_scan)
-        move = vknot.moves._MOVES[kind]._replace(sites=counting_scan)
-        monkeypatch.setitem(vknot.moves._MOVES, kind, move)
-    kinds = []
-    starts = [r.diagram for r in table_records]
-    monkeypatch.setattr(Diagram, "_of", classmethod(counting_of))
-    for seed, start in enumerate(starts):
-        built.clear()
-        _, script = random_walk(start, 40, seed)
-        assert len(built) == 1
-        kinds += [step["move"] for step in script.steps]
-    assert found == {"R2-": kinds.count("R2-"), "R3": kinds.count("R3")}
-    assert min(found.values()) > 100
-
-
-def test_walk_scans_each_kind_at_most_once_per_step(table_records, monkeypatch):
-    # A kind whose scan came back empty is redrawn without a second scan.
-    scanned = [[]]  # the kinds scanned in each step so far; a rewrite ends a step
+def test_walk_builds_one_diagram_and_scans_each_kind_at_most_once_per_step(table_records, monkeypatch):
+    # The walk rewrites one word and validates it once, at the end (every
+    # Diagram is built by ``Diagram._of``, so count its calls); a drawn
+    # kind is applied from the scan it was drawn from, and a kind whose
+    # scan came back empty is redrawn without a second scan.
+    scanned = [[]]  # the (kind, found) scans of each step so far; a rewrite ends a step
     for kind, move in list(vknot.moves._MOVES.items()):
 
         def scan(word, kind=kind, sites=move.sites):
-            scanned[-1].append(kind)
-            return sites(word)
+            found = sites(word)
+            scanned[-1].append((kind, bool(found)))
+            return found
 
         def rewrite(*args, rewrite=move.rewrite):
             rewrite(*args)
             scanned.append([])
 
         monkeypatch.setitem(vknot.moves._MOVES, kind, move._replace(sites=scan, rewrite=rewrite))
-    for seed, start in enumerate([UNKNOT] + [r.diagram for r in table_records]):
-        for trial in range(3):
-            random_walk(start, 40, 3 * seed + trial)
+    starts = [r.diagram for r in table_records]
+    walks = list(enumerate(starts))
+    walks += [(3 * seed + trial, start) for seed, start in enumerate([UNKNOT] + starts) for trial in range(3)]
+    built, of = [], Diagram._of.__func__
+    monkeypatch.setattr(Diagram, "_of", classmethod(lambda cls, triples: built.append(1) or of(cls, triples)))
+    kinds = []
+    for seed, start in walks:
+        built.clear()
+        _, script = random_walk(start, 40, seed)
+        assert len(built) == 1
+        kinds += [step["move"] for step in script.steps]
     steps = scanned[:-1]
-    assert len(steps) == 117 * 3 * 40
-    assert all(len(set(kinds)) == len(kinds) for kinds in steps)
+    assert len(steps) == len(kinds) == len(walks) * 40
+    assert all(len({kind for kind, _ in step}) == len(step) for step in steps)
+    found = Counter(kind for step in steps for kind, hit in step if hit)
+    assert found == Counter(kinds)
+    assert min(found["R2-"], found["R3"]) > 100
     assert sum(map(len, steps)) > len(steps) + 1000  # empty scans did happen
 
 
