@@ -498,42 +498,55 @@ def test_script_rejects_malformed_steps(example_31, step):
         MoveScript((step,)).apply(start)
 
 
-def test_walk_builds_one_diagram_and_scans_each_kind_at_most_once_per_step(table_records, monkeypatch):
-    # The walk rewrites one word and validates it once, at the end (every
-    # Diagram is built by ``Diagram._of``, so count its calls); a drawn
-    # kind is applied from the scan it was drawn from, and a kind whose
-    # scan came back empty is redrawn without a second scan.
-    scanned = [[]]  # the (kind, found) scans of each step so far; a rewrite ends a step
-    for kind, move in list(vknot.moves._MOVES.items()):
+@pytest.fixture(scope="module")
+def instrumented_walks(table_records):
+    # One instrumented pass over the walks of both tests below. Every
+    # Diagram is built by ``Diagram._of``, so count its calls per walk;
+    # record the (kind, found) scans of each step (a rewrite ends a step).
+    scanned = [[]]
+    built, kinds = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        for kind, move in list(vknot.moves._MOVES.items()):
 
-        def scan(word, kind=kind, sites=move.sites):
-            found = sites(word)
-            scanned[-1].append((kind, bool(found)))
-            return found
+            def scan(word, kind=kind, sites=move.sites):
+                found = sites(word)
+                scanned[-1].append((kind, bool(found)))
+                return found
 
-        def rewrite(*args, rewrite=move.rewrite):
-            rewrite(*args)
-            scanned.append([])
+            def rewrite(*args, rewrite=move.rewrite):
+                rewrite(*args)
+                scanned.append([])
 
-        monkeypatch.setitem(vknot.moves._MOVES, kind, move._replace(sites=scan, rewrite=rewrite))
-    starts = [r.diagram for r in table_records]
-    walks = list(enumerate(starts))
-    walks += [(3 * seed + trial, start) for seed, start in enumerate([UNKNOT] + starts) for trial in range(3)]
-    built, of = [], Diagram._of.__func__
-    monkeypatch.setattr(Diagram, "_of", classmethod(lambda cls, triples: built.append(1) or of(cls, triples)))
-    kinds = []
-    for seed, start in walks:
-        built.clear()
-        _, script = random_walk(start, 40, seed)
-        assert len(built) == 1
-        kinds += [step["move"] for step in script.steps]
-    steps = scanned[:-1]
-    assert len(steps) == len(kinds) == len(walks) * 40
-    assert all(len({kind for kind, _ in step}) == len(step) for step in steps)
-    found = Counter(kind for step in steps for kind, hit in step if hit)
-    assert found == Counter(kinds)
+            mp.setitem(vknot.moves._MOVES, kind, move._replace(sites=scan, rewrite=rewrite))
+        starts = [r.diagram for r in table_records]
+        walks = list(enumerate(starts))
+        walks += [(3 * seed + trial, start) for seed, start in enumerate([UNKNOT] + starts) for trial in range(3)]
+        count, of = [], Diagram._of.__func__
+        mp.setattr(Diagram, "_of", classmethod(lambda cls, triples: count.append(1) or of(cls, triples)))
+        for seed, start in walks:
+            count.clear()
+            _, script = random_walk(start, 40, seed)
+            built.append(len(count))
+            kinds += [step["move"] for step in script.steps]
+    return SimpleNamespace(walks=walks, built=built, kinds=kinds, steps=scanned[:-1])
+
+
+def test_walk_builds_one_diagram_and_scans_once_per_step(instrumented_walks):
+    # The walk rewrites one word and validates it once, at the end;
+    # a drawn kind is applied from the scan it was drawn from.
+    w = instrumented_walks
+    assert w.built == [1] * len(w.walks)
+    found = Counter(kind for step in w.steps for kind, hit in step if hit)
+    assert found == Counter(w.kinds)
     assert min(found["R2-"], found["R3"]) > 100
-    assert sum(map(len, steps)) > len(steps) + 1000  # empty scans did happen
+
+
+def test_walk_scans_each_kind_at_most_once_per_step(instrumented_walks):
+    # A kind whose scan came back empty is redrawn without a second scan.
+    w = instrumented_walks
+    assert len(w.steps) == len(w.kinds) == len(w.walks) * 40
+    assert all(len({kind for kind, _ in step}) == len(step) for step in w.steps)
+    assert sum(map(len, w.steps)) > len(w.steps) + 1000  # empty scans did happen
 
 
 def test_fuzz_scripts_are_the_walks_scripts(table_records, monkeypatch):
